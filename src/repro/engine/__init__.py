@@ -16,20 +16,19 @@ same campaign as a set of independent **route shards**:
 The same root seed therefore yields a **bit-identical dataset for any shard
 batching or worker count** — including the serial path used by
 :func:`repro.generate_dataset`.  Robustness rides on top: per-shard
-:mod:`checkpoints <repro.engine.checkpoint>` let an interrupted run resume
-from completed shards, failed workers are retried with bounded budgets (hard
-worker deaths rebuild the process pool), and every run emits an
-:class:`~repro.engine.metrics.EngineReport`.
+checkpoints (entries of a :class:`~repro.engine.checkpoint.ShardCache`) let
+an interrupted run resume from completed shards, failed workers are retried
+with bounded budgets (hard worker deaths rebuild the process pool), and
+every run emits an :class:`~repro.engine.metrics.EngineReport`.
 
-Two extension points serve multi-run drivers such as :mod:`repro.sweep`:
-
-* :func:`run_engine` accepts a **pluggable shard-result store** (e.g. the
-  content-addressed :class:`~repro.sweep.cache.ShardCache`) consulted before
-  computing a shard and fed every freshly computed result;
-* :func:`execute_jobs` is the seed-agnostic execution core — tagged batches
-  in, results out — and a :class:`WorkerPool` can be shared across many
-  calls so a 50-seed sweep reuses one process pool instead of spinning up
-  fifty.
+:func:`run_campaigns` is the one orchestration pipeline — plan, replay,
+execute, merge, report — written over a *sequence* of campaign configs:
+:func:`run_engine` is its one-config case, and multi-run callers such as
+:mod:`repro.sweep` hand it one config per seed, so every seed's batches
+interleave through one :func:`execute_jobs` call (and one process pool).
+A shared :class:`~repro.engine.checkpoint.ShardCache` passed as
+``shard_store`` is consulted before computing a shard and fed every freshly
+computed result.
 
 Quickstart::
 
@@ -44,12 +43,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Protocol, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow
 from repro.campaign.validation import validate_dataset
-from repro.engine.checkpoint import CheckpointStore, config_fingerprint
+from repro.engine.checkpoint import ShardCache, config_fingerprint
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import EngineReport, ShardMetrics
 from repro.engine.planner import (
@@ -76,33 +75,17 @@ __all__ = [
     "FaultSpec",
     "PlannerParams",
     "ShardPlan",
-    "ShardResultStore",
-    "WorkerPool",
+    "CampaignRun",
+    "ShardCache",
     "build_task_batches",
     "execute_jobs",
+    "fold_shard_metrics",
     "generate_dataset_parallel",
     "plan_campaign",
     "process_pool_usable",
+    "run_campaigns",
     "run_engine",
 ]
-
-
-class ShardResultStore(Protocol):
-    """A pluggable store of completed shard results.
-
-    ``load_many`` returns every shard it can replay for the given identity;
-    ``store`` is fed each freshly computed result.  Both receive the run's
-    configuration fingerprint and campaign seed, which together with the
-    shard index fully address one shard's computation.  A store may only
-    make a run faster, never wrong: anything it cannot serve verbatim it
-    must omit.
-    """
-
-    def load_many(
-        self, fingerprint: str, seed: int, indices: Sequence[int]
-    ) -> dict[int, ShardResult]: ...
-
-    def store(self, fingerprint: str, seed: int, result: ShardResult) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -119,7 +102,8 @@ class EngineConfig:
     #: ``"process"`` (ProcessPoolExecutor) or ``"serial"`` (in-process).
     executor: str = "process"
     planner: PlannerParams = field(default_factory=PlannerParams)
-    #: Directory for per-shard checkpoints; ``None`` disables them.
+    #: Checkpoint directory — a :class:`ShardCache` that workers store each
+    #: shard into as it finishes and that reruns replay; ``None`` disables.
     checkpoint_dir: str | None = None
     #: Retries per shard batch before the run is abandoned.
     max_retries: int = 2
@@ -224,50 +208,6 @@ def process_pool_usable() -> bool:
     return _POOL_PROBE_OK
 
 
-class WorkerPool:
-    """A reusable, rebuildable process pool shared across engine calls.
-
-    The engine rebuilds the underlying ``ProcessPoolExecutor`` in place
-    after a hard worker death, so a handle stays valid across failures and
-    across any number of :func:`execute_jobs` / :func:`run_engine` calls.
-    Callers that pass their own pool keep ownership: the engine never shuts
-    down a borrowed pool, only :meth:`shutdown` (or the context manager
-    exit) does.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise EngineError("workers must be >= 1")
-        self.workers = workers
-        self.rebuilds = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        """The live pool, created lazily on first use."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def rebuild(self) -> None:
-        """Discard a broken pool and start a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self.rebuilds += 1
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-
 @dataclass
 class ExecutionStats:
     """What :func:`execute_jobs` observed while draining its job list."""
@@ -309,9 +249,13 @@ def _execute_process(
     jobs: Sequence[tuple[Hashable, tuple[ShardTask, ...]]],
     max_retries: int,
     on_result: ResultCallback,
-    pool: WorkerPool,
+    workers: int,
 ) -> int:
-    """Drain ``jobs`` through ``pool``; returns the number of pool rebuilds."""
+    """Drain ``jobs`` through a private process pool of ``workers`` processes.
+
+    A hard worker death breaks the whole pool; it is then discarded and a
+    fresh one started.  Returns the number of such rebuilds.
+    """
     outstanding: dict[Hashable, tuple[ShardTask, ...]] = dict(jobs)
     if len(outstanding) != len(jobs):
         raise EngineError("job tags must be unique")
@@ -332,51 +276,56 @@ def _execute_process(
                 shard_index=batch[0].index,
             ) from exc
 
-    while outstanding:
-        futures = {
-            pool.executor.submit(execute_batch, with_attempt(batch, attempts[tag])): tag
-            for tag, batch in outstanding.items()
-        }
-        pool_broken = False
-        charged: set[Hashable] = set()
-        not_done = set(futures)
-        while not_done and not pool_broken:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for future in done:
-                tag = futures[future]
-                try:
-                    record(tag, future.result())
-                except BrokenProcessPool as exc:
-                    # The pool is unusable: salvage nothing more from
-                    # this round, charge the still-unfinished batches
-                    # one attempt each, and rebuild the pool.
-                    pool_broken = True
-                    broken_exc = exc
-                except Exception as exc:
-                    # Soft shard failure — the worker survived, so the
-                    # pool is still usable: spend one retry and leave the
-                    # batch outstanding for the next submission round.
-                    charge(tag, exc)
-                    charged.add(tag)
-        if pool_broken:
-            # Futures that finished before the crash may still hold
-            # usable results — keep them, retry only the rest.
-            for future, tag in futures.items():
-                if tag not in outstanding or tag in charged or not future.done():
-                    continue
-                try:
-                    record(tag, future.result())
-                except BaseException as exc:
-                    # Charge the batch with its real failure, not the
-                    # generic pool error, so the root cause surfaces if
-                    # the retry budget runs out.
-                    charge(tag, exc)
-                    charged.add(tag)
-            for tag in list(outstanding):
-                if tag not in charged:
-                    charge(tag, broken_exc)
-            pool.rebuild()
-            rebuilds += 1
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while outstanding:
+            futures = {
+                pool.submit(execute_batch, with_attempt(batch, attempts[tag])): tag
+                for tag, batch in outstanding.items()
+            }
+            pool_broken = False
+            charged: set[Hashable] = set()
+            not_done = set(futures)
+            while not_done and not pool_broken:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for future in done:
+                    tag = futures[future]
+                    try:
+                        record(tag, future.result())
+                    except BrokenProcessPool as exc:
+                        # The pool is unusable: salvage nothing more from
+                        # this round, charge the still-unfinished batches
+                        # one attempt each, and rebuild the pool.
+                        pool_broken = True
+                        broken_exc = exc
+                    except Exception as exc:
+                        # Soft shard failure — the worker survived, so the
+                        # pool is still usable: spend one retry and leave the
+                        # batch outstanding for the next submission round.
+                        charge(tag, exc)
+                        charged.add(tag)
+            if pool_broken:
+                # Futures that finished before the crash may still hold
+                # usable results — keep them, retry only the rest.
+                for future, tag in futures.items():
+                    if tag not in outstanding or tag in charged or not future.done():
+                        continue
+                    try:
+                        record(tag, future.result())
+                    except BaseException as exc:
+                        # Charge the batch with its real failure, not the
+                        # generic pool error, so the root cause surfaces if
+                        # the retry budget runs out.
+                        charge(tag, exc)
+                        charged.add(tag)
+                for tag in list(outstanding):
+                    if tag not in charged:
+                        charge(tag, broken_exc)
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = ProcessPoolExecutor(max_workers=workers)
+                rebuilds += 1
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
     return rebuilds
 
 
@@ -387,16 +336,15 @@ def execute_jobs(
     executor: str = "process",
     workers: int | None = None,
     max_retries: int = 2,
-    pool: WorkerPool | None = None,
 ) -> ExecutionStats:
     """Run tagged shard batches to completion with retries and pool recovery.
 
-    The seed-agnostic execution core shared by :func:`run_engine` and the
-    multi-seed sweep driver: each job is an opaque ``tag`` plus a batch of
-    :class:`ShardTask`; ``on_result(tag, outcomes, retries)`` fires as each
-    batch completes.  A borrowed :class:`WorkerPool` is reused and left
-    running; otherwise a private pool is created and torn down.  Raises
-    :class:`EngineError` once any batch exhausts ``max_retries``.
+    The seed-agnostic execution core of :func:`run_campaigns`: each job is
+    an opaque ``tag`` plus a batch of :class:`ShardTask`;
+    ``on_result(tag, outcomes, retries)`` fires as each batch completes.
+    The process executor runs every job through one pool that lives for
+    this call only.  Raises :class:`EngineError` once any batch exhausts
+    ``max_retries``.
     """
     n_workers = workers or os.cpu_count() or 1
     if executor == "process" and jobs and not process_pool_usable():
@@ -407,23 +355,201 @@ def execute_jobs(
     if executor == "serial" or not jobs:
         _execute_serial(jobs, max_retries, on_result)
         return stats
-    if pool is not None:
-        stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, pool)
-        return stats
-    with WorkerPool(n_workers) as owned:
-        stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, owned)
+    if n_workers < 1:
+        raise EngineError("workers must be >= 1")
+    stats.pool_rebuilds = _execute_process(jobs, max_retries, on_result, n_workers)
     return stats
 
 
-# -- entry points ------------------------------------------------------------
+# -- the orchestration pipeline ----------------------------------------------
+
+
+@dataclass
+class CampaignRun:
+    """One campaign's state through :func:`run_campaigns`, then its outcome."""
+
+    config: EngineConfig
+    plan: ShardPlan
+    fingerprint: str
+    #: Every shard result by index — replayed and computed alike.
+    results: dict[int, ShardResult] = field(default_factory=dict)
+    #: Retries spent on each computed shard (replayed shards cost none).
+    retries: dict[int, int] = field(default_factory=dict)
+    batches: list[tuple[ShardTask, ...]] = field(default_factory=list)
+    cache_hits: int = 0
+    cache_misses: int = 0
+    dataset: DriveDataset | None = None
+    report: EngineReport | None = None
+
+
+def run_campaigns(
+    configs: Sequence[EngineConfig],
+    route: Route | None = None,
+    *,
+    shard_store: ShardCache | None = None,
+    phase: str = "engine",
+) -> tuple[list[CampaignRun], ExecutionStats]:
+    """Plan, replay, execute, merge and report a sequence of campaigns.
+
+    The one orchestration pipeline: :func:`run_engine` is its one-config
+    case, and :func:`repro.sweep.run_sweep` runs one config per seed.
+
+    1. ``<phase>.plan`` (per config): plan the windows, fingerprint them,
+       and replay every shard the config's ``checkpoint_dir`` and then
+       ``shard_store`` can serve;
+    2. ``<phase>.execute``: interleave every config's pending batches
+       round-robin through one :func:`execute_jobs` call — no campaign's
+       tail straggles behind another's entire run — storing each fresh
+       result into ``shard_store`` (workers write checkpoints themselves);
+    3. ``<phase>.merge`` / ``.validate`` / ``.ingest`` (per config): merge
+       the shards, optionally validate, optionally ingest into
+       ``config.store_dir``, and build the config's :class:`EngineReport`.
+
+    Execution topology (executor, workers, retry budget) and the trace file
+    come from the first config.  Run-level report fields — ``total_wall_s``,
+    ``pool_rebuilds``, ``metrics`` — are left to the caller.
+    """
+    first = configs[0]
+    tracer = get_tracer(first.trace_path)
+    campaign_route = route or build_cross_country_route()
+    runs: list[CampaignRun] = []
+    for config in configs:
+        seed = config.campaign.seed
+        with tracer.span(f"{phase}.plan", seed=seed) as plan_span:
+            plan = plan_campaign(config.campaign, campaign_route, config.planner)
+            run = CampaignRun(config, plan, config_fingerprint(config.campaign, plan))
+            indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+            if config.checkpoint_dir is not None:
+                checkpoints = ShardCache(config.checkpoint_dir)
+                for index, result in checkpoints.load_many(
+                    run.fingerprint, seed, indices
+                ).items():
+                    # Reported as checkpoint hits, apart from shard_store hits.
+                    result.from_cache, result.from_checkpoint = False, True
+                    run.results[index] = result
+            if shard_store is not None:
+                remaining = [i for i in indices if i not in run.results]
+                cached = shard_store.load_many(run.fingerprint, seed, remaining)
+                run.results.update(cached)
+                run.cache_hits = len(cached)
+                run.cache_misses = len(remaining) - len(cached)
+            plan_span.set(shards=len(indices), cache_hits=run.cache_hits)
+        runs.append(run)
+
+    def on_result(tag: Hashable, outcomes: list[ShardResult], attempt: int) -> None:
+        run = runs[tag[0]]
+        for outcome in outcomes:
+            run.results[outcome.index] = outcome
+            run.retries[outcome.index] = attempt
+            if shard_store is not None:
+                shard_store.store(run.fingerprint, run.config.campaign.seed, outcome)
+
+    with tracer.span(f"{phase}.execute") as exec_span:
+        for run in runs:
+            run.batches = build_task_batches(
+                run.config,
+                run.plan,
+                [w for w in run.plan.windows if w.index not in run.results],
+                PASSIVE_SHARD_INDEX not in run.results,
+                run.fingerprint,
+                route,
+                trace_parent=exec_span.span_id,
+            )
+        depth = max(len(run.batches) for run in runs)
+        jobs = [
+            ((k, position), run.batches[position])
+            for position in range(depth)
+            for k, run in enumerate(runs)
+            if position < len(run.batches)
+        ]
+        exec_span.set(jobs=len(jobs))
+        stats = execute_jobs(
+            jobs,
+            on_result,
+            executor=first.executor,
+            workers=first.workers,
+            max_retries=first.max_retries,
+        )
+
+    for run in runs:
+        config, plan, seed = run.config, run.plan, run.config.campaign.seed
+        merge_started = time.perf_counter()
+        with tracer.span(f"{phase}.merge", seed=seed) as merge_span:
+            run.dataset = merge_shard_results(
+                config.campaign, plan, run.results, campaign_route.total_length_km
+            )
+            merge_s = time.perf_counter() - merge_started
+            # Freeze the span to the report's merge_s: the trace and the
+            # report must quote the *same* float.
+            merge_span.dur_s = merge_s
+        if config.validate:
+            with tracer.span(f"{phase}.validate", seed=seed):
+                outcome = validate_dataset(run.dataset)
+                if not outcome.ok:
+                    raise EngineError(
+                        f"seed {seed} merged dataset failed validation: "
+                        + "; ".join(str(issue) for issue in outcome.issues[:5])
+                    )
+        if config.store_dir is not None:
+            from repro.store.catalog import Catalog
+
+            with tracer.span(f"{phase}.ingest", seed=seed):
+                with Catalog(config.store_dir) as catalog:
+                    catalog.ingest(run.dataset)
+
+        window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
+        window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
+        run.report = EngineReport(
+            executor=stats.executor,
+            workers=stats.workers,
+            n_windows=plan.n_windows,
+            n_batches=len(run.batches),
+            merge_s=merge_s,
+            validated=config.validate,
+            cache_hits=run.cache_hits,
+            cache_misses=run.cache_misses,
+            shards=[
+                ShardMetrics(
+                    index=index,
+                    start_km=window_span[index][0] / 1000.0,
+                    end_km=window_span[index][1] / 1000.0,
+                    wall_s=result.wall_s,
+                    records=result.records,
+                    retries=run.retries.get(index, 0),
+                    from_checkpoint=result.from_checkpoint,
+                    from_cache=result.from_cache,
+                )
+                for index, result in sorted(run.results.items())
+            ],
+        )
+    return runs, stats
+
+
+def fold_shard_metrics(registry: MetricsRegistry, runs: Sequence[CampaignRun]) -> dict:
+    """Merge a run-level registry with every shard's worker snapshot.
+
+    Snapshots fold in run order, then shard index, so the merged section is
+    identical for every executor topology.  Replayed shards fold too: their
+    sidecars carry the snapshot recorded when the shard was computed, and a
+    run's results hold each shard exactly once, so a resumed or cache-warm
+    run reports the same shard-level totals as a cold one.
+    """
+    return merge_snapshots(
+        [registry.snapshot()]
+        + [
+            result.metrics
+            for run in runs
+            for _, result in sorted(run.results.items())
+            if result.metrics is not None
+        ]
+    )
 
 
 def run_engine(
     config: EngineConfig,
     route: Route | None = None,
     *,
-    shard_store: ShardResultStore | None = None,
-    pool: WorkerPool | None = None,
+    shard_store: ShardCache | None = None,
 ) -> tuple[DriveDataset, EngineReport]:
     """Execute a campaign under the sharded engine.
 
@@ -431,11 +557,9 @@ def run_engine(
     :class:`EngineError` when a shard exhausts its retry budget or (with
     ``config.validate``) the merged dataset violates an invariant.
 
-    ``shard_store`` plugs a shared result store (such as the sweep's
-    content-addressed :class:`~repro.sweep.cache.ShardCache`) under the
-    engine: matching shards are replayed instead of recomputed, and fresh
-    results are stored back.  ``pool`` lets repeated calls share one
-    :class:`WorkerPool` instead of spinning up a process pool per run.
+    ``shard_store`` plugs a shared :class:`ShardCache` (such as a sweep's)
+    under the engine: matching shards are replayed instead of recomputed,
+    and fresh results are stored back.
     """
     tracer = get_tracer(config.trace_path)
     started = time.perf_counter()
@@ -445,136 +569,17 @@ def run_engine(
         scale=config.campaign.scale,
         executor=config.executor,
     ) as root:
-        with tracer.span("engine.plan"):
-            campaign_route = route or build_cross_country_route()
-            plan = plan_campaign(config.campaign, campaign_route, config.planner)
-            fingerprint = config_fingerprint(config.campaign, plan)
-        indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
-
-        results: dict[int, ShardResult] = {}
-        retries: dict[int, int] = {}
-        if config.checkpoint_dir is not None:
-            with tracer.span("engine.checkpoint.load") as sp:
-                store = CheckpointStore(config.checkpoint_dir, fingerprint)
-                results.update(store.load_all(indices))
-                retries.update({index: 0 for index in results})
-                sp.set(hits=len(results))
-
-        cache_hits = cache_misses = 0
-        if shard_store is not None:
-            with tracer.span("engine.cache.load") as sp:
-                remaining = [i for i in indices if i not in results]
-                cached = shard_store.load_many(
-                    fingerprint, config.campaign.seed, remaining
-                )
-                for result in cached.values():
-                    result.from_cache = True
-                results.update(cached)
-                retries.update({index: 0 for index in cached})
-                cache_hits = len(cached)
-                cache_misses = len(remaining) - len(cached)
-                sp.set(hits=cache_hits, misses=cache_misses)
-
-        pending = [w for w in plan.windows if w.index not in results]
-        passive_pending = PASSIVE_SHARD_INDEX not in results
-
-        def on_result(
-            tag: Hashable, outcomes: list[ShardResult], attempt: int
-        ) -> None:
-            for outcome in outcomes:
-                results[outcome.index] = outcome
-                retries[outcome.index] = attempt
-                if shard_store is not None:
-                    shard_store.store(fingerprint, config.campaign.seed, outcome)
-
-        with tracer.span("engine.execute") as exec_span:
-            batches = build_task_batches(
-                config, plan, pending, passive_pending, fingerprint, route,
-                trace_parent=exec_span.span_id,
-            )
-            exec_span.set(batches=len(batches))
-            stats = execute_jobs(
-                list(enumerate(batches)),
-                on_result,
-                executor=config.executor,
-                workers=config.workers,
-                max_retries=config.max_retries,
-                pool=pool,
-            )
-
-        report = EngineReport(
-            executor=stats.executor,
-            workers=stats.workers,
-            n_windows=plan.n_windows,
-            n_batches=len(batches),
-            pool_rebuilds=stats.pool_rebuilds,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-        )
-
-        merge_started = time.perf_counter()
-        with tracer.span("engine.merge", seed=config.campaign.seed) as merge_span:
-            dataset = merge_shard_results(
-                config.campaign, plan, results, campaign_route.total_length_km
-            )
-            report.merge_s = time.perf_counter() - merge_started
-            # Freeze the span to the report's merge_s: the trace and the
-            # report must quote the *same* float.
-            merge_span.dur_s = report.merge_s
-
-        window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-        window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
-        report.shards = [
-            ShardMetrics(
-                index=index,
-                start_km=window_span[index][0] / 1000.0,
-                end_km=window_span[index][1] / 1000.0,
-                wall_s=result.wall_s,
-                records=result.records,
-                retries=retries.get(index, 0),
-                from_checkpoint=result.from_checkpoint,
-                from_cache=result.from_cache,
-            )
-            for index, result in sorted(results.items())
-        ]
-
-        if config.validate:
-            with tracer.span("engine.validate"):
-                outcome = validate_dataset(dataset)
-                report.validated = True
-                if not outcome.ok:
-                    raise EngineError(
-                        "merged dataset failed validation: "
-                        + "; ".join(str(issue) for issue in outcome.issues[:5])
-                    )
-        if config.store_dir is not None:
-            from repro.store.catalog import Catalog
-
-            with tracer.span("engine.ingest", seed=config.campaign.seed):
-                with Catalog(config.store_dir) as catalog:
-                    catalog.ingest(dataset)
-
+        (run,), stats = run_campaigns([config], route, shard_store=shard_store)
+        report = run.report
+        report.pool_rebuilds = stats.pool_rebuilds
         if tracer.enabled:
-            driver = MetricsRegistry()
-            driver.count("engine.runs", 1)
-            driver.count("engine.cache.hits", cache_hits)
-            driver.count("engine.cache.misses", cache_misses)
-            driver.count("engine.pool_rebuilds", stats.pool_rebuilds)
-            driver.count("engine.retries", sum(retries.values()))
-            # Fold worker snapshots in sorted shard order so the merged
-            # section is identical for every executor topology.  Replayed
-            # shards (checkpoint/cache) fold too: their sidecars carry the
-            # snapshot recorded when the shard was computed, and the results
-            # dict holds each shard exactly once, so a resumed run reports
-            # the same shard-level totals as an uninterrupted one.
-            report.metrics = merge_snapshots(
-                [driver.snapshot()]
-                + [
-                    result.metrics
-                    for _, result in sorted(results.items())
-                    if result.metrics is not None
-                ]
-            )
+            registry = MetricsRegistry()
+            registry.count("engine.runs", 1)
+            registry.count("engine.cache.hits", report.cache_hits)
+            registry.count("engine.cache.misses", report.cache_misses)
+            registry.count("engine.pool_rebuilds", stats.pool_rebuilds)
+            registry.count("engine.retries", report.total_retries)
+            report.metrics = fold_shard_metrics(registry, [run])
             tracer.emit_metrics(report.metrics, scope="engine")
 
         # total_wall_s and the root span must quote the SAME float, so the
@@ -585,7 +590,7 @@ def run_engine(
 
     if config.report_path is not None:
         report.save(config.report_path)
-    return dataset, report
+    return run.dataset, report
 
 
 def generate_dataset_parallel(

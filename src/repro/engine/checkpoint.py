@@ -1,21 +1,50 @@
-"""Per-shard checkpointing: resume an interrupted campaign from disk.
+"""Shard identity and the content-addressed shard cache.
 
-Each completed shard is persisted as two sibling files in the checkpoint
-directory:
+Every shard an engine run computes is a pure function of
+``(config_fingerprint, shard_index, shard_seed)``.  :class:`ShardCache`
+stores shard results under the SHA-256 of exactly that triple
+(:func:`shard_key`), so *any* later run that plans an identical shard — a
+resumed campaign, the same seed re-appearing in a different sweep, a re-run
+at the same scale — replays it instead of recomputing it.
 
-* ``shard-<index>.ds.gz`` — the shard-local dataset, in the exact gzipped
-  JSON-lines format of :mod:`repro.campaign.persistence` (atomic,
-  byte-reproducible);
-* ``shard-<index>.meta.json`` — a small sidecar carrying the configuration
-  fingerprint, the cell-count statistics that live outside the dataset, and
-  bookkeeping (wall time, record count).
+The cache is the engine's only on-disk shard format.  A run's
+``checkpoint_dir`` *is* a shard cache: workers store each shard into it the
+moment the shard finishes (a mid-batch crash loses at most the shard in
+flight), and a rerun replays every matching entry.  The same directory can
+therefore serve as a sweep's ``cache_dir`` or as ``run_engine(shard_store=
+ShardCache(dir))``, and vice versa.
 
-On start-up the engine loads every checkpoint whose fingerprint matches the
-current run — seed, scale, cycle plan, and the exact window decomposition
-all participate in the fingerprint, so a checkpoint written by a different
-configuration (or an incompatible engine version) is silently ignored and
-the shard recomputed.  Corrupt or truncated files are likewise treated as
-absent: a checkpoint can make a run faster, never wrong.
+On-disk layout (one entry per shard, fanned out by key prefix)::
+
+    <cache_dir>/objects/<key[:2]>/<key>/
+        data.ds.gz    shard-local dataset, gzipped JSON-lines
+                      (byte-reproducible, atomic — campaign.persistence)
+        meta.json     sidecar: fingerprint, seed, index, cell counts,
+                      wall time, record count, worker metrics snapshot
+
+Guarantees:
+
+* **Atomic writes** — both files land via temp-file + ``os.replace``, and
+  ``meta.json`` is written last, so a torn entry is never visible: an entry
+  without a valid sidecar is simply a miss.
+* **Safe reads** — a hit must match fingerprint, seed, *and* index; corrupt
+  gzip/JSON or foreign entries are treated as absent.  Seed, scale, cycle
+  plan and the exact window decomposition all participate in the
+  fingerprint, so an entry written by a different configuration (or an
+  incompatible engine version) is never replayed.  A cache can make a run
+  faster, never wrong.
+* **LRU size bounding** — with ``max_bytes`` set, the store evicts
+  least-recently-used entries (hits refresh recency) until the cache fits.
+  Recency is stamped from a **logical clock** — strictly increasing, seeded
+  at or above every existing entry's timestamp — so access order survives
+  coarse-mtime filesystems (batch hits would otherwise tie and fall back to
+  size order) and clock skew (an entry stamped in the future would otherwise
+  outrank the shard that was *just* used).  Seeding scans the directory, so
+  only hits and bounded stores seed: a store into an unbounded cache (a
+  worker writing one checkpoint) costs two file writes however many entries
+  the directory already holds.
+* **Counters** — hits/misses/stores/evictions accumulate in
+  :class:`CacheStats` for the sweep report.
 """
 
 from __future__ import annotations
@@ -24,16 +53,22 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
+import time
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.campaign.persistence import FORMAT_VERSION, load_dataset, save_dataset
 from repro.campaign.runner import CampaignConfig
 from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan
 from repro.engine.worker import ShardResult
-from repro.errors import ReproError
+from repro.errors import ReproError, SweepError
+from repro.obs.metrics import MetricsRegistry
 from repro.radio.operators import Operator
 
 __all__ = [
-    "CheckpointStore",
+    "CacheStats",
+    "ShardCache",
     "config_fingerprint",
     "shard_key",
     "shard_meta",
@@ -42,14 +77,16 @@ __all__ = [
 ]
 
 #: Bump when the shard execution semantics change in a way that makes old
-#: checkpoints unmergeable.
+#: cached shards unmergeable.
 ENGINE_CHECKPOINT_VERSION = 1
 
 _OP = {op.name: op for op in Operator}
+_DATA_NAME = "data.ds.gz"
+_META_NAME = "meta.json"
 
 
 def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
-    """Digest identifying the exact computation a checkpoint belongs to."""
+    """Digest identifying the exact computation a shard belongs to."""
     payload = {
         "engine_version": ENGINE_CHECKPOINT_VERSION,
         "format": FORMAT_VERSION,
@@ -72,7 +109,7 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
 
 
 def shard_stem(index: int) -> str:
-    """Canonical file stem of one shard (``shard-0007``, ``shard-passive``)."""
+    """Canonical name of one shard (``shard-0007``, ``shard-passive``)."""
     return "shard-passive" if index == PASSIVE_SHARD_INDEX else f"shard-{index:04d}"
 
 
@@ -92,9 +129,9 @@ def shard_meta(result: ShardResult, fingerprint: str) -> dict:
     """JSON-able sidecar describing one shard result (sans dataset).
 
     The metrics snapshot a traced worker recorded rides along, so a shard
-    replayed from a checkpoint or cache re-enters the run report with the
-    counters of the computation that produced it — a resumed run's merged
-    metrics match an uninterrupted run's (resume parity).
+    replayed from the cache re-enters the run report with the counters of
+    the computation that produced it — a resumed run's merged metrics match
+    an uninterrupted run's (resume parity).
     """
     meta = {
         "fingerprint": fingerprint,
@@ -126,66 +163,220 @@ def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
     )
 
 
-class CheckpointStore:
-    """Reads and writes per-shard checkpoint files in one directory."""
+@dataclass
+class CacheStats:
+    """Hit/miss accounting of one :class:`ShardCache` instance."""
 
-    def __init__(self, directory: str | os.PathLike, fingerprint: str) -> None:
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    def hit_ratio(self) -> float:
+        """Hits over lookups; 0.0 before any lookup happened."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def to_obj(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "evictions": self.evictions,
+            "hit_ratio": round(self.hit_ratio(), 4),
+        }
+
+
+class ShardCache:
+    """Content-addressed, LRU-bounded store of shard results on disk."""
+
+    def __init__(
+        self,
+        directory: str | os.PathLike,
+        max_bytes: int | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        if max_bytes is not None and max_bytes <= 0:
+            raise SweepError(f"max_bytes must be positive, got {max_bytes}")
         self.directory = pathlib.Path(directory)
-        self.fingerprint = fingerprint
+        self.max_bytes = max_bytes
+        self.stats = CacheStats()
+        #: Logical recency clock (ns): the last stamp handed out.
+        self._recency_ns = 0
+        #: Whether the clock has been raised to the newest existing entry's
+        #: mtime, so every later stamp outranks what is already on disk.
+        self._seeded = False
+        #: Optional ``repro.obs`` registry mirroring :attr:`stats` under
+        #: ``cache.*`` counter names, so a traced sweep's report carries the
+        #: same counts the cache itself saw (counted at source, not
+        #: re-derived).  ``None`` keeps the untraced path allocation-free.
+        self.metrics = metrics
 
-    # -- paths ------------------------------------------------------------
+    def _count(self, name: str, n: int = 1) -> None:
+        if self.metrics is not None:
+            self.metrics.count(name, n)
 
-    def dataset_path(self, index: int) -> pathlib.Path:
-        return self.directory / f"{shard_stem(index)}.ds.gz"
+    # -- addressing --------------------------------------------------------
 
-    def meta_path(self, index: int) -> pathlib.Path:
-        return self.directory / f"{shard_stem(index)}.meta.json"
+    @staticmethod
+    def key(fingerprint: str, index: int, seed: int) -> str:
+        """Content address of one shard (see :func:`shard_key`)."""
+        return shard_key(fingerprint, index, seed)
 
-    # -- write ------------------------------------------------------------
+    def entry_dir(self, key: str) -> pathlib.Path:
+        return self.directory / "objects" / key[:2] / key
 
-    def store(self, result: ShardResult) -> None:
-        """Persist one shard result; both files are written atomically."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        save_dataset(result.dataset, self.dataset_path(result.index))
-        meta = shard_meta(result, self.fingerprint)
-        path = self.meta_path(result.index)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(meta, sort_keys=True, indent=1))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    # -- read --------------------------------------------------------------
 
-    # -- read -------------------------------------------------------------
+    def load(self, fingerprint: str, seed: int, index: int) -> ShardResult | None:
+        """Replay one shard, or ``None`` (counted as a miss) if absent.
 
-    def load(self, index: int) -> ShardResult | None:
-        """Load one shard if a valid, fingerprint-matching checkpoint exists.
-
-        Any inconsistency — missing file, corrupt gzip/JSON, foreign
-        fingerprint — returns ``None`` so the engine recomputes the shard.
+        A hit revalidates the sidecar against the full identity triple —
+        a key collision or a foreign/corrupt entry can only produce a miss,
+        never a wrong result — and refreshes the entry's LRU recency.
         """
-        meta_path = self.meta_path(index)
-        ds_path = self.dataset_path(index)
+        entry = self.entry_dir(self.key(fingerprint, index, seed))
+        meta_path = entry / _META_NAME
         try:
             meta = json.loads(meta_path.read_text())
-            if meta.get("fingerprint") != self.fingerprint:
-                return None
-            if meta.get("index") != index:
-                return None
-            dataset = load_dataset(ds_path)
+            if (
+                meta.get("fingerprint") != fingerprint
+                or meta.get("seed") != seed
+                or meta.get("index") != index
+            ):
+                raise ValueError("cache entry does not match its address")
+            dataset = load_dataset(entry / _DATA_NAME)
             result = shard_from_parts(index, meta, dataset)
         except (OSError, ValueError, KeyError, EOFError, ReproError):
+            self.stats.misses += 1
+            self._count("cache.misses")
             return None
-        result.from_checkpoint = True
+        result.from_cache = True
+        self._touch(meta_path)
+        self.stats.hits += 1
+        self._count("cache.hits")
         return result
 
-    def load_all(self, indices: list[int]) -> dict[int, ShardResult]:
-        """Load every valid checkpoint among ``indices``."""
+    def load_many(
+        self, fingerprint: str, seed: int, indices: Sequence[int]
+    ) -> dict[int, ShardResult]:
+        """Replay every shard among ``indices`` the cache can serve.
+
+        One :meth:`load` per index — the *same* path single lookups take —
+        so every batch hit counts toward the stats/metrics and refreshes
+        LRU recency, with strictly increasing stamps in ``indices`` order:
+        eviction never punishes an entry for arriving via a batch.
+        """
         found: dict[int, ShardResult] = {}
-        if not self.directory.is_dir():
-            return found
         for index in indices:
-            result = self.load(index)
+            result = self.load(fingerprint, seed, index)
             if result is not None:
                 found[index] = result
         return found
+
+    # -- write -------------------------------------------------------------
+
+    def store(self, fingerprint: str, seed: int, result: ShardResult) -> None:
+        """Persist one shard result atomically, then enforce the size bound.
+
+        Storing an already-present key simply rewrites the same bytes
+        (datasets serialise byte-reproducibly), so last-write-wins races
+        between concurrent runs sharing a cache directory are harmless.
+        """
+        entry = self.entry_dir(self.key(fingerprint, result.index, seed))
+        entry.mkdir(parents=True, exist_ok=True)
+        save_dataset(result.dataset, entry / _DATA_NAME)
+        meta = shard_meta(result, fingerprint)
+        meta["seed"] = seed
+        meta_path = entry / _META_NAME
+        tmp = meta_path.with_name(f"{_META_NAME}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(meta, sort_keys=True, indent=1))
+            os.replace(tmp, meta_path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        # Stamp the fresh entry through the same logical clock hits use,
+        # so stores and hits share one total recency order.  Only a bounded
+        # cache seeds the clock here: its eviction scans the directory
+        # anyway, while an unbounded store must not.
+        self._touch(meta_path, seed=self.max_bytes is not None)
+        self.stats.stores += 1
+        self._count("cache.stores")
+        if self.max_bytes is not None:
+            self._evict(keep=entry)
+
+    # -- bookkeeping -------------------------------------------------------
+
+    def _next_recency_ns(self, seed: bool = True) -> int:
+        """Next stamp of the logical recency clock, strictly increasing.
+
+        Tracks ``max(wall clock, previous stamp + 1)``, seeded (on the first
+        ``seed=True`` call) from the newest entry already on disk.  Two
+        properties the raw wall clock lacks: consecutive accesses (e.g. the
+        hits of one ``load_many`` batch) never tie even on coarse-mtime
+        filesystems, and an entry whose stored mtime lies in the future
+        (clock skew, another host's writes) can never outrank a shard that
+        was just used.
+        """
+        if seed and not self._seeded:
+            existing = [ns for ns, _, _ in self._entries()]
+            self._recency_ns = max([self._recency_ns, *existing])
+            self._seeded = True
+        self._recency_ns = max(time.time_ns(), self._recency_ns + 1)
+        return self._recency_ns
+
+    def _touch(self, path: pathlib.Path, seed: bool = True) -> None:
+        try:
+            stamp = self._next_recency_ns(seed)
+            os.utime(path, ns=(stamp, stamp))
+        except OSError:
+            pass  # recency refresh is best-effort
+
+    def _entries(self) -> list[tuple[int, int, pathlib.Path]]:
+        """All valid-looking entries as ``(last_use_ns, bytes, entry_dir)``."""
+        objects = self.directory / "objects"
+        entries = []
+        for meta_path in objects.glob(f"*/*/{_META_NAME}"):
+            entry = meta_path.parent
+            try:
+                mtime_ns = meta_path.stat().st_mtime_ns
+                size = sum(p.stat().st_size for p in entry.iterdir())
+            except OSError:
+                continue  # concurrently evicted
+            entries.append((mtime_ns, size, entry))
+        return entries
+
+    def total_bytes(self) -> int:
+        """Disk footprint of every entry currently in the cache."""
+        return sum(size for _, size, _ in self._entries())
+
+    def __len__(self) -> int:
+        return len(self._entries())
+
+    def _evict(self, keep: pathlib.Path) -> None:
+        """Drop LRU entries until the cache fits ``max_bytes``.
+
+        The just-written entry is exempt, so a single oversized shard still
+        caches (the bound is then best-effort) and a store can never evict
+        its own result.
+        """
+        entries = sorted(self._entries())
+        total = sum(size for _, size, _ in entries)
+        for _, size, entry in entries:
+            if total <= self.max_bytes:
+                break
+            if entry == keep:
+                continue
+            self._remove_entry(entry)
+            total -= size
+            self.stats.evictions += 1
+            self._count("cache.evictions")
+
+    def _remove_entry(self, entry: pathlib.Path) -> None:
+        # Remove the sidecar first: a half-removed entry is invalid (a
+        # miss), never a torn read.
+        (entry / _META_NAME).unlink(missing_ok=True)
+        shutil.rmtree(entry, ignore_errors=True)

@@ -4,8 +4,9 @@
 ``ProcessPoolExecutor`` — or called inline by the serial fallback executor.
 A batch is an ordered tuple of :class:`ShardTask`; the worker runs each task
 to a :class:`ShardResult` and, when a checkpoint directory is configured,
-persists every result the moment it completes, so even a mid-batch worker
-death loses at most the shard in flight.
+stores every result into that :class:`~repro.engine.checkpoint.ShardCache`
+the moment it completes, so even a mid-batch worker death loses at most the
+shard in flight.
 
 Two task flavours exist:
 
@@ -105,7 +106,8 @@ class ShardResult:
     macro_cells: dict[Operator, int] = field(default_factory=dict)
     wall_s: float = 0.0
     from_checkpoint: bool = False
-    #: Served from a content-addressed shard cache (see ``repro.sweep.cache``).
+    #: Served from a content-addressed shard cache (see
+    #: ``repro.engine.checkpoint``) other than the run's checkpoint directory.
     from_cache: bool = False
     #: Metrics snapshot (``repro.obs.metrics`` shape) recorded while the
     #: shard computed; ``None`` unless the run was traced.  Rides back on
@@ -221,11 +223,11 @@ def execute_shard(task: ShardTask) -> ShardResult:
             result.metrics = registry.snapshot()
         if task.checkpoint_dir:
             # Imported lazily so the worker module stays import-light.
-            from repro.engine.checkpoint import CheckpointStore
+            from repro.engine.checkpoint import ShardCache
 
             with tracer.span("engine.checkpoint.store", index=task.index):
-                CheckpointStore(task.checkpoint_dir, task.fingerprint).store(
-                    result
+                ShardCache(task.checkpoint_dir).store(
+                    task.fingerprint, task.config.seed, result
                 )
     return result
 

@@ -240,9 +240,10 @@ def critical_path(root: SpanNode) -> list[SpanNode]:
 
 
 def top_spans(
-    spans: list[SpanNode], prefix: str, n: int = 5
+    spans: list[SpanNode], prefix: str | tuple[str, ...], n: int = 5
 ) -> list[SpanNode]:
-    """The ``n`` slowest spans whose name starts with ``prefix``."""
+    """The ``n`` slowest spans whose name starts with ``prefix`` (or with
+    any of a tuple of prefixes)."""
     matching = [s for s in spans if s.name.startswith(prefix)]
     matching.sort(key=lambda s: (-s.dur_s, s.span_id))
     return matching[:n]
@@ -292,7 +293,7 @@ def render_summary(summary: TraceSummary, top_n: int = 5) -> str:
     for title, prefix, keys in (
         ("slowest shards", "engine.shard", ("seed", "index", "records")),
         ("slowest queries", "store.query", ("table", "column", "agg")),
-        ("slowest merges", "engine.merge", ("seed",)),
+        ("slowest merges", ("engine.merge", "sweep.merge"), ("seed",)),
     ):
         top = top_spans(summary.spans, prefix, top_n)
         if top:

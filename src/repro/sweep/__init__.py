@@ -6,15 +6,18 @@ interval for every paper statistic, the way large measurement platforms
 aggregate repeated vantage-point runs.  It is built directly on the
 :mod:`repro.engine` execution core:
 
-1. the **driver** (:func:`run_sweep`) plans one shard set per seed, then
-   interleaves *all* seeds' shard batches through a single shared
-   :class:`~repro.engine.WorkerPool` — seed boundaries never serialise the
-   pipeline, and no per-seed pool is ever spun up;
-2. the **content-addressed shard cache** (:mod:`repro.sweep.cache`) sits
-   under the executor: shards are keyed on ``(config_fingerprint,
-   shard_index, shard_seed)``, so repeated sweeps — the same seeds again, a
-   superset of seeds, a resumed run — replay overlapping shards instead of
-   recomputing them, with LRU size bounding and hit/miss counters;
+1. :func:`run_sweep` builds one engine config per seed and runs them all
+   through the engine's single orchestration pipeline,
+   :func:`repro.engine.run_campaigns`, which interleaves *all* seeds' shard
+   batches through one shared executor — seed boundaries never serialise
+   the pipeline, and no per-seed pool is ever spun up;
+2. the **content-addressed shard cache** (:mod:`repro.sweep.cache`, the
+   engine's :class:`~repro.engine.checkpoint.ShardCache`) sits under the
+   executor: shards are keyed on ``(config_fingerprint, shard_index,
+   shard_seed)``, so repeated sweeps — the same seeds again, a superset of
+   seeds, a resumed run, a run's checkpoint directory — replay overlapping
+   shards instead of recomputing them, with LRU size bounding and hit/miss
+   counters;
 3. the **statistics layer** (:mod:`repro.sweep.stats`) evaluates a registry
    of paper statistics on each seed's merged dataset and aggregates them
    into mean/median/std plus percentile-bootstrap confidence intervals;
@@ -44,30 +47,21 @@ Or from the command line::
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Hashable
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig
-from repro.campaign.validation import validate_dataset
 from repro.engine import (
     EngineConfig,
     EngineReport,
     PlannerParams,
-    WorkerPool,
-    build_task_batches,
-    execute_jobs,
+    fold_shard_metrics,
+    run_campaigns,
 )
-from repro.engine.checkpoint import config_fingerprint
-from repro.engine.merge import merge_shard_results
-from repro.engine.metrics import ShardMetrics
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, plan_campaign
-from repro.engine.worker import ShardResult, ShardTask
-from repro.errors import EngineError, SweepError
-from repro.geo.route import Route, build_cross_country_route
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.errors import SweepError
+from repro.geo.route import Route
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 from repro.sweep.cache import CacheStats, ShardCache
 from repro.sweep.report import SeedRunMetrics, SweepReport
@@ -168,11 +162,13 @@ class SweepResult:
 def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
     """Replicate one campaign across seeds and aggregate the statistics.
 
-    Plans each seed's shard set, replays every shard the cache can serve,
-    interleaves all remaining batches round-robin across seeds through one
-    shared executor, merges each seed's shards into its dataset, and
-    bootstraps confidence intervals for the registered paper statistics.
-    Raises :class:`EngineError` if any shard exhausts its retry budget, and
+    Hands one :class:`EngineConfig` per seed to the engine's
+    :func:`~repro.engine.run_campaigns` pipeline — which plans each seed,
+    replays every shard the cache can serve, interleaves all remaining
+    batches round-robin across seeds through one shared executor, and
+    merges each seed's shards into its dataset — then bootstraps confidence
+    intervals for the registered paper statistics.  Raises
+    :class:`EngineError` if any shard exhausts its retry budget, and
     :class:`SweepError` for configuration problems.
     """
     tracer = get_tracer(config.trace_path)
@@ -184,175 +180,48 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         scale=config.scale,
         executor=config.executor,
     ) as root:
-        campaign_route = route or build_cross_country_route()
         cache = (
             ShardCache(config.cache_dir, config.cache_max_bytes, metrics=registry)
             if config.cache_dir is not None
             else None
         )
-
-        # -- plan every seed, replaying whatever the cache can serve ------
-        engine_cfgs: dict[int, EngineConfig] = {}
-        plans: dict[int, ShardPlan] = {}
-        fingerprints: dict[int, str] = {}
-        results: dict[int, dict[int, ShardResult]] = {}
-        retries: dict[int, dict[int, int]] = {}
-        hits: dict[int, int] = {}
-        pendings: dict[int, list] = {}
-        passives: dict[int, bool] = {}
-        seed_batches: dict[int, list[tuple[ShardTask, ...]]] = {}
-
-        for seed in config.seeds:
-            with tracer.span("sweep.plan", seed=seed) as plan_span:
-                engine_cfg = EngineConfig(
-                    campaign=config.campaign_config(seed),
-                    workers=config.workers,
-                    shards=config.shards,
-                    executor=config.executor,
-                    planner=config.planner,
-                    max_retries=config.max_retries,
-                    trace_path=config.trace_path,
-                )
-                plan = plan_campaign(
-                    engine_cfg.campaign, campaign_route, config.planner
-                )
-                fingerprint = config_fingerprint(engine_cfg.campaign, plan)
-                indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
-
-                seed_results: dict[int, ShardResult] = {}
-                if cache is not None:
-                    seed_results.update(cache.load_many(fingerprint, seed, indices))
-                plan_span.set(shards=len(indices), cache_hits=len(seed_results))
-
-            engine_cfgs[seed] = engine_cfg
-            plans[seed] = plan
-            fingerprints[seed] = fingerprint
-            results[seed] = seed_results
-            retries[seed] = {index: 0 for index in seed_results}
-            hits[seed] = len(seed_results)
-            pendings[seed] = [
-                w for w in plan.windows if w.index not in seed_results
-            ]
-            passives[seed] = PASSIVE_SHARD_INDEX not in seed_results
-
-        def on_result(
-            tag: Hashable, outcomes: list[ShardResult], attempt: int
-        ) -> None:
-            seed, _position = tag
-            for outcome in outcomes:
-                results[seed][outcome.index] = outcome
-                retries[seed][outcome.index] = attempt
-                if cache is not None:
-                    cache.store(fingerprints[seed], seed, outcome)
-
-        # -- interleave all seeds' batches through one shared executor ----
-        # Round-robin across seeds so no seed's tail straggles behind
-        # another seed's entire campaign, and early seeds produce complete
-        # datasets (hence statistics) even while later seeds still execute.
-        with tracer.span("sweep.execute") as exec_span:
-            for seed in config.seeds:
-                seed_batches[seed] = build_task_batches(
-                    engine_cfgs[seed], plans[seed], pendings[seed],
-                    passives[seed], fingerprints[seed], route,
-                    trace_parent=exec_span.span_id,
-                )
-            jobs: list[tuple[Hashable, tuple[ShardTask, ...]]] = []
-            depth = max((len(b) for b in seed_batches.values()), default=0)
-            for position in range(depth):
-                for seed in config.seeds:
-                    if position < len(seed_batches[seed]):
-                        jobs.append(((seed, position), seed_batches[seed][position]))
-            exec_span.set(jobs=len(jobs))
-
-            # One pool for the entire sweep: execute_jobs leaves a borrowed
-            # pool running, so even future multi-call drivers would reuse
-            # this handle.
-            with WorkerPool(config.workers or os.cpu_count() or 1) as pool:
-                stats = execute_jobs(
-                    jobs,
-                    on_result,
-                    executor=config.executor,
-                    workers=config.workers,
-                    max_retries=config.max_retries,
-                    pool=pool,
-                )
-
-        # -- merge, validate, and report every seed -----------------------
-        catalog = None
-        if config.store_dir is not None:
-            from repro.store.catalog import Catalog
-
-            catalog = Catalog(config.store_dir)
-        datasets: dict[int, DriveDataset] = {}
-        engine_reports: dict[int, EngineReport] = {}
-        seed_runs: list[SeedRunMetrics] = []
-        for seed in config.seeds:
-            plan = plans[seed]
-            merge_started = time.perf_counter()
-            with tracer.span("sweep.merge", seed=seed) as merge_span:
-                dataset = merge_shard_results(
-                    engine_cfgs[seed].campaign,
-                    plan,
-                    results[seed],
-                    campaign_route.total_length_km,
-                )
-                merge_s = time.perf_counter() - merge_started
-                # The trace and the per-seed report quote the same float.
-                merge_span.dur_s = merge_s
-            if config.validate:
-                outcome = validate_dataset(dataset)
-                if not outcome.ok:
-                    raise EngineError(
-                        f"seed {seed} dataset failed validation: "
-                        + "; ".join(str(issue) for issue in outcome.issues[:5])
-                    )
-            datasets[seed] = dataset
-            if catalog is not None:
-                with tracer.span("sweep.ingest", seed=seed):
-                    catalog.ingest(dataset, seed=seed)
-
-            window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-            window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
-            report = EngineReport(
-                executor=stats.executor,
-                workers=stats.workers,
-                n_windows=plan.n_windows,
-                n_batches=len(seed_batches[seed]),
-                cache_hits=hits[seed],
-                cache_misses=(plan.n_windows + 1 - hits[seed]) if cache else 0,
-                validated=config.validate,
-                merge_s=merge_s,
+        engine_cfgs = [
+            EngineConfig(
+                campaign=config.campaign_config(seed),
+                workers=config.workers,
+                shards=config.shards,
+                executor=config.executor,
+                planner=config.planner,
+                max_retries=config.max_retries,
+                validate=config.validate,
+                store_dir=config.store_dir,
+                trace_path=config.trace_path,
             )
-            report.shards = [
-                ShardMetrics(
-                    index=index,
-                    start_km=window_span[index][0] / 1000.0,
-                    end_km=window_span[index][1] / 1000.0,
-                    wall_s=result.wall_s,
-                    records=result.records,
-                    retries=retries[seed].get(index, 0),
-                    from_checkpoint=result.from_checkpoint,
-                    from_cache=result.from_cache,
-                )
-                for index, result in sorted(results[seed].items())
-            ]
-            report.total_wall_s = report.shard_wall_s
-            engine_reports[seed] = report
+            for seed in config.seeds
+        ]
+        runs, stats = run_campaigns(
+            engine_cfgs, route, shard_store=cache, phase="sweep"
+        )
 
+        seed_runs: list[SeedRunMetrics] = []
+        for seed, run in zip(config.seeds, runs):
+            report = run.report
+            # A seed has no wall clock of its own inside the shared
+            # pipeline; its report quotes the compute it consumed.
+            report.total_wall_s = report.shard_wall_s
             seed_runs.append(
                 SeedRunMetrics(
                     seed=seed,
-                    fingerprint=fingerprints[seed],
+                    fingerprint=run.fingerprint,
                     compute_wall_s=report.shard_wall_s,
                     records=report.total_records,
-                    n_shards=plan.n_windows + 1,
+                    n_shards=report.n_windows + 1,
                     cache_hits=report.cache_hits,
                     cache_misses=report.cache_misses,
                     retries=report.total_retries,
                 )
             )
-        if catalog is not None:
-            catalog.close()
+        datasets = {seed: run.dataset for seed, run in zip(config.seeds, runs)}
 
         # -- aggregate the paper statistics across seeds ------------------
         with tracer.span("sweep.stats"):
@@ -383,24 +252,8 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
         if registry is not None:
             registry.count("sweep.seeds", len(config.seeds))
             registry.count("sweep.pool_rebuilds", stats.pool_rebuilds)
-            registry.count(
-                "sweep.retries", sum(sum(r.values()) for r in retries.values())
-            )
-            # Fold per-worker shard snapshots in report order (seed order,
-            # then shard index) so the merged section is identical for any
-            # executor topology.  Replayed shards fold too — cache/checkpoint
-            # sidecars persist the snapshot of the computation that produced
-            # them, and each (seed, index) appears exactly once — so a warm
-            # sweep reports the same shard-level totals as a cold one.
-            merged_metrics = merge_snapshots(
-                [registry.snapshot()]
-                + [
-                    result.metrics
-                    for seed in config.seeds
-                    for _, result in sorted(results[seed].items())
-                    if result.metrics is not None
-                ]
-            )
+            registry.count("sweep.retries", sum(r.retries for r in seed_runs))
+            merged_metrics = fold_shard_metrics(registry, runs)
             tracer.emit_metrics(merged_metrics, scope="sweep")
 
         # total_wall_s and the root span must quote the SAME float, so the
@@ -414,7 +267,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
             scale=config.scale,
             executor=stats.executor,
             workers=stats.workers,
-            n_windows=max(p.n_windows for p in plans.values()),
+            n_windows=max(run.plan.n_windows for run in runs),
             confidence=config.confidence,
             bootstrap_samples=config.bootstrap_samples,
             seed_runs=seed_runs,
@@ -430,7 +283,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
 
     return SweepResult(
         datasets=datasets,
-        engine_reports=engine_reports,
+        engine_reports={seed: run.report for seed, run in zip(config.seeds, runs)},
         report=sweep_report,
         cache=cache,
     )

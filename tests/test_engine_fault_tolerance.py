@@ -17,8 +17,10 @@ from repro.engine import (
     PlannerParams,
     run_engine,
 )
-from repro.engine.checkpoint import CheckpointStore
+from repro.engine.checkpoint import ShardCache, config_fingerprint
+from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
 from repro.errors import EngineError
+from repro.geo.route import build_cross_country_route
 from repro.obs.report import load_summary, validate_trace
 from repro.obs.trace import iter_trace, reset_tracers
 
@@ -108,7 +110,23 @@ class TestWorkerDeath:
         assert report.total_retries >= 1
 
 
+def checkpoint_cache(ckpt, campaign=ENGINE_CAMPAIGN, planner=PLANNER):
+    """``(ShardCache over ckpt, fingerprint, every shard index)`` of a run."""
+    plan = plan_campaign(campaign, build_cross_country_route(), planner)
+    indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+    return ShardCache(ckpt), config_fingerprint(campaign, plan), indices
+
+
+def checkpointed(ckpt, campaign=ENGINE_CAMPAIGN, planner=PLANNER) -> set[int]:
+    """Shard indices the checkpoint directory can replay for a run."""
+    cache, fingerprint, indices = checkpoint_cache(ckpt, campaign, planner)
+    return set(cache.load_many(fingerprint, campaign.seed, indices))
+
+
 class TestCheckpointResume:
+    """A checkpoint directory is a :class:`ShardCache`; these tests read it
+    only through the cache API, never through its file layout."""
+
     def test_resume_after_failed_run(self, engine_baseline, tmp_path):
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
@@ -124,10 +142,9 @@ class TestCheckpointResume:
                     inject_faults={3: FaultSpec(times=1, kind="raise")},
                 )
             )
-        stored = sorted(p.name for p in ckpt.glob("*.ds.gz"))
-        assert "shard-passive.ds.gz" in stored
-        assert "shard-0000.ds.gz" in stored
-        assert "shard-0003.ds.gz" not in stored
+        stored = checkpointed(ckpt)
+        assert {PASSIVE_SHARD_INDEX, 0, 1, 2} <= stored
+        assert 3 not in stored
 
         # Second run resumes from the checkpoints and completes cleanly.
         ds, report = run_engine(
@@ -144,6 +161,10 @@ class TestCheckpointResume:
         assert engine_dataset_bytes(ds, tmp_path) == base
         assert report.checkpoint_hits == len(report.shards)
 
+    def test_empty_checkpoint_dir_replays_nothing(self, tmp_path):
+        assert checkpointed(tmp_path / "never-written") == set()
+        assert checkpointed(tmp_path) == set()
+
     def test_foreign_fingerprint_ignored(self, engine_baseline, tmp_path):
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
@@ -159,6 +180,9 @@ class TestCheckpointResume:
                 executor="serial", checkpoint_dir=str(ckpt),
             )
         )
+        # The directory holds the other seed's shards, and none of ours.
+        assert checkpointed(ckpt, campaign=other)
+        assert checkpointed(ckpt) == set()
         # Same directory, different seed: every shard must be recomputed
         # and the result must match the clean baseline.
         ds, report = run_engine(
@@ -173,14 +197,17 @@ class TestCheckpointResume:
         window boundary shift silently reused would corrupt the merge."""
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
+        coarse = PlannerParams(window_km=ENGINE_WINDOW_KM * 2)
         run_engine(
             EngineConfig(
                 campaign=ENGINE_CAMPAIGN,
-                planner=PlannerParams(window_km=ENGINE_WINDOW_KM * 2),
+                planner=coarse,
                 executor="serial",
                 checkpoint_dir=str(ckpt),
             )
         )
+        assert checkpointed(ckpt, planner=coarse)
+        assert checkpointed(ckpt) == set()
         ds, report = run_engine(
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
@@ -192,11 +219,18 @@ class TestCheckpointResume:
         ckpt = tmp_path / "ckpt"
         run_engine(engine_config(executor="serial", checkpoint_dir=str(ckpt)))
 
-        (ckpt / "shard-0001.ds.gz").write_bytes(b"not a gzip stream")
-        with gzip.open(ckpt / "shard-0002.ds.gz", "wb") as fh:
+        cache, fingerprint, _ = checkpoint_cache(ckpt)
+
+        def entry(index):
+            return cache.entry_dir(
+                cache.key(fingerprint, index, ENGINE_CAMPAIGN.seed)
+            )
+
+        (entry(1) / "data.ds.gz").write_bytes(b"not a gzip stream")
+        with gzip.open(entry(2) / "data.ds.gz", "wb") as fh:
             fh.write(b'{"kind": "header"')  # truncated JSON
-        meta = ckpt / "shard-0000.meta.json"
-        meta.write_text(json.dumps({"fingerprint": "bogus"}))
+        (entry(0) / "meta.json").write_text(json.dumps({"fingerprint": "bogus"}))
+        assert not {0, 1, 2} & checkpointed(ckpt)
 
         ds, report = run_engine(
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
@@ -219,9 +253,9 @@ class TestCheckpointResume:
                     inject_faults={9: FaultSpec(times=1, kind="raise")},
                 )
             )
-        stored = sorted(p.name for p in ckpt.glob("*.ds.gz"))
-        assert "shard-0008.ds.gz" in stored
-        assert "shard-0009.ds.gz" not in stored
+        stored = checkpointed(ckpt)
+        assert 8 in stored
+        assert 9 not in stored
 
 
 class TestResumeMetricsParity:
@@ -298,13 +332,6 @@ class TestResumeMetricsParity:
             replayed.metrics["counters"]["engine.shards_computed"]
             == clean.metrics["counters"]["engine.shards_computed"]
         )
-
-
-class TestCheckpointStore:
-    def test_load_missing_returns_none(self, tmp_path):
-        store = CheckpointStore(tmp_path, "fp")
-        assert store.load(0) is None
-        assert store.load_all([0, 1, -1]) == {}
 
 
 class TestTraceIntegrity:

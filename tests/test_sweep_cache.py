@@ -236,6 +236,30 @@ class TestLruBounding:
         assert len(cache) == 5
         assert cache.stats.evictions == 0
 
+    def test_unbounded_store_does_not_scan_the_directory(self, tmp_path, monkeypatch):
+        """Regression: workers write every checkpoint through a fresh
+        unbounded cache, and seeding the recency clock on store scanned
+        every entry — a checkpointed run cost O(shards x entries)."""
+        import os
+        import time
+
+        ShardCache(tmp_path).store(FP, 42, make_result(index=0))
+        future = time.time_ns() + 10**12
+        meta = ShardCache(tmp_path).entry_dir(shard_key(FP, 0, 42)) / "meta.json"
+        os.utime(meta, ns=(future, future))
+
+        def no_scan(self):
+            raise AssertionError("an unbounded store scanned the cache")
+
+        cache = ShardCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardCache, "_entries", no_scan)
+            cache.store(FP, 42, make_result(index=1))
+        # The first hit still seeds the clock past the future-dated entry.
+        assert cache.load(FP, 42, 1) is not None
+        fresh = cache.entry_dir(shard_key(FP, 1, 42)) / "meta.json"
+        assert fresh.stat().st_mtime_ns > future
+
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(SweepError):
             ShardCache(tmp_path, max_bytes=0)

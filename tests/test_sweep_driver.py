@@ -8,6 +8,7 @@ warm cache — and a warm re-sweep must be served entirely from cache.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM, engine_dataset_bytes
 from repro.engine import EngineConfig, PlannerParams, run_engine
 from repro.errors import SweepError
+from repro.obs.report import load_summary, render_summary
+from repro.obs.trace import reset_tracers
 from repro.sweep import SweepConfig, SweepReport, run_sweep
 from repro.sweep.cache import ShardCache
 from repro.sweep.report import SWEEP_SCHEMA_VERSION
@@ -64,29 +67,50 @@ class TestConfigValidation:
             sweep_config(tmp_path, confidence=1.0)
 
 
+def engine_config(seed, **overrides):
+    """Standalone serial engine config of one sweep seed."""
+    campaign = dataclasses.replace(ENGINE_CAMPAIGN, seed=seed)
+    return EngineConfig(
+        campaign=campaign, executor="serial", planner=PLANNER, **overrides
+    )
+
+
+@pytest.fixture(scope="module")
+def standalone(engine_baseline, tmp_path_factory):
+    """Saved bytes of a standalone ``run_engine`` of every sweep seed."""
+    tmp = tmp_path_factory.mktemp("standalone")
+    other, _ = run_engine(engine_config(SEEDS[1]))
+    return {SEEDS[0]: engine_baseline[1], SEEDS[1]: engine_dataset_bytes(other, tmp)}
+
+
 class TestPerSeedDeterminism:
     def test_seed_datasets_match_standalone_engine_runs(
-        self, swept, engine_baseline, tmp_path
+        self, swept, standalone, tmp_path
     ):
         """Interleaved multi-seed execution changes nothing per seed."""
         _, result, _ = swept
-        _, base = engine_baseline  # standalone run of SEEDS[0]
-        assert engine_dataset_bytes(result.datasets[SEEDS[0]], tmp_path) == base
+        for seed in SEEDS:
+            assert (
+                engine_dataset_bytes(result.datasets[seed], tmp_path)
+                == standalone[seed]
+            )
 
-        other = EngineConfig(
-            campaign=ENGINE_CAMPAIGN.__class__(
-                seed=SEEDS[1],
-                scale=ENGINE_CAMPAIGN.scale,
-                include_apps=False,
-                include_static=False,
-            ),
-            executor="serial",
-            planner=PLANNER,
+    def test_interleaved_process_sweep_matches_serial(
+        self, swept, standalone, tmp_path
+    ):
+        """Two seeds' batches interleaved through one two-worker process
+        pool give each seed the bytes of the serial sweep and of a
+        standalone engine run."""
+        _, serial, _ = swept
+        result = run_sweep(
+            sweep_config(tmp_path, executor="process", workers=2, cache_dir=None)
         )
-        standalone, _ = run_engine(other)
-        assert engine_dataset_bytes(
-            result.datasets[SEEDS[1]], tmp_path
-        ) == engine_dataset_bytes(standalone, tmp_path)
+        if result.report.executor == "process":  # platform may lack pools
+            assert result.report.workers == 2
+        for seed in SEEDS:
+            got = engine_dataset_bytes(result.datasets[seed], tmp_path)
+            assert got == engine_dataset_bytes(serial.datasets[seed], tmp_path)
+            assert got == standalone[seed]
 
     def test_seeds_produce_distinct_datasets(self, swept, tmp_path):
         _, result, _ = swept
@@ -241,3 +265,72 @@ class TestSweepReport:
             "driving_rtt_median_ms_V",
             "unique_cells_total",
         ]
+
+
+class TestOnePipeline:
+    """A sweep seed and a standalone engine run are one pipeline reading one
+    shard-cache namespace, so they report and replay identically."""
+
+    @staticmethod
+    def shard_facts(report):
+        return [
+            (s.index, s.start_km, s.end_km, s.records, s.retries,
+             s.from_cache, s.from_checkpoint)
+            for s in report.shards
+        ]
+
+    def test_single_seed_sweep_reports_like_run_engine(self, tmp_path):
+        sweep_cfg = sweep_config(
+            tmp_path, seeds=SEEDS[:1], cache_dir=str(tmp_path / "sweep-cache")
+        )
+        engine_cache = tmp_path / "engine-cache"
+        for _ in ("cold", "warm"):
+            swept = run_sweep(sweep_cfg).engine_reports[SEEDS[0]]
+            _, engine = run_engine(
+                engine_config(SEEDS[0]), shard_store=ShardCache(engine_cache)
+            )
+            assert self.shard_facts(swept) == self.shard_facts(engine)
+            assert (swept.cache_hits, swept.cache_misses) == (
+                engine.cache_hits, engine.cache_misses,
+            )
+        assert engine.cache_hits == len(engine.shards)  # the warm pass replayed
+
+    def test_checkpoint_dir_is_a_shard_cache(self, standalone, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        run_engine(engine_config(SEEDS[0], checkpoint_dir=str(ckpt)))
+
+        swept = run_sweep(
+            sweep_config(tmp_path, seeds=SEEDS[:1], cache_dir=str(ckpt))
+        )
+        assert swept.report.cache_hit_ratio() == 1.0
+        assert (
+            engine_dataset_bytes(swept.datasets[SEEDS[0]], tmp_path)
+            == standalone[SEEDS[0]]
+        )
+
+        ds, report = run_engine(
+            engine_config(SEEDS[0]), shard_store=ShardCache(ckpt)
+        )
+        assert report.cache_hits == len(report.shards)
+        assert report.cache_misses == 0
+        assert engine_dataset_bytes(ds, tmp_path) == standalone[SEEDS[0]]
+
+
+class TestTracedSweepSummary:
+    def test_summary_lists_sweep_merges(self, tmp_path):
+        """``python -m repro.obs`` ranks a sweep's merges like an engine
+        run's: every ``sweep.merge`` span is a "slowest merges" row."""
+        trace = tmp_path / "trace.jsonl"
+        try:
+            run_sweep(
+                sweep_config(
+                    tmp_path, seeds=SEEDS[:1], cache_dir=None,
+                    trace_path=str(trace),
+                )
+            )
+        finally:
+            reset_tracers()
+        lines = render_summary(load_summary(trace)).splitlines()
+        (header,) = [i for i, line in enumerate(lines) if "slowest merges" in line]
+        assert "sweep.merge" in lines[header + 1]
+        assert f"seed={SEEDS[0]}" in lines[header + 1]
