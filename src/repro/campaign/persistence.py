@@ -17,7 +17,13 @@ optimised for analytical queries.  :func:`save_dataset` picks by the
 ``format=`` argument (``"auto"`` keys on the ``.rcol`` suffix);
 :func:`load_dataset` sniffs the file's magic bytes, so callers never need
 to know which backend wrote a file.  Both round-trip every record value
-exactly.
+exactly, and a dataset read back from either saves to the same bytes.
+
+JSON-lines stays the default here (the archival interchange format), but it
+is not what the engine's shard cache and checkpoints store: those entries
+are ``data.rcol`` columnar files (:mod:`repro.engine.checkpoint`), because
+the columnar reader rebuilds a shard column by column, about twice as fast
+as parsing one JSON line per record, at about twice the disk footprint.
 """
 
 from __future__ import annotations

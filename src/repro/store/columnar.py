@@ -30,10 +30,11 @@ keeps store files byte-stable: equal datasets serialise to equal bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,8 +67,8 @@ __all__ = [
     "TABLE_ATTRS",
     "encode_column",
     "decode_column",
+    "decode_dict_codes",
     "decode_dict_column",
-    "decoded_value",
 ]
 
 #: Width of one run-length prefix (little-endian u4).
@@ -89,6 +90,35 @@ class ColumnSpec:
     #: Derived columns are materialised at write time for the query engine
     #: (e.g. passive ``length_m``) but not fed back to the row constructor.
     derived: bool = False
+    #: Parser of a free-string dict column's values into Python objects
+    #: (cell identifiers); ``None`` keeps the strings.
+    parse: Callable[[str], Any] | None = None
+
+    def members(self, values: Sequence[Any]) -> list[Any]:
+        """Python objects of a dict column's distinct footer ``values``.
+
+        Built once per column, so enum lookups and parses run once per
+        distinct value, not once per row.  Raises :class:`StoreError` on a
+        non-string value, an unknown enum member or an unparsable value.
+        """
+        if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, str) for v in values
+        ):
+            raise StoreError(
+                f"column {self.name!r}: dictionary values must be strings"
+            )
+        if self.enum is not None:
+            lookup = {member.name: member for member in self.enum}
+            try:
+                return [lookup[v] for v in values]
+            except KeyError as exc:
+                raise StoreError(
+                    f"unknown {self.enum.__name__} member {exc.args[0]!r} in "
+                    f"column {self.name!r}"
+                ) from None
+        if self.parse is not None:
+            return [self.parse(v) for v in values]
+        return list(values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,16 +258,19 @@ def encode_column(spec: ColumnSpec, raw_values: list[Any]) -> EncodedColumn:
             spec.name, "bool", arr, 1, "<u1", _numeric_stats(arr)
         )
     if spec.kind == "dict":
-        strings = [
-            v.name if isinstance(v, enum.Enum) else str(v) for v in raw_values
-        ]
-        table: dict[str, int] = {}
-        codes = np.empty(n, dtype="<u4")
-        for i, s in enumerate(strings):
-            code = table.get(s)
-            if code is None:
-                code = table.setdefault(s, len(table))
-            codes[i] = code
+        # Key on the value objects themselves, so an enum's ``.name`` is
+        # computed once per distinct member rather than once per row.
+        index: dict[Any, int] = {}
+        codes = np.asarray(
+            [index.setdefault(v, len(index)) for v in raw_values], dtype="<u4"
+        )
+        names = [v.name if isinstance(v, enum.Enum) else str(v) for v in index]
+        table = dict.fromkeys(names)
+        if len(table) != len(names):
+            # Distinct objects sharing one string form (say a member and its
+            # name) must share one code, exactly as if keyed on the string.
+            first = {name: code for code, name in enumerate(table)}
+            codes = np.asarray([first[name] for name in names], "<u4")[codes]
         cardinality = max(len(table), 1)
         width = 1 if cardinality <= 0xFF else 2 if cardinality <= 0xFFFF else 4
         codes = codes.astype(_CODE_DTYPES[width])
@@ -320,16 +353,26 @@ def decode_column(entry: dict, payload: bytes | memoryview) -> np.ndarray:
     raise StoreError(f"unknown column kind {kind!r} in footer")
 
 
-def decode_dict_column(entry: dict, payload: bytes | memoryview) -> list[str]:
-    """Decode a dict column to its per-row string values."""
+def decode_dict_codes(entry: dict, payload: bytes | memoryview) -> np.ndarray:
+    """Decode a dict column's codes, each checked against the footer values.
+
+    Raises :class:`StoreError` when a code has no dictionary value, so
+    indexing the footer ``values`` with the result can never fail.
+    """
     codes = decode_column(entry, payload)
-    values = entry.get("values", [])
-    if codes.size and int(codes.max()) >= len(values):
+    n_values = len(entry.get("values", []))
+    if codes.size and int(codes.max()) >= n_values:
         raise StoreError(
             f"column {entry.get('name')!r}: code {int(codes.max())} out of "
-            f"range for {len(values)} dictionary values (corrupt file)"
+            f"range for {n_values} dictionary values (corrupt file)"
         )
-    return [values[c] for c in codes.tolist()]
+    return codes
+
+
+def decode_dict_column(entry: dict, payload: bytes | memoryview) -> list[str]:
+    """Decode a dict column to its per-row string values."""
+    values = entry.get("values", [])
+    return [values[c] for c in decode_dict_codes(entry, payload).tolist()]
 
 
 # -- table schemas ------------------------------------------------------------
@@ -343,8 +386,9 @@ class TableSchema:
     columns: tuple[ColumnSpec, ...]
     #: Per-column raw-value getters, keyed by column name.
     getters: dict[str, Callable[[Any], Any]] = field(repr=False)
-    #: Build one record from a ``{column: decoded value}`` row.
-    builder: Callable[[dict[str, Any]], Any] = field(repr=False)
+    #: Build the table's records from whole decoded columns, keyed by name
+    #: (every non-derived column, all of the table's length).
+    build: Callable[[Mapping[str, list[Any]]], list[Any]] = field(repr=False)
 
     def column(self, name: str) -> ColumnSpec:
         for spec in self.columns:
@@ -363,43 +407,6 @@ class TableSchema:
             encoded.append(encode_column(spec, [get(r) for r in records]))
         return encoded
 
-    def assemble(self, columns: dict[str, list[Any]], count: int) -> list[Any]:
-        """Rebuild row records from decoded per-column Python values."""
-        names = [c.name for c in self.columns if not c.derived]
-        return [
-            self.builder({name: columns[name][i] for name in names})
-            for i in range(count)
-        ]
-
-
-def _enum_lookup(enum_cls: type[enum.Enum]) -> dict[str, enum.Enum]:
-    return {member.name: member for member in enum_cls}
-
-
-_DECODERS: dict[str, dict[str, enum.Enum]] = {}
-
-
-def decoded_value(spec: ColumnSpec, raw: Any) -> Any:
-    """Map a decoded column value back to its Python-level type."""
-    if spec.kind == "dict" and spec.enum is not None:
-        lookup = _DECODERS.get(spec.enum.__name__)
-        if lookup is None:
-            lookup = _DECODERS.setdefault(spec.enum.__name__, _enum_lookup(spec.enum))
-        try:
-            return lookup[raw]
-        except KeyError:
-            raise StoreError(
-                f"unknown {spec.enum.__name__} member {raw!r} in column "
-                f"{spec.name!r}"
-            ) from None
-    if spec.kind == "bool":
-        return bool(raw)
-    if spec.kind == "f8":
-        return float(raw)
-    if spec.kind == "i8":
-        return int(raw)
-    return raw
-
 
 def _cell_to_str(cid: CellId) -> str:
     return f"{cid.operator.name}:{cid.technology.name}:{cid.sequence}"
@@ -415,102 +422,40 @@ def _cell_from_str(text: str) -> CellId:
         raise StoreError(f"invalid cell id {text!r} in store file") from exc
 
 
+def _records(cls: type) -> Callable[[Mapping[str, list[Any]]], list[Any]]:
+    """Column-wise builder of a record class whose fields are all columns."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return lambda columns: list(map(cls, *(columns[n] for n in names)))
+
+
+def _build_ho(c: Mapping[str, list[Any]]) -> list[HandoverRecord]:
+    events = map(
+        HandoverEvent, c["operator"], c["time_s"], c["mark_m"],
+        c["duration_ms"], c["from_cell"], c["to_cell"], c["from_tech"],
+        c["to_tech"],
+    )
+    return list(map(HandoverRecord, c["test_id"], c["direction"], events))
+
+
 def _schema(
     name: str,
-    fields: list[tuple[str, str, type[enum.Enum] | None, Callable[[Any], Any]]],
-    builder: Callable[[dict[str, Any]], Any],
+    fields: list[tuple[str, str, Any, Callable[[Any], Any]]],
+    build: Callable[[Mapping[str, list[Any]]], list[Any]],
     derived: list[tuple[str, str, Callable[[Any], Any]]] = (),
 ) -> TableSchema:
-    columns = [ColumnSpec(n, kind, enum=e) for n, kind, e, _ in fields]
+    """``fields`` rows are ``(name, kind, decoder, getter)``; a decoder is
+    an enum class, a string parser, or ``None``."""
+    columns = [
+        ColumnSpec(n, kind, enum=d)
+        if isinstance(d, type) and issubclass(d, enum.Enum)
+        else ColumnSpec(n, kind, parse=d)
+        for n, kind, d, _ in fields
+    ]
     columns += [ColumnSpec(n, kind, derived=True) for n, kind, _ in derived]
     getters = {n: g for n, _, _, g in fields}
     getters.update({n: g for n, _, g in derived})
     return TableSchema(
-        name=name, columns=tuple(columns), getters=getters, builder=builder
-    )
-
-
-def _build_tput(v: dict) -> ThroughputSample:
-    return ThroughputSample(
-        test_id=v["test_id"], operator=v["operator"], direction=v["direction"],
-        time_s=v["time_s"], mark_m=v["mark_m"], speed_mph=v["speed_mph"],
-        region=v["region"], timezone=v["timezone"], tech=v["tech"],
-        rsrp_dbm=v["rsrp_dbm"], mcs=v["mcs"], bler=v["bler"], n_ccs=v["n_ccs"],
-        tput_mbps=v["tput_mbps"], server_kind=v["server_kind"],
-        ho_count=v["ho_count"], static=v["static"],
-    )
-
-
-def _build_rtt(v: dict) -> RttSample:
-    return RttSample(
-        test_id=v["test_id"], operator=v["operator"], time_s=v["time_s"],
-        mark_m=v["mark_m"], speed_mph=v["speed_mph"], region=v["region"],
-        timezone=v["timezone"], tech=v["tech"], rtt_ms=v["rtt_ms"],
-        server_kind=v["server_kind"], static=v["static"],
-    )
-
-
-def _build_test(v: dict) -> TestRecord:
-    return TestRecord(
-        test_id=v["test_id"], test_type=v["test_type"], operator=v["operator"],
-        start_time_s=v["start_time_s"], end_time_s=v["end_time_s"],
-        start_mark_m=v["start_mark_m"], end_mark_m=v["end_mark_m"],
-        server_kind=v["server_kind"], static=v["static"],
-    )
-
-
-def _build_ho(v: dict) -> HandoverRecord:
-    return HandoverRecord(
-        test_id=v["test_id"], direction=v["direction"],
-        event=HandoverEvent(
-            operator=v["operator"], time_s=v["time_s"], mark_m=v["mark_m"],
-            duration_ms=v["duration_ms"],
-            from_cell=_cell_from_str(v["from_cell"]),
-            to_cell=_cell_from_str(v["to_cell"]),
-            from_tech=v["from_tech"], to_tech=v["to_tech"],
-        ),
-    )
-
-
-def _build_passive(v: dict) -> PassiveCoverageSegment:
-    return PassiveCoverageSegment(
-        operator=v["operator"], start_m=v["start_m"], end_m=v["end_m"],
-        tech=v["tech"], timezone=v["timezone"], region=v["region"],
-    )
-
-
-def _build_offload(v: dict) -> OffloadRunResult:
-    return OffloadRunResult(
-        app=v["app"], test_id=v["test_id"], operator=v["operator"],
-        server_kind=v["server_kind"], compression=v["compression"],
-        mean_e2e_ms=v["mean_e2e_ms"], median_e2e_ms=v["median_e2e_ms"],
-        offload_fps=v["offload_fps"], map_score=v["map_score"],
-        ho_count=v["ho_count"], frac_hs5g=v["frac_hs5g"],
-        static=v["static"], uplink_megabits=v["uplink_megabits"],
-    )
-
-
-def _build_video(v: dict) -> VideoRunResult:
-    return VideoRunResult(
-        test_id=v["test_id"], operator=v["operator"],
-        server_kind=v["server_kind"], qoe=v["qoe"],
-        avg_bitrate_mbps=v["avg_bitrate_mbps"],
-        rebuffer_ratio=v["rebuffer_ratio"], ho_count=v["ho_count"],
-        frac_hs5g=v["frac_hs5g"], static=v["static"],
-        downlink_megabits=v["downlink_megabits"],
-    )
-
-
-def _build_gaming(v: dict) -> GamingRunResult:
-    return GamingRunResult(
-        test_id=v["test_id"], operator=v["operator"],
-        server_kind=v["server_kind"],
-        avg_bitrate_mbps=v["avg_bitrate_mbps"],
-        median_latency_ms=v["median_latency_ms"],
-        p95_latency_ms=v["p95_latency_ms"],
-        frame_drop_rate=v["frame_drop_rate"], ho_count=v["ho_count"],
-        frac_hs5g=v["frac_hs5g"], static=v["static"],
-        downlink_megabits=v["downlink_megabits"],
+        name=name, columns=tuple(columns), getters=getters, build=build
     )
 
 
@@ -538,7 +483,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("ho_count", "i8", None, lambda s: s.ho_count),
             ("static", "bool", None, lambda s: s.static),
         ],
-        _build_tput,
+        _records(ThroughputSample),
     ),
     "rtt": _schema(
         "rtt",
@@ -555,7 +500,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("server_kind", "dict", ServerKind, lambda s: s.server_kind),
             ("static", "bool", None, lambda s: s.static),
         ],
-        _build_rtt,
+        _records(RttSample),
     ),
     "test": _schema(
         "test",
@@ -570,7 +515,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("server_kind", "dict", ServerKind, lambda t: t.server_kind),
             ("static", "bool", None, lambda t: t.static),
         ],
-        _build_test,
+        _records(TestRecord),
     ),
     "ho": _schema(
         "ho",
@@ -581,8 +526,10 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("time_s", "f8", None, lambda h: h.event.time_s),
             ("mark_m", "f8", None, lambda h: h.event.mark_m),
             ("duration_ms", "f8", None, lambda h: h.event.duration_ms),
-            ("from_cell", "dict", None, lambda h: _cell_to_str(h.event.from_cell)),
-            ("to_cell", "dict", None, lambda h: _cell_to_str(h.event.to_cell)),
+            ("from_cell", "dict", _cell_from_str,
+             lambda h: _cell_to_str(h.event.from_cell)),
+            ("to_cell", "dict", _cell_from_str,
+             lambda h: _cell_to_str(h.event.to_cell)),
             ("from_tech", "dict", RadioTechnology, lambda h: h.event.from_tech),
             ("to_tech", "dict", RadioTechnology, lambda h: h.event.to_tech),
         ],
@@ -598,7 +545,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("timezone", "dict", Timezone, lambda p: p.timezone),
             ("region", "dict", RegionType, lambda p: p.region),
         ],
-        _build_passive,
+        _records(PassiveCoverageSegment),
         derived=[("length_m", "f8", lambda p: p.length_m)],
     ),
     "offload": _schema(
@@ -618,7 +565,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("static", "bool", None, lambda r: r.static),
             ("uplink_megabits", "f8", None, lambda r: r.uplink_megabits),
         ],
-        _build_offload,
+        _records(OffloadRunResult),
     ),
     "video": _schema(
         "video",
@@ -634,7 +581,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("static", "bool", None, lambda r: r.static),
             ("downlink_megabits", "f8", None, lambda r: r.downlink_megabits),
         ],
-        _build_video,
+        _records(VideoRunResult),
     ),
     "gaming": _schema(
         "gaming",
@@ -651,7 +598,7 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
             ("static", "bool", None, lambda r: r.static),
             ("downlink_megabits", "f8", None, lambda r: r.downlink_megabits),
         ],
-        _build_gaming,
+        _records(GamingRunResult),
     ),
 }
 

@@ -17,11 +17,22 @@ then decodes only the columns a query touches, straight out of an ``mmap``
 Like :mod:`repro.campaign.persistence`, writes are **atomic** (unique temp
 sibling + ``os.replace``) and **byte-stable** (no timestamps, sorted JSON
 keys, deterministic encodings), so equal datasets produce equal files and
-shard checkpointing can rely on byte comparison.
+shard checkpointing can rely on byte comparison.  The per-operator meta
+counts are stored as ``[name, count]`` pair lists, not objects, so their
+order survives the sorted keys: a read-back dataset saves to the same bytes
+as the one that was written.
+
+:func:`read_dataset` rebuilds records a whole column at a time: each column
+decodes once, dictionary codes map through a member table built once per
+column from the footer's distinct values (enum lookups and cell-id parses
+run once per distinct value, not per row), and each table's records come
+from one ``map(cls, *columns)``.  That makes it the fast way to replay a
+dataset, which is why the engine's shard cache stores ``.rcol`` entries.
 
 ``schema_version`` (the ``format`` footer field) is checked on open, the
 same contract as ``EngineReport``/``SweepReport``; every structural change
-bumps :data:`STORE_FORMAT_VERSION`.
+bumps :data:`STORE_FORMAT_VERSION`.  Version 1 files (meta counts as
+objects, whose key order the sorted footer lost) stay readable.
 """
 
 from __future__ import annotations
@@ -41,10 +52,10 @@ from repro.radio.operators import Operator
 from repro.store.columnar import (
     TABLE_ATTRS,
     TABLE_SCHEMAS,
+    ColumnSpec,
     ColumnStats,
     decode_column,
-    decode_dict_column,
-    decoded_value,
+    decode_dict_codes,
 )
 
 __all__ = [
@@ -59,7 +70,11 @@ __all__ = [
 ]
 
 #: Bump on any structural change to the file layout or footer schema.
-STORE_FORMAT_VERSION = 1
+#: 2: meta counts are ``[name, count]`` pair lists (order-preserving).
+STORE_FORMAT_VERSION = 2
+
+#: Older versions this build still reads.
+_LEGACY_FORMATS = (1,)
 
 STORE_MAGIC = b"RPRCOL01"
 _TAIL = struct.Struct("<QI4s")
@@ -90,12 +105,12 @@ def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> None:
             "seed": dataset.seed,
             "scale": dataset.scale,
             "route_length_km": dataset.route_length_km,
-            "passive_handover_counts": {
-                op.name: n for op, n in dataset.passive_handover_counts.items()
-            },
-            "connected_cells": {
-                op.name: n for op, n in dataset.connected_cells.items()
-            },
+            "passive_handover_counts": [
+                [op.name, n] for op, n in dataset.passive_handover_counts.items()
+            ],
+            "connected_cells": [
+                [op.name, n] for op, n in dataset.connected_cells.items()
+            ],
         },
         "tables": tables,
     }
@@ -126,6 +141,19 @@ def is_store_file(path: str | pathlib.Path) -> bool:
             return fh.read(len(STORE_MAGIC)) == STORE_MAGIC
     except OSError:
         return False
+
+
+def _operator_counts(obj: Any, path: pathlib.Path) -> dict[Operator, int]:
+    """Per-operator counts from footer meta, in their stored order.
+
+    Version 2 stores ``[name, count]`` pairs; version 1 stored an object
+    (read back in its sorted key order).
+    """
+    pairs = obj.items() if isinstance(obj, dict) else obj
+    try:
+        return {Operator[name]: int(n) for name, n in pairs}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"bad operator counts in footer of {path}") from exc
 
 
 class TableReader:
@@ -172,23 +200,33 @@ class TableReader:
         entry = self.column_entry(name)
         return decode_column(entry, self._payload(entry))
 
-    def strings(self, name: str) -> list[str]:
-        """Decode a dict column to its per-row strings."""
-        entry = self.column_entry(name)
-        if entry["kind"] != "dict":
-            raise StoreError(f"column {name!r} is {entry['kind']}, not dict")
-        return decode_dict_column(entry, self._payload(entry))
-
-    def python_column(self, name: str) -> list[Any]:
-        """Decode a column to Python-level values (enums reconstructed)."""
-        entry = self.column_entry(name)
-        spec = TABLE_SCHEMAS[self.name].column(name)
-        if entry["kind"] == "dict":
-            return [decoded_value(spec, s) for s in self.strings(name)]
-        arr = self.array(name)
-        if entry["kind"] == "bool":
-            return [bool(v) for v in arr.tolist()]
-        return arr.tolist()
+    def values(self, spec: ColumnSpec) -> list[Any]:
+        """Decode a whole column to Python values: ``float``, ``int``,
+        ``bool``, or the dictionary members of ``spec`` (enum members,
+        parsed cell ids, strings), one per row."""
+        entry = self.column_entry(spec.name)
+        if entry["kind"] != spec.kind:
+            raise StoreError(
+                f"column {spec.name!r} of table {self.name!r} is "
+                f"{entry['kind']}, schema says {spec.kind}"
+            )
+        if spec.kind == "dict":
+            table = spec.members(entry.get("values", []))
+            codes = decode_dict_codes(entry, self._payload(entry))
+            members = np.empty(len(table), dtype=object)
+            for code, member in enumerate(table):
+                members[code] = member
+            column = members[codes].tolist()
+        elif spec.kind == "bool":
+            column = (self.array(spec.name) != 0).tolist()
+        else:
+            column = self.array(spec.name).tolist()
+        if len(column) != self.count:
+            raise StoreError(
+                f"column {spec.name!r} holds {len(column)} values, table "
+                f"{self.name!r} has {self.count} rows (corrupt file)"
+            )
+        return column
 
 
 class DatasetReader:
@@ -218,14 +256,12 @@ class DatasetReader:
         self.seed: int = int(meta.get("seed", 0))
         self.scale: float = float(meta.get("scale", 0.0))
         self.route_length_km: float = float(meta.get("route_length_km", 0.0))
-        self.passive_handover_counts: dict[Operator, int] = {
-            Operator[name]: int(n)
-            for name, n in meta.get("passive_handover_counts", {}).items()
-        }
-        self.connected_cells: dict[Operator, int] = {
-            Operator[name]: int(n)
-            for name, n in meta.get("connected_cells", {}).items()
-        }
+        self.passive_handover_counts: dict[Operator, int] = _operator_counts(
+            meta.get("passive_handover_counts", []), self.path
+        )
+        self.connected_cells: dict[Operator, int] = _operator_counts(
+            meta.get("connected_cells", []), self.path
+        )
         self._tables: dict[str, TableReader] = {}
 
     # -- low-level ----------------------------------------------------------
@@ -259,11 +295,13 @@ class DatasetReader:
             raise StoreError(
                 f"unreadable footer in store file: {self.path}"
             ) from exc
+        if not isinstance(footer, dict):
+            raise StoreError(f"footer is not a JSON object: {self.path}")
         version = footer.get("format")
-        if version != STORE_FORMAT_VERSION:
+        if version != STORE_FORMAT_VERSION and version not in _LEGACY_FORMATS:
             raise StoreError(
-                f"unsupported store format {version!r} "
-                f"(this build reads {STORE_FORMAT_VERSION}): {self.path}"
+                f"unsupported store format {version!r} (this build reads "
+                f"{[*_LEGACY_FORMATS, STORE_FORMAT_VERSION]}): {self.path}"
             )
         return footer
 
@@ -308,7 +346,13 @@ class DatasetReader:
 
     def close(self) -> None:
         if getattr(self, "_mm", None) is not None:
-            self._mm.close()
+            try:
+                self._mm.close()
+            except BufferError:
+                # A column view is still alive (say, in the traceback of a
+                # decode error raised inside ``with``): the map unmaps when
+                # the last view goes, and this reader stops serving reads.
+                pass
             self._mm = None
         if not self._fh.closed:
             self._fh.close()
@@ -324,7 +368,9 @@ def read_dataset(path: str | pathlib.Path) -> DriveDataset:
     """Materialise the full row-object dataset from a store file.
 
     The exact inverse of :func:`write_dataset`: every record compares equal
-    to the one that was written (floats round-trip bit-for-bit).
+    to the one that was written (floats round-trip bit-for-bit, fields keep
+    their Python types) and saves to the same bytes.  Records are built a
+    whole column at a time (see the module docstring).
     """
     with DatasetReader(path) as reader:
         dataset = DriveDataset(
@@ -337,10 +383,9 @@ def read_dataset(path: str | pathlib.Path) -> DriveDataset:
         for table_name, schema in TABLE_SCHEMAS.items():
             table = reader.table(table_name)
             columns = {
-                spec.name: table.python_column(spec.name)
+                spec.name: table.values(spec)
                 for spec in schema.columns
                 if not spec.derived
             }
-            records = schema.assemble(columns, table.count)
-            getattr(dataset, TABLE_ATTRS[table_name]).extend(records)
+            setattr(dataset, TABLE_ATTRS[table_name], schema.build(columns))
         return dataset

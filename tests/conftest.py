@@ -3,9 +3,14 @@
 The expensive fixtures are session-scoped: one small-but-complete campaign
 dataset (apps + static baselines included) shared by all analysis tests, and
 one bare-bones dataset for tests that only need throughput/RTT records.
+The ``RCOL_CORRUPTIONS`` helpers damage a columnar store file in the ways
+the shard-cache tests expect the reader to reject.
 """
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -85,3 +90,89 @@ def engine_baseline(tmp_path_factory):
     )
     tmp = tmp_path_factory.mktemp("engine-baseline")
     return ds, engine_dataset_bytes(ds, tmp)
+
+
+# -- store-file corruption helpers --------------------------------------------
+
+_RCOL_TAIL = struct.Struct("<QI4s")
+
+
+def split_rcol(path) -> tuple[bytearray, dict]:
+    """``(magic + column bytes, parsed footer)`` of a store file."""
+    data = path.read_bytes()
+    offset, length, _ = _RCOL_TAIL.unpack(data[-_RCOL_TAIL.size:])
+    return bytearray(data[:offset]), json.loads(data[offset: offset + length])
+
+
+def join_rcol(path, body: bytes, footer: dict) -> None:
+    """Reassemble a store file whose tail agrees with ``body`` and footer."""
+    raw = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(
+        bytes(body) + raw + _RCOL_TAIL.pack(len(body), len(raw), b"RCOL")
+    )
+
+
+def _first_column(footer: dict, kind: str, name: str | None = None) -> dict:
+    """Footer entry of the first non-empty column of ``kind`` (and name)."""
+    for table in footer["tables"].values():
+        for col in table["columns"]:
+            if col["kind"] == kind and col["count"] and name in (None, col["name"]):
+                return col
+    raise AssertionError(f"no non-empty {kind} column {name or ''} to corrupt")
+
+
+def _truncate_payload(path) -> None:
+    """Drop the last byte of one f8 column; the footer stays consistent."""
+    body, footer = split_rcol(path)
+    col = _first_column(footer, "f8")
+    end = col["offset"] + col["nbytes"]
+    del body[end - 1]
+    for table in footer["tables"].values():
+        for other in table["columns"]:
+            if other["offset"] >= end:
+                other["offset"] -= 1
+    col["nbytes"] -= 1
+    join_rcol(path, body, footer)
+
+
+def _bad_magic(path) -> None:
+    data = bytearray(path.read_bytes())
+    data[:8] = b"NOTRCOL!"
+    path.write_bytes(bytes(data))
+
+
+def _garbage_footer(path) -> None:
+    """Overwrite the footer bytes in place; the tail still points at them."""
+    data = bytearray(path.read_bytes())
+    offset, length, _ = _RCOL_TAIL.unpack(data[-_RCOL_TAIL.size:])
+    data[offset: offset + length] = b"\xff" * length
+    path.write_bytes(bytes(data))
+
+
+def _dict_code_out_of_range(path) -> None:
+    """Point the first code of an operator column past its dictionary."""
+    body, footer = split_rcol(path)
+    col = _first_column(footer, "dict", "operator")
+    assert col["width"] == 1
+    # An RLE stream starts with a u4 run length, then the first code.
+    first = col["offset"] + (4 if col["codec"] == "rle" else 0)
+    body[first] = len(col["values"])
+    join_rcol(path, body, footer)
+
+
+def _unknown_enum_member(path) -> None:
+    body, footer = split_rcol(path)
+    col = _first_column(footer, "dict", "operator")
+    col["values"][0] = "NOT_AN_OPERATOR"
+    join_rcol(path, body, footer)
+
+
+#: Ways to corrupt one ``.rcol`` file, each of which the reader must reject
+#: with a ``StoreError``.
+RCOL_CORRUPTIONS = {
+    "truncated_payload": _truncate_payload,
+    "bad_magic": _bad_magic,
+    "garbage_footer": _garbage_footer,
+    "dict_code_out_of_range": _dict_code_out_of_range,
+    "unknown_enum_member": _unknown_enum_member,
+}

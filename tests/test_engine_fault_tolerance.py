@@ -9,7 +9,12 @@ import json
 
 import pytest
 
-from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM, engine_dataset_bytes
+from tests.conftest import (
+    ENGINE_CAMPAIGN,
+    ENGINE_WINDOW_KM,
+    RCOL_CORRUPTIONS,
+    engine_dataset_bytes,
+)
 from repro.campaign.runner import CampaignConfig
 from repro.engine import (
     EngineConfig,
@@ -226,10 +231,12 @@ class TestCheckpointResume:
                 cache.key(fingerprint, index, ENGINE_CAMPAIGN.seed)
             )
 
-        (entry(1) / "data.ds.gz").write_bytes(b"not a gzip stream")
-        with gzip.open(entry(2) / "data.ds.gz", "wb") as fh:
+        (entry(1) / cache.DATA_NAME).write_bytes(b"not a gzip stream")
+        with gzip.open(entry(2) / cache.DATA_NAME, "wb") as fh:
             fh.write(b'{"kind": "header"')  # truncated JSON
-        (entry(0) / "meta.json").write_text(json.dumps({"fingerprint": "bogus"}))
+        (entry(0) / cache.META_NAME).write_text(
+            json.dumps({"fingerprint": "bogus"})
+        )
         assert not {0, 1, 2} & checkpointed(ckpt)
 
         ds, report = run_engine(
@@ -237,6 +244,30 @@ class TestCheckpointResume:
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
         assert report.checkpoint_hits == len(report.shards) - 3
+
+    def test_corrupt_store_files_recomputed(self, engine_baseline, tmp_path):
+        """Each kind of damaged ``.rcol`` entry (one shard per kind) is a
+        miss; the rerun recomputes those shards and nothing else."""
+        _, base = engine_baseline
+        ckpt = tmp_path / "ckpt"
+        run_engine(engine_config(executor="serial", checkpoint_dir=str(ckpt)))
+        cache, fingerprint, indices = checkpoint_cache(ckpt)
+        damaged = dict(zip(indices, sorted(RCOL_CORRUPTIONS)))
+        for index, corruption in damaged.items():
+            RCOL_CORRUPTIONS[corruption](
+                cache.entry_dir(
+                    cache.key(fingerprint, index, ENGINE_CAMPAIGN.seed)
+                )
+                / cache.DATA_NAME
+            )
+        assert not set(damaged) & checkpointed(ckpt)
+
+        ds, report = run_engine(
+            engine_config(executor="serial", checkpoint_dir=str(ckpt))
+        )
+        assert engine_dataset_bytes(ds, tmp_path) == base
+        assert report.checkpoint_hits == len(report.shards) - len(damaged)
+        assert set(damaged) <= checkpointed(ckpt)
 
     def test_checkpoints_survive_mid_batch_failure(self, tmp_path):
         """Shards checkpoint as they finish, not at batch completion."""

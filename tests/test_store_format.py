@@ -65,6 +65,71 @@ class TestRoundTrip:
         assert not is_store_file(tmp_path / "missing.rcol")
 
 
+class TestHeaderOrder:
+    """The per-operator meta dicts come back in insertion order, so a
+    read-back dataset saves to exactly the bytes of the original."""
+
+    @staticmethod
+    def ordered_dataset():
+        from repro.campaign.dataset import DriveDataset
+        from repro.radio.operators import Operator
+
+        return DriveDataset(
+            seed=3, scale=0.5, route_length_km=12.0,
+            passive_handover_counts={
+                Operator.VERIZON: 5, Operator.TMOBILE: 2, Operator.ATT: 9,
+            },
+            connected_cells={Operator.TMOBILE: 4, Operator.VERIZON: 1},
+        )
+
+    def test_order_survives_round_trip(self, tmp_path):
+        original = self.ordered_dataset()
+        write_dataset(original, tmp_path / "ds.rcol")
+        back = read_dataset(tmp_path / "ds.rcol")
+        assert list(back.passive_handover_counts.items()) == list(
+            original.passive_handover_counts.items()
+        )
+        assert list(back.connected_cells.items()) == list(
+            original.connected_cells.items()
+        )
+
+    def test_resave_is_byte_identical(self, bare_dataset, tmp_path):
+        from repro.campaign.persistence import save_dataset
+
+        for name, original in (
+            ("ordered", self.ordered_dataset()), ("bare", bare_dataset),
+        ):
+            write_dataset(original, tmp_path / f"{name}.rcol")
+            save_dataset(original, tmp_path / f"{name}.jsonl.gz")
+            save_dataset(
+                read_dataset(tmp_path / f"{name}.rcol"),
+                tmp_path / f"{name}-back.jsonl.gz",
+            )
+            assert (tmp_path / f"{name}-back.jsonl.gz").read_bytes() == (
+                tmp_path / f"{name}.jsonl.gz"
+            ).read_bytes(), name
+
+    def test_version_1_file_still_reads(self, tmp_path):
+        """Version 1 stored the counts as JSON objects (sorted by name)."""
+        from tests.conftest import join_rcol, split_rcol
+
+        original = self.ordered_dataset()
+        path = tmp_path / "v1.rcol"
+        write_dataset(original, path)
+        body, footer = split_rcol(path)
+        footer["format"] = 1
+        for key in ("passive_handover_counts", "connected_cells"):
+            footer["meta"][key] = dict(footer["meta"][key])
+        join_rcol(path, body, footer)
+
+        back = read_dataset(path)
+        assert back.passive_handover_counts == original.passive_handover_counts
+        assert back.connected_cells == original.connected_cells
+        assert list(back.passive_handover_counts) == sorted(
+            original.passive_handover_counts, key=lambda op: op.name
+        )
+
+
 class TestReader:
     def test_footer_stats_without_decoding(self, store_file, bare_dataset):
         with DatasetReader(store_file) as reader:
@@ -157,6 +222,54 @@ class TestCorruption:
         with pytest.raises(StoreError, match="outside the data section"):
             with DatasetReader(path) as reader:
                 reader.table("tput").array("test_id")
+
+    @pytest.mark.parametrize(
+        "corruption",
+        ["dict_code_out_of_range", "unknown_enum_member", "truncated_payload"],
+    )
+    def test_bad_column_raises_store_error(
+        self, bare_dataset, tmp_path, corruption
+    ):
+        """A decode error raised while column views into the map are alive
+        must still surface as ``StoreError`` (closing the map must not)."""
+        from tests.conftest import RCOL_CORRUPTIONS
+
+        path = tmp_path / "bad.rcol"
+        write_dataset(bare_dataset, path)
+        RCOL_CORRUPTIONS[corruption](path)
+        with pytest.raises(StoreError):
+            read_dataset(path)
+
+    def test_bad_cell_id_raises_store_error(self, tmp_path):
+        import random
+
+        from tests.conftest import join_rcol, split_rcol
+        from tests.test_store_properties import _random_dataset
+
+        path = tmp_path / "cells.rcol"
+        write_dataset(_random_dataset(random.Random(7)), path)
+        body, footer = split_rcol(path)
+        cells = next(
+            c for c in footer["tables"]["ho"]["columns"]
+            if c["name"] == "from_cell"
+        )
+        cells["values"][0] = "VERIZON:NOT_A_TECH:12"
+        join_rcol(path, body, footer)
+        with pytest.raises(StoreError, match="invalid cell id"):
+            read_dataset(path)
+
+    def test_column_count_disagreeing_with_table_raises(
+        self, bare_dataset, tmp_path
+    ):
+        from tests.conftest import join_rcol, split_rcol
+
+        path = tmp_path / "count.rcol"
+        write_dataset(bare_dataset, path)
+        body, footer = split_rcol(path)
+        footer["tables"]["tput"]["count"] += 1
+        join_rcol(path, body, footer)
+        with pytest.raises(StoreError, match="rows"):
+            read_dataset(path)
 
     def test_not_a_store_file_via_load_dataset(self, tmp_path):
         from repro.errors import LogFormatError

@@ -10,16 +10,22 @@ and assert two properties everywhere:
 * **tight footer stats** — the pushdown stats in the footer equal the true
   null count and finite min/max of the data, never merely bounding them.
 
-Randomness comes from seeded :mod:`random` generators only (no new deps),
-so every case is reproducible from the printed seed.
+Randomness comes from seeded :mod:`random` generators, so every case is
+reproducible from the printed seed; the differential test against the
+JSON-lines round trip lets hypothesis draw those seeds (and which tables to
+leave empty), so a failing case shrinks to a minimal seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pathlib
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign.dataset import (
     DriveDataset,
@@ -49,6 +55,7 @@ from repro.store.columnar import (
     decode_dict_column,
     encode_column,
 )
+from repro.campaign.persistence import load_dataset, save_dataset
 from repro.store.format import read_dataset, write_dataset
 
 N_CASES = 25  # seeded cases per property; each case is a fresh random column
@@ -242,6 +249,18 @@ class TestDictColumns:
         ]
 
 
+    def test_member_and_its_name_share_one_code(self):
+        """Keying the dictionary on value objects must still give one code
+        per string form, as keying on the strings did."""
+        values = [Operator.ATT, "ATT", "VERIZON", Operator.VERIZON]
+        enc, entry, codes = _roundtrip(ColumnSpec("operator", "dict"), values)
+        assert list(enc.values) == ["ATT", "VERIZON"]
+        assert codes.tolist() == [0, 0, 1, 1]
+        assert decode_dict_column(entry, enc.payload) == [
+            "ATT", "ATT", "VERIZON", "VERIZON",
+        ]
+
+
 class TestEmptyColumns:
     @pytest.mark.parametrize("kind", ["f8", "i8", "bool", "dict"])
     def test_empty_column_roundtrip(self, kind):
@@ -432,3 +451,67 @@ class TestFileRoundTrip:
         _assert_datasets_match(original, rebuilt)
         for attr in TABLE_ATTRS.values():
             assert getattr(rebuilt, attr) == []
+
+
+# -- differential: columnar vs JSON-lines round trip --------------------------
+
+
+def _flat_fields(record) -> list:
+    """Every leaf field of a record, nested events and cell ids included."""
+    out = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            out.extend(_flat_fields(value))
+        else:
+            out.append(value)
+    return out
+
+
+class TestColumnarMatchesJsonLines:
+    """``read_dataset(write_dataset(ds))`` must rebuild exactly what the
+    JSON-lines round trip rebuilds: equal values (NaN-aware), identical
+    Python types (``int``/``bool``/``float``, never numpy scalars), the
+    same header order, and the same saved bytes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        empty=st.frozensets(st.sampled_from(sorted(TABLE_ATTRS))),
+    )
+    def test_records_and_types_match(self, seed, empty):
+        original = _random_dataset(random.Random(seed), empty_tables=empty)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            write_dataset(original, tmp / "ds.rcol")
+            save_dataset(original, tmp / "ds.jsonl.gz")
+            columnar = read_dataset(tmp / "ds.rcol")
+            rows = load_dataset(tmp / "ds.jsonl.gz")
+            save_dataset(columnar, tmp / "columnar.jsonl.gz")
+            assert (tmp / "columnar.jsonl.gz").read_bytes() == (
+                tmp / "ds.jsonl.gz"
+            ).read_bytes()
+        for attr in ("passive_handover_counts", "connected_cells"):
+            assert list(getattr(columnar, attr).items()) == list(
+                getattr(rows, attr).items()
+            ), attr
+        for table, attr in TABLE_ATTRS.items():
+            got, want = getattr(columnar, attr), getattr(rows, attr)
+            assert len(got) == len(want) == (
+                0 if table in empty else len(getattr(original, attr))
+            ), table
+            for a, b in zip(got, want):
+                assert type(a) is type(b), table
+                fa, fb = _flat_fields(a), _flat_fields(b)
+                assert [type(v) for v in fa] == [type(v) for v in fb], table
+                assert _seq_eq(fa, fb), table
+
+    def test_handover_cell_ids_rebuild(self, tmp_path):
+        ds = _random_dataset(random.Random(7))
+        assert ds.handovers
+        write_dataset(ds, tmp_path / "ds.rcol")
+        back = read_dataset(tmp_path / "ds.rcol")
+        for a, b in zip(back.handovers, ds.handovers):
+            assert type(a.event.from_cell) is CellId
+            assert a.event.from_cell == b.event.from_cell
+            assert a.event.to_cell == b.event.to_cell

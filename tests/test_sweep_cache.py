@@ -14,16 +14,19 @@ import json
 
 import pytest
 
+from tests.conftest import RCOL_CORRUPTIONS, engine_dataset_bytes as dataset_bytes
 from repro.campaign.dataset import DriveDataset, RttSample
-from repro.engine.checkpoint import shard_key, shard_stem
+from repro.campaign.persistence import save_dataset
+from repro.engine.checkpoint import shard_key, shard_meta, shard_stem
 from repro.engine.planner import PASSIVE_SHARD_INDEX
 from repro.engine.worker import ShardResult
-from repro.errors import SweepError
+from repro.errors import StoreError, SweepError
 from repro.geo.regions import RegionType
 from repro.geo.timezones import Timezone
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from repro.store.format import read_dataset
 from repro.sweep.cache import ShardCache
 
 FP = "a" * 64
@@ -128,8 +131,47 @@ class TestInvalidation:
         cache = ShardCache(tmp_path)
         cache.store(FP, 42, make_result())
         entry = cache.entry_dir(cache.key(FP, 0, 42))
-        (entry / "data.ds.gz").write_bytes(b"not a gzip stream")
+        (entry / ShardCache.DATA_NAME).write_bytes(b"not a gzip stream")
         assert cache.load(FP, 42, 0) is None
+
+    @pytest.mark.parametrize("corruption", sorted(RCOL_CORRUPTIONS))
+    def test_corrupt_store_file_misses_then_recomputes(
+        self, corruption, tmp_path
+    ):
+        """Every way a ``.rcol`` entry can be damaged is a ``StoreError``
+        to the reader and a miss to the cache; storing the recomputed shard
+        again serves it byte for byte."""
+        result = make_result(n_rtts=20)
+        expected = dataset_bytes(result.dataset, tmp_path)
+        cache = ShardCache(tmp_path / "cache")
+        cache.store(FP, 42, result)
+        data = cache.entry_dir(cache.key(FP, 0, 42)) / ShardCache.DATA_NAME
+        RCOL_CORRUPTIONS[corruption](data)
+        with pytest.raises(StoreError):
+            read_dataset(data)
+
+        assert cache.load(FP, 42, 0) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        cache.store(FP, 42, make_result(n_rtts=20))
+        replayed = cache.load(FP, 42, 0)
+        assert replayed is not None
+        assert dataset_bytes(replayed.dataset, tmp_path) == expected
+
+    def test_legacy_v1_entry_misses(self, tmp_path):
+        """A version-1 entry (gzipped JSON-lines ``data.ds.gz``) is never
+        read, even when its sidecar sits at the address being looked up."""
+        result = make_result()
+        cache = ShardCache(tmp_path)
+        entry = cache.entry_dir(cache.key(FP, 0, 42))
+        entry.mkdir(parents=True)
+        save_dataset(result.dataset, entry / "data.ds.gz")
+        meta = shard_meta(result, FP)
+        meta["seed"] = 42
+        (entry / ShardCache.META_NAME).write_text(json.dumps(meta))
+        assert cache.load(FP, 42, 0) is None
+        assert cache.stats.misses == 1
+        cache.store(FP, 42, result)
+        assert cache.load(FP, 42, 0) is not None
 
     def test_corrupt_sidecar_misses(self, tmp_path):
         cache = ShardCache(tmp_path)
