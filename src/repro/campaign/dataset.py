@@ -2,12 +2,20 @@
 
 This is the synthetic counterpart of the paper's published dataset [8]: every
 analysis in :mod:`repro.analysis` consumes a :class:`DriveDataset`.
+
+The record dataclasses below are also the on-disk schema.  Both file
+formats — gzipped JSON-lines (:mod:`repro.campaign.persistence`) and the
+columnar ``.rcol`` store (:mod:`repro.store.columnar`) — derive their
+columns from these fields' types, and :data:`RECORD_FAMILIES` is the one
+list of record families that the codecs, the engine's merge and its
+record counts iterate.  A new field needs only a dataclass edit plus its
+short JSON key; a new family needs one more :data:`RECORD_FAMILIES` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +39,8 @@ __all__ = [
     "GamingRunResult",
     "DatasetSummary",
     "DriveDataset",
+    "RecordFamily",
+    "RECORD_FAMILIES",
 ]
 
 
@@ -338,3 +348,25 @@ class DriveDataset:
             runtime_min={op: v / 60.0 for op, v in runtime.items()},
             test_counts=test_counts,
         )
+
+
+class RecordFamily(NamedTuple):
+    """One record family: its table name on disk, the :class:`DriveDataset`
+    attribute holding its records, and the record class."""
+
+    table: str
+    attr: str
+    record: type
+
+
+#: Every record family, in serialisation and merge order.
+RECORD_FAMILIES: tuple[RecordFamily, ...] = (
+    RecordFamily("tput", "throughput_samples", ThroughputSample),
+    RecordFamily("rtt", "rtt_samples", RttSample),
+    RecordFamily("test", "tests", TestRecord),
+    RecordFamily("ho", "handovers", HandoverRecord),
+    RecordFamily("passive", "passive_coverage", PassiveCoverageSegment),
+    RecordFamily("offload", "offload_runs", OffloadRunResult),
+    RecordFamily("video", "video_runs", VideoRunResult),
+    RecordFamily("gaming", "gaming_runs", GamingRunResult),
+)

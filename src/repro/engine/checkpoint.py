@@ -92,8 +92,6 @@ __all__ = [
 #: 2: entries hold ``data.rcol`` (columnar) instead of ``data.ds.gz``.
 ENGINE_CHECKPOINT_VERSION = 2
 
-_OP = {op.name: op for op in Operator}
-
 
 def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
     """Digest identifying the exact computation a shard belongs to."""
@@ -163,10 +161,10 @@ def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
         index=index,
         dataset=dataset,
         active_cells={
-            _OP[name]: n for name, n in meta.get("active_cells", {}).items()
+            Operator[name]: n for name, n in meta.get("active_cells", {}).items()
         },
         macro_cells={
-            _OP[name]: n for name, n in meta.get("macro_cells", {}).items()
+            Operator[name]: n for name, n in meta.get("macro_cells", {}).items()
         },
         wall_s=float(meta.get("wall_s", 0.0)),
         metrics=metrics if isinstance(metrics, dict) else None,

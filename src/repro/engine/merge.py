@@ -18,7 +18,7 @@ than emitting a silently inconsistent dataset.
 
 from __future__ import annotations
 
-from repro.campaign.dataset import DriveDataset
+from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
 from repro.campaign.runner import CampaignConfig
 from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, TEST_ID_STRIDE
 from repro.engine.worker import ShardResult
@@ -26,17 +26,6 @@ from repro.errors import EngineError
 from repro.radio.operators import Operator
 
 __all__ = ["merge_shard_results"]
-
-_FAMILIES = (
-    "throughput_samples",
-    "rtt_samples",
-    "tests",
-    "handovers",
-    "passive_coverage",
-    "offload_runs",
-    "video_runs",
-    "gaming_runs",
-)
 
 
 def merge_shard_results(
@@ -80,8 +69,8 @@ def merge_shard_results(
         route_length_km=route_length_km,
     )
     for result in ordered:
-        for family in _FAMILIES:
-            getattr(merged, family).extend(getattr(result.dataset, family))
+        for family in RECORD_FAMILIES:
+            getattr(merged, family.attr).extend(getattr(result.dataset, family.attr))
 
     passive = results[PASSIVE_SHARD_INDEX]
     merged.passive_handover_counts = dict(passive.dataset.passive_handover_counts)

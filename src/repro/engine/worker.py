@@ -28,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.campaign.dataset import DriveDataset
+from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow, DriveCampaign
 from repro.errors import EngineError
 from repro.geo.route import Route, build_cross_country_route
@@ -116,12 +116,7 @@ class ShardResult:
 
     @property
     def records(self) -> int:
-        ds = self.dataset
-        return (
-            len(ds.throughput_samples) + len(ds.rtt_samples) + len(ds.tests)
-            + len(ds.handovers) + len(ds.passive_coverage)
-            + len(ds.offload_runs) + len(ds.video_runs) + len(ds.gaming_runs)
-        )
+        return sum(len(getattr(self.dataset, f.attr)) for f in RECORD_FAMILIES)
 
 
 def _maybe_fail(task: ShardTask) -> None:

@@ -118,15 +118,25 @@ class Catalog:
                 obj = json.loads(manifest.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise StoreError(f"unreadable catalog manifest: {manifest}") from exc
+            if not isinstance(obj, dict):
+                raise StoreError(
+                    f"unreadable catalog manifest (not a JSON object): {manifest}"
+                )
             version = obj.get("format")
             if version != CATALOG_FORMAT_VERSION:
                 raise StoreError(
                     f"unsupported catalog format {version!r} "
                     f"(this build reads {CATALOG_FORMAT_VERSION}): {manifest}"
                 )
-            self._partitions = [
-                PartitionInfo.from_obj(p) for p in obj.get("partitions", [])
-            ]
+            try:
+                self._partitions = [
+                    PartitionInfo.from_obj(p) for p in obj.get("partitions", [])
+                ]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StoreError(
+                    f"unreadable catalog manifest (bad partition entry "
+                    f"{type(exc).__name__}: {exc}): {manifest}"
+                ) from exc
 
     # -- introspection -------------------------------------------------------
 

@@ -2,7 +2,12 @@
 
 Each record family of a :class:`~repro.campaign.dataset.DriveDataset`
 (throughput samples, RTT samples, tests, handovers, passive coverage,
-app runs) is shredded into typed columns:
+app runs) is shredded into typed columns.  The record dataclasses are the
+schema: :meth:`TableSchema.derive` makes one column per field from its
+type annotation (``int``, ``float``, ``bool``, ``str``, an enum, or a
+:class:`~repro.radio.cells.CellId` stored as ``OP:TECH:seq``; a nested
+dataclass flattens), so a new field needs only a dataclass edit (plus its
+short key in the JSON-lines codec).  The column kinds are:
 
 * **f8** — IEEE-754 doubles packed with :mod:`array` (``'d'``); exact
   round-trip of every Python float, including NaN and infinities;
@@ -32,28 +37,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import typing
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.campaign.dataset import (
-    GamingRunResult,
-    HandoverRecord,
-    OffloadRunResult,
-    PassiveCoverageSegment,
-    RttSample,
-    TestRecord,
-    ThroughputSample,
-    VideoRunResult,
-)
-from repro.campaign.tests import TestType
+from repro.campaign.dataset import RECORD_FAMILIES
 from repro.errors import StoreError
-from repro.geo.regions import RegionType
-from repro.geo.timezones import Timezone
-from repro.mobility.events import HandoverEvent
-from repro.net.servers import ServerKind
 from repro.radio.cells import CellId
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
@@ -377,18 +370,108 @@ def decode_dict_column(entry: dict, payload: bytes | memoryview) -> list[str]:
 
 # -- table schemas ------------------------------------------------------------
 
+#: Column kind of each scalar field type; ``str`` fields are free-string
+#: dict columns.
+_KINDS = {int: "i8", float: "f8", bool: "bool", str: "dict"}
+
+#: Properties materialised as derived columns, by table.
+_DERIVED = {"passive": ("length_m",)}
+
+
+def _cell_to_str(cid: CellId) -> str:
+    """The stored form of a cell id, ``OP:TECH:seq`` (not ``str(cid)``)."""
+    return f"{cid.operator.name}:{cid.technology.name}:{cid.sequence}"
+
+
+def _cell_from_str(text: str) -> CellId:
+    try:
+        op_name, tech_name, seq = text.split(":")
+        return CellId(
+            Operator[op_name], RadioTechnology[tech_name], int(seq)
+        )
+    except (KeyError, ValueError) as exc:
+        raise StoreError(f"invalid cell id {text!r}") from exc
+
+
+def _column(name: str, tp: Any, owner: type) -> ColumnSpec:
+    if tp in _KINDS:
+        return ColumnSpec(name, _KINDS[tp])
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return ColumnSpec(name, "dict", enum=tp)
+    if tp is CellId:
+        return ColumnSpec(name, "dict", parse=_cell_from_str)
+    raise TypeError(
+        f"{owner.__name__}.{name}: no column type for annotation {tp!r}"
+    )
+
+
+def _getter(path: str, tp: Any) -> Callable[[Any], Any]:
+    get = attrgetter(path)
+    if tp is CellId:
+        return lambda record: _cell_to_str(get(record))
+    return get
+
+
+def _assemble(record: type, layout: tuple, columns: Mapping[str, list]):
+    return map(record, *(
+        columns[part] if isinstance(part, str) else _assemble(*part, columns)
+        for part in layout
+    ))
+
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Columnar schema of one record family: shred and rebuild rows."""
+    """Columnar schema of one record family, derived from its dataclass."""
 
     name: str
     columns: tuple[ColumnSpec, ...]
-    #: Per-column raw-value getters, keyed by column name.
+    #: Per-column raw-value getters, keyed by column name; enum fields
+    #: return members, cell ids their stored ``OP:TECH:seq`` strings.
     getters: dict[str, Callable[[Any], Any]] = field(repr=False)
-    #: Build the table's records from whole decoded columns, keyed by name
-    #: (every non-derived column, all of the table's length).
-    build: Callable[[Mapping[str, list[Any]]], list[Any]] = field(repr=False)
+    record: type = field(repr=False)
+    #: Per constructor argument of ``record``: a column name, or a
+    #: ``(class, layout)`` pair for a nested dataclass field.
+    layout: tuple = field(repr=False)
+
+    @classmethod
+    def derive(
+        cls, name: str, record: type, derived: Sequence[str] = ()
+    ) -> "TableSchema":
+        """The schema of ``record``: one column per field, in field order.
+
+        Field types map to column kinds (``int`` → i8, ``float`` → f8,
+        ``bool`` → bool, ``str``/enum/:class:`CellId` → dict); a nested
+        dataclass field (a handover's ``event``) flattens into its own
+        fields.  ``derived`` names properties stored as extra columns for
+        queries but never fed back to the constructor.  Any other
+        annotation raises :class:`TypeError`, so no field is dropped.
+        """
+        columns: list[ColumnSpec] = []
+        getters: dict[str, Callable[[Any], Any]] = {}
+
+        def walk(owner: type, prefix: str) -> tuple:
+            hints = typing.get_type_hints(owner)
+            layout = []
+            for f in dataclasses.fields(owner):
+                tp = hints[f.name]
+                if dataclasses.is_dataclass(tp) and tp is not CellId:
+                    layout.append((tp, walk(tp, f"{prefix}{f.name}.")))
+                    continue
+                columns.append(_column(f.name, tp, owner))
+                getters[f.name] = _getter(prefix + f.name, tp)
+                layout.append(f.name)
+            return tuple(layout)
+
+        layout = walk(record, "")
+        for prop in derived:
+            tp = typing.get_type_hints(getattr(record, prop).fget)["return"]
+            columns.append(
+                dataclasses.replace(_column(prop, tp, record), derived=True)
+            )
+            getters[prop] = attrgetter(prop)
+        if len(getters) != len(columns):
+            raise TypeError(f"{record.__name__}: duplicate column names")
+        return cls(name, tuple(columns), getters, record, layout)
 
     def column(self, name: str) -> ColumnSpec:
         for spec in self.columns:
@@ -401,215 +484,22 @@ class TableSchema:
 
     def shred(self, records: list[Any]) -> list[EncodedColumn]:
         """Encode the records column by column."""
-        encoded = []
-        for spec in self.columns:
-            get = self.getters[spec.name]
-            encoded.append(encode_column(spec, [get(r) for r in records]))
-        return encoded
+        return [
+            encode_column(spec, list(map(self.getters[spec.name], records)))
+            for spec in self.columns
+        ]
+
+    def build(self, columns: Mapping[str, list[Any]]) -> list[Any]:
+        """The table's records from whole decoded columns, keyed by name
+        (every non-derived column, all of the table's length)."""
+        return list(_assemble(self.record, self.layout, columns))
 
 
-def _cell_to_str(cid: CellId) -> str:
-    return f"{cid.operator.name}:{cid.technology.name}:{cid.sequence}"
-
-
-def _cell_from_str(text: str) -> CellId:
-    try:
-        op_name, tech_name, seq = text.split(":")
-        return CellId(
-            Operator[op_name], RadioTechnology[tech_name], int(seq)
-        )
-    except (KeyError, ValueError) as exc:
-        raise StoreError(f"invalid cell id {text!r} in store file") from exc
-
-
-def _records(cls: type) -> Callable[[Mapping[str, list[Any]]], list[Any]]:
-    """Column-wise builder of a record class whose fields are all columns."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    return lambda columns: list(map(cls, *(columns[n] for n in names)))
-
-
-def _build_ho(c: Mapping[str, list[Any]]) -> list[HandoverRecord]:
-    events = map(
-        HandoverEvent, c["operator"], c["time_s"], c["mark_m"],
-        c["duration_ms"], c["from_cell"], c["to_cell"], c["from_tech"],
-        c["to_tech"],
-    )
-    return list(map(HandoverRecord, c["test_id"], c["direction"], events))
-
-
-def _schema(
-    name: str,
-    fields: list[tuple[str, str, Any, Callable[[Any], Any]]],
-    build: Callable[[Mapping[str, list[Any]]], list[Any]],
-    derived: list[tuple[str, str, Callable[[Any], Any]]] = (),
-) -> TableSchema:
-    """``fields`` rows are ``(name, kind, decoder, getter)``; a decoder is
-    an enum class, a string parser, or ``None``."""
-    columns = [
-        ColumnSpec(n, kind, enum=d)
-        if isinstance(d, type) and issubclass(d, enum.Enum)
-        else ColumnSpec(n, kind, parse=d)
-        for n, kind, d, _ in fields
-    ]
-    columns += [ColumnSpec(n, kind, derived=True) for n, kind, _ in derived]
-    getters = {n: g for n, _, _, g in fields}
-    getters.update({n: g for n, _, g in derived})
-    return TableSchema(
-        name=name, columns=tuple(columns), getters=getters, build=build
-    )
-
-
-#: Columnar schema of every record family, keyed by the same section names
-#: the JSON-lines persistence format uses.
+#: Columnar schema of every record family, keyed by table name.
 TABLE_SCHEMAS: dict[str, TableSchema] = {
-    "tput": _schema(
-        "tput",
-        [
-            ("test_id", "i8", None, lambda s: s.test_id),
-            ("operator", "dict", Operator, lambda s: s.operator),
-            ("direction", "dict", None, lambda s: s.direction),
-            ("time_s", "f8", None, lambda s: s.time_s),
-            ("mark_m", "f8", None, lambda s: s.mark_m),
-            ("speed_mph", "f8", None, lambda s: s.speed_mph),
-            ("region", "dict", RegionType, lambda s: s.region),
-            ("timezone", "dict", Timezone, lambda s: s.timezone),
-            ("tech", "dict", RadioTechnology, lambda s: s.tech),
-            ("rsrp_dbm", "f8", None, lambda s: s.rsrp_dbm),
-            ("mcs", "i8", None, lambda s: s.mcs),
-            ("bler", "f8", None, lambda s: s.bler),
-            ("n_ccs", "i8", None, lambda s: s.n_ccs),
-            ("tput_mbps", "f8", None, lambda s: s.tput_mbps),
-            ("server_kind", "dict", ServerKind, lambda s: s.server_kind),
-            ("ho_count", "i8", None, lambda s: s.ho_count),
-            ("static", "bool", None, lambda s: s.static),
-        ],
-        _records(ThroughputSample),
-    ),
-    "rtt": _schema(
-        "rtt",
-        [
-            ("test_id", "i8", None, lambda s: s.test_id),
-            ("operator", "dict", Operator, lambda s: s.operator),
-            ("time_s", "f8", None, lambda s: s.time_s),
-            ("mark_m", "f8", None, lambda s: s.mark_m),
-            ("speed_mph", "f8", None, lambda s: s.speed_mph),
-            ("region", "dict", RegionType, lambda s: s.region),
-            ("timezone", "dict", Timezone, lambda s: s.timezone),
-            ("tech", "dict", RadioTechnology, lambda s: s.tech),
-            ("rtt_ms", "f8", None, lambda s: s.rtt_ms),
-            ("server_kind", "dict", ServerKind, lambda s: s.server_kind),
-            ("static", "bool", None, lambda s: s.static),
-        ],
-        _records(RttSample),
-    ),
-    "test": _schema(
-        "test",
-        [
-            ("test_id", "i8", None, lambda t: t.test_id),
-            ("test_type", "dict", TestType, lambda t: t.test_type),
-            ("operator", "dict", Operator, lambda t: t.operator),
-            ("start_time_s", "f8", None, lambda t: t.start_time_s),
-            ("end_time_s", "f8", None, lambda t: t.end_time_s),
-            ("start_mark_m", "f8", None, lambda t: t.start_mark_m),
-            ("end_mark_m", "f8", None, lambda t: t.end_mark_m),
-            ("server_kind", "dict", ServerKind, lambda t: t.server_kind),
-            ("static", "bool", None, lambda t: t.static),
-        ],
-        _records(TestRecord),
-    ),
-    "ho": _schema(
-        "ho",
-        [
-            ("test_id", "i8", None, lambda h: h.test_id),
-            ("direction", "dict", None, lambda h: h.direction),
-            ("operator", "dict", Operator, lambda h: h.event.operator),
-            ("time_s", "f8", None, lambda h: h.event.time_s),
-            ("mark_m", "f8", None, lambda h: h.event.mark_m),
-            ("duration_ms", "f8", None, lambda h: h.event.duration_ms),
-            ("from_cell", "dict", _cell_from_str,
-             lambda h: _cell_to_str(h.event.from_cell)),
-            ("to_cell", "dict", _cell_from_str,
-             lambda h: _cell_to_str(h.event.to_cell)),
-            ("from_tech", "dict", RadioTechnology, lambda h: h.event.from_tech),
-            ("to_tech", "dict", RadioTechnology, lambda h: h.event.to_tech),
-        ],
-        _build_ho,
-    ),
-    "passive": _schema(
-        "passive",
-        [
-            ("operator", "dict", Operator, lambda p: p.operator),
-            ("start_m", "f8", None, lambda p: p.start_m),
-            ("end_m", "f8", None, lambda p: p.end_m),
-            ("tech", "dict", RadioTechnology, lambda p: p.tech),
-            ("timezone", "dict", Timezone, lambda p: p.timezone),
-            ("region", "dict", RegionType, lambda p: p.region),
-        ],
-        _records(PassiveCoverageSegment),
-        derived=[("length_m", "f8", lambda p: p.length_m)],
-    ),
-    "offload": _schema(
-        "offload",
-        [
-            ("app", "dict", TestType, lambda r: r.app),
-            ("test_id", "i8", None, lambda r: r.test_id),
-            ("operator", "dict", Operator, lambda r: r.operator),
-            ("server_kind", "dict", ServerKind, lambda r: r.server_kind),
-            ("compression", "bool", None, lambda r: r.compression),
-            ("mean_e2e_ms", "f8", None, lambda r: r.mean_e2e_ms),
-            ("median_e2e_ms", "f8", None, lambda r: r.median_e2e_ms),
-            ("offload_fps", "f8", None, lambda r: r.offload_fps),
-            ("map_score", "f8", None, lambda r: r.map_score),
-            ("ho_count", "i8", None, lambda r: r.ho_count),
-            ("frac_hs5g", "f8", None, lambda r: r.frac_hs5g),
-            ("static", "bool", None, lambda r: r.static),
-            ("uplink_megabits", "f8", None, lambda r: r.uplink_megabits),
-        ],
-        _records(OffloadRunResult),
-    ),
-    "video": _schema(
-        "video",
-        [
-            ("test_id", "i8", None, lambda r: r.test_id),
-            ("operator", "dict", Operator, lambda r: r.operator),
-            ("server_kind", "dict", ServerKind, lambda r: r.server_kind),
-            ("qoe", "f8", None, lambda r: r.qoe),
-            ("avg_bitrate_mbps", "f8", None, lambda r: r.avg_bitrate_mbps),
-            ("rebuffer_ratio", "f8", None, lambda r: r.rebuffer_ratio),
-            ("ho_count", "i8", None, lambda r: r.ho_count),
-            ("frac_hs5g", "f8", None, lambda r: r.frac_hs5g),
-            ("static", "bool", None, lambda r: r.static),
-            ("downlink_megabits", "f8", None, lambda r: r.downlink_megabits),
-        ],
-        _records(VideoRunResult),
-    ),
-    "gaming": _schema(
-        "gaming",
-        [
-            ("test_id", "i8", None, lambda r: r.test_id),
-            ("operator", "dict", Operator, lambda r: r.operator),
-            ("server_kind", "dict", ServerKind, lambda r: r.server_kind),
-            ("avg_bitrate_mbps", "f8", None, lambda r: r.avg_bitrate_mbps),
-            ("median_latency_ms", "f8", None, lambda r: r.median_latency_ms),
-            ("p95_latency_ms", "f8", None, lambda r: r.p95_latency_ms),
-            ("frame_drop_rate", "f8", None, lambda r: r.frame_drop_rate),
-            ("ho_count", "i8", None, lambda r: r.ho_count),
-            ("frac_hs5g", "f8", None, lambda r: r.frac_hs5g),
-            ("static", "bool", None, lambda r: r.static),
-            ("downlink_megabits", "f8", None, lambda r: r.downlink_megabits),
-        ],
-        _records(GamingRunResult),
-    ),
+    f.table: TableSchema.derive(f.table, f.record, _DERIVED.get(f.table, ()))
+    for f in RECORD_FAMILIES
 }
 
 #: Dataset attribute holding each table's records, in serialisation order.
-TABLE_ATTRS: dict[str, str] = {
-    "tput": "throughput_samples",
-    "rtt": "rtt_samples",
-    "test": "tests",
-    "ho": "handovers",
-    "passive": "passive_coverage",
-    "offload": "offload_runs",
-    "video": "video_runs",
-    "gaming": "gaming_runs",
-}
+TABLE_ATTRS: dict[str, str] = {f.table: f.attr for f in RECORD_FAMILIES}

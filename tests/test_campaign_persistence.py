@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import pathlib
 
 import pytest
 
@@ -111,6 +112,51 @@ class TestAtomicSave:
         assert list(tmp_path.iterdir()) == []
 
 
+_GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.jsonl.gz"
+
+
+def _golden_lines() -> list[dict]:
+    with gzip.open(_GOLDEN, "rt", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _gz(lines: list) -> bytes:
+    return gzip.compress(
+        "".join(json.dumps(obj) + "\n" for obj in lines).encode(), mtime=0
+    )
+
+
+def _edit_first(kind: str, edit) -> bytes:
+    """The golden file with the first ``kind`` record passed through ``edit``."""
+    lines = _golden_lines()
+    edit(next(obj for obj in lines if obj["kind"] == kind))
+    return _gz(lines)
+
+
+#: Malformed JSON-lines files, each of which must load as LogFormatError.
+MALFORMED = {
+    "plain_text": lambda: b"this is not gzip at all\n",
+    "truncated_gzip": lambda: _GOLDEN.read_bytes()[: _GOLDEN.stat().st_size // 2],
+    "unknown_enum_name": lambda: _edit_first("tput", lambda o: o.update(op="NOPE")),
+    "record_missing_field": lambda: _edit_first("rtt", lambda o: o.pop("rtt")),
+    "header_missing_seed": lambda: _edit_first("header", lambda o: o.pop("seed")),
+    "bad_record_json": lambda: gzip.compress(
+        gzip.decompress(_GOLDEN.read_bytes()) + b"{not json\n", mtime=0
+    ),
+    "header_array": lambda: _gz([[1, 2, 3]]),
+    "bad_cell_id": lambda: _edit_first("ho", lambda o: o.update(fc="VERIZON:LTE")),
+    "non_positive_handover_duration": lambda: _edit_first(
+        "ho", lambda o: o.update(dur=0.0)
+    ),
+    "header_counts_not_object": lambda: _edit_first(
+        "header", lambda o: o.update(connected_cells=[["VERIZON", 1]])
+    ),
+}
+
+#: Cases the decoder rejects by checking the JSON shape, with no cause.
+_REJECTED_BY_SHAPE = {"header_array", "header_counts_not_object"}
+
+
 class TestErrorHandling:
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "junk.gz"
@@ -146,6 +192,20 @@ class TestErrorHandling:
             fh.write(json.dumps({"kind": "mystery"}) + "\n")
         with pytest.raises(LogFormatError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_raises_log_format_error(self, case, tmp_path):
+        path = tmp_path / f"{case}.jsonl.gz"
+        path.write_bytes(MALFORMED[case]())
+        with pytest.raises(LogFormatError) as info:
+            load_dataset(path)
+        # A wrapped failure keeps its cause chained for diagnosis.
+        if case not in _REJECTED_BY_SHAPE:
+            assert info.value.__cause__ is not None
+
+    def test_missing_file_is_not_a_format_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "nowhere.jsonl.gz")
 
 
 class TestColumnarBackend:

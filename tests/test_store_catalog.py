@@ -90,6 +90,23 @@ class TestIngest:
         with pytest.raises(StoreError, match="unsupported catalog format"):
             Catalog(catalog.root)
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [obj],
+        lambda obj: {**obj, "partitions": [
+            {k: v for k, v in p.items() if k != "path"}
+            for p in obj["partitions"]
+        ]},
+        lambda obj: {**obj, "partitions": [["not", "an", "object"]]},
+        lambda obj: {**obj, "partitions": [{**obj["partitions"][0], "seed": "x"}]},
+    ], ids=["array", "partition_without_path", "partition_array", "bad_seed"])
+    def test_malformed_manifest_rejected(self, catalog, edit, capsys):
+        manifest = catalog.root / "catalog.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        with pytest.raises(StoreError, match="unreadable catalog manifest"):
+            Catalog(catalog.root)
+        assert store_main(["inspect", str(catalog.root)]) == 1
+        assert "store command failed" in capsys.readouterr().err
+
 
 class TestPruning:
     def test_seed_restriction_skips_partitions(self, catalog):
@@ -169,3 +186,9 @@ class TestCli:
             "--where", "operator===x", "--agg", "count",
         ]) == 1
         assert "cannot parse" in capsys.readouterr().err
+
+    def test_ingest_malformed_dataset_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl.gz"
+        bad.write_bytes(b"plain text, not a dataset\n")
+        assert store_main(["ingest", str(tmp_path / "store"), str(bad)]) == 1
+        assert "store command failed" in capsys.readouterr().err
