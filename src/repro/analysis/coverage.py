@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.geo.timezones import Timezone
@@ -95,12 +97,41 @@ def active_coverage_shares(
 
 
 def passive_coverage_shares(dataset: DriveDataset, operator: Operator) -> CoverageShares:
-    """Fig. 1 (passive view) — shares from the handover-logger phones."""
+    """Fig. 1 (passive view) — shares from the handover-logger phones.
+
+    A column-held passive table is summed without building rows (see
+    :func:`_passive_weights_from_columns`); the row loop is its oracle.
+    """
+    table = dataset.held_table("passive")
+    if table is not None:
+        return _shares_from_weights(
+            operator, _passive_weights_from_columns(table, operator)
+        )
     weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
     for seg in dataset.passive_coverage:
         if seg.operator is operator:
             weights[seg.tech] += seg.length_m
     return _shares_from_weights(operator, weights)
+
+
+def _passive_weights_from_columns(
+    table, operator: Operator
+) -> dict[RadioTechnology, float]:
+    """Per-technology segment length of ``operator`` from a passive
+    :class:`~repro.store.columnar.ColumnTable`, bit-identical to the row
+    loop: each technology's lengths are folded left to right from ``0.0``
+    (``np.cumsum`` adds sequentially, unlike the pairwise ``np.sum``)."""
+    of_operator = table.select("operator", lambda op: op is operator)
+    lengths = (table.arrays["end_m"] - table.arrays["start_m"])[of_operator]
+    position = {tech: i for i, tech in enumerate(ALL_TECHNOLOGIES)}
+    tech_of_code = np.asarray(
+        [position[tech] for tech in table.members("tech")], dtype=np.intp
+    )
+    techs = tech_of_code[table.arrays["tech"][of_operator]]
+    return {
+        tech: float(np.cumsum(np.concatenate(([0.0], lengths[techs == i])))[-1])
+        for i, tech in enumerate(ALL_TECHNOLOGIES)
+    }
 
 
 def passive_coverage_shares_from_store(

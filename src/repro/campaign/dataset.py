@@ -10,11 +10,22 @@ columns from these fields' types, and :data:`RECORD_FAMILIES` is the one
 list of record families that the codecs, the engine's merge and its
 record counts iterate.  A new field needs only a dataclass edit plus its
 short JSON key; a new family needs one more :data:`RECORD_FAMILIES` entry.
+
+A :class:`DriveDataset` holds each table either as a list of records or as
+a :class:`~repro.store.columnar.ColumnTable` (column arrays), never both.
+Datasets read from the columnar store, replayed from the shard cache or
+merged by the engine are column-held; reading a record-list attribute
+(``dataset.throughput_samples``) builds that table's records once, and from
+then on the list is the truth.  Hot paths use :meth:`DriveDataset.table`,
+:meth:`~DriveDataset.count` and the value helpers (:meth:`~DriveDataset.tput_values`,
+:meth:`~DriveDataset.rtt_values`), which answer from columns without
+building records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -243,9 +254,32 @@ class DriveDataset:
             and (timezone is None or s.timezone is timezone)
         ]
 
-    def tput_values(self, **kwargs: object) -> np.ndarray:
-        """Throughput values (Mbps) matching the same filters as :meth:`tput`."""
-        return np.asarray([s.tput_mbps for s in self.tput(**kwargs)], dtype=float)
+    def tput_values(
+        self,
+        operator: Operator | None = None,
+        direction: str | None = None,
+        static: bool | None = None,
+        techs: Iterable[RadioTechnology] | None = None,
+        server_kind: ServerKind | None = None,
+        timezone: Timezone | None = None,
+    ) -> np.ndarray:
+        """Throughput values (Mbps) matching the same filters as :meth:`tput`.
+
+        A column-held table answers with row masks, without building rows.
+        """
+        table = self.held_table("tput")
+        if table is None:
+            return np.asarray(
+                [s.tput_mbps for s in self.tput(
+                    operator, direction, static, techs, server_kind, timezone
+                )],
+                dtype=float,
+            )
+        return _masked(table, "tput_mbps", (
+            ("operator", operator), ("direction", direction),
+            ("static", static), ("tech", _tech_set(techs)),
+            ("server_kind", server_kind), ("timezone", timezone),
+        ))
 
     def rtts(
         self,
@@ -265,9 +299,27 @@ class DriveDataset:
             and (server_kind is None or s.server_kind is server_kind)
         ]
 
-    def rtt_values(self, **kwargs: object) -> np.ndarray:
-        """RTT values (ms) matching the same filters as :meth:`rtts`."""
-        return np.asarray([s.rtt_ms for s in self.rtts(**kwargs)], dtype=float)
+    def rtt_values(
+        self,
+        operator: Operator | None = None,
+        static: bool | None = None,
+        techs: Iterable[RadioTechnology] | None = None,
+        server_kind: ServerKind | None = None,
+    ) -> np.ndarray:
+        """RTT values (ms) matching the same filters as :meth:`rtts`.
+
+        A column-held table answers with row masks, without building rows.
+        """
+        table = self.held_table("rtt")
+        if table is None:
+            return np.asarray(
+                [s.rtt_ms for s in self.rtts(operator, static, techs, server_kind)],
+                dtype=float,
+            )
+        return _masked(table, "rtt_ms", (
+            ("operator", operator), ("static", static),
+            ("tech", _tech_set(techs)), ("server_kind", server_kind),
+        ))
 
     def tests_of(
         self,
@@ -301,6 +353,42 @@ class DriveDataset:
         for s in self.throughput_samples:
             grouped.setdefault(s.test_id, []).append(s)
         return grouped
+
+    # -- tables ----------------------------------------------------------------
+
+    def held_table(self, name: str):
+        """The named table's :class:`~repro.store.columnar.ColumnTable` if
+        the table is held as columns, else ``None`` (it is held as rows)."""
+        return self.__dict__.get(_FAMILY_OF_TABLE[name].columns_key)
+
+    def table(self, name: str):
+        """The named table as a :class:`~repro.store.columnar.ColumnTable`.
+
+        A column-held table returns its columns; a row-held one is shredded
+        afresh and nothing is cached, so the rows stay the only truth.
+        """
+        held = self.held_table(name)
+        if held is not None:
+            return held
+        # Imported here: the store derives its schemas from this module.
+        from repro.store.columnar import TABLE_SCHEMAS, ColumnTable
+
+        rows = getattr(self, _FAMILY_OF_TABLE[name].attr)
+        return ColumnTable.from_rows(TABLE_SCHEMAS[name], rows)
+
+    def set_table(self, table) -> None:
+        """Hold ``table`` (a :class:`~repro.store.columnar.ColumnTable`) as
+        the columns of its family, replacing that family's records."""
+        family = _FAMILY_OF_TABLE[table.name]
+        self.__dict__.pop(family.attr, None)
+        self.__dict__[family.columns_key] = table
+
+    def count(self, name: str) -> int:
+        """Rows in the named table, without building any."""
+        held = self.held_table(name)
+        if held is not None:
+            return held.count
+        return len(getattr(self, _FAMILY_OF_TABLE[name].attr))
 
     # -- summary -------------------------------------------------------------
 
@@ -358,6 +446,11 @@ class RecordFamily(NamedTuple):
     attr: str
     record: type
 
+    @property
+    def columns_key(self) -> str:
+        """Instance-dict key of the family's table while column-held."""
+        return f"{self.table}:columns"
+
 
 #: Every record family, in serialisation and merge order.
 RECORD_FAMILIES: tuple[RecordFamily, ...] = (
@@ -370,3 +463,66 @@ RECORD_FAMILIES: tuple[RecordFamily, ...] = (
     RecordFamily("video", "video_runs", VideoRunResult),
     RecordFamily("gaming", "gaming_runs", GamingRunResult),
 )
+
+_FAMILY_OF_TABLE: dict[str, RecordFamily] = {f.table: f for f in RECORD_FAMILIES}
+
+
+class _Records:
+    """The record-list attribute of one family on :class:`DriveDataset`.
+
+    A table is held either as a list of records (under the attribute's own
+    name in the instance dict) or as a column table (under the family's
+    :attr:`~RecordFamily.columns_key`), never both.  Reading the attribute
+    of a column-held table builds its records once and drops the columns:
+    the list is mutable, so from then on the rows are the truth.
+    Assigning a list replaces whatever the table held.
+    """
+
+    def __init__(self, family: RecordFamily) -> None:
+        self.attr = family.attr
+        self.columns_key = family.columns_key
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        state = obj.__dict__
+        if self.attr not in state:
+            state[self.attr] = state.pop(self.columns_key).rows()
+        return state[self.attr]
+
+    def __set__(self, obj, rows) -> None:
+        obj.__dict__.pop(self.columns_key, None)
+        obj.__dict__[self.attr] = rows
+
+
+for _family in RECORD_FAMILIES:
+    setattr(DriveDataset, _family.attr, _Records(_family))
+del _family
+
+
+def _tech_set(techs: Iterable[RadioTechnology] | None) -> frozenset | None:
+    return frozenset(techs) if techs is not None else None
+
+
+def _masked(table, column: str, criteria) -> np.ndarray:
+    """``column`` of the rows of a column table meeting every criterion.
+
+    ``criteria`` pairs a column with the filter value of the row-path
+    helpers: ``None`` matches everything, a frozenset is a membership test,
+    an enum member must be the same member, anything else must compare
+    equal.  Each test runs once per distinct value, through a row mask.
+    """
+    mask = None
+    for name, want in criteria:
+        if want is None:
+            continue
+        if isinstance(want, frozenset):
+            accept = want.__contains__
+        elif isinstance(want, Enum):
+            accept = lambda v, want=want: v is want  # noqa: E731
+        else:
+            accept = lambda v, want=want: v == want  # noqa: E731
+        selected = table.select(name, accept)
+        mask = selected if mask is None else mask & selected
+    values = table.arrays[column]
+    return np.array(values if mask is None else values[mask], dtype=float)

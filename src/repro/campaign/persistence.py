@@ -31,8 +31,8 @@ exactly, and a dataset read back from either saves to the same bytes.
 JSON-lines stays the default here (the archival interchange format), but it
 is not what the engine's shard cache and checkpoints store: those entries
 are ``data.rcol`` columnar files (:mod:`repro.engine.checkpoint`), because
-the columnar reader rebuilds a shard column by column, about twice as fast
-as parsing one JSON line per record, at about twice the disk footprint.
+the columnar reader replays a shard as column arrays without building a
+record, at about twice the disk footprint.
 """
 
 from __future__ import annotations

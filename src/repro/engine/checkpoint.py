@@ -23,9 +23,12 @@ On-disk layout (one entry per shard, fanned out by key prefix)::
                       wall time, record count, worker metrics snapshot
 
 Entries are columnar because replay is the hot path of a warm sweep:
-:func:`~repro.store.format.read_dataset` rebuilds a shard column by column,
-about twice as fast as parsing one JSON line per record.  The price is
-disk: an ``.rcol`` entry takes about twice the bytes of the gzipped
+:func:`~repro.store.format.read_dataset` decodes a shard into column arrays
+(validating every column and dictionary member) and builds no record at
+all — the shard's dataset holds each table as a
+:class:`~repro.store.columnar.ColumnTable`, the merge concatenates those
+columns, and records are only built if someone reads a record list.  The
+price is disk: an ``.rcol`` entry takes about twice the bytes of the gzipped
 JSON-lines it replaced (1.15 MB → 2.25 MB for the 22 shards of a 2-seed,
 scale-0.004 sweep with 600 km windows), so a given ``max_bytes`` holds
 about half as many entries.  Entries of checkpoint version 1
@@ -154,19 +157,37 @@ def shard_meta(result: ShardResult, fingerprint: str) -> dict:
     return meta
 
 
+def _cell_counts(obj) -> dict[Operator, int]:
+    """Per-operator cell counts of a sidecar; ``ValueError`` unless every
+    entry maps an operator name to a non-negative integer."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"cell counts must be an object, got {obj!r}")
+    counts = {}
+    for name, n in obj.items():
+        if name not in Operator.__members__ or not (
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0
+        ):
+            raise ValueError(f"bad cell count {name!r}: {n!r}")
+        counts[Operator[name]] = n
+    return counts
+
+
 def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
-    """Rebuild a :class:`ShardResult` from its sidecar and dataset."""
+    """Rebuild a :class:`ShardResult` from its sidecar and dataset.
+
+    Raises ``ValueError`` when a sidecar field has the wrong type, so a
+    damaged sidecar is a cache miss, never a crash or a wrong merge.
+    """
+    wall_s = meta.get("wall_s", 0.0)
+    if isinstance(wall_s, bool) or not isinstance(wall_s, (int, float)):
+        raise ValueError(f"bad wall_s {wall_s!r}")
     metrics = meta.get("metrics")
     return ShardResult(
         index=index,
         dataset=dataset,
-        active_cells={
-            Operator[name]: n for name, n in meta.get("active_cells", {}).items()
-        },
-        macro_cells={
-            Operator[name]: n for name, n in meta.get("macro_cells", {}).items()
-        },
-        wall_s=float(meta.get("wall_s", 0.0)),
+        active_cells=_cell_counts(meta.get("active_cells", {})),
+        macro_cells=_cell_counts(meta.get("macro_cells", {})),
+        wall_s=float(wall_s),
         metrics=metrics if isinstance(metrics, dict) else None,
     )
 
@@ -254,6 +275,8 @@ class ShardCache:
         meta_path = entry / self.META_NAME
         try:
             meta = json.loads(meta_path.read_text())
+            if not isinstance(meta, dict):
+                raise ValueError("cache sidecar is not a JSON object")
             if (
                 meta.get("fingerprint") != fingerprint
                 or meta.get("seed") != seed

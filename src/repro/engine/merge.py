@@ -3,10 +3,14 @@
 The merger concatenates every record family in **canonical shard order**
 (passive shard first, then windows by ascending index) regardless of the
 order shards completed in — so the merged dataset is a pure function of the
-shard results.  Because each window owns a disjoint, deterministic test-id
-namespace (``(index+1) * TEST_ID_STRIDE``), no renumbering pass is needed
-and referential integrity (samples → tests, handovers → tests) is preserved
-by construction.
+shard results.  It works on columns: each family's shard tables
+(:class:`~repro.store.columnar.ColumnTable`, replayed from the shard cache
+as columns or shredded from a computed shard's records) are concatenated
+into one column-held table, and records are only built if a caller reads
+a record list of the merged dataset.  Because each window owns a
+disjoint, deterministic test-id namespace (``(index+1) * TEST_ID_STRIDE``),
+no renumbering pass is needed and referential integrity (samples → tests,
+handovers → tests) is preserved by construction.
 
 Boundary semantics: each window starts with freshly-attached UE sessions, so
 no handover event ever spans a shard boundary — the same reconnect the
@@ -18,12 +22,15 @@ than emitting a silently inconsistent dataset.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
 from repro.campaign.runner import CampaignConfig
 from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, TEST_ID_STRIDE
 from repro.engine.worker import ShardResult
 from repro.errors import EngineError
 from repro.radio.operators import Operator
+from repro.store.columnar import ColumnTable
 
 __all__ = ["merge_shard_results"]
 
@@ -53,24 +60,29 @@ def merge_shard_results(
     ordered = [results[PASSIVE_SHARD_INDEX]]
     ordered += [results[w.index] for w in plan.windows]
 
-    for window, result in zip(plan.windows, ordered[1:]):
+    # Row-held (freshly computed) shards are shredded once, here.
+    tables = {
+        family.table: [result.dataset.table(family.table) for result in ordered]
+        for family in RECORD_FAMILIES
+    }
+    for window, table in zip(plan.windows, tables["test"][1:]):
         base = (window.index + 1) * TEST_ID_STRIDE
-        for test in result.dataset.tests:
-            if not base < test.test_id <= base + TEST_ID_STRIDE:
-                raise EngineError(
-                    f"shard {window.index} produced test id {test.test_id} "
-                    f"outside its namespace ({base}, {base + TEST_ID_STRIDE}]",
-                    shard_index=window.index,
-                )
+        ids = table.arrays["test_id"]
+        outside = np.flatnonzero((ids <= base) | (ids > base + TEST_ID_STRIDE))
+        if outside.size:
+            raise EngineError(
+                f"shard {window.index} produced test id {int(ids[outside[0]])} "
+                f"outside its namespace ({base}, {base + TEST_ID_STRIDE}]",
+                shard_index=window.index,
+            )
 
     merged = DriveDataset(
         seed=config.seed,
         scale=config.scale,
         route_length_km=route_length_km,
     )
-    for result in ordered:
-        for family in RECORD_FAMILIES:
-            getattr(merged, family.attr).extend(getattr(result.dataset, family.attr))
+    for shard_tables in tables.values():
+        merged.set_table(ColumnTable.concat(shard_tables))
 
     passive = results[PASSIVE_SHARD_INDEX]
     merged.passive_handover_counts = dict(passive.dataset.passive_handover_counts)

@@ -116,7 +116,7 @@ class ShardResult:
 
     @property
     def records(self) -> int:
-        return sum(len(getattr(self.dataset, f.attr)) for f in RECORD_FAMILIES)
+        return sum(self.dataset.count(f.table) for f in RECORD_FAMILIES)
 
 
 def _maybe_fail(task: ShardTask) -> None:

@@ -9,9 +9,9 @@ type annotation (``int``, ``float``, ``bool``, ``str``, an enum, or a
 dataclass flattens), so a new field needs only a dataclass edit (plus its
 short key in the JSON-lines codec).  The column kinds are:
 
-* **f8** — IEEE-754 doubles packed with :mod:`array` (``'d'``); exact
-  round-trip of every Python float, including NaN and infinities;
-* **i8** — signed 64-bit integers (``'q'``);
+* **f8** — little-endian IEEE-754 doubles; exact round-trip of every
+  Python float, including NaN and infinities;
+* **i8** — little-endian signed 64-bit integers;
 * **bool** — one byte per value;
 * **dict** — dictionary encoding for low-cardinality strings (operator,
   technology, region, timezone, server kind, direction, cell ids): the
@@ -31,6 +31,15 @@ touching the column bytes.
 
 Encoding is fully deterministic (no timestamps, no hashing order), which
 keeps store files byte-stable: equal datasets serialise to equal bytes.
+
+A :class:`ColumnTable` is one table held in memory as column arrays (dict
+columns as codes plus their string values).  It is the one route between
+records and bytes: :meth:`ColumnTable.from_rows` is the only place record
+getters run, :meth:`ColumnTable.encode` (through :func:`encode_array`) the
+only encoder, and :meth:`ColumnTable.rows` the only place records are
+rebuilt from columns.  :meth:`ColumnTable.concat` merges shard tables by
+joining their dictionaries in first-appearance order, so a merged table
+encodes to exactly the bytes its concatenated records would.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing
-from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
@@ -53,11 +61,13 @@ from repro.radio.technology import RadioTechnology
 
 __all__ = [
     "ColumnSpec",
+    "ColumnTable",
     "ColumnStats",
     "EncodedColumn",
     "TableSchema",
     "TABLE_SCHEMAS",
     "TABLE_ATTRS",
+    "encode_array",
     "encode_column",
     "decode_column",
     "decode_dict_codes",
@@ -230,49 +240,112 @@ def _encode_int_like(
     )
 
 
-def encode_column(spec: ColumnSpec, raw_values: list[Any]) -> EncodedColumn:
-    """Encode one column of raw per-record values."""
+def _dictionary_codes(raw_values: list[Any]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes and distinct string values (first-appearance order) of raw
+    dict-column values: enum members by name, anything else by ``str``."""
+    # Key on the value objects themselves, so an enum's ``.name`` is
+    # computed once per distinct member rather than once per row.
+    index: dict[Any, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(v, len(index)) for v in raw_values),
+        dtype=np.uint32, count=len(raw_values),
+    )
+    names = [v.name if isinstance(v, enum.Enum) else str(v) for v in index]
+    table = dict.fromkeys(names)
+    if len(table) != len(names):
+        # Distinct objects sharing one string form (say a member and its
+        # name) must share one code, exactly as if keyed on the string.
+        first = {name: code for code, name in enumerate(table)}
+        codes = np.asarray([first[name] for name in names], np.uint32)[codes]
+    return codes, tuple(table)
+
+
+def _column_array(
+    spec: ColumnSpec, raw_values: list[Any]
+) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """One column of raw per-record values as an array.
+
+    Returns float64 (f8), int64 (i8), ``bool`` (bool) or dictionary codes
+    (dict), plus the dict column's distinct string values (``None`` for the
+    other kinds).  This is the only conversion from Python values to
+    column arrays; everything after it is array code.
+    """
     n = len(raw_values)
     if spec.kind == "f8":
-        packed = array("d", [float(v) for v in raw_values])
-        arr = np.frombuffer(packed.tobytes(), dtype="<f8")
+        return np.fromiter(map(float, raw_values), np.float64, count=n), None
+    if spec.kind == "i8":
+        return np.fromiter(map(int, raw_values), np.int64, count=n), None
+    if spec.kind == "bool":
+        return np.fromiter(map(bool, raw_values), np.bool_, count=n), None
+    if spec.kind == "dict":
+        return _dictionary_codes(raw_values)
+    raise StoreError(f"unknown column kind {spec.kind!r} for {spec.name!r}")
+
+
+def _first_appearance(
+    codes: np.ndarray, values: tuple[str, ...]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The dictionary of ``codes`` in first-appearance order, every value
+    used and distinct — the dictionary encoding the rows would build."""
+    k = len(values)
+    if codes.size == 0:
+        return codes, ()
+    run_max = np.maximum.accumulate(codes)
+    if (
+        int(codes[0]) == 0
+        and int(run_max[-1]) == k - 1
+        and bool((np.diff(run_max) <= 1).all())
+        and len(set(values)) == k
+    ):
+        return codes, values  # already canonical: the common case
+    first: dict[str, int] = {}
+    merged = np.asarray(
+        [first.setdefault(v, i) for i, v in enumerate(values)], dtype=np.int64
+    )[codes]
+    used, first_row = np.unique(merged, return_index=True)
+    order = used[np.argsort(first_row, kind="stable")]
+    renumber = np.zeros(k, dtype=np.int64)
+    renumber[order] = np.arange(order.size)
+    return renumber[merged], tuple(values[c] for c in order.tolist())
+
+
+def encode_array(
+    spec: ColumnSpec, arr: np.ndarray, values: tuple[str, ...] | None = None
+) -> EncodedColumn:
+    """Encode one column array (see :func:`_column_array` for the forms);
+    a dict column's ``values`` are the strings its codes index."""
+    if spec.kind == "f8":
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         return EncodedColumn(
-            name=spec.name, kind="f8", codec="plain", width=8, count=n,
-            payload=packed.tobytes(), stats=_numeric_stats(arr),
+            name=spec.name, kind="f8", codec="plain", width=8,
+            count=int(arr.size), payload=arr.tobytes(),
+            stats=_numeric_stats(arr),
         )
     if spec.kind == "i8":
-        arr = np.asarray([int(v) for v in raw_values], dtype="<i8")
+        arr = np.asarray(arr, dtype="<i8")
         return _encode_int_like(
             spec.name, "i8", arr, 8, "<i8", _numeric_stats(arr)
         )
     if spec.kind == "bool":
-        arr = np.asarray([1 if v else 0 for v in raw_values], dtype="<u1")
+        arr = np.asarray(arr != 0, dtype="<u1")
         return _encode_int_like(
             spec.name, "bool", arr, 1, "<u1", _numeric_stats(arr)
         )
     if spec.kind == "dict":
-        # Key on the value objects themselves, so an enum's ``.name`` is
-        # computed once per distinct member rather than once per row.
-        index: dict[Any, int] = {}
-        codes = np.asarray(
-            [index.setdefault(v, len(index)) for v in raw_values], dtype="<u4"
-        )
-        names = [v.name if isinstance(v, enum.Enum) else str(v) for v in index]
-        table = dict.fromkeys(names)
-        if len(table) != len(names):
-            # Distinct objects sharing one string form (say a member and its
-            # name) must share one code, exactly as if keyed on the string.
-            first = {name: code for code, name in enumerate(table)}
-            codes = np.asarray([first[name] for name in names], "<u4")[codes]
-        cardinality = max(len(table), 1)
+        codes, values = _first_appearance(np.asarray(arr), tuple(values or ()))
+        cardinality = max(len(values), 1)
         width = 1 if cardinality <= 0xFF else 2 if cardinality <= 0xFFFF else 4
         codes = codes.astype(_CODE_DTYPES[width])
         return _encode_int_like(
             spec.name, "dict", codes, width, _CODE_DTYPES[width],
-            ColumnStats(nulls=0, min=None, max=None),
-            values=tuple(table),
+            ColumnStats(nulls=0, min=None, max=None), values=values,
         )
     raise StoreError(f"unknown column kind {spec.kind!r} for {spec.name!r}")
+
+
+def encode_column(spec: ColumnSpec, raw_values: list[Any]) -> EncodedColumn:
+    """Encode one column of raw per-record values."""
+    return encode_array(spec, *_column_array(spec, raw_values))
 
 
 # -- decoding -----------------------------------------------------------------
@@ -374,8 +447,12 @@ def decode_dict_column(entry: dict, payload: bytes | memoryview) -> list[str]:
 #: dict columns.
 _KINDS = {int: "i8", float: "f8", bool: "bool", str: "dict"}
 
-#: Properties materialised as derived columns, by table.
-_DERIVED = {"passive": ("length_m",)}
+#: Properties materialised as derived columns, by table: each computes its
+#: column from the table's stored column arrays, as the property does from
+#: one record's fields.
+_DERIVED: dict[str, dict[str, Callable[[Mapping[str, np.ndarray]], np.ndarray]]] = {
+    "passive": {"length_m": lambda cols: cols["end_m"] - cols["start_m"]},
+}
 
 
 def _cell_to_str(cid: CellId) -> str:
@@ -432,19 +509,28 @@ class TableSchema:
     #: Per constructor argument of ``record``: a column name, or a
     #: ``(class, layout)`` pair for a nested dataclass field.
     layout: tuple = field(repr=False)
+    #: Array form of each derived column, from the stored column arrays.
+    derivations: dict[str, Callable[[Mapping[str, np.ndarray]], np.ndarray]] = (
+        field(repr=False, default_factory=dict)
+    )
 
     @classmethod
     def derive(
-        cls, name: str, record: type, derived: Sequence[str] = ()
+        cls,
+        name: str,
+        record: type,
+        derived: Mapping[str, Callable[[Mapping[str, np.ndarray]], np.ndarray]]
+        | None = None,
     ) -> "TableSchema":
         """The schema of ``record``: one column per field, in field order.
 
         Field types map to column kinds (``int`` → i8, ``float`` → f8,
         ``bool`` → bool, ``str``/enum/:class:`CellId` → dict); a nested
         dataclass field (a handover's ``event``) flattens into its own
-        fields.  ``derived`` names properties stored as extra columns for
-        queries but never fed back to the constructor.  Any other
-        annotation raises :class:`TypeError`, so no field is dropped.
+        fields.  ``derived`` maps properties stored as extra columns for
+        queries (but never fed back to the constructor) to their array
+        form.  Any other annotation raises :class:`TypeError`, so no field
+        is dropped.
         """
         columns: list[ColumnSpec] = []
         getters: dict[str, Callable[[Any], Any]] = {}
@@ -463,6 +549,7 @@ class TableSchema:
             return tuple(layout)
 
         layout = walk(record, "")
+        derived = dict(derived or {})
         for prop in derived:
             tp = typing.get_type_hints(getattr(record, prop).fget)["return"]
             columns.append(
@@ -471,7 +558,7 @@ class TableSchema:
             getters[prop] = attrgetter(prop)
         if len(getters) != len(columns):
             raise TypeError(f"{record.__name__}: duplicate column names")
-        return cls(name, tuple(columns), getters, record, layout)
+        return cls(name, tuple(columns), getters, record, layout, derived)
 
     def column(self, name: str) -> ColumnSpec:
         for spec in self.columns:
@@ -482,12 +569,14 @@ class TableSchema:
             f"known: {[c.name for c in self.columns]}"
         )
 
+    @property
+    def stored(self) -> tuple[ColumnSpec, ...]:
+        """The non-derived columns: what a :class:`ColumnTable` holds."""
+        return tuple(spec for spec in self.columns if not spec.derived)
+
     def shred(self, records: list[Any]) -> list[EncodedColumn]:
         """Encode the records column by column."""
-        return [
-            encode_column(spec, list(map(self.getters[spec.name], records)))
-            for spec in self.columns
-        ]
+        return ColumnTable.from_rows(self, records).encode()
 
     def build(self, columns: Mapping[str, list[Any]]) -> list[Any]:
         """The table's records from whole decoded columns, keyed by name
@@ -495,9 +584,142 @@ class TableSchema:
         return list(_assemble(self.record, self.layout, columns))
 
 
+#: numpy dtype kinds a :class:`ColumnTable` holds each column kind as.
+_ARRAY_KINDS = {"f8": "f", "i8": "i", "bool": "b", "dict": "ui"}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ColumnTable:
+    """One table held as column arrays instead of record objects.
+
+    ``arrays`` holds one array per stored (non-derived) column of the
+    table's schema: float64 for f8, int64 for i8, ``bool`` for bool, and
+    integer codes for dict columns, whose string values (in code order)
+    are in ``values``.  Arrays are read-only, so a table can be shared
+    (between datasets, or between a dataset and its shallow copy) safely.
+
+    :meth:`from_rows` is the only place records become columns, and
+    :meth:`rows` the only place columns become records again.
+    """
+
+    name: str
+    count: int
+    arrays: Mapping[str, np.ndarray]
+    values: Mapping[str, tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        for spec in self.schema.stored:
+            arr = self.arrays[spec.name]
+            if arr.shape != (self.count,):
+                raise StoreError(
+                    f"column {spec.name!r} holds {arr.size} values, table "
+                    f"{self.name!r} has {self.count} rows"
+                )
+            if arr.dtype.kind not in _ARRAY_KINDS[spec.kind]:
+                raise StoreError(
+                    f"column {spec.name!r} ({spec.kind}) cannot be held as "
+                    f"a {arr.dtype} array"
+                )
+            arr.flags.writeable = False
+
+    @property
+    def schema(self) -> TableSchema:
+        return TABLE_SCHEMAS[self.name]
+
+    @classmethod
+    def from_rows(cls, schema: TableSchema, records: list[Any]) -> "ColumnTable":
+        """Shred records into columns (the schema's getters, one pass each)."""
+        arrays: dict[str, np.ndarray] = {}
+        values: dict[str, tuple[str, ...]] = {}
+        for spec in schema.stored:
+            raw = list(map(schema.getters[spec.name], records))
+            arrays[spec.name], dictionary = _column_array(spec, raw)
+            if dictionary is not None:
+                values[spec.name] = dictionary
+        return cls(schema.name, len(records), arrays, values)
+
+    @classmethod
+    def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
+        """The tables' rows one after another, as one table.
+
+        Dictionaries join in first-appearance order and codes are remapped
+        into the joined dictionary, so encoding the result gives exactly
+        the bytes encoding the concatenated records would.
+        """
+        first = tables[0]
+        if any(t.name != first.name for t in tables):
+            raise StoreError(
+                f"cannot concatenate tables {sorted({t.name for t in tables})}"
+            )
+        arrays: dict[str, np.ndarray] = {}
+        values: dict[str, tuple[str, ...]] = {}
+        for spec in first.schema.stored:
+            parts = [t.arrays[spec.name] for t in tables]
+            if spec.kind == "dict":
+                joined: dict[str, int] = {}
+                for k, t in enumerate(tables):
+                    dictionary = t.values[spec.name]
+                    remap = np.fromiter(
+                        (joined.setdefault(v, len(joined)) for v in dictionary),
+                        dtype=np.uint32, count=len(dictionary),
+                    )
+                    parts[k] = remap[parts[k]]
+                values[spec.name] = tuple(joined)
+            arrays[spec.name] = np.concatenate(parts)
+        return cls(first.name, sum(t.count for t in tables), arrays, values)
+
+    def members(self, column: str) -> list[Any]:
+        """A dict column's Python values (enum members, cell ids, strings)
+        in code order."""
+        return self.schema.column(column).members(self.values[column])
+
+    def select(self, column: str, accept: Callable[[Any], bool]) -> np.ndarray:
+        """Row mask of a dict or bool column: ``accept`` runs once per
+        distinct value (a member, a string, ``True``/``False``), not per row."""
+        spec = self.schema.column(column)
+        arr = self.arrays[column]
+        if spec.kind == "bool":
+            return np.where(arr, bool(accept(True)), bool(accept(False)))
+        if spec.kind != "dict":
+            raise StoreError(f"column {column!r} is {spec.kind}, not dict/bool")
+        members = self.members(column)
+        lookup = np.fromiter(map(accept, members), np.bool_, count=len(members))
+        return lookup[arr]
+
+    def rows(self) -> list[Any]:
+        """The table's records, built a whole column at a time: dictionary
+        codes map through a member table built once per column."""
+        columns: dict[str, list[Any]] = {}
+        for spec in self.schema.stored:
+            arr = self.arrays[spec.name]
+            if spec.kind == "dict":
+                members = self.members(spec.name)
+                table = np.empty(len(members), dtype=object)
+                for code, member in enumerate(members):
+                    table[code] = member
+                columns[spec.name] = table[arr].tolist()
+            else:
+                columns[spec.name] = arr.tolist()
+        return self.schema.build(columns)
+
+    def encode(self) -> list[EncodedColumn]:
+        """Every column of the table encoded, derived columns included."""
+        schema = self.schema
+        return [
+            encode_array(
+                spec,
+                schema.derivations[spec.name](self.arrays)
+                if spec.derived
+                else self.arrays[spec.name],
+                self.values.get(spec.name),
+            )
+            for spec in schema.columns
+        ]
+
+
 #: Columnar schema of every record family, keyed by table name.
 TABLE_SCHEMAS: dict[str, TableSchema] = {
-    f.table: TableSchema.derive(f.table, f.record, _DERIVED.get(f.table, ()))
+    f.table: TableSchema.derive(f.table, f.record, _DERIVED.get(f.table, {}))
     for f in RECORD_FAMILIES
 }
 

@@ -22,12 +22,18 @@ counts are stored as ``[name, count]`` pair lists, not objects, so their
 order survives the sorted keys: a read-back dataset saves to the same bytes
 as the one that was written.
 
-:func:`read_dataset` rebuilds records a whole column at a time: each column
-decodes once, dictionary codes map through a member table built once per
-column from the footer's distinct values (enum lookups and cell-id parses
-run once per distinct value, not per row), and each table's records come
-from one ``map(cls, *columns)``.  That makes it the fast way to replay a
-dataset, which is why the engine's shard cache stores ``.rcol`` entries.
+:func:`read_dataset` builds no records: it decodes every column once into
+an in-memory array and returns a dataset whose tables are held as
+:class:`~repro.store.columnar.ColumnTable` objects.  Every check still runs
+at read time — column kinds and lengths, dictionary code ranges, and each
+distinct dictionary value as an enum member or cell id — so a corrupt file
+fails here, never later when rows are built.  Records appear only when a
+caller reads a record list (:class:`~repro.campaign.dataset.DriveDataset`
+builds them then, a whole column at a time).  That makes it the fast way
+to replay a dataset, which is why the engine's shard cache stores
+``.rcol`` entries.  :func:`write_dataset` encodes each table from
+``dataset.table(name)``: the held columns, or columns shredded from the
+records.
 
 ``schema_version`` (the ``format`` footer field) is checked on open, the
 same contract as ``EngineReport``/``SweepReport``; every structural change
@@ -50,10 +56,10 @@ from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
 from repro.radio.operators import Operator
 from repro.store.columnar import (
-    TABLE_ATTRS,
     TABLE_SCHEMAS,
-    ColumnSpec,
     ColumnStats,
+    ColumnTable,
+    TableSchema,
     decode_column,
     decode_dict_codes,
 )
@@ -90,15 +96,14 @@ def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> None:
     tables: dict[str, Any] = {}
     chunks: list[bytes] = []
     offset = len(STORE_MAGIC)
-    for table_name, schema in TABLE_SCHEMAS.items():
-        records = getattr(dataset, TABLE_ATTRS[table_name])
-        encoded = schema.shred(records)
+    for table_name in TABLE_SCHEMAS:
+        table = dataset.table(table_name)
         columns = []
-        for col in encoded:
+        for col in table.encode():
             columns.append(col.footer_entry(offset))
             chunks.append(col.payload)
             offset += len(col.payload)
-        tables[table_name] = {"count": len(records), "columns": columns}
+        tables[table_name] = {"count": table.count, "columns": columns}
     footer = {
         "format": STORE_FORMAT_VERSION,
         "meta": {
@@ -156,6 +161,54 @@ def _operator_counts(obj: Any, path: pathlib.Path) -> dict[Operator, int]:
         raise StoreError(f"bad operator counts in footer of {path}") from exc
 
 
+def _is_size(value: Any) -> bool:
+    """A non-negative JSON integer (``true``/``false`` are not sizes)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _footer_problem(footer: dict) -> str | None:
+    """What is structurally wrong with a parsed footer, or ``None``.
+
+    Checks the shape :func:`write_dataset` gives every footer — a ``meta``
+    object and a ``tables`` object whose tables hold a row count and a list
+    of column entries with sizes, offsets and string names — so a reader
+    never trips over a wrong JSON type later.
+    """
+    if not isinstance(footer.get("meta", {}), dict):
+        return "meta is not an object"
+    tables = footer.get("tables")
+    if not isinstance(tables, dict):
+        return "tables is not an object"
+    for name, table in tables.items():
+        if not isinstance(table, dict):
+            return f"table {name!r} is not an object"
+        if not _is_size(table.get("count")):
+            return f"table {name!r} has no row count"
+        columns = table.get("columns")
+        if not isinstance(columns, list):
+            return f"table {name!r} has no column list"
+        seen: set[str] = set()
+        for col in columns:
+            if not isinstance(col, dict) or not isinstance(col.get("name"), str):
+                return f"table {name!r} has a column entry without a name"
+            where = f"column {col['name']!r} of table {name!r}"
+            if col["name"] in seen:
+                return f"{where} appears twice"
+            seen.add(col["name"])
+            if not isinstance(col.get("kind"), str) or not isinstance(
+                col.get("codec", "plain"), str
+            ):
+                return f"{where} has no kind or codec"
+            for key in ("count", "offset", "nbytes", "width"):
+                if not _is_size(col.get(key)):
+                    return f"{where} has a bad {key}"
+            if not isinstance(col.get("stats", {}), dict):
+                return f"{where} has bad stats"
+            if not isinstance(col.get("values", []), list):
+                return f"{where} has bad dictionary values"
+    return None
+
+
 class TableReader:
     """Column-level access to one table of an open store file."""
 
@@ -200,33 +253,39 @@ class TableReader:
         entry = self.column_entry(name)
         return decode_column(entry, self._payload(entry))
 
-    def values(self, spec: ColumnSpec) -> list[Any]:
-        """Decode a whole column to Python values: ``float``, ``int``,
-        ``bool``, or the dictionary members of ``spec`` (enum members,
-        parsed cell ids, strings), one per row."""
-        entry = self.column_entry(spec.name)
-        if entry["kind"] != spec.kind:
-            raise StoreError(
-                f"column {spec.name!r} of table {self.name!r} is "
-                f"{entry['kind']}, schema says {spec.kind}"
-            )
-        if spec.kind == "dict":
-            table = spec.members(entry.get("values", []))
-            codes = decode_dict_codes(entry, self._payload(entry))
-            members = np.empty(len(table), dtype=object)
-            for code, member in enumerate(table):
-                members[code] = member
-            column = members[codes].tolist()
-        elif spec.kind == "bool":
-            column = (self.array(spec.name) != 0).tolist()
-        else:
-            column = self.array(spec.name).tolist()
-        if len(column) != self.count:
-            raise StoreError(
-                f"column {spec.name!r} holds {len(column)} values, table "
-                f"{self.name!r} has {self.count} rows (corrupt file)"
-            )
-        return column
+    def load(self, schema: TableSchema) -> ColumnTable:
+        """Decode every stored column of ``schema`` into memory, validated.
+
+        Each column must have the schema's kind and the table's row count;
+        a dict column's codes must index its dictionary, and every
+        dictionary value must be a valid member (enum name, cell id), so a
+        corrupt file fails here rather than when rows are built later.
+        """
+        arrays: dict[str, np.ndarray] = {}
+        values: dict[str, tuple[str, ...]] = {}
+        for spec in schema.stored:
+            entry = self.column_entry(spec.name)
+            if entry["kind"] != spec.kind:
+                raise StoreError(
+                    f"column {spec.name!r} of table {self.name!r} is "
+                    f"{entry['kind']}, schema says {spec.kind}"
+                )
+            if spec.kind == "dict":
+                spec.members(entry.get("values", []))
+                values[spec.name] = tuple(entry.get("values", ()))
+                arr = decode_dict_codes(entry, self._payload(entry))
+            else:
+                arr = self.array(spec.name)
+                if spec.kind == "bool":
+                    arr = arr != 0
+            if arr.size != self.count:
+                raise StoreError(
+                    f"column {spec.name!r} holds {arr.size} values, table "
+                    f"{self.name!r} has {self.count} rows (corrupt file)"
+                )
+            # Copy out of the map: the table outlives the reader.
+            arrays[spec.name] = np.array(arr)
+        return ColumnTable(self.name, self.count, arrays, values)
 
 
 class DatasetReader:
@@ -249,19 +308,26 @@ class DatasetReader:
             except ValueError as exc:  # zero-length file cannot be mapped
                 raise StoreError(f"not a store file (empty): {self.path}") from exc
             self._footer = self._parse_footer()
+            meta = self._footer.get("meta", {})
+            try:
+                self.seed: int = int(meta.get("seed", 0))
+                self.scale: float = float(meta.get("scale", 0.0))
+                self.route_length_km: float = float(
+                    meta.get("route_length_km", 0.0)
+                )
+            except (TypeError, ValueError) as exc:
+                raise StoreError(
+                    f"bad dataset metadata in footer of {self.path}"
+                ) from exc
+            self.passive_handover_counts: dict[Operator, int] = (
+                _operator_counts(meta.get("passive_handover_counts", []), self.path)
+            )
+            self.connected_cells: dict[Operator, int] = _operator_counts(
+                meta.get("connected_cells", []), self.path
+            )
         except Exception:
             self.close()
             raise
-        meta = self._footer.get("meta", {})
-        self.seed: int = int(meta.get("seed", 0))
-        self.scale: float = float(meta.get("scale", 0.0))
-        self.route_length_km: float = float(meta.get("route_length_km", 0.0))
-        self.passive_handover_counts: dict[Operator, int] = _operator_counts(
-            meta.get("passive_handover_counts", []), self.path
-        )
-        self.connected_cells: dict[Operator, int] = _operator_counts(
-            meta.get("connected_cells", []), self.path
-        )
         self._tables: dict[str, TableReader] = {}
 
     # -- low-level ----------------------------------------------------------
@@ -303,6 +369,9 @@ class DatasetReader:
                 f"unsupported store format {version!r} (this build reads "
                 f"{[*_LEGACY_FORMATS, STORE_FORMAT_VERSION]}): {self.path}"
             )
+        problem = _footer_problem(footer)
+        if problem is not None:
+            raise StoreError(f"malformed footer ({problem}): {self.path}")
         return footer
 
     def _slice(self, offset: int, nbytes: int, column: str) -> memoryview:
@@ -365,12 +434,14 @@ class DatasetReader:
 
 
 def read_dataset(path: str | pathlib.Path) -> DriveDataset:
-    """Materialise the full row-object dataset from a store file.
+    """Read a store file into a column-held dataset.
 
-    The exact inverse of :func:`write_dataset`: every record compares equal
-    to the one that was written (floats round-trip bit-for-bit, fields keep
-    their Python types) and saves to the same bytes.  Records are built a
-    whole column at a time (see the module docstring).
+    The exact inverse of :func:`write_dataset`: every table is held as a
+    :class:`~repro.store.columnar.ColumnTable` (decoded and validated
+    here, see :meth:`TableReader.load`), and its records — built on first
+    access to the record list — compare equal to the ones that were
+    written (floats round-trip bit-for-bit, fields keep their Python
+    types).  The dataset saves to the same bytes in either format.
     """
     with DatasetReader(path) as reader:
         dataset = DriveDataset(
@@ -381,11 +452,5 @@ def read_dataset(path: str | pathlib.Path) -> DriveDataset:
             connected_cells=dict(reader.connected_cells),
         )
         for table_name, schema in TABLE_SCHEMAS.items():
-            table = reader.table(table_name)
-            columns = {
-                spec.name: table.values(spec)
-                for spec in schema.columns
-                if not spec.derived
-            }
-            setattr(dataset, TABLE_ATTRS[table_name], schema.build(columns))
+            dataset.set_table(reader.table(table_name).load(schema))
         return dataset

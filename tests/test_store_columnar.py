@@ -12,6 +12,7 @@ from repro.store.columnar import (
     ColumnSpec,
     decode_column,
     decode_dict_column,
+    encode_array,
     encode_column,
 )
 from repro.radio.operators import Operator
@@ -97,6 +98,17 @@ class TestSeededRandomRoundTrip:
         b = encode_column(ColumnSpec("x", "f8"), list(values))
         assert a.payload == b.payload
         assert a.footer_entry(0) == b.footer_entry(0)
+
+
+class TestArrayEncoder:
+    def test_dictionary_rederived_in_first_appearance_order(self):
+        """Codes over a dictionary that is out of order, has an unused
+        value and repeats a value encode exactly as their strings would."""
+        spec = ColumnSpec("x", "dict")
+        codes = np.array([1, 3, 1, 0], dtype=np.uint8)
+        got = encode_array(spec, codes, ("b", "a", "unused", "b"))
+        assert got == encode_column(spec, ["a", "b", "a", "b"])
+        assert got.values == ("a", "b")
 
 
 class TestCorruption:

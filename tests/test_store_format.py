@@ -271,6 +271,38 @@ class TestCorruption:
         with pytest.raises(StoreError, match="rows"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda footer: footer.update(tables=[]), id="tables-list"),
+        pytest.param(lambda footer: footer.update(meta=[]), id="meta-list"),
+        pytest.param(
+            lambda footer: footer["tables"]["tput"].update(count=None),
+            id="count-null",
+        ),
+    ])
+    def test_malformed_footer_structure(
+        self, bare_dataset, tmp_path, capsys, damage
+    ):
+        """A footer of the wrong shape is refused when the file is opened:
+        ``inspect`` fails cleanly and the shard cache counts a miss."""
+        from tests.conftest import join_rcol, split_rcol
+        from repro.engine.worker import ShardResult
+        from repro.store.__main__ import main
+        from repro.sweep.cache import ShardCache
+
+        cache = ShardCache(tmp_path / "cache")
+        cache.store("f" * 64, 7, ShardResult(index=0, dataset=bare_dataset))
+        path = cache.entry_dir(cache.key("f" * 64, 0, 7)) / ShardCache.DATA_NAME
+        body, footer = split_rcol(path)
+        damage(footer)
+        join_rcol(path, body, footer)
+
+        with pytest.raises(StoreError, match="malformed footer"):
+            DatasetReader(path)
+        assert main(["inspect", str(path)]) == 1
+        assert "store command failed" in capsys.readouterr().err
+        assert cache.load("f" * 64, 7, 0) is None
+        assert cache.stats.misses == 1
+
     def test_not_a_store_file_via_load_dataset(self, tmp_path):
         from repro.errors import LogFormatError
         from repro.campaign.persistence import load_dataset

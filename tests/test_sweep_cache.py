@@ -180,6 +180,28 @@ class TestInvalidation:
         (entry / "meta.json").write_text("{truncated")
         assert cache.load(FP, 42, 0) is None
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda meta: [], id="sidecar-is-a-list"),
+        pytest.param(
+            lambda meta: {**meta, "active_cells": []}, id="cells-are-a-list"
+        ),
+        pytest.param(lambda meta: {**meta, "wall_s": None}, id="wall-s-null"),
+        pytest.param(
+            lambda meta: {**meta, "active_cells": {"VERIZON": "x"}},
+            id="cell-count-is-a-string",
+        ),
+    ])
+    def test_ill_typed_sidecar_misses(self, tmp_path, damage):
+        """A sidecar that parses as JSON but has the wrong types is a
+        counted miss — not an exception, and never a hit whose counts
+        break the merge later."""
+        cache = ShardCache(tmp_path)
+        cache.store(FP, 42, make_result())
+        meta_path = cache.entry_dir(cache.key(FP, 0, 42)) / ShardCache.META_NAME
+        meta_path.write_text(json.dumps(damage(json.loads(meta_path.read_text()))))
+        assert cache.load(FP, 42, 0) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
     def test_missing_entry_misses(self, tmp_path):
         cache = ShardCache(tmp_path)
         assert cache.load(FP, 42, 0) is None

@@ -334,3 +334,50 @@ class TestTracedSweepSummary:
         (header,) = [i for i, line in enumerate(lines) if "slowest merges" in line]
         assert "sweep.merge" in lines[header + 1]
         assert f"seed={SEEDS[0]}" in lines[header + 1]
+
+
+class TestWarmPathAttribution:
+    """A benchmark attributes warm-sweep time by wrapping ``ShardCache.load``
+    at class level and by the sweep's own phase spans; replaying shards as
+    columns must keep both hooks seeing the warm path."""
+
+    def test_class_level_load_patch_sees_every_shard_once(
+        self, swept, monkeypatch
+    ):
+        _, cold, sweep_tmp = swept
+        n_shards = sum(r.n_shards for r in cold.report.seed_runs)
+        calls: list[tuple[str, int, int]] = []
+        load = ShardCache.load
+
+        def counted(self, fingerprint, seed, index):
+            calls.append((fingerprint, seed, index))
+            return load(self, fingerprint, seed, index)
+
+        monkeypatch.setattr(ShardCache, "load", counted)
+        warm = run_sweep(
+            sweep_config(sweep_tmp, cache_dir=str(sweep_tmp / "shard-cache"))
+        )
+        assert warm.cache.stats.hits == n_shards
+        assert len(calls) == len(set(calls)) == n_shards
+
+    def test_traced_warm_sweep_emits_phase_spans(self, swept, tmp_path):
+        from repro.obs.trace import iter_trace
+
+        _, _, sweep_tmp = swept
+        trace = tmp_path / "warm.jsonl"
+        try:
+            warm = run_sweep(
+                sweep_config(
+                    sweep_tmp,
+                    cache_dir=str(sweep_tmp / "shard-cache"),
+                    store_dir=str(tmp_path / "store"),
+                    trace_path=str(trace),
+                )
+            )
+        finally:
+            reset_tracers()
+        assert warm.cache.stats.misses == 0
+        names = [r["name"] for r in iter_trace(trace) if r["kind"] == "span"]
+        for phase in ("sweep.plan", "sweep.merge", "sweep.ingest"):
+            assert names.count(phase) == len(SEEDS), phase
+        assert names.count("sweep.stats") == 1
