@@ -4,11 +4,18 @@ Coverage is measured in *miles driven* per technology.  For the active
 (XCAL-during-tests) view, each 500 ms throughput sample is weighted by the
 distance the vehicle covered during it (speed × 0.5 s); for the passive
 (handover-logger) view, each zone's technology covers its road length.
+
+The coverage shares run on the query engine (:mod:`repro.store.query`), so
+they take any query source — a :class:`~repro.campaign.dataset.DriveDataset`,
+a store file's :class:`~repro.store.format.DatasetReader` or a
+:class:`~repro.store.catalog.Catalog` — plus ``seeds=`` to select catalog
+partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,14 +24,13 @@ from repro.errors import AnalysisError
 from repro.geo.timezones import Timezone
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, HIGH_THROUGHPUT_TECHS, RadioTechnology
-from repro.units import SPEED_BIN_LABELS, speed_bin
+from repro.store.query import Eq, Source, group_total, select, where_speed_bin
+from repro.units import SPEED_BIN_LABELS
 
 __all__ = [
     "CoverageShares",
     "active_coverage_shares",
-    "active_coverage_shares_from_store",
     "passive_coverage_shares",
-    "passive_coverage_shares_from_store",
     "coverage_by_timezone",
     "coverage_by_speed_bin",
     "coverage_by_direction",
@@ -74,78 +80,55 @@ def _shares_from_weights(
 
 
 def active_coverage_shares(
-    dataset: DriveDataset,
+    source: Source,
     operator: Operator,
     direction: str | None = None,
     timezone: Timezone | None = None,
     speed_bin_label: str | None = None,
+    *,
+    seeds: Sequence[int] | None = None,
 ) -> CoverageShares:
     """Fig. 2 — distance-weighted technology shares from the active tests.
 
     Static samples are excluded (they cover no distance); optional filters
     slice by direction (Fig. 2b), timezone (Fig. 2c) or the paper's speed
-    bins (Fig. 2d).
+    bins (Fig. 2d, :func:`~repro.store.query.where_speed_bin`).  Each sample
+    weighs its speed, clamped at zero, and each technology's weights are
+    summed in row order.
     """
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for s in dataset.tput(operator=operator, direction=direction, static=False):
-        if timezone is not None and s.timezone is not timezone:
-            continue
-        if speed_bin_label is not None and speed_bin(s.speed_mph) != speed_bin_label:
-            continue
-        weights[s.tech] += max(s.speed_mph, 0.0)
+    where = [Eq("operator", operator), Eq("static", False)]
+    if direction is not None:
+        where.append(Eq("direction", direction))
+    if timezone is not None:
+        where.append(Eq("timezone", timezone))
+    if speed_bin_label is not None:
+        where.append(where_speed_bin(speed_bin_label))
+    weights = {
+        tech: _fold(np.maximum(
+            select(source, "tput", "speed_mph", (*where, Eq("tech", tech)),
+                   seeds=seeds),
+            0.0,
+        ))
+        for tech in ALL_TECHNOLOGIES
+    }
     return _shares_from_weights(operator, weights)
 
 
-def passive_coverage_shares(dataset: DriveDataset, operator: Operator) -> CoverageShares:
+def _fold(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + …`` left to right, as a running ``+=`` adds
+    (``np.cumsum`` adds sequentially, unlike the pairwise ``np.sum``)."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def passive_coverage_shares(
+    source: Source, operator: Operator, *, seeds: Sequence[int] | None = None
+) -> CoverageShares:
     """Fig. 1 (passive view) — shares from the handover-logger phones.
 
-    A column-held passive table is summed without building rows (see
-    :func:`_passive_weights_from_columns`); the row loop is its oracle.
+    Each zone's technology covers its road length; one grouped-sum pass
+    (:func:`~repro.store.query.group_total`) sums them per technology, and
+    catalog partitions whose stats exclude ``operator`` are never opened.
     """
-    table = dataset.held_table("passive")
-    if table is not None:
-        return _shares_from_weights(
-            operator, _passive_weights_from_columns(table, operator)
-        )
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for seg in dataset.passive_coverage:
-        if seg.operator is operator:
-            weights[seg.tech] += seg.length_m
-    return _shares_from_weights(operator, weights)
-
-
-def _passive_weights_from_columns(
-    table, operator: Operator
-) -> dict[RadioTechnology, float]:
-    """Per-technology segment length of ``operator`` from a passive
-    :class:`~repro.store.columnar.ColumnTable`, bit-identical to the row
-    loop: each technology's lengths are folded left to right from ``0.0``
-    (``np.cumsum`` adds sequentially, unlike the pairwise ``np.sum``)."""
-    of_operator = table.select("operator", lambda op: op is operator)
-    lengths = (table.arrays["end_m"] - table.arrays["start_m"])[of_operator]
-    position = {tech: i for i, tech in enumerate(ALL_TECHNOLOGIES)}
-    tech_of_code = np.asarray(
-        [position[tech] for tech in table.members("tech")], dtype=np.intp
-    )
-    techs = tech_of_code[table.arrays["tech"][of_operator]]
-    return {
-        tech: float(np.cumsum(np.concatenate(([0.0], lengths[techs == i])))[-1])
-        for i, tech in enumerate(ALL_TECHNOLOGIES)
-    }
-
-
-def passive_coverage_shares_from_store(
-    source, operator: Operator, *, seeds=None
-) -> CoverageShares:
-    """Fig. 1 shares straight off a columnar store, no row objects.
-
-    ``source`` is a :class:`repro.store.DatasetReader` or
-    :class:`repro.store.Catalog`; one grouped-sum kernel pass replaces the
-    per-segment Python loop of :func:`passive_coverage_shares`, and catalog
-    partitions whose stats exclude ``operator`` are never even opened.
-    """
-    from repro.store.query import Eq, group_total
-
     sums = group_total(
         source, "passive", "tech", "length_m",
         where=(Eq("operator", operator),), seeds=seeds,
@@ -153,37 +136,6 @@ def passive_coverage_shares_from_store(
     weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
     for name, length_m in sums.items():
         weights[RadioTechnology[name]] += length_m
-    return _shares_from_weights(operator, weights)
-
-
-def active_coverage_shares_from_store(
-    source,
-    operator: Operator,
-    direction: str | None = None,
-    speed_bin_label: str | None = None,
-    *,
-    seeds=None,
-) -> CoverageShares:
-    """Fig. 2 distance-weighted shares off a columnar store.
-
-    Mirrors :func:`active_coverage_shares` (static samples excluded, speed
-    as the distance weight) through the query engine's grouped-sum kernel.
-    Negative speed weights cannot occur in stored data, so no clamping is
-    needed.
-    """
-    from repro.store.query import Eq, group_total, where_speed_bin
-
-    where = [Eq("operator", operator), Eq("static", False)]
-    if direction is not None:
-        where.append(Eq("direction", direction))
-    if speed_bin_label is not None:
-        where.append(where_speed_bin(speed_bin_label))
-    sums = group_total(
-        source, "tput", "tech", "speed_mph", where=tuple(where), seeds=seeds
-    )
-    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for name, weight in sums.items():
-        weights[RadioTechnology[name]] += weight
     return _shares_from_weights(operator, weights)
 
 

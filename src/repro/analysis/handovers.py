@@ -17,6 +17,9 @@ Fig. 12 additionally breaks ΔT2 down by handover type (4G→4G, 5G→5G,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.campaign.dataset import DriveDataset, ThroughputSample
@@ -24,6 +27,8 @@ from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.mobility.events import HandoverType
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, partitions, select
+from repro.units import meters_to_miles
 
 __all__ = [
     "handovers_per_mile",
@@ -40,22 +45,44 @@ _THROUGHPUT_TEST_TYPES = {
 
 
 def handovers_per_mile(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source,
+    operator: Operator,
+    direction: str,
+    *,
+    seeds: Sequence[int] | None = None,
 ) -> EmpiricalCDF:
-    """Fig. 11a — handovers per mile, one value per 30 s throughput test."""
-    test_type = _THROUGHPUT_TEST_TYPES[direction]
-    ho_by_test: dict[int, int] = {}
-    for h in dataset.handovers_of(operator=operator, direction=direction):
-        ho_by_test[h.test_id] = ho_by_test.get(h.test_id, 0) + 1
+    """Fig. 11a — handovers per mile, one value per 30 s throughput test.
+
+    Runs on the query engine over any query source (a dataset, a store
+    file's reader or a catalog, whose partitions ``seeds=`` selects).
+    Handovers join their test by id within each partition, because test
+    ids repeat across seeds.
+    """
+    of_tests = (
+        Eq("test_type", _THROUGHPUT_TEST_TYPES[direction]),
+        Eq("operator", operator),
+        Eq("static", False),
+    )
+    of_handovers = (Eq("operator", operator), Eq("direction", direction))
     rates = []
-    for t in dataset.tests_of(test_type=test_type, operator=operator, static=False):
-        miles = t.distance_miles
-        if miles < 0.02:
-            continue  # parked in traffic: a per-mile rate is meaningless
-        rates.append(ho_by_test.get(t.test_id, 0) / miles)
-    if not rates:
+    for part in partitions(source, seeds=seeds):
+        ids, counts = np.unique(
+            select(part, "ho", "test_id", of_handovers), return_counts=True
+        )
+        ho_by_test = dict(zip(ids.tolist(), counts.tolist()))
+        test_ids = select(part, "test", "test_id", of_tests).tolist()
+        n_ho = np.asarray([ho_by_test.get(t, 0) for t in test_ids], dtype=np.int64)
+        miles = meters_to_miles(
+            select(part, "test", "end_mark_m", of_tests)
+            - select(part, "test", "start_mark_m", of_tests)
+        )
+        # A test parked in traffic covers no distance: a per-mile rate is
+        # meaningless.
+        moving = ~(miles < 0.02)
+        rates.append(n_ho[moving] / miles[moving])
+    if not any(r.size for r in rates):
         raise AnalysisError(f"no usable tests for {operator} {direction}")
-    return EmpiricalCDF.from_values(rates)
+    return EmpiricalCDF.from_values(np.concatenate(rates))
 
 
 def handover_durations(

@@ -9,6 +9,7 @@ per server kind (Wavelength edge vs EC2 cloud).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.campaign.dataset import DriveDataset
@@ -16,11 +17,11 @@ from repro.errors import AnalysisError
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
+from repro.store.query import Eq, Source, cdf
 
 __all__ = [
     "StaticVsDriving",
     "static_vs_driving",
-    "static_vs_driving_from_store",
     "per_technology_throughput",
     "per_technology_rtt",
     "edge_vs_cloud_throughput",
@@ -41,43 +42,16 @@ class StaticVsDriving:
     driving_rtt: EmpiricalCDF
 
 
-def static_vs_driving(dataset: DriveDataset, operator: Operator) -> StaticVsDriving:
-    """Fig. 3 — static (best-5G city baselines) vs driving CDFs."""
-    return StaticVsDriving(
-        operator=operator,
-        static_dl=EmpiricalCDF.from_values(
-            dataset.tput_values(operator=operator, direction="downlink", static=True)
-        ),
-        static_ul=EmpiricalCDF.from_values(
-            dataset.tput_values(operator=operator, direction="uplink", static=True)
-        ),
-        static_rtt=EmpiricalCDF.from_values(
-            dataset.rtt_values(operator=operator, static=True)
-        ),
-        driving_dl=EmpiricalCDF.from_values(
-            dataset.tput_values(operator=operator, direction="downlink", static=False)
-        ),
-        driving_ul=EmpiricalCDF.from_values(
-            dataset.tput_values(operator=operator, direction="uplink", static=False)
-        ),
-        driving_rtt=EmpiricalCDF.from_values(
-            dataset.rtt_values(operator=operator, static=False)
-        ),
-    )
-
-
-def static_vs_driving_from_store(
-    source, operator: Operator, *, seeds=None
+def static_vs_driving(
+    source: Source, operator: Operator, *, seeds: Sequence[int] | None = None
 ) -> StaticVsDriving:
-    """Fig. 3 CDFs straight off a columnar store.
+    """Fig. 3 — static (best-5G city baselines) vs driving CDFs.
 
-    ``source`` is a :class:`repro.store.DatasetReader` or
-    :class:`repro.store.Catalog`.  Each CDF is built by the query engine's
-    :func:`repro.store.query.cdf` kernel — predicates are pushed into the
-    column stats, and only the projected value column is decoded — yielding
-    curves identical to :func:`static_vs_driving` on the same data.
+    Each CDF is built by the query engine's :func:`~repro.store.query.cdf`
+    kernel over any query source (a dataset, a store file's reader or a
+    catalog, whose partitions ``seeds=`` selects): predicates are pushed
+    into the column stats, and only the projected value column is decoded.
     """
-    from repro.store.query import Eq, cdf
 
     def tput(direction: str, static: bool) -> EmpiricalCDF:
         return cdf(

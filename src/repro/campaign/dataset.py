@@ -11,21 +11,22 @@ list of record families that the codecs, the engine's merge and its
 record counts iterate.  A new field needs only a dataclass edit plus its
 short JSON key; a new family needs one more :data:`RECORD_FAMILIES` entry.
 
-A :class:`DriveDataset` holds each table either as a list of records or as
-a :class:`~repro.store.columnar.ColumnTable` (column arrays), never both.
-Datasets read from the columnar store, replayed from the shard cache or
-merged by the engine are column-held; reading a record-list attribute
+A :class:`DriveDataset` holds each table as a list of records or as a
+:class:`~repro.store.columnar.ColumnTable` (column arrays).  Datasets read
+from the columnar store, replayed from the shard cache or merged by the
+engine are column-held; reading a record-list attribute
 (``dataset.throughput_samples``) builds that table's records once, and from
-then on the list is the truth.  Hot paths use :meth:`DriveDataset.table`,
-:meth:`~DriveDataset.count` and the value helpers (:meth:`~DriveDataset.tput_values`,
-:meth:`~DriveDataset.rtt_values`), which answer from columns without
-building records.
+then on the list is the truth.  Every statistic reads a dataset through
+:meth:`DriveDataset.table`, which answers a row-held table from a shred it
+memoises for as long as the list holds the same records.  The value helpers
+(:meth:`~DriveDataset.tput_values`, :meth:`~DriveDataset.rtt_values`) run
+the query engine over those columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from operator import is_
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -263,21 +264,11 @@ class DriveDataset:
         server_kind: ServerKind | None = None,
         timezone: Timezone | None = None,
     ) -> np.ndarray:
-        """Throughput values (Mbps) matching the same filters as :meth:`tput`.
-
-        A column-held table answers with row masks, without building rows.
-        """
-        table = self.held_table("tput")
-        if table is None:
-            return np.asarray(
-                [s.tput_mbps for s in self.tput(
-                    operator, direction, static, techs, server_kind, timezone
-                )],
-                dtype=float,
-            )
-        return _masked(table, "tput_mbps", (
+        """Throughput values (Mbps) matching the same filters as :meth:`tput`,
+        in row order, selected by the query engine from :meth:`table`."""
+        return _values(self, "tput", "tput_mbps", (
             ("operator", operator), ("direction", direction),
-            ("static", static), ("tech", _tech_set(techs)),
+            ("static", static), ("tech", techs),
             ("server_kind", server_kind), ("timezone", timezone),
         ))
 
@@ -306,19 +297,11 @@ class DriveDataset:
         techs: Iterable[RadioTechnology] | None = None,
         server_kind: ServerKind | None = None,
     ) -> np.ndarray:
-        """RTT values (ms) matching the same filters as :meth:`rtts`.
-
-        A column-held table answers with row masks, without building rows.
-        """
-        table = self.held_table("rtt")
-        if table is None:
-            return np.asarray(
-                [s.rtt_ms for s in self.rtts(operator, static, techs, server_kind)],
-                dtype=float,
-            )
-        return _masked(table, "rtt_ms", (
+        """RTT values (ms) matching the same filters as :meth:`rtts`, in row
+        order, selected by the query engine from :meth:`table`."""
+        return _values(self, "rtt", "rtt_ms", (
             ("operator", operator), ("static", static),
-            ("tech", _tech_set(techs)), ("server_kind", server_kind),
+            ("tech", techs), ("server_kind", server_kind),
         ))
 
     def tests_of(
@@ -364,23 +347,35 @@ class DriveDataset:
     def table(self, name: str):
         """The named table as a :class:`~repro.store.columnar.ColumnTable`.
 
-        A column-held table returns its columns; a row-held one is shredded
-        afresh and nothing is cached, so the rows stay the only truth.
+        A column-held table returns its columns.  A row-held one is shredded
+        and the shred kept as a memo, together with a shallow copy of the
+        record list.  The memo serves while the list still holds the very
+        same record objects (records are frozen), so appending, removing or
+        replacing a record — also through a list reference taken earlier —
+        re-shreds on the next call.
         """
-        held = self.held_table(name)
+        family = _FAMILY_OF_TABLE[name]
+        state = self.__dict__
+        held = state.get(family.columns_key)
         if held is not None:
             return held
+        rows = getattr(self, family.attr)
+        memo = state.get(family.memo_key)
+        if memo is not None and _same_records(memo[1], rows):
+            return memo[0]
         # Imported here: the store derives its schemas from this module.
         from repro.store.columnar import TABLE_SCHEMAS, ColumnTable
 
-        rows = getattr(self, _FAMILY_OF_TABLE[name].attr)
-        return ColumnTable.from_rows(TABLE_SCHEMAS[name], rows)
+        table = ColumnTable.from_rows(TABLE_SCHEMAS[name], rows)
+        state[family.memo_key] = (table, list(rows))
+        return table
 
     def set_table(self, table) -> None:
         """Hold ``table`` (a :class:`~repro.store.columnar.ColumnTable`) as
         the columns of its family, replacing that family's records."""
         family = _FAMILY_OF_TABLE[table.name]
         self.__dict__.pop(family.attr, None)
+        self.__dict__.pop(family.memo_key, None)
         self.__dict__[family.columns_key] = table
 
     def count(self, name: str) -> int:
@@ -389,6 +384,10 @@ class DriveDataset:
         if held is not None:
             return held.count
         return len(getattr(self, _FAMILY_OF_TABLE[name].attr))
+
+    def __getstate__(self) -> dict:
+        """Pickled state: the held rows or columns, never a shred memo."""
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMO_KEYS}
 
     # -- summary -------------------------------------------------------------
 
@@ -451,6 +450,11 @@ class RecordFamily(NamedTuple):
         """Instance-dict key of the family's table while column-held."""
         return f"{self.table}:columns"
 
+    @property
+    def memo_key(self) -> str:
+        """Instance-dict key of the memoised shred of a row-held table."""
+        return f"{self.table}:memo"
+
 
 #: Every record family, in serialisation and merge order.
 RECORD_FAMILIES: tuple[RecordFamily, ...] = (
@@ -466,32 +470,39 @@ RECORD_FAMILIES: tuple[RecordFamily, ...] = (
 
 _FAMILY_OF_TABLE: dict[str, RecordFamily] = {f.table: f for f in RECORD_FAMILIES}
 
+_MEMO_KEYS = frozenset(f.memo_key for f in RECORD_FAMILIES)
+
 
 class _Records:
     """The record-list attribute of one family on :class:`DriveDataset`.
 
     A table is held either as a list of records (under the attribute's own
     name in the instance dict) or as a column table (under the family's
-    :attr:`~RecordFamily.columns_key`), never both.  Reading the attribute
-    of a column-held table builds its records once and drops the columns:
-    the list is mutable, so from then on the rows are the truth.
+    :attr:`~RecordFamily.columns_key`).  Reading the attribute of a
+    column-held table builds its records once and drops the columns: the
+    list is mutable, so from then on the rows are the truth.  The dropped
+    columns become the table's shred memo (see :meth:`DriveDataset.table`).
     Assigning a list replaces whatever the table held.
     """
 
     def __init__(self, family: RecordFamily) -> None:
         self.attr = family.attr
         self.columns_key = family.columns_key
+        self.memo_key = family.memo_key
 
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
         state = obj.__dict__
         if self.attr not in state:
-            state[self.attr] = state.pop(self.columns_key).rows()
+            table = state.pop(self.columns_key)
+            rows = state[self.attr] = table.rows()
+            state[self.memo_key] = (table, list(rows))
         return state[self.attr]
 
     def __set__(self, obj, rows) -> None:
         obj.__dict__.pop(self.columns_key, None)
+        obj.__dict__.pop(self.memo_key, None)
         obj.__dict__[self.attr] = rows
 
 
@@ -500,29 +511,26 @@ for _family in RECORD_FAMILIES:
 del _family
 
 
-def _tech_set(techs: Iterable[RadioTechnology] | None) -> frozenset | None:
-    return frozenset(techs) if techs is not None else None
+def _same_records(snapshot: list, rows: list) -> bool:
+    """Whether ``rows`` holds exactly the record objects of ``snapshot``.
 
-
-def _masked(table, column: str, criteria) -> np.ndarray:
-    """``column`` of the rows of a column table meeting every criterion.
-
-    ``criteria`` pairs a column with the filter value of the row-path
-    helpers: ``None`` matches everything, a frozenset is a membership test,
-    an enum member must be the same member, anything else must compare
-    equal.  Each test runs once per distinct value, through a row mask.
+    Identity, not equality: records that compare equal may still shred
+    differently (``-0.0 == 0.0``).
     """
-    mask = None
-    for name, want in criteria:
-        if want is None:
-            continue
-        if isinstance(want, frozenset):
-            accept = want.__contains__
-        elif isinstance(want, Enum):
-            accept = lambda v, want=want: v is want  # noqa: E731
-        else:
-            accept = lambda v, want=want: v == want  # noqa: E731
-        selected = table.select(name, accept)
-        mask = selected if mask is None else mask & selected
-    values = table.arrays[column]
-    return np.array(values if mask is None else values[mask], dtype=float)
+    return len(snapshot) == len(rows) and all(map(is_, snapshot, rows))
+
+
+def _values(dataset: DriveDataset, table: str, column: str, criteria) -> np.ndarray:
+    """``column`` of the rows of ``table`` meeting every ``(column, value)``
+    criterion of the record filters: ``None`` matches everything, an
+    iterable of technologies is a membership test, anything else must be
+    equal."""
+    # Imported here: the query engine reads datasets.
+    from repro.store.query import Eq, In, select
+
+    where = tuple(
+        In(name, tuple(want)) if name == "tech" else Eq(name, want)
+        for name, want in criteria
+        if want is not None
+    )
+    return select(dataset, table, column, where)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
-from repro.store.format import DatasetReader, write_dataset
+from repro.store.format import DatasetReader, _is_size, write_dataset
 
 __all__ = ["CATALOG_FORMAT_VERSION", "Catalog", "PartitionInfo"]
 
@@ -81,13 +81,47 @@ class PartitionInfo:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PartitionInfo":
+        """Parse one manifest entry; :class:`ValueError` when its table
+        stats do not have the shape :func:`_lite_tables` writes."""
+        path = str(obj["path"])
+        tables = obj.get("tables", {})
+        problem = _tables_problem(tables)
+        if problem is not None:
+            raise ValueError(f"partition {path!r}: {problem}")
         return cls(
-            path=str(obj["path"]),
+            path=path,
             seed=int(obj["seed"]),
             label=obj.get("label"),
             nbytes=int(obj.get("nbytes", 0)),
-            tables=dict(obj.get("tables", {})),
+            tables=dict(tables),
         )
+
+
+def _tables_problem(tables) -> str | None:
+    """What is structurally wrong with a manifest's table stats, or ``None``.
+
+    Pruning reads a row count per table and, per column, a kind, a count and
+    the optional stats and dictionary values, so those must have their JSON
+    types.
+    """
+    if not isinstance(tables, dict):
+        return "tables is not an object"
+    for name, table in tables.items():
+        if not isinstance(table, dict) or not _is_size(table.get("count")):
+            return f"table {name!r} has no row count"
+        columns = table.get("columns")
+        if not isinstance(columns, dict):
+            return f"table {name!r} has no column object"
+        for column, entry in columns.items():
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("kind"), str)
+                and _is_size(entry.get("count"))
+                and isinstance(entry.get("stats", {}), dict)
+                and isinstance(entry.get("values", []), list)
+            ):
+                return f"column {column!r} of table {name!r} is malformed"
+    return None
 
 
 def _lite_tables(reader: DatasetReader) -> dict[str, dict]:

@@ -673,18 +673,24 @@ class ColumnTable:
         in code order."""
         return self.schema.column(column).members(self.values[column])
 
-    def select(self, column: str, accept: Callable[[Any], bool]) -> np.ndarray:
-        """Row mask of a dict or bool column: ``accept`` runs once per
-        distinct value (a member, a string, ``True``/``False``), not per row."""
-        spec = self.schema.column(column)
-        arr = self.arrays[column]
-        if spec.kind == "bool":
-            return np.where(arr, bool(accept(True)), bool(accept(False)))
-        if spec.kind != "dict":
-            raise StoreError(f"column {column!r} is {spec.kind}, not dict/bool")
-        members = self.members(column)
-        lookup = np.fromiter(map(accept, members), np.bool_, count=len(members))
-        return lookup[arr]
+    def column_entry(self, name: str) -> dict:
+        """The column described as a store footer entry (a dict column's
+        values included) but without min/max/null stats, so the query
+        engine judges a numeric predicate on it by reading the column."""
+        spec = self.schema.column(name)
+        entry = {"name": name, "kind": spec.kind, "count": self.count}
+        if spec.kind == "dict":
+            entry["values"] = list(self.values[name])
+        return entry
+
+    def array(self, name: str) -> np.ndarray:
+        """A column as :meth:`~repro.store.format.TableReader.array` decodes
+        it: f8/i8 values, bool bytes, dict codes, derived columns computed."""
+        spec = self.schema.column(name)
+        if spec.derived:
+            return self.schema.derivations[name](self.arrays)
+        arr = self.arrays[name]
+        return arr.view(np.uint8) if spec.kind == "bool" else arr
 
     def rows(self) -> list[Any]:
         """The table's records, built a whole column at a time: dictionary

@@ -219,6 +219,10 @@ class TableReader:
         self._columns: dict[str, dict] = {
             col["name"]: col for col in entry["columns"]
         }
+        #: Dict columns whose codes were checked against their dictionary.
+        #: The mapped bytes cannot change while the file is open: store
+        #: files are replaced whole, never rewritten in place.
+        self._checked_codes: set[str] = set()
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -249,9 +253,15 @@ class TableReader:
         )
 
     def array(self, name: str) -> np.ndarray:
-        """Decode a column to numbers: f8/i8 values, bool bytes, dict codes."""
+        """Decode a column to numbers: f8/i8 values, bool bytes, dict codes
+        (checked, on first decode, to index the column's dictionary)."""
         entry = self.column_entry(name)
-        return decode_column(entry, self._payload(entry))
+        payload = self._payload(entry)
+        if entry["kind"] != "dict" or name in self._checked_codes:
+            return decode_column(entry, payload)
+        codes = decode_dict_codes(entry, payload)
+        self._checked_codes.add(name)
+        return codes
 
     def load(self, schema: TableSchema) -> ColumnTable:
         """Decode every stored column of ``schema`` into memory, validated.
@@ -270,14 +280,12 @@ class TableReader:
                     f"column {spec.name!r} of table {self.name!r} is "
                     f"{entry['kind']}, schema says {spec.kind}"
                 )
+            arr = self.array(spec.name)
             if spec.kind == "dict":
                 spec.members(entry.get("values", []))
                 values[spec.name] = tuple(entry.get("values", ()))
-                arr = decode_dict_codes(entry, self._payload(entry))
-            else:
-                arr = self.array(spec.name)
-                if spec.kind == "bool":
-                    arr = arr != 0
+            elif spec.kind == "bool":
+                arr = arr != 0
             if arr.size != self.count:
                 raise StoreError(
                     f"column {spec.name!r} holds {arr.size} values, table "

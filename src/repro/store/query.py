@@ -16,9 +16,16 @@ row object:
   figure uses), plus a grouped sum for coverage-share style queries.
 
 Sources are polymorphic: any kernel runs over one open
-:class:`~repro.store.format.DatasetReader` or over a whole
+:class:`~repro.store.format.DatasetReader`, over a whole
 :class:`~repro.store.catalog.Catalog`, where the partition manifest prunes
-by seed and by the same footer stats before any file is opened.
+by seed and by the same footer stats before any file is opened, or over an
+in-memory :class:`~repro.campaign.dataset.DriveDataset`, read through
+:meth:`~repro.campaign.dataset.DriveDataset.table`.  A reader and a dataset
+are one partition each; ``seeds=`` selects partitions by seed on every
+source, and :func:`partitions` yields the selected ones for questions a
+single kernel call cannot answer (per-partition joins, metadata counters).
+These kernels are where every paper statistic is computed
+(:mod:`repro.sweep.stats`).
 
 Predicates compare against Python-level values: enums (``Operator.VERIZON``),
 strings, bools, numbers.  ``Between`` bounds are inclusive by default; the
@@ -35,8 +42,10 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
+from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
-from repro.store.catalog import Catalog
+from repro.store.catalog import Catalog, PartitionInfo
+from repro.store.columnar import ColumnTable
 from repro.store.format import DatasetReader, TableReader
 from repro.units import SPEED_BIN_EDGES_MPH, SPEED_BIN_LABELS
 
@@ -50,6 +59,7 @@ __all__ = [
     "count",
     "group_total",
     "mean",
+    "partitions",
     "percentile",
     "select",
     "total",
@@ -195,6 +205,8 @@ def _stats_verdict(entry: dict, pred: Predicate) -> str:
         if present <= wanted:
             return "all"
         return "some"
+    if "stats" not in entry:
+        return "some"  # an in-memory column has no stats: read it
     lo_stat = stats.get("min")
     hi_stat = stats.get("max")
     nulls = int(stats.get("nulls", 0))
@@ -231,8 +243,12 @@ def _stats_verdict(entry: dict, pred: Predicate) -> str:
     raise StoreError(f"unknown predicate type {type(pred).__name__}")
 
 
+#: One table of one partition: a store file's, or an in-memory dataset's.
+Table = TableReader | ColumnTable
+
+
 def _pred_mask(
-    table: TableReader, pred: Predicate, qstats: QueryStats | None
+    table: Table, pred: Predicate, qstats: QueryStats | None
 ) -> np.ndarray | bool:
     """Evaluate one predicate: boolean mask, or True/False wholesale.
 
@@ -252,7 +268,7 @@ def _pred_mask(
 
 
 def _pred_mask_inner(
-    table: TableReader, pred: Predicate, qstats: QueryStats | None
+    table: Table, pred: Predicate, qstats: QueryStats | None
 ) -> np.ndarray | bool:
     entry = table.column_entry(pred.column)
     verdict = _stats_verdict(entry, pred)
@@ -265,17 +281,12 @@ def _pred_mask_inner(
         qstats.bytes_decoded += int(entry.get("nbytes", 0))
     arr = table.array(pred.column)
     if entry["kind"] == "dict":
-        values = list(entry.get("values", ()))
-        if isinstance(pred, Eq):
-            name = _norm_value(entry, pred.value)
-            if name not in values:
-                return False
-            return arr == values.index(name)
-        wanted = {_norm_value(entry, v) for v in pred.values}
-        codes = [i for i, v in enumerate(values) if v in wanted]
+        values = pred.values if isinstance(pred, In) else (pred.value,)
+        wanted = {_norm_value(entry, v) for v in values}
+        codes = [i for i, v in enumerate(entry.get("values", ())) if v in wanted]
         if not codes:
             return False
-        return np.isin(arr, codes)
+        return arr == codes[0] if len(codes) == 1 else np.isin(arr, codes)
     if isinstance(pred, Eq):
         return arr == _norm_value(entry, pred.value)
     if isinstance(pred, In):
@@ -292,7 +303,7 @@ def _pred_mask_inner(
 
 
 def _match_mask(
-    table: TableReader,
+    table: Table,
     where: Sequence[Predicate],
     qstats: QueryStats | None,
 ) -> np.ndarray | bool:
@@ -310,7 +321,36 @@ def _match_mask(
 
 # -- sources ------------------------------------------------------------------
 
-Source = DatasetReader | Catalog
+Source = DatasetReader | Catalog | DriveDataset
+
+#: One partition of a source: a catalog's manifest entry, or the source
+#: itself when it is one partition (a reader or a dataset).
+_Handle = PartitionInfo | DatasetReader | DriveDataset
+
+
+def _handles(source: Source) -> tuple[_Handle, ...]:
+    if isinstance(source, Catalog):
+        return source.partitions
+    if isinstance(source, (DatasetReader, DriveDataset)):
+        return (source,)
+    raise StoreError(
+        f"unsupported query source {type(source).__name__}; "
+        "expected DatasetReader, Catalog or DriveDataset"
+    )
+
+
+def _open(source: Source, handle: _Handle) -> DatasetReader | DriveDataset:
+    return source.open(handle) if isinstance(handle, PartitionInfo) else handle
+
+
+def partitions(
+    source: Source, *, seeds: Sequence[int] | None = None
+) -> Iterator[DatasetReader | DriveDataset]:
+    """The source's partitions whose seed ``seeds`` selects (default: all),
+    each a one-partition source: an open reader, or the dataset itself."""
+    for handle in _handles(source):
+        if seeds is None or handle.seed in seeds:
+            yield _open(source, handle)
 
 
 def _iter_tables(
@@ -319,30 +359,19 @@ def _iter_tables(
     where: Sequence[Predicate],
     seeds: Sequence[int] | None,
     qstats: QueryStats | None,
-) -> Iterator[TableReader]:
-    """Yield the table readers that survive partition-level pruning."""
+) -> Iterator[Table]:
+    """Yield the tables that survive partition-level pruning."""
     seed_set = set(seeds) if seeds is not None else None
-    if isinstance(source, DatasetReader):
-        candidates: list[tuple[int, dict | None, Any]] = [
-            (source.seed, None, source)
-        ]
-    elif isinstance(source, Catalog):
-        candidates = [
-            (part.seed, part.table_stats(table), part)
-            for part in source.partitions
-        ]
-    else:
-        raise StoreError(
-            f"unsupported query source {type(source).__name__}; "
-            "expected DatasetReader or Catalog"
-        )
-    for seed, lite, handle in candidates:
+    for handle in _handles(source):
         if qstats is not None:
             qstats.partitions_total += 1
-        if seed_set is not None and seed not in seed_set:
+        if seed_set is not None and handle.seed not in seed_set:
             if qstats is not None:
                 qstats.partitions_pruned += 1
             continue
+        lite = (
+            handle.table_stats(table) if isinstance(handle, PartitionInfo) else None
+        )
         if lite is not None:
             # Manifest-level pruning: decide from copied footer stats
             # before the partition file is even opened.
@@ -358,17 +387,16 @@ def _iter_tables(
                 if qstats is not None:
                     qstats.partitions_pruned += 1
                 continue
-        reader = handle if isinstance(handle, DatasetReader) else source.open(handle)
         if qstats is not None:
             qstats.partitions_scanned += 1
-        yield reader.table(table)
+        yield _open(source, handle).table(table)
 
 
 _EMPTY_DTYPES = {"f8": np.float64, "i8": np.int64, "bool": np.uint8}
 
 
 def _projected(
-    table: TableReader,
+    table: Table,
     column: str,
     mask: np.ndarray | bool,
     qstats: QueryStats | None,
@@ -415,6 +443,26 @@ def count(
     return n
 
 
+def _selections(
+    source: Source,
+    table: str,
+    column: str,
+    where: Sequence[Predicate],
+    seeds: Sequence[int] | None,
+    qstats: QueryStats | None,
+) -> Iterator[np.ndarray]:
+    """Each surviving partition's matching values of ``column`` (non-empty
+    ones only), in partition order."""
+    for tr in _iter_tables(source, table, where, seeds, qstats):
+        mask = _match_mask(tr, where, qstats)
+        values = _projected(tr, column, mask, qstats)
+        if qstats is not None:
+            qstats.rows_total += tr.count
+            qstats.rows_matched += int(values.size)
+        if values.size:
+            yield values
+
+
 def select(
     source: Source,
     table: str,
@@ -425,15 +473,7 @@ def select(
     qstats: QueryStats | None = None,
 ) -> np.ndarray:
     """Matching values of one numeric column, concatenated across partitions."""
-    parts: list[np.ndarray] = []
-    for tr in _iter_tables(source, table, where, seeds, qstats):
-        mask = _match_mask(tr, where, qstats)
-        values = _projected(tr, column, mask, qstats)
-        if qstats is not None:
-            qstats.rows_total += tr.count
-            qstats.rows_matched += int(values.size)
-        if values.size:
-            parts.append(values)
+    parts = list(_selections(source, table, column, where, seeds, qstats))
     if not parts:
         return np.empty(0, dtype=np.float64)
     return np.concatenate(parts)
@@ -450,14 +490,8 @@ def total(
 ) -> float:
     """Sum of matching values, accumulated partition by partition."""
     acc = 0.0
-    for tr in _iter_tables(source, table, where, seeds, qstats):
-        mask = _match_mask(tr, where, qstats)
-        values = _projected(tr, column, mask, qstats)
-        if qstats is not None:
-            qstats.rows_total += tr.count
-            qstats.rows_matched += int(values.size)
-        if values.size:
-            acc += float(values.sum())
+    for values in _selections(source, table, column, where, seeds, qstats):
+        acc += float(values.sum())
     return acc
 
 
@@ -473,15 +507,9 @@ def mean(
     """Mean of matching values (sum/count, never materialised as rows)."""
     acc = 0.0
     n = 0
-    for tr in _iter_tables(source, table, where, seeds, qstats):
-        mask = _match_mask(tr, where, qstats)
-        values = _projected(tr, column, mask, qstats)
-        if qstats is not None:
-            qstats.rows_total += tr.count
-            qstats.rows_matched += int(values.size)
-        if values.size:
-            acc += float(values.sum())
-            n += int(values.size)
+    for values in _selections(source, table, column, where, seeds, qstats):
+        acc += float(values.sum())
+        n += int(values.size)
     if n == 0:
         raise StoreError(
             f"mean over empty selection ({table}.{column})"
@@ -545,6 +573,10 @@ def group_total(
         entry = tr.column_entry(key)
         if entry["kind"] != "dict":
             raise StoreError(f"group key {key!r} is not a dict column")
+        if tr.column_entry(column)["kind"] == "dict":
+            raise StoreError(
+                f"cannot sum dict column {column!r}; group by it instead"
+            )
         mask = _match_mask(tr, where, qstats)
         if mask is False or tr.count == 0:
             if qstats is not None:

@@ -4,11 +4,15 @@ The paper reports single-drive point estimates; a sweep replicates the
 campaign across seeds and turns every headline number into a distribution.
 This module holds the two halves of that aggregation:
 
-* a **registry of paper statistics** — named scalar functionals of one
-  :class:`~repro.campaign.dataset.DriveDataset` (coverage fractions,
-  throughput/RTT percentiles, handover rates, app QoE summaries), each tied
-  to the figure/table it reproduces.  Downstream users can
-  :func:`register_statistic` their own;
+* a **registry of paper statistics** — named scalar functionals (coverage
+  fractions, throughput/RTT percentiles, handover rates, app QoE
+  summaries), each tied to the figure/table it reproduces.  Each is one
+  function ``fn(source, seeds)`` over the query kernels of
+  :mod:`repro.store.query`, so the same implementation evaluates an
+  in-memory :class:`~repro.campaign.dataset.DriveDataset`, a store file's
+  :class:`~repro.store.format.DatasetReader` or a whole
+  :class:`~repro.store.catalog.Catalog`, with ``seeds`` selecting
+  partitions.  Downstream users can :func:`register_statistic` their own;
 * a **seed-level aggregator** that evaluates each statistic once per seed
   and summarises the per-seed values as mean/median/std plus a
   **percentile-bootstrap confidence interval** on the mean (resampling
@@ -16,7 +20,7 @@ This module holds the two halves of that aggregation:
   unit, so within-seed correlation never narrows the interval).
 
 Statistics are evaluated defensively: a statistic that cannot be computed
-on some seed's dataset (e.g. app QoE on an ``include_apps=False`` campaign)
+on some seed's data (e.g. app QoE on an ``include_apps=False`` campaign)
 yields ``NaN`` for that seed and is aggregated over the seeds that do have
 it; statistics with no finite value anywhere are reported as skipped.
 
@@ -35,42 +39,43 @@ import numpy as np
 
 from repro.analysis import coverage
 from repro.analysis.handovers import handovers_per_mile
-from repro.campaign.dataset import DriveDataset
 from repro.errors import ReproError, SweepError
 from repro.radio.operators import Operator
+from repro.store.query import Between, Eq, Source, count, partitions, percentile
 
 __all__ = [
     "PaperStatistic",
     "StatisticSummary",
     "bootstrap_ci",
     "evaluate_statistics",
-    "evaluate_statistics_from_store",
     "get_statistic",
     "register_statistic",
-    "register_store_evaluator",
     "registered_statistics",
-    "store_supported_statistics",
     "summarize_statistic",
     "unregister_statistic",
 ]
 
-#: Scalar functional of one dataset.
-StatisticFn = Callable[[DriveDataset], float]
+#: Scalar functional of a query source: ``fn(source, seeds)``, where
+#: ``seeds`` (``None``: all) selects the source's partitions.
+StatisticFn = Callable[[Source, tuple[int, ...] | None], float]
 
 
 @dataclass(frozen=True)
 class PaperStatistic:
-    """One registered statistic: a named scalar view of a dataset."""
+    """One registered statistic: a named scalar view of a query source."""
 
     name: str
     description: str
     unit: str
     fn: StatisticFn
 
-    def evaluate(self, dataset: DriveDataset) -> float:
-        """Evaluate on one dataset; ``NaN`` when not computable there."""
+    def evaluate(
+        self, source: Source, seeds: tuple[int, ...] | None = None
+    ) -> float:
+        """Evaluate on a source's selected partitions; ``NaN`` when not
+        computable there."""
         try:
-            value = float(self.fn(dataset))
+            value = float(self.fn(source, seeds))
         except (ReproError, ValueError, ZeroDivisionError):
             return math.nan
         return value if math.isfinite(value) else math.nan
@@ -110,11 +115,26 @@ def get_statistic(name: str) -> PaperStatistic:
 
 
 def evaluate_statistics(
-    dataset: DriveDataset, names: Iterable[str] | None = None
+    source: Source,
+    names: Iterable[str] | None = None,
+    *,
+    seeds: tuple[int, ...] | None = None,
 ) -> dict[str, float]:
-    """Evaluate the named (default: all) statistics on one dataset."""
+    """Evaluate the named (default: all) statistics on a query source — a
+    dataset, a store file's reader or a catalog — over the partitions
+    ``seeds`` selects (default: all)."""
     chosen = registered_statistics() if names is None else tuple(names)
-    return {name: get_statistic(name).evaluate(dataset) for name in chosen}
+    return {name: get_statistic(name).evaluate(source, seeds) for name in chosen}
+
+
+# Earlier names, kept for existing importers: the store evaluator is the
+# one evaluator, and every statistic is evaluable on a store.
+evaluate_statistics_from_store = evaluate_statistics
+
+
+def store_supported_statistics() -> tuple[str, ...]:
+    """Every registered statistic (each one runs on any query source)."""
+    return registered_statistics()
 
 
 # -- aggregation across seeds ------------------------------------------------
@@ -275,305 +295,129 @@ def summarize_statistic(
 
 # -- built-in paper statistics ----------------------------------------------
 
+_DRIVING = Eq("static", False)
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    if values.size == 0:
+
+def _quantile_of(table: str, column: str, q: float, *where) -> StatisticFn:
+    """Statistic: the ``q`` quantile of ``column`` over matching rows."""
+    return lambda source, seeds: percentile(
+        source, table, column, q, where, seeds=seeds
+    )
+
+
+def _below_5mbps(source: Source, seeds) -> float:
+    driving_dl = (Eq("direction", "downlink"), _DRIVING)
+    total = count(source, "tput", driving_dl, seeds=seeds)
+    if total == 0:
         return math.nan
-    return float(np.quantile(values, q))
+    below = Between("tput_mbps", hi=5.0, hi_inclusive=False)
+    return count(source, "tput", (*driving_dl, below), seeds=seeds) / total
 
 
-def _dl(ds: DriveDataset, op: Operator) -> np.ndarray:
-    return ds.tput_values(operator=op, direction="downlink", static=False)
+def _counter_total(counter: str) -> StatisticFn:
+    """Statistic: a per-operator dataset counter summed over operators and
+    over the selected partitions."""
+    return lambda source, seeds: float(sum(
+        sum(getattr(part, counter).values())
+        for part in partitions(source, seeds=seeds)
+    ))
 
 
 def _register_builtins() -> None:
     for op in Operator:
         code = op.code
+        of_op = Eq("operator", op)
 
         register_statistic(
             f"coverage_5g_share_{code}",
             f"{op.label} passive 5G coverage share of route miles (Fig. 1)",
             "fraction",
-            lambda ds, op=op: coverage.passive_coverage_shares(ds, op).share_5g,
+            lambda src, seeds, op=op: coverage.passive_coverage_shares(
+                src, op, seeds=seeds
+            ).share_5g,
         )
         register_statistic(
             f"coverage_hs5g_share_{code}",
             f"{op.label} high-speed 5G (midband+mmWave) share (Fig. 2a)",
             "fraction",
-            lambda ds, op=op: (
-                coverage.passive_coverage_shares(ds, op).share_high_speed_5g
-            ),
+            lambda src, seeds, op=op: coverage.passive_coverage_shares(
+                src, op, seeds=seeds
+            ).share_high_speed_5g,
         )
-        register_statistic(
-            f"driving_dl_median_mbps_{code}",
-            f"{op.label} driving downlink median over 500 ms samples (Fig. 3b)",
-            "Mbps",
-            lambda ds, op=op: _quantile(_dl(ds, op), 0.5),
-        )
-        register_statistic(
-            f"driving_ul_median_mbps_{code}",
-            f"{op.label} driving uplink median over 500 ms samples (Fig. 3b)",
-            "Mbps",
-            lambda ds, op=op: _quantile(
-                ds.tput_values(operator=op, direction="uplink", static=False), 0.5
-            ),
-        )
+        for direction in ("downlink", "uplink"):
+            register_statistic(
+                f"driving_{direction[0]}l_median_mbps_{code}",
+                f"{op.label} driving {direction} median over 500 ms samples "
+                "(Fig. 3b)",
+                "Mbps",
+                _quantile_of(
+                    "tput", "tput_mbps", 0.5,
+                    of_op, Eq("direction", direction), _DRIVING,
+                ),
+            )
         register_statistic(
             f"driving_rtt_median_ms_{code}",
             f"{op.label} driving RTT median over ping samples (Fig. 3c)",
             "ms",
-            lambda ds, op=op: _quantile(
-                ds.rtt_values(operator=op, static=False), 0.5
-            ),
+            _quantile_of("rtt", "rtt_ms", 0.5, of_op, _DRIVING),
         )
         register_statistic(
             f"handovers_per_mile_median_{code}",
             f"{op.label} median handovers per mile over DL tests (Fig. 11a)",
             "HO/mile",
-            lambda ds, op=op: handovers_per_mile(ds, op, "downlink").median,
+            lambda src, seeds, op=op: handovers_per_mile(
+                src, op, "downlink", seeds=seeds
+            ).median,
         )
 
     register_statistic(
         "driving_dl_below_5mbps_fraction",
         "Fraction of driving DL samples below 5 Mbps, all operators (§5.1)",
         "fraction",
-        lambda ds: float(
-            np.mean(ds.tput_values(direction="downlink", static=False) < 5.0)
-        ),
+        _below_5mbps,
     )
     register_statistic(
         "driving_rtt_p95_ms",
         "95th percentile driving RTT, all operators (Fig. 3c tail)",
         "ms",
-        lambda ds: _quantile(ds.rtt_values(static=False), 0.95),
+        _quantile_of("rtt", "rtt_ms", 0.95, _DRIVING),
     )
     register_statistic(
         "unique_cells_total",
         "Distinct cells connected across all operators (Table 1)",
         "cells",
-        lambda ds: float(sum(ds.connected_cells.values())),
+        _counter_total("connected_cells"),
     )
     register_statistic(
         "passive_handovers_total",
         "Trip-wide passive handover count across operators (Table 1)",
         "handovers",
-        lambda ds: float(sum(ds.passive_handover_counts.values())),
+        _counter_total("passive_handover_counts"),
     )
     register_statistic(
         "ar_e2e_median_ms",
         "Median AR offloading end-to-end latency while driving (Fig. 13)",
         "ms",
-        lambda ds: _quantile(
-            np.asarray(
-                [r.median_e2e_ms for r in ds.offload_runs
-                 if r.app.name == "AR" and not r.static],
-                dtype=float,
-            ),
-            0.5,
-        ),
+        _quantile_of("offload", "median_e2e_ms", 0.5, Eq("app", "AR"), _DRIVING),
     )
     register_statistic(
         "cav_e2e_median_ms",
         "Median CAV offloading end-to-end latency while driving (Fig. 14)",
         "ms",
-        lambda ds: _quantile(
-            np.asarray(
-                [r.median_e2e_ms for r in ds.offload_runs
-                 if r.app.name == "CAV" and not r.static],
-                dtype=float,
-            ),
-            0.5,
-        ),
+        _quantile_of("offload", "median_e2e_ms", 0.5, Eq("app", "CAV"), _DRIVING),
     )
     register_statistic(
         "video_qoe_median",
         "Median 360° video QoE while driving (Fig. 15)",
         "QoE",
-        lambda ds: _quantile(
-            np.asarray(
-                [r.qoe for r in ds.video_runs if not r.static], dtype=float
-            ),
-            0.5,
-        ),
+        _quantile_of("video", "qoe", 0.5, _DRIVING),
     )
     register_statistic(
         "gaming_bitrate_median_mbps",
         "Median cloud-gaming bitrate while driving (Fig. 16)",
         "Mbps",
-        lambda ds: _quantile(
-            np.asarray(
-                [r.avg_bitrate_mbps for r in ds.gaming_runs if not r.static],
-                dtype=float,
-            ),
-            0.5,
-        ),
+        _quantile_of("gaming", "avg_bitrate_mbps", 0.5, _DRIVING),
     )
 
 
 _register_builtins()
-
-
-# -- store-side evaluation ----------------------------------------------------
-#
-# A statistic evaluated through :mod:`repro.store.query` never materialises
-# row objects: predicates push into column stats and only the projected
-# column is decoded.  Not every registered statistic is query-expressible
-# (e.g. handovers-per-mile needs a per-test join), so store evaluators form
-# a parallel, partial registry over the same names — values are identical
-# to the row path on the same data.
-
-#: Evaluator over a store source: ``fn(source, seeds) -> float``.
-StoreStatisticFn = Callable[..., float]
-
-_STORE_EVALUATORS: dict[str, StoreStatisticFn] = {}
-
-
-def register_store_evaluator(name: str, fn: StoreStatisticFn) -> None:
-    """Attach a store-side evaluator to a registered statistic."""
-    get_statistic(name)  # fail fast on unknown names
-    _STORE_EVALUATORS[name] = fn
-
-
-def store_supported_statistics() -> tuple[str, ...]:
-    """Statistic names evaluable through the columnar query engine."""
-    return tuple(_STORE_EVALUATORS)
-
-
-def evaluate_statistics_from_store(
-    source,
-    names: Iterable[str] | None = None,
-    *,
-    seeds: tuple[int, ...] | None = None,
-) -> dict[str, float]:
-    """Evaluate statistics on a store source (reader or catalog).
-
-    ``names`` defaults to every store-supported statistic; naming one
-    without a store evaluator raises :class:`SweepError`.  Like the row
-    path, a statistic that cannot be computed on this data yields ``NaN``.
-    """
-    chosen = store_supported_statistics() if names is None else tuple(names)
-    out: dict[str, float] = {}
-    for name in chosen:
-        fn = _STORE_EVALUATORS.get(name)
-        if fn is None:
-            get_statistic(name)  # unknown name beats unsupported name
-            raise SweepError(
-                f"statistic {name!r} has no store evaluator; "
-                f"supported: {sorted(_STORE_EVALUATORS)}"
-            )
-        try:
-            value = float(fn(source, seeds))
-        except (ReproError, ValueError, ZeroDivisionError):
-            value = math.nan
-        out[name] = value if math.isfinite(value) else math.nan
-    return out
-
-
-def _meta_total(source, attr: str, seeds: tuple[int, ...] | None) -> float:
-    """Sum a per-operator metadata counter over the selected partitions."""
-    from repro.store.catalog import Catalog
-
-    readers = source.readers(seeds) if isinstance(source, Catalog) else [source]
-    return float(sum(sum(getattr(r, attr).values()) for r in readers))
-
-
-def _register_store_builtins() -> None:
-    from repro.analysis.coverage import passive_coverage_shares_from_store
-
-    def q():
-        from repro.store import query
-
-        return query
-
-    for op in Operator:
-        code = op.code
-
-        register_store_evaluator(
-            f"coverage_5g_share_{code}",
-            lambda src, seeds, op=op: passive_coverage_shares_from_store(
-                src, op, seeds=seeds
-            ).share_5g,
-        )
-        register_store_evaluator(
-            f"coverage_hs5g_share_{code}",
-            lambda src, seeds, op=op: passive_coverage_shares_from_store(
-                src, op, seeds=seeds
-            ).share_high_speed_5g,
-        )
-        for direction in ("downlink", "uplink"):
-            register_store_evaluator(
-                f"driving_{direction[0]}l_median_mbps_{code}",
-                lambda src, seeds, op=op, d=direction: q().percentile(
-                    src, "tput", "tput_mbps", 0.5,
-                    where=(
-                        q().Eq("operator", op),
-                        q().Eq("direction", d),
-                        q().Eq("static", False),
-                    ),
-                    seeds=seeds,
-                ),
-            )
-        register_store_evaluator(
-            f"driving_rtt_median_ms_{code}",
-            lambda src, seeds, op=op: q().percentile(
-                src, "rtt", "rtt_ms", 0.5,
-                where=(q().Eq("operator", op), q().Eq("static", False)),
-                seeds=seeds,
-            ),
-        )
-
-    def _below_5mbps(src, seeds) -> float:
-        query = q()
-        driving_dl = (query.Eq("direction", "downlink"), query.Eq("static", False))
-        total = query.count(src, "tput", driving_dl, seeds=seeds)
-        if total == 0:
-            return math.nan
-        below = query.count(
-            src, "tput",
-            driving_dl + (query.Between("tput_mbps", hi=5.0, hi_inclusive=False),),
-            seeds=seeds,
-        )
-        return below / total
-
-    register_store_evaluator("driving_dl_below_5mbps_fraction", _below_5mbps)
-    register_store_evaluator(
-        "driving_rtt_p95_ms",
-        lambda src, seeds: q().percentile(
-            src, "rtt", "rtt_ms", 0.95,
-            where=(q().Eq("static", False),), seeds=seeds,
-        ),
-    )
-    register_store_evaluator(
-        "unique_cells_total",
-        lambda src, seeds: _meta_total(src, "connected_cells", seeds),
-    )
-    register_store_evaluator(
-        "passive_handovers_total",
-        lambda src, seeds: _meta_total(src, "passive_handover_counts", seeds),
-    )
-    for app in ("AR", "CAV"):
-        register_store_evaluator(
-            f"{app.lower()}_e2e_median_ms",
-            lambda src, seeds, app=app: q().percentile(
-                src, "offload", "median_e2e_ms", 0.5,
-                where=(q().Eq("app", app), q().Eq("static", False)),
-                seeds=seeds,
-            ),
-        )
-    register_store_evaluator(
-        "video_qoe_median",
-        lambda src, seeds: q().percentile(
-            src, "video", "qoe", 0.5,
-            where=(q().Eq("static", False),), seeds=seeds,
-        ),
-    )
-    register_store_evaluator(
-        "gaming_bitrate_median_mbps",
-        lambda src, seeds: q().percentile(
-            src, "gaming", "avg_bitrate_mbps", 0.5,
-            where=(q().Eq("static", False),), seeds=seeds,
-        ),
-    )
-
-
-_register_store_builtins()

@@ -1,0 +1,207 @@
+"""The row-object oracle of every paper statistic and analysis bridge.
+
+The library computes each paper statistic once, over the query kernels of
+:mod:`repro.store.query`.  This module keeps the straight loops over record
+objects that those kernels replaced — per-record filters, left-fold sums,
+per-test handover joins — so parity tests can hold every source (row-held
+or column-held datasets, store files, catalogs) to them.  Nothing here
+runs outside the tests.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.analysis.cdf import EmpiricalCDF
+from repro.analysis.coverage import CoverageShares, _shares_from_weights
+from repro.analysis.performance import StaticVsDriving
+from repro.campaign.dataset import DriveDataset
+from repro.campaign.tests import TestType
+from repro.errors import AnalysisError, ReproError
+from repro.geo.timezones import Timezone
+from repro.radio.operators import Operator
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
+from repro.units import speed_bin
+
+_THROUGHPUT_TEST_TYPES = {
+    "downlink": TestType.DOWNLINK_THROUGHPUT,
+    "uplink": TestType.UPLINK_THROUGHPUT,
+}
+
+
+def tput_values(dataset: DriveDataset, *args, **kwargs) -> np.ndarray:
+    """Throughput values of the records :meth:`DriveDataset.tput` selects."""
+    return np.asarray(
+        [s.tput_mbps for s in dataset.tput(*args, **kwargs)], dtype=float
+    )
+
+
+def rtt_values(dataset: DriveDataset, *args, **kwargs) -> np.ndarray:
+    """RTT values of the records :meth:`DriveDataset.rtts` selects."""
+    return np.asarray(
+        [s.rtt_ms for s in dataset.rtts(*args, **kwargs)], dtype=float
+    )
+
+
+def active_coverage_shares(
+    dataset: DriveDataset,
+    operator: Operator,
+    direction: str | None = None,
+    timezone: Timezone | None = None,
+    speed_bin_label: str | None = None,
+) -> CoverageShares:
+    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
+    for s in dataset.tput(operator=operator, direction=direction, static=False):
+        if timezone is not None and s.timezone is not timezone:
+            continue
+        if speed_bin_label is not None and speed_bin(s.speed_mph) != speed_bin_label:
+            continue
+        weights[s.tech] += max(s.speed_mph, 0.0)
+    return _shares_from_weights(operator, weights)
+
+
+def passive_coverage_shares(
+    dataset: DriveDataset, operator: Operator
+) -> CoverageShares:
+    weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
+    for seg in dataset.passive_coverage:
+        if seg.operator is operator:
+            weights[seg.tech] += seg.length_m
+    return _shares_from_weights(operator, weights)
+
+
+def static_vs_driving(dataset: DriveDataset, operator: Operator) -> StaticVsDriving:
+    return StaticVsDriving(
+        operator=operator,
+        static_dl=EmpiricalCDF.from_values(
+            tput_values(dataset, operator=operator, direction="downlink", static=True)
+        ),
+        static_ul=EmpiricalCDF.from_values(
+            tput_values(dataset, operator=operator, direction="uplink", static=True)
+        ),
+        static_rtt=EmpiricalCDF.from_values(
+            rtt_values(dataset, operator=operator, static=True)
+        ),
+        driving_dl=EmpiricalCDF.from_values(
+            tput_values(dataset, operator=operator, direction="downlink", static=False)
+        ),
+        driving_ul=EmpiricalCDF.from_values(
+            tput_values(dataset, operator=operator, direction="uplink", static=False)
+        ),
+        driving_rtt=EmpiricalCDF.from_values(
+            rtt_values(dataset, operator=operator, static=False)
+        ),
+    )
+
+
+def handovers_per_mile(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> EmpiricalCDF:
+    test_type = _THROUGHPUT_TEST_TYPES[direction]
+    ho_by_test: dict[int, int] = {}
+    for h in dataset.handovers_of(operator=operator, direction=direction):
+        ho_by_test[h.test_id] = ho_by_test.get(h.test_id, 0) + 1
+    rates = []
+    for t in dataset.tests_of(test_type=test_type, operator=operator, static=False):
+        miles = t.distance_miles
+        if miles < 0.02:
+            continue  # parked in traffic: a per-mile rate is meaningless
+        rates.append(ho_by_test.get(t.test_id, 0) / miles)
+    if not rates:
+        raise AnalysisError(f"no usable tests for {operator} {direction}")
+    return EmpiricalCDF.from_values(rates)
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    if values.size == 0:
+        return math.nan
+    return float(np.quantile(values, q))
+
+
+def _dl(ds: DriveDataset, op: Operator) -> np.ndarray:
+    return tput_values(ds, operator=op, direction="downlink", static=False)
+
+
+def _statistics() -> dict:
+    """Every registered paper statistic as a function of one dataset, in
+    registration order."""
+    out = {}
+    for op in Operator:
+        code = op.code
+        out[f"coverage_5g_share_{code}"] = (
+            lambda ds, op=op: passive_coverage_shares(ds, op).share_5g
+        )
+        out[f"coverage_hs5g_share_{code}"] = (
+            lambda ds, op=op: passive_coverage_shares(ds, op).share_high_speed_5g
+        )
+        out[f"driving_dl_median_mbps_{code}"] = (
+            lambda ds, op=op: _quantile(_dl(ds, op), 0.5)
+        )
+        out[f"driving_ul_median_mbps_{code}"] = lambda ds, op=op: _quantile(
+            tput_values(ds, operator=op, direction="uplink", static=False), 0.5
+        )
+        out[f"driving_rtt_median_ms_{code}"] = lambda ds, op=op: _quantile(
+            rtt_values(ds, operator=op, static=False), 0.5
+        )
+        out[f"handovers_per_mile_median_{code}"] = (
+            lambda ds, op=op: handovers_per_mile(ds, op, "downlink").median
+        )
+    out["driving_dl_below_5mbps_fraction"] = lambda ds: float(
+        np.mean(tput_values(ds, direction="downlink", static=False) < 5.0)
+    )
+    out["driving_rtt_p95_ms"] = lambda ds: _quantile(
+        rtt_values(ds, static=False), 0.95
+    )
+    out["unique_cells_total"] = lambda ds: float(sum(ds.connected_cells.values()))
+    out["passive_handovers_total"] = lambda ds: float(
+        sum(ds.passive_handover_counts.values())
+    )
+    out["ar_e2e_median_ms"] = lambda ds: _quantile(
+        np.asarray(
+            [r.median_e2e_ms for r in ds.offload_runs
+             if r.app.name == "AR" and not r.static],
+            dtype=float,
+        ),
+        0.5,
+    )
+    out["cav_e2e_median_ms"] = lambda ds: _quantile(
+        np.asarray(
+            [r.median_e2e_ms for r in ds.offload_runs
+             if r.app.name == "CAV" and not r.static],
+            dtype=float,
+        ),
+        0.5,
+    )
+    out["video_qoe_median"] = lambda ds: _quantile(
+        np.asarray([r.qoe for r in ds.video_runs if not r.static], dtype=float),
+        0.5,
+    )
+    out["gaming_bitrate_median_mbps"] = lambda ds: _quantile(
+        np.asarray(
+            [r.avg_bitrate_mbps for r in ds.gaming_runs if not r.static],
+            dtype=float,
+        ),
+        0.5,
+    )
+    return out
+
+
+#: Oracle of each registered statistic, by name.
+STATISTICS = _statistics()
+
+
+def evaluate(dataset: DriveDataset, name: str) -> float:
+    """One statistic on one dataset's records; ``NaN`` when not computable,
+    exactly as :meth:`repro.sweep.stats.PaperStatistic.evaluate` reports."""
+    try:
+        value = float(STATISTICS[name](dataset))
+    except (ReproError, ValueError, ZeroDivisionError):
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+def statistics(dataset: DriveDataset) -> dict[str, float]:
+    """Every statistic on one dataset's records, in registration order."""
+    return {name: evaluate(dataset, name) for name in STATISTICS}

@@ -12,13 +12,19 @@ splits them into random shards, and checks:
   compare);
 * both merges write the same ``.rcol`` bytes and save the same JSON-lines
   bytes;
-* every registered statistic is bit-identical (NaN equal to NaN);
+* every registered statistic is bit-identical (NaN equal to NaN), and
+  equal to its row-object oracle (:mod:`tests.row_oracle`) on the row
+  merge;
 * rows built lazily from columns equal the records they came from;
 * a record appended after row access shows up in the written bytes.
+
+A row-held table's shred is memoised; a separate test checks that the memo
+follows the record list and is never pickled.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pathlib
 import pickle
@@ -46,6 +52,7 @@ from repro.radio.technology import RadioTechnology
 from repro.store.columnar import ColumnTable
 from repro.store.format import read_dataset, write_dataset
 from repro.sweep.stats import evaluate_statistics
+from tests import row_oracle
 from tests.test_store_properties import _SPECIALS, _random_dataset
 
 #: Distinct cell ids per dictionary column of one shard stay below this, so
@@ -226,12 +233,14 @@ def test_column_path_matches_row_path(seed, empty, n_shards):
         assert files.rcol(column_merged()) == files.rcol(row_merged)
         assert files.jsonl(column_merged()) == files.jsonl(row_merged)
 
-        # Statistics: bit-identical, NaN equal to NaN.
+        # Statistics: bit-identical, NaN equal to NaN, and as the row
+        # oracle computes them on the row merge.
         got = evaluate_statistics(column_merged())
         want = evaluate_statistics(row_merged)
-        assert list(got) == list(want)
+        oracle = row_oracle.statistics(row_merged)
+        assert list(got) == list(want) == list(oracle)
         for name in want:
-            assert _bits(got[name]) == _bits(want[name]), name
+            assert _bits(got[name]) == _bits(want[name]) == _bits(oracle[name]), name
 
         # Lazy rows equal the records they came from; count needs no rows.
         lazy = files.replay(original)
@@ -249,3 +258,35 @@ def test_column_path_matches_row_path(seed, empty, n_shards):
         grown.rtt_samples.append(_EXTRA_RTT)
         row_merged.rtt_samples.append(_EXTRA_RTT)
         assert files.rcol(grown) == files.rcol(row_merged)
+
+
+def test_table_memo_follows_the_record_list(tmp_path):
+    """A row-held table's shred is memoised, but a record appended through
+    a list reference taken before :meth:`DriveDataset.table` still reaches
+    the written bytes and the statistics; pickles carry no memo."""
+    files = Files(tmp_path)
+    ds = _random_dataset(random.Random(7))
+    rtts = ds.rtt_samples  # taken before any shred
+    assert ds.table("rtt") is ds.table("rtt")  # memoised
+    rtts.append(_EXTRA_RTT)
+    reference = _random_dataset(random.Random(7))
+    reference.rtt_samples = [*reference.rtt_samples, _EXTRA_RTT]
+    assert ds.table("rtt").count == len(rtts)
+    assert files.rcol(ds) == files.rcol(reference)
+    got = evaluate_statistics(ds)
+    want = row_oracle.statistics(reference)
+    for name in want:
+        assert _bits(got[name]) == _bits(want[name]), name
+    # A record equal to the one it replaces still re-shreds: -0.0 == 0.0,
+    # but the two write different bytes.
+    assert _EXTRA_RTT.time_s == 0.0 and math.copysign(1.0, _EXTRA_RTT.time_s) < 0
+    rtts[-1] = dataclasses.replace(_EXTRA_RTT, time_s=0.0)
+    assert rtts[-1] == _EXTRA_RTT
+    assert _bits(ds.table("rtt").arrays["time_s"][-1]) == _bits(0.0)
+
+    memo_keys = {f"{f.table}:memo" for f in RECORD_FAMILIES}
+    assert memo_keys & set(ds.__dict__)
+    clone = pickle.loads(pickle.dumps(ds))
+    assert not memo_keys & set(clone.__dict__)
+    assert repr(clone) == repr(ds)
+    assert files.rcol(clone) == files.rcol(ds)

@@ -98,7 +98,16 @@ class TestIngest:
         ]},
         lambda obj: {**obj, "partitions": [["not", "an", "object"]]},
         lambda obj: {**obj, "partitions": [{**obj["partitions"][0], "seed": "x"}]},
-    ], ids=["array", "partition_without_path", "partition_array", "bad_seed"])
+        lambda obj: {**obj, "partitions": [
+            {**obj["partitions"][0], "tables": {"tput": []}}
+        ]},
+        lambda obj: {**obj, "partitions": [
+            {**obj["partitions"][0], "tables": {"tput": {"count": "x", "columns": {}}}}
+        ]},
+    ], ids=[
+        "array", "partition_without_path", "partition_array", "bad_seed",
+        "table_stats_array", "table_count_not_int",
+    ])
     def test_malformed_manifest_rejected(self, catalog, edit, capsys):
         manifest = catalog.root / "catalog.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))

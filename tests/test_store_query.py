@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.analysis.coverage import (
-    active_coverage_shares,
-    active_coverage_shares_from_store,
-    passive_coverage_shares,
-    passive_coverage_shares_from_store,
-)
-from repro.analysis.performance import (
-    static_vs_driving,
-    static_vs_driving_from_store,
-)
+from repro.analysis.coverage import active_coverage_shares, passive_coverage_shares
+from repro.analysis.performance import static_vs_driving
 from repro.errors import StoreError
 from repro.radio.operators import Operator
 from repro.store import (
@@ -27,8 +21,10 @@ from repro.store import (
     where_speed_bin,
     write_dataset,
 )
-from repro.sweep.stats import evaluate_statistics_from_store
 from repro.units import SPEED_BIN_LABELS, speed_bin
+from tests import row_oracle
+from tests.conftest import RCOL_CORRUPTIONS
+from tests.test_store_properties import _random_dataset
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +40,8 @@ class TestKernelParity:
 
     def test_select_matches_row_filter(self, dataset, reader):
         for op in Operator:
-            row = dataset.tput_values(
-                operator=op, direction="downlink", static=False
+            row = row_oracle.tput_values(
+                dataset, operator=op, direction="downlink", static=False
             )
             col = query.select(
                 reader, "tput", "tput_mbps",
@@ -72,7 +68,7 @@ class TestKernelParity:
         )
 
     def test_percentile_matches_numpy(self, dataset, reader):
-        values = dataset.rtt_values(static=False)
+        values = row_oracle.rtt_values(dataset, static=False)
         got = query.percentile(
             reader, "rtt", "rtt_ms", 0.95, where=(Eq("static", False),)
         )
@@ -147,31 +143,70 @@ class TestPushdown:
             reader, "tput", "tput_mbps",
             where=(Eq("direction", "downlink"), Eq("static", False)),
         )
-        values = dataset.tput_values(direction="downlink", static=False)
+        values = row_oracle.tput_values(
+            dataset, direction="downlink", static=False
+        )
         assert curve.n == len(values)
         assert curve.median == pytest.approx(float(np.median(values)))
 
 
+class TestDictColumns:
+    """Dictionary columns are read through their checked codes."""
+
+    def test_dict_value_column_cannot_be_summed(self, reader):
+        with pytest.raises(StoreError, match="dict column 'operator'"):
+            query.group_total(reader, "passive", "tech", "operator")
+
+    @pytest.fixture()
+    def corrupt(self, tmp_path):
+        """A store file whose first throughput operator code has no
+        dictionary value (every other table is empty, so the corruption
+        lands in the throughput table)."""
+        ds = _random_dataset(
+            random.Random(3),
+            empty_tables=frozenset(
+                ("rtt", "test", "ho", "passive", "offload", "video", "gaming")
+            ),
+        )
+        assert len({s.operator for s in ds.throughput_samples}) > 1
+        path = tmp_path / "corrupt.rcol"
+        write_dataset(ds, path)
+        RCOL_CORRUPTIONS["dict_code_out_of_range"](path)
+        with DatasetReader(path) as r:
+            yield r
+
+    def test_out_of_range_code_fails_count(self, corrupt):
+        # Only some rows match, so the stats cannot answer: codes are read.
+        first = corrupt.table("tput").dict_values("operator")[0]
+        with pytest.raises(StoreError, match="out of range"):
+            query.count(corrupt, "tput", (Eq("operator", first),))
+
+    def test_out_of_range_code_fails_group_total(self, corrupt):
+        with pytest.raises(StoreError, match="out of range"):
+            query.group_total(corrupt, "tput", "operator", "tput_mbps")
+
+
 class TestAnalysisBridges:
+    """Each analysis bridge is one function; on a store file it equals its
+    row-object oracle on the dataset the file holds."""
+
     def test_passive_coverage_parity(self, dataset, reader):
         for op in Operator:
-            row = passive_coverage_shares(dataset, op)
-            col = passive_coverage_shares_from_store(reader, op)
+            row = row_oracle.passive_coverage_shares(dataset, op)
+            col = passive_coverage_shares(reader, op)
             assert row.shares == col.shares
             assert row.total_weight == col.total_weight
 
     def test_active_coverage_parity(self, dataset, reader):
         for op in Operator:
-            row = active_coverage_shares(dataset, op, direction="downlink")
-            col = active_coverage_shares_from_store(
-                reader, op, direction="downlink"
-            )
+            row = row_oracle.active_coverage_shares(dataset, op, direction="downlink")
+            col = active_coverage_shares(reader, op, direction="downlink")
             for tech, share in row.shares.items():
                 assert col.shares[tech] == pytest.approx(share, abs=1e-12)
 
     def test_static_vs_driving_parity(self, dataset, reader):
-        row = static_vs_driving(dataset, Operator.VERIZON)
-        col = static_vs_driving_from_store(reader, Operator.VERIZON)
+        row = row_oracle.static_vs_driving(dataset, Operator.VERIZON)
+        col = static_vs_driving(reader, Operator.VERIZON)
         for attr in (
             "static_dl", "static_ul", "static_rtt",
             "driving_dl", "driving_ul", "driving_rtt",
@@ -181,13 +216,5 @@ class TestAnalysisBridges:
                 getattr(col, attr).sorted_values,
             ), attr
 
-    # Statistic-level row-vs-store parity lives in
-    # tests/test_parity_differential.py, which sweeps the whole registry.
-
-    def test_unsupported_statistic_raises(self, reader):
-        from repro.errors import SweepError
-
-        with pytest.raises(SweepError, match="no store evaluator"):
-            evaluate_statistics_from_store(
-                reader, ["handovers_per_mile_median_V"]
-            )
+    # Statistic-level parity lives in tests/test_parity_differential.py,
+    # which sweeps the whole registry over every kind of source.

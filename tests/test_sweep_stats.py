@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SweepError
+from repro.store import query
 from repro.sweep.stats import (
     StatisticSummary,
     bootstrap_ci,
@@ -40,17 +41,19 @@ class TestRegistry:
             get_statistic("nope")
 
     def test_duplicate_registration_rejected(self):
-        register_statistic("tmp_stat", "test", "", lambda ds: 1.0)
+        register_statistic("tmp_stat", "test", "", lambda source, seeds: 1.0)
         try:
             with pytest.raises(SweepError):
-                register_statistic("tmp_stat", "again", "", lambda ds: 2.0)
+                register_statistic(
+                    "tmp_stat", "again", "", lambda source, seeds: 2.0
+                )
         finally:
             unregister_statistic("tmp_stat")
 
     def test_custom_statistic_evaluates(self, bare_dataset):
         register_statistic(
             "tmp_n_rtts", "number of RTT samples", "samples",
-            lambda ds: float(len(ds.rtt_samples)),
+            lambda source, seeds: float(query.count(source, "rtt", seeds=seeds)),
         )
         try:
             values = evaluate_statistics(bare_dataset, ["tmp_n_rtts"])
@@ -109,7 +112,7 @@ class TestBootstrapCi:
 
 class TestSummaries:
     def test_summary_fields(self):
-        register_statistic("tmp_sum", "test", "u", lambda ds: 0.0)
+        register_statistic("tmp_sum", "test", "u", lambda source, seeds: 0.0)
         try:
             summary = summarize_statistic(
                 "tmp_sum", {1: 2.0, 2: 4.0, 3: 6.0}, confidence=0.9, n_boot=200
@@ -125,7 +128,7 @@ class TestSummaries:
         assert summary.n_seeds == 3
 
     def test_nan_seeds_excluded(self):
-        register_statistic("tmp_nan", "test", "", lambda ds: 0.0)
+        register_statistic("tmp_nan", "test", "", lambda source, seeds: 0.0)
         try:
             summary = summarize_statistic(
                 "tmp_nan", {1: 1.0, 2: math.nan, 3: 3.0}
@@ -137,7 +140,7 @@ class TestSummaries:
         assert summary.values == (1.0, 3.0)
 
     def test_all_nan_returns_none(self):
-        register_statistic("tmp_allnan", "test", "", lambda ds: math.nan)
+        register_statistic("tmp_allnan", "test", "", lambda source, seeds: math.nan)
         try:
             assert summarize_statistic("tmp_allnan", {1: math.nan}) is None
         finally:
@@ -146,7 +149,7 @@ class TestSummaries:
     def test_repeated_summaries_bit_identical(self):
         """The bootstrap RNG is derived from the statistic name, so the
         same sweep emits the same intervals every time."""
-        register_statistic("tmp_det", "test", "", lambda ds: 0.0)
+        register_statistic("tmp_det", "test", "", lambda source, seeds: 0.0)
         try:
             a = summarize_statistic("tmp_det", {1: 1.0, 2: 5.0, 3: 2.5})
             b = summarize_statistic("tmp_det", {1: 1.0, 2: 5.0, 3: 2.5})
@@ -155,7 +158,7 @@ class TestSummaries:
         assert a == b
 
     def test_round_trip_through_json(self):
-        register_statistic("tmp_rt", "round trip", "ms", lambda ds: 0.0)
+        register_statistic("tmp_rt", "round trip", "ms", lambda source, seeds: 0.0)
         try:
             summary = summarize_statistic("tmp_rt", {1: 1.25, 2: 2.75})
         finally:
@@ -167,7 +170,7 @@ class TestSummaries:
         """Regression: one finite seed used to report std=0.0 and a
         zero-width CI at the value, claiming certainty a single
         replication cannot support."""
-        register_statistic("tmp_one", "single seed", "ms", lambda ds: 0.0)
+        register_statistic("tmp_one", "single seed", "ms", lambda source, seeds: 0.0)
         try:
             summary = summarize_statistic("tmp_one", {7: 3.5})
         finally:
@@ -181,7 +184,7 @@ class TestSummaries:
     def test_single_seed_round_trip_is_strict_json(self):
         """The NaN std/CI must serialise as null (strict JSON), and parse
         back to NaN — not crash, and not silently become 0.0."""
-        register_statistic("tmp_one_rt", "single seed", "ms", lambda ds: 0.0)
+        register_statistic("tmp_one_rt", "single seed", "ms", lambda source, seeds: 0.0)
         try:
             summary = summarize_statistic("tmp_one_rt", {7: 3.5})
         finally:
