@@ -122,7 +122,6 @@ def bench():
 def campaign():
     c = DriveCampaign(CampaignConfig(seed=BENCH_SEED, scale=BENCH_SCALE))
     c.run()
-    c.finalize_connected_cells()
     return c
 
 

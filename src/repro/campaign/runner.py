@@ -77,8 +77,9 @@ class CampaignWindow:
     windowed campaign starts at ``start_m`` with a deterministic clock origin
     (``start_m / NOMINAL_CRUISE_MPS``), runs measurement cycles until it
     crosses ``end_m``, and visits only the static-baseline cities that fall
-    inside its span.  Passive coverage is *not* recorded per window — the
-    engine runs the trip-wide handover-logger as its own shard.
+    inside its span.  Its passive handover-loggers walk the same deployment
+    the active probes drive through, clipped to ``[start_m, end_m)``, so the
+    windows' passive segments tile the route.
 
     ``overrun_m`` is how far past ``end_m`` the window's radio deployment is
     built: the last cycle of a window may legitimately overrun the boundary,
@@ -165,9 +166,9 @@ class DriveCampaign:
             no-uplink-demotion world).  Operators not in the mapping keep
             their default profile.
         window:
-            Restrict the campaign to one route span (see
-            :class:`CampaignWindow`).  ``None`` runs the whole route in one
-            process — the classic single-shot mode.
+            The route span to drive (see :class:`CampaignWindow`).  ``None``
+            is the one window covering the whole route, with no overrun
+            and test ids counted from 0.
         rng_factory:
             Override the random-substream factory.  The engine passes each
             window ``RngFactory(seed).shard(window.index)`` so shard draws
@@ -175,29 +176,27 @@ class DriveCampaign:
         """
         self.config = config or CampaignConfig()
         self.route = route or build_cross_country_route()
-        self.window = window
+        total = self.route.total_length_m
+        self.window = window or CampaignWindow(
+            index=0, start_m=0.0, end_m=total, overrun_m=0.0
+        )
         self._rngs = rng_factory or RngFactory(seed=self.config.seed)
         self._servers = ServerRegistry(self.route)
         self._speed = SpeedProfile(self._rngs.stream("speed"))
         self._sessions: dict[Operator, UESession] = {}
-        total = self.route.total_length_m
-        span_start = 0.0 if window is None else window.start_m
-        span_end = (
-            None if window is None else min(window.end_m + window.overrun_m, total)
-        )
         overrides = policy_profiles or {}
         for op in Operator:
             deployment = DeploymentModel.build(
                 op, self.route, self._rngs.stream(f"deploy-{op.code}"),
-                start_m=span_start, end_m=span_end,
+                start_m=self.window.start_m,
+                end_m=min(self.window.end_m + self.window.overrun_m, total),
             )
             self._sessions[op] = UESession(
                 op, deployment, self._rngs, policy_profile=overrides.get(op)
             )
-        self._mark_m = span_start
-        self._time_s = 0.0 if window is None else window.start_time_s
+        self._mark_m = self.window.start_m
+        self._time_s = self.window.start_time_s
         self._test_seq = 0
-        self._test_id_base = 0 if window is None else window.test_id_base
         self._dataset = DriveDataset(
             seed=self.config.seed,
             scale=self.config.scale,
@@ -207,23 +206,10 @@ class DriveCampaign:
     # -- public API --------------------------------------------------------
 
     def run(self) -> DriveDataset:
-        """Execute the campaign (or one window of it) and return the dataset."""
-        if self.window is None:
-            self._record_passive_coverage()
-        remaining_cities = [
-            (self.route.city_mark_m(c.name), c.name) for c in self.route.cities
-        ]
-        if self.window is not None:
-            remaining_cities = [
-                (mark, name)
-                for mark, name in remaining_cities
-                if self._city_in_window(mark)
-            ]
-        remaining_cities.sort()
-
-        end_m = self.route.total_length_m - 2_000.0
-        if self.window is not None:
-            end_m = min(self.window.end_m, end_m)
+        """Execute the campaign window and return its dataset."""
+        marks = ((self.route.city_mark_m(c.name), c.name) for c in self.route.cities)
+        remaining_cities = sorted(m for m in marks if self._city_in_window(m[0]))
+        end_m = min(self.window.end_m, self.route.total_length_m - 2_000.0)
         while self._mark_m < end_m:
             # Static battery when we reach a city.
             while remaining_cities and remaining_cities[0][0] <= self._mark_m:
@@ -239,6 +225,7 @@ class DriveCampaign:
         for _, city_name in remaining_cities:
             if self.config.include_static:
                 self._run_static_battery(city_name)
+        self._record_passive_coverage()
         return self._dataset
 
     def _city_in_window(self, city_mark_m: float) -> bool:
@@ -248,24 +235,9 @@ class DriveCampaign:
         one whose end reaches the route terminus) also owns the terminus
         city, Boston.
         """
-        assert self.window is not None
         if self.window.end_m >= self.route.total_length_m - 1e-6:
             return self.window.start_m <= city_mark_m <= self.window.end_m
         return self.window.start_m <= city_mark_m < self.window.end_m
-
-    def connected_active_cell_counts(self) -> dict[Operator, int]:
-        """Distinct active-layer cells each operator's UE connected to.
-
-        The engine's merger sums these across windows and adds the
-        macro-grid cells counted by the passive shard.  Window spans are
-        disjoint, but a window's last cycle can run into the ``overrun_m``
-        deployment margin past its end, so cells on a window boundary may be
-        counted by both neighbouring windows (see ``engine/merge.py``).
-        """
-        return {
-            op: len(session.handover_engine.connected_cells)
-            for op, session in self._sessions.items()
-        }
 
     # -- cycle & movement ----------------------------------------------------
 
@@ -330,7 +302,7 @@ class DriveCampaign:
 
     def _next_test_id(self) -> int:
         self._test_seq += 1
-        return self._test_id_base + self._test_seq
+        return self.window.test_id_base + self._test_seq
 
     def _servers_now(self, position: RoutePosition) -> dict[Operator, Server]:
         return {
@@ -802,30 +774,23 @@ class DriveCampaign:
             )
 
     def _record_passive_coverage(self) -> None:
-        """Walk the route per operator with the passive handover-logger."""
+        """Walk the window with the passive handover-loggers (§3) and
+        record the distinct cells each operator's phones connected to."""
         # Imported here: repro.xcal pulls in repro.campaign at package level,
         # so a module-level import would be circular.
         from repro.xcal.handover_logger import run_handover_logger
 
-        for op in Operator:
+        for op, session in self._sessions.items():
             trace = run_handover_logger(
                 op,
-                self._sessions[op].deployment,
+                session.deployment,
                 self._rngs.stream(f"passive-{op.code}"),
+                self.window.end_m,
             )
             self._dataset.passive_coverage.extend(trace.segments)
             self._dataset.passive_handover_counts[op] = trace.macro_handovers
-
-    def finalize_connected_cells(self) -> None:
-        """Record the distinct cells each phone connected to."""
-        for op, session in self._sessions.items():
-            macro_cells = {
-                c.cell_id
-                for z in session.deployment.macro_zones
-                for c in z.cells.values()
-            }
             self._dataset.connected_cells[op] = len(
-                set(session.handover_engine.connected_cells) | macro_cells
+                session.handover_engine.connected_cells | trace.macro_cell_ids
             )
 
 

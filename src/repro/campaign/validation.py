@@ -53,7 +53,8 @@ def validate_dataset(dataset: DriveDataset, max_issues: int = 50) -> ValidationR
     * per-test sample counts and time monotonicity;
     * physical ranges (throughput, RTT, RSRP, MCS, BLER, speed);
     * handover events attached to existing tests, positive durations;
-    * passive coverage tiles the route without overlaps per operator;
+    * passive coverage tiles the route per operator: no overlaps, no gaps,
+      from 0 to the route length;
     * app runs reference valid fractions and non-negative byte counts.
     """
     report = ValidationReport()
@@ -110,14 +111,23 @@ def validate_dataset(dataset: DriveDataset, max_issues: int = 50) -> ValidationR
             f"handover operator mismatch on test {h.test_id}")
 
     # --- passive coverage tiling ---------------------------------------------
+    route_end_m = dataset.route_length_km * 1000.0
     for op in Operator:
         segs = sorted(
             (s for s in dataset.passive_coverage if s.operator is op),
             key=lambda s: s.start_m,
         )
+        if segs:
+            run("passive.tiling", abs(segs[0].start_m) <= 1e-3,
+                f"{op} passive coverage starts at {segs[0].start_m}, not 0")
+            run("passive.tiling", abs(segs[-1].end_m - route_end_m) <= 1e-3,
+                f"{op} passive coverage ends at {segs[-1].end_m}, "
+                f"not the route end {route_end_m}")
         for prev, cur in zip(segs, segs[1:]):
             run("passive.tiling", cur.start_m >= prev.end_m - 1e-6,
                 f"{op} passive segments overlap at {cur.start_m}")
+            run("passive.tiling", cur.start_m <= prev.end_m + 1e-6,
+                f"{op} passive coverage has a gap at {prev.end_m}")
 
     # --- app runs -------------------------------------------------------------
     for r in dataset.offload_runs:

@@ -1,8 +1,9 @@
 """repro.engine — sharded, fault-tolerant campaign execution.
 
-The single-process :class:`~repro.campaign.runner.DriveCampaign` regenerates
-the paper's 8-day, 5711 km dataset one tick at a time; this package runs the
-same campaign as a set of independent **route shards**:
+A :class:`~repro.campaign.runner.DriveCampaign` drives one route window one
+tick at a time, active probes and passive handover-loggers alike; by
+default its window is the whole 5711 km route.  This package runs the
+campaign as a set of independent **route shards**, one per window:
 
 1. the :mod:`planner <repro.engine.planner>` splits the route into canonical
    distance windows — a pure function of the campaign config, never of the
@@ -42,7 +43,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.campaign.dataset import DriveDataset
@@ -51,12 +52,7 @@ from repro.campaign.validation import validate_dataset
 from repro.engine.checkpoint import ShardCache, config_fingerprint
 from repro.engine.merge import merge_shard_results
 from repro.engine.metrics import EngineReport, ShardMetrics
-from repro.engine.planner import (
-    PASSIVE_SHARD_INDEX,
-    PlannerParams,
-    ShardPlan,
-    plan_campaign,
-)
+from repro.engine.planner import PlannerParams, ShardPlan, plan_campaign
 from repro.engine.worker import (
     FaultSpec,
     ShardResult,
@@ -140,45 +136,33 @@ def build_task_batches(
     config: EngineConfig,
     plan: ShardPlan,
     pending_windows: list[CampaignWindow],
-    passive_pending: bool,
     fingerprint: str,
     route: Route | None,
     trace_parent: str | None = None,
 ) -> list[tuple[ShardTask, ...]]:
-    """Group pending work into submission batches (passive shard first).
+    """Group the pending windows into submission batches.
 
     ``trace_parent`` is the orchestrator's execute-span id; it rides on
     every task so worker-emitted shard spans attach under it.
     """
-
-    def task(window: CampaignWindow | None) -> ShardTask:
-        index = PASSIVE_SHARD_INDEX if window is None else window.index
-        return ShardTask(
-            config=config.campaign,
-            window=window,
-            checkpoint_dir=config.checkpoint_dir,
-            fingerprint=fingerprint,
-            fault=config.inject_faults.get(index),
-            parent_pid=os.getpid(),
-            route=route,
-            trace_path=config.trace_path,
-            trace_parent=trace_parent,
+    pending = replace(plan, windows=tuple(pending_windows))
+    return [
+        tuple(
+            ShardTask(
+                config=config.campaign,
+                window=window,
+                checkpoint_dir=config.checkpoint_dir,
+                fingerprint=fingerprint,
+                fault=config.inject_faults.get(window.index),
+                parent_pid=os.getpid(),
+                route=route,
+                trace_path=config.trace_path,
+                trace_parent=trace_parent,
+            )
+            for window in group
         )
-
-    batches: list[tuple[ShardTask, ...]] = []
-    if passive_pending:
-        batches.append((task(None),))
-    window_plan = ShardPlan(
-        windows=tuple(pending_windows),
-        nominal_cycle_s=plan.nominal_cycle_s,
-        window_km=plan.window_km,
-    )
-    if pending_windows:
-        batches.extend(
-            tuple(task(w) for w in group)
-            for group in window_plan.batches(config.shards)
-        )
-    return batches
+        for group in pending.batches(config.shards)
+    ]
 
 
 # -- executors ---------------------------------------------------------------
@@ -417,8 +401,11 @@ def run_campaigns(
         seed = config.campaign.seed
         with tracer.span(f"{phase}.plan", seed=seed) as plan_span:
             plan = plan_campaign(config.campaign, campaign_route, config.planner)
-            run = CampaignRun(config, plan, config_fingerprint(config.campaign, plan))
-            indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
+            run = CampaignRun(
+                config, plan,
+                config_fingerprint(config.campaign, plan, campaign_route),
+            )
+            indices = [w.index for w in plan.windows]
             if config.checkpoint_dir is not None:
                 checkpoints = ShardCache(config.checkpoint_dir)
                 for index, result in checkpoints.load_many(
@@ -450,7 +437,6 @@ def run_campaigns(
                 run.config,
                 run.plan,
                 [w for w in run.plan.windows if w.index not in run.results],
-                PASSIVE_SHARD_INDEX not in run.results,
                 run.fingerprint,
                 route,
                 trace_parent=exec_span.span_id,
@@ -497,8 +483,6 @@ def run_campaigns(
                 with Catalog(config.store_dir) as catalog:
                     catalog.ingest(run.dataset)
 
-        window_span = {w.index: (w.start_m, w.end_m) for w in plan.windows}
-        window_span[PASSIVE_SHARD_INDEX] = (0.0, campaign_route.total_length_m)
         run.report = EngineReport(
             executor=stats.executor,
             workers=stats.workers,
@@ -511,8 +495,8 @@ def run_campaigns(
             shards=[
                 ShardMetrics(
                     index=index,
-                    start_km=window_span[index][0] / 1000.0,
-                    end_km=window_span[index][1] / 1000.0,
+                    start_km=plan.windows[index].start_m / 1000.0,
+                    end_km=plan.windows[index].end_m / 1000.0,
                     wall_s=result.wall_s,
                     records=result.records,
                     retries=run.retries.get(index, 0),

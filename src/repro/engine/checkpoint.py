@@ -19,8 +19,8 @@ On-disk layout (one entry per shard, fanned out by key prefix)::
     <cache_dir>/objects/<key[:2]>/<key>/
         data.rcol     shard-local dataset in the columnar store format
                       (byte-stable, atomic, fsync'd — repro.store.format)
-        meta.json     sidecar: fingerprint, seed, index, cell counts,
-                      wall time, record count, worker metrics snapshot
+        meta.json     sidecar: fingerprint, seed, index, wall time,
+                      record count, worker metrics snapshot
 
 Entries are columnar because replay is the hot path of a warm sweep:
 :func:`~repro.store.format.read_dataset` decodes a shard into column arrays
@@ -29,9 +29,9 @@ all — the shard's dataset holds each table as a
 :class:`~repro.store.columnar.ColumnTable`, the merge concatenates those
 columns, and records are only built if someone reads a record list.  The
 price is disk: an ``.rcol`` entry takes about twice the bytes of the gzipped
-JSON-lines it replaced (1.15 MB → 2.25 MB for the 22 shards of a 2-seed,
-scale-0.004 sweep with 600 km windows), so a given ``max_bytes`` holds
-about half as many entries.  Entries of checkpoint version 1
+JSON-lines it replaced (1.15 MB → 2.25 MB for the 22 version-2 shards of
+a 2-seed, scale-0.004 sweep with 600 km windows), so a given
+``max_bytes`` holds about half as many entries.  Entries of checkpoint version 1
 (``data.ds.gz``) live under fingerprints this version never computes, so
 they are orphaned — never read, and evicted first by a bounded cache since
 nothing refreshes them.
@@ -43,8 +43,8 @@ Guarantees:
   without a valid sidecar is simply a miss.
 * **Safe reads** — a hit must match fingerprint, seed, *and* index; a
   corrupt sidecar or store file, or a foreign entry, is treated as absent.
-  Seed, scale, cycle plan and the exact window decomposition all
-  participate in the fingerprint, so an entry written by a different
+  Seed, scale, cycle plan, the route and the exact window decomposition
+  all participate in the fingerprint, so an entry written by a different
   configuration (or an incompatible engine version) is never replayed.  A
   cache can make a run faster, never wrong.
 * **LRU size bounding** — with ``max_bytes`` set, the store evicts
@@ -73,11 +73,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.campaign.runner import CampaignConfig
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan
+from repro.engine.planner import ShardPlan
 from repro.engine.worker import ShardResult
 from repro.errors import ReproError, SweepError
+from repro.geo.route import Route
 from repro.obs.metrics import MetricsRegistry
-from repro.radio.operators import Operator
 from repro.store.format import STORE_FORMAT_VERSION, read_dataset, write_dataset
 
 __all__ = [
@@ -93,10 +93,13 @@ __all__ = [
 #: Bump when the shard execution semantics or the entry layout change in a
 #: way that makes old cached shards unmergeable or unreadable.
 #: 2: entries hold ``data.rcol`` (columnar) instead of ``data.ds.gz``.
-ENGINE_CHECKPOINT_VERSION = 2
+#: 3: every shard is a window that also walks its passive loggers (no
+#: passive shard, no cell counts in sidecars); fingerprints commit to the
+#: route.
+ENGINE_CHECKPOINT_VERSION = 3
 
 
-def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
+def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) -> str:
     """Digest identifying the exact computation a shard belongs to."""
     payload = {
         "engine_version": ENGINE_CHECKPOINT_VERSION,
@@ -110,6 +113,7 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
         "gaming_duration_s": config.gaming_duration_s,
         "inter_test_gap_s": config.inter_test_gap_s,
         "cycle": [t.name for t in config.cycle.tests],
+        "route": route.digest,
         "windows": [
             [w.index, round(w.start_m, 3), round(w.end_m, 3), round(w.overrun_m, 3)]
             for w in plan.windows
@@ -120,8 +124,8 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan) -> str:
 
 
 def shard_stem(index: int) -> str:
-    """Canonical name of one shard (``shard-0007``, ``shard-passive``)."""
-    return "shard-passive" if index == PASSIVE_SHARD_INDEX else f"shard-{index:04d}"
+    """Canonical name of one shard (``shard-0007``)."""
+    return f"shard-{index:04d}"
 
 
 def shard_key(fingerprint: str, index: int, seed: int) -> str:
@@ -149,27 +153,10 @@ def shard_meta(result: ShardResult, fingerprint: str) -> dict:
         "index": result.index,
         "wall_s": result.wall_s,
         "records": result.records,
-        "active_cells": {op.name: n for op, n in result.active_cells.items()},
-        "macro_cells": {op.name: n for op, n in result.macro_cells.items()},
     }
     if result.metrics is not None:
         meta["metrics"] = result.metrics
     return meta
-
-
-def _cell_counts(obj) -> dict[Operator, int]:
-    """Per-operator cell counts of a sidecar; ``ValueError`` unless every
-    entry maps an operator name to a non-negative integer."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"cell counts must be an object, got {obj!r}")
-    counts = {}
-    for name, n in obj.items():
-        if name not in Operator.__members__ or not (
-            isinstance(n, int) and not isinstance(n, bool) and n >= 0
-        ):
-            raise ValueError(f"bad cell count {name!r}: {n!r}")
-        counts[Operator[name]] = n
-    return counts
 
 
 def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
@@ -185,8 +172,6 @@ def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
     return ShardResult(
         index=index,
         dataset=dataset,
-        active_cells=_cell_counts(meta.get("active_cells", {})),
-        macro_cells=_cell_counts(meta.get("macro_cells", {})),
         wall_s=float(wall_s),
         metrics=metrics if isinstance(metrics, dict) else None,
     )

@@ -1,9 +1,9 @@
 """Deterministic merge: stitch shard outputs back into one dataset.
 
 The merger concatenates every record family in **canonical shard order**
-(passive shard first, then windows by ascending index) regardless of the
-order shards completed in — so the merged dataset is a pure function of the
-shard results.  It works on columns: each family's shard tables
+(windows by ascending index) regardless of the order shards completed in —
+so the merged dataset is a pure function of the shard results.  It works
+on columns: each family's shard tables
 (:class:`~repro.store.columnar.ColumnTable`, replayed from the shard cache
 as columns or shredded from a computed shard's records) are concatenated
 into one column-held table, and records are only built if a caller reads
@@ -14,8 +14,11 @@ handovers → tests) is preserved by construction.
 
 Boundary semantics: each window starts with freshly-attached UE sessions, so
 no handover event ever spans a shard boundary — the same reconnect the
-single-process campaign performs after every duty-cycle fast-forward.  The
-merger verifies the invariants this relies on (windows present exactly once,
+campaign performs after every duty-cycle fast-forward.  Each window's
+passive loggers walk its own deployment clipped to the window span, so the
+merged passive segments tile the route once; the per-window header counters
+(``passive_handover_counts``, ``connected_cells``) are summed.  The merger
+verifies the invariants this relies on (windows present exactly once,
 id namespaces disjoint) and raises :class:`EngineError` on violation rather
 than emitting a silently inconsistent dataset.
 """
@@ -26,7 +29,7 @@ import numpy as np
 
 from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
 from repro.campaign.runner import CampaignConfig
-from repro.engine.planner import PASSIVE_SHARD_INDEX, ShardPlan, TEST_ID_STRIDE
+from repro.engine.planner import ShardPlan, TEST_ID_STRIDE
 from repro.engine.worker import ShardResult
 from repro.errors import EngineError
 from repro.radio.operators import Operator
@@ -47,25 +50,21 @@ def merge_shard_results(
     ----------
     results:
         Mapping of shard index → result; must contain every window of
-        ``plan`` plus the passive shard.
+        ``plan``.
     """
     missing = [w.index for w in plan.windows if w.index not in results]
-    if PASSIVE_SHARD_INDEX not in results:
-        missing.append(PASSIVE_SHARD_INDEX)
     if missing:
         raise EngineError(
-            f"cannot merge: shards {sorted(missing)} missing", shard_index=missing[0]
+            f"cannot merge: shards {missing} missing", shard_index=missing[0]
         )
-
-    ordered = [results[PASSIVE_SHARD_INDEX]]
-    ordered += [results[w.index] for w in plan.windows]
+    ordered = [results[w.index].dataset for w in plan.windows]
 
     # Row-held (freshly computed) shards are shredded once, here.
     tables = {
-        family.table: [result.dataset.table(family.table) for result in ordered]
+        family.table: [dataset.table(family.table) for dataset in ordered]
         for family in RECORD_FAMILIES
     }
-    for window, table in zip(plan.windows, tables["test"][1:]):
+    for window, table in zip(plan.windows, tables["test"]):
         base = (window.index + 1) * TEST_ID_STRIDE
         ids = table.arrays["test_id"]
         outside = np.flatnonzero((ids <= base) | (ids > base + TEST_ID_STRIDE))
@@ -84,21 +83,21 @@ def merge_shard_results(
     for shard_tables in tables.values():
         merged.set_table(ColumnTable.concat(shard_tables))
 
-    passive = results[PASSIVE_SHARD_INDEX]
-    merged.passive_handover_counts = dict(passive.dataset.passive_handover_counts)
-    # Trip-wide distinct-cell count: the macro anchor grid seen by the
-    # passive loggers plus the active-layer cells summed across windows.
-    # Window *spans* are disjoint, but each window's deployment extends
-    # ``overrun_m`` past its end and the final duty cycle may run into that
-    # overrun, so adjacent windows can both connect to cells covering the
-    # same boundary stretch — the sum may count such cells once per window.
-    # The over-count is deterministic (a pure function of the shard plan,
-    # identical for serial and parallel execution) and bounded by the number
-    # of window boundaries, but the count is not guaranteed to match a true
-    # single-pass drive of the whole route.
+    # Macro handovers add up exactly: a window counts the handover onto its
+    # first macro zone, so windows split the trip's handovers between them.
+    # Distinct cells add up per window world: each window builds its own
+    # deployment over its span plus ``overrun_m``, and its last cycle may
+    # connect to cells in that overrun, which the next window's deployment
+    # covers with cells of its own.  The sum therefore counts the boundary
+    # stretches' cells once per window reaching them — deterministic (a pure
+    # function of the shard plan), but not what one seamless drive of the
+    # whole route would count.
+    merged.passive_handover_counts = {
+        op: sum(ds.passive_handover_counts.get(op, 0) for ds in ordered)
+        for op in Operator
+    }
     merged.connected_cells = {
-        op: passive.macro_cells.get(op, 0)
-        + sum(r.active_cells.get(op, 0) for r in ordered[1:])
+        op: sum(ds.connected_cells.get(op, 0) for ds in ordered)
         for op in Operator
     }
     return merged

@@ -3,14 +3,16 @@
 The planner is the determinism anchor of the engine.  It decomposes the
 LA→Boston route into contiguous distance windows **as a pure function of the
 campaign configuration** — never of the worker count, batch count, or any
-runtime state.  Each window later runs as an independent shard with its own
-RNG substream (``RngFactory(seed).shard(index)``), so the merged dataset is
+runtime state.  A window is the engine's only unit of simulation: each runs
+as an independent shard with its own RNG substream
+(``RngFactory(seed).shard(index)``), driving both the active probes and the
+passive handover-loggers over its span, so the merged dataset is
 bit-identical however the windows are scheduled.
 
 Window sizing adapts to the campaign's duty cycle: one measurement cycle plus
 its fast-forward skip covers ``nominal_cycle_km / scale`` of road, and a
 window should hold a few such strides — enough that the scale→record-count
-relationship of the single-process campaign is preserved, while still
+relationship of the whole-route campaign is preserved, while still
 producing tens of shards for parallel execution at production scales.
 """
 
@@ -34,16 +36,12 @@ __all__ = [
     "nominal_cycle_duration_s",
     "plan_campaign",
     "TEST_ID_STRIDE",
-    "PASSIVE_SHARD_INDEX",
 ]
 
 #: Test-id namespace stride: window ``i`` allocates ids in
 #: ``(i+1)*STRIDE + 1 ..``, keeping ids disjoint and deterministic without a
 #: renumbering pass at merge time.
 TEST_ID_STRIDE = 1_000_000
-
-#: Pseudo-index of the trip-wide passive handover-logger shard.
-PASSIVE_SHARD_INDEX = -1
 
 #: Upper bound on vehicle speed used to size the deployment overrun margin.
 _MAX_SPEED_MPS = 50.0

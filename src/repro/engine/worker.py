@@ -8,14 +8,11 @@ stores every result into that :class:`~repro.engine.checkpoint.ShardCache`
 the moment it completes, so even a mid-batch worker death loses at most the
 shard in flight.
 
-Two task flavours exist:
-
-* **window shards** run a :class:`DriveCampaign` restricted to one route
-  window, with RNG substreams derived from ``RngFactory(seed).shard(index)``
-  — a pure function of (root seed, window index);
-* the **passive shard** (``window is None``) replays the trip-wide passive
-  handover-logger walk and counts the macro-grid cells, exactly as the
-  single-process campaign does, using the root factory's streams.
+Every shard is one route window: a :class:`DriveCampaign` restricted to
+the window, with RNG substreams derived from ``RngFactory(seed).shard(index)``
+— a pure function of (root seed, window index).  The window's active probes
+and its passive handover-loggers share the one deployment the shard builds,
+so a shard carries both views of its stretch of the network.
 
 For fault-tolerance testing, a task may carry a :class:`FaultSpec` that
 makes early attempts fail — either by raising (exercising the retry path)
@@ -26,16 +23,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow, DriveCampaign
 from repro.errors import EngineError
-from repro.geo.route import Route, build_cross_country_route
+from repro.geo.route import Route
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
-from repro.radio.deployment import DeploymentModel
-from repro.radio.operators import Operator
 from repro.rng import RngFactory
 
 __all__ = ["FaultSpec", "ShardTask", "ShardResult", "execute_batch"]
@@ -67,8 +62,7 @@ class ShardTask:
     """Everything a worker needs to execute one shard, picklable."""
 
     config: CampaignConfig
-    #: ``None`` marks the passive handover-logger shard.
-    window: CampaignWindow | None
+    window: CampaignWindow
     attempt: int = 0
     checkpoint_dir: str | None = None
     fingerprint: str = ""
@@ -89,9 +83,7 @@ class ShardTask:
 
     @property
     def index(self) -> int:
-        from repro.engine.planner import PASSIVE_SHARD_INDEX
-
-        return PASSIVE_SHARD_INDEX if self.window is None else self.window.index
+        return self.window.index
 
 
 @dataclass(slots=True)
@@ -100,10 +92,6 @@ class ShardResult:
 
     index: int
     dataset: DriveDataset
-    #: Distinct active-layer cells connected per operator (window shards).
-    active_cells: dict[Operator, int] = field(default_factory=dict)
-    #: Distinct macro-grid cells per operator (passive shard only).
-    macro_cells: dict[Operator, int] = field(default_factory=dict)
     wall_s: float = 0.0
     from_checkpoint: bool = False
     #: Served from a content-addressed shard cache (see
@@ -130,60 +118,6 @@ def _maybe_fail(task: ShardTask) -> None:
     )
 
 
-def _task_route(task: ShardTask) -> Route:
-    return task.route if task.route is not None else build_cross_country_route()
-
-
-def _run_window_shard(task: ShardTask) -> ShardResult:
-    assert task.window is not None
-    campaign = DriveCampaign(
-        task.config,
-        route=_task_route(task),
-        window=task.window,
-        rng_factory=RngFactory(seed=task.config.seed).shard(task.window.index),
-    )
-    dataset = campaign.run()
-    return ShardResult(
-        index=task.window.index,
-        dataset=dataset,
-        active_cells=campaign.connected_active_cell_counts(),
-    )
-
-
-def _run_passive_shard(task: ShardTask) -> ShardResult:
-    # Imported here for the same reason DriveCampaign does it: repro.xcal
-    # imports repro.campaign at package level.
-    from repro.xcal.handover_logger import run_handover_logger
-    from repro.engine.planner import PASSIVE_SHARD_INDEX
-
-    config = task.config
-    route = _task_route(task)
-    rngs = RngFactory(seed=config.seed)
-    dataset = DriveDataset(
-        seed=config.seed,
-        scale=config.scale,
-        route_length_km=route.total_length_km,
-    )
-    macro_cells: dict[Operator, int] = {}
-    for op in Operator:
-        deployment = DeploymentModel.build(
-            op, route, rngs.stream(f"deploy-{op.code}")
-        )
-        trace = run_handover_logger(
-            op, deployment, rngs.stream(f"passive-{op.code}")
-        )
-        dataset.passive_coverage.extend(trace.segments)
-        dataset.passive_handover_counts[op] = trace.macro_handovers
-        macro_cells[op] = len(
-            {c.cell_id for z in deployment.macro_zones for c in z.cells.values()}
-        )
-    return ShardResult(
-        index=PASSIVE_SHARD_INDEX,
-        dataset=dataset,
-        macro_cells=macro_cells,
-    )
-
-
 def execute_shard(task: ShardTask) -> ShardResult:
     """Run one shard to completion and return its result.
 
@@ -204,10 +138,13 @@ def execute_shard(task: ShardTask) -> ShardResult:
     ) as span:
         _maybe_fail(task)
         started = time.perf_counter()
-        if task.window is None:
-            result = _run_passive_shard(task)
-        else:
-            result = _run_window_shard(task)
+        campaign = DriveCampaign(
+            task.config,
+            route=task.route,
+            window=task.window,
+            rng_factory=RngFactory(seed=task.config.seed).shard(task.index),
+        )
+        result = ShardResult(index=task.index, dataset=campaign.run())
         result.wall_s = time.perf_counter() - started
         span.set(records=result.records)
         if tracer.enabled:

@@ -16,6 +16,9 @@ long middles of each leg are ``HIGHWAY``.
 from __future__ import annotations
 
 import bisect
+import functools
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 from repro.errors import RouteError
@@ -133,6 +136,27 @@ class Route:
     def total_length_km(self) -> float:
         """Total road length in kilometres."""
         return self.total_length_m / 1000.0
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 of everything a campaign reads off the route: segment
+        end points, lengths, regions and cities, plus the city list.
+        Routes of equal length but different roads digest differently."""
+        canon = json.dumps(
+            {
+                "segments": [
+                    [s.start_point.lat, s.start_point.lon, s.end_point.lat,
+                     s.end_point.lon, s.length_m, s.region.name, s.city]
+                    for s in self.segments
+                ],
+                "cities": [
+                    [c.name, c.location.lat, c.location.lon, c.has_edge_server]
+                    for c in self.cities
+                ],
+            },
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def segment_start_m(self, index: int) -> float:
         """Route distance at which segment ``index`` begins."""

@@ -215,7 +215,7 @@ def run_sweep(config: SweepConfig, route: Route | None = None) -> SweepResult:
                     fingerprint=run.fingerprint,
                     compute_wall_s=report.shard_wall_s,
                     records=report.total_records,
-                    n_shards=report.n_windows + 1,
+                    n_shards=report.n_windows,
                     cache_hits=report.cache_hits,
                     cache_misses=report.cache_misses,
                     retries=report.total_retries,

@@ -24,6 +24,7 @@ import numpy as np
 from repro.campaign.dataset import PassiveCoverageSegment
 from repro.policy.profiles import TrafficProfile
 from repro.policy.selection import TechnologySelector
+from repro.radio.cells import CellId
 from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
 from repro.units import (
@@ -36,15 +37,15 @@ __all__ = ["HandoverLoggerTrace", "run_handover_logger"]
 
 @dataclass(frozen=True)
 class HandoverLoggerTrace:
-    """Everything one passive phone recorded over the trip."""
+    """Everything one passive phone recorded over its stretch of the trip."""
 
     operator: Operator
     segments: list[PassiveCoverageSegment]
-    #: Trip-wide handovers on the macro (LTE anchor) grid — the Table 1
-    #: numbers (2657/4119/2494 for V/T/A).
+    #: Handovers on the macro (LTE anchor) grid — summed over the whole
+    #: trip, the Table 1 numbers (2657/4119/2494 for V/T/A).
     macro_handovers: int
     #: Distinct macro cells camped on.
-    macro_cells: int
+    macro_cell_ids: frozenset[CellId]
 
     @property
     def total_length_m(self) -> float:
@@ -65,35 +66,37 @@ def run_handover_logger(
     operator: Operator,
     deployment: DeploymentModel,
     rng: np.random.Generator,
+    end_m: float,
 ) -> HandoverLoggerTrace:
-    """Walk the route as the passive logger phone.
+    """Walk the deployment as the passive logger phone, up to ``end_m``.
 
     The technology view comes from the active-layer deployment under the
     idle policy (what Android's API would report); the handover count comes
-    from the macro anchor grid the idle UE actually camps on.
+    from the macro anchor grid the idle UE actually camps on.  Every zone
+    starting before ``end_m`` is walked and the last one is clipped there,
+    so loggers walking adjacent route windows tile the route.  Each macro
+    zone starting inside ``(0, end_m)`` is one handover: a window starting
+    past 0 counts the handover onto its first zone.
     """
     selector = TechnologySelector(operator, rng)
-    segments: list[PassiveCoverageSegment] = []
-    for zone in deployment.zones:
-        tech = selector.select(zone, TrafficProfile.IDLE_PING)
-        segments.append(
-            PassiveCoverageSegment(
-                operator=operator,
-                start_m=zone.start_m,
-                end_m=zone.end_m,
-                tech=tech,
-                timezone=zone.timezone,
-                region=zone.region,
-            )
+    segments = [
+        PassiveCoverageSegment(
+            operator=operator,
+            start_m=zone.start_m,
+            end_m=min(zone.end_m, end_m),
+            tech=selector.select(zone, TrafficProfile.IDLE_PING),
+            timezone=zone.timezone,
+            region=zone.region,
         )
-    macro_cells = {
-        cell.cell_id
-        for zone in deployment.macro_zones
-        for cell in zone.cells.values()
-    }
+        for zone in deployment.zones
+        if zone.start_m < end_m
+    ]
+    macro = [zone for zone in deployment.macro_zones if zone.start_m < end_m]
     return HandoverLoggerTrace(
         operator=operator,
         segments=segments,
-        macro_handovers=max(len(deployment.macro_zones) - 1, 0),
-        macro_cells=len(macro_cells),
+        macro_handovers=sum(1 for zone in macro if zone.start_m > 0.0),
+        macro_cell_ids=frozenset(
+            cell.cell_id for zone in macro for cell in zone.cells.values()
+        ),
     )

@@ -29,7 +29,6 @@ def campaign():
     """A small but complete campaign (apps + static), shared read-only."""
     c = DriveCampaign(CampaignConfig(seed=42, scale=0.035))
     c.run()
-    c.finalize_connected_cells()
     return c
 
 
@@ -44,9 +43,7 @@ def bare_dataset():
     c = DriveCampaign(
         CampaignConfig(seed=7, scale=0.008, include_apps=False, include_static=False)
     )
-    ds = c.run()
-    c.finalize_connected_cells()
-    return ds
+    return c.run()
 
 
 @pytest.fixture()

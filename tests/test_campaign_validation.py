@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.validation import validate_dataset
+from repro.radio.operators import Operator
 
 
 class TestCleanDataset:
@@ -78,6 +79,27 @@ class TestCorruptionDetection:
         corrupt.passive_coverage = corrupt.passive_coverage + [overlap]
         report = validate_dataset(corrupt)
         assert any(i.check == "passive.tiling" for i in report.issues)
+
+    def test_passive_gap_detected(self, bare_dataset):
+        """Coverage must tile the route: a missing segment is a gap."""
+        segs = [s for s in bare_dataset.passive_coverage if s.operator is Operator.TMOBILE]
+        gone = segs[len(segs) // 2]
+        corrupt = _copy_with(
+            bare_dataset,
+            passive_coverage=[s for s in bare_dataset.passive_coverage if s is not gone],
+        )
+        report = validate_dataset(corrupt)
+        assert not report.ok
+        assert [i.check for i in report.issues] == ["passive.tiling"]
+        assert "gap" in report.issues[0].detail
+
+    def test_passive_coverage_short_of_route_end_detected(self, bare_dataset):
+        corrupt = _copy_with(
+            bare_dataset, passive_coverage=bare_dataset.passive_coverage[:-1]
+        )
+        report = validate_dataset(corrupt)
+        assert [i.check for i in report.issues] == ["passive.tiling"]
+        assert "route end" in report.issues[0].detail
 
     def test_issue_cap_respected(self, bare_dataset):
         corrupt = _copy_with(bare_dataset)

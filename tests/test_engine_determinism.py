@@ -65,6 +65,12 @@ class TestMergedDataset:
         assert len(ds.passive_coverage) > 0
         assert set(ds.passive_handover_counts) == set(Operator)
 
+    def test_baseline_validates(self, engine_baseline):
+        """The windows' passive segments tile the route exactly."""
+        ds, _ = engine_baseline
+        report = validate_dataset(ds)
+        assert report.ok, [str(i) for i in report.issues[:5]]
+
 
 class TestEngineReport:
     def test_report_accounts_for_every_shard(self, tmp_path):
@@ -75,10 +81,10 @@ class TestEngineReport:
                 planner=PlannerParams(window_km=ENGINE_WINDOW_KM),
             )
         )
-        # windows + the passive shard, in index order
-        assert len(report.shards) == report.n_windows + 1
+        # one shard per window, in index order: no other shard kind
+        assert len(report.shards) == report.n_windows
         indices = [s.index for s in report.shards]
-        assert indices == sorted(indices)
+        assert indices == list(range(report.n_windows))
         assert report.total_records == sum(s.records for s in report.shards)
         assert report.total_records > 0
         assert 0.0 <= report.worker_utilisation() <= 1.0

@@ -23,7 +23,7 @@ from repro.engine import (
     run_engine,
 )
 from repro.engine.checkpoint import ShardCache, config_fingerprint
-from repro.engine.planner import PASSIVE_SHARD_INDEX, plan_campaign
+from repro.engine.planner import plan_campaign
 from repro.errors import EngineError
 from repro.geo.route import build_cross_country_route
 from repro.obs.report import load_summary, validate_trace
@@ -117,9 +117,10 @@ class TestWorkerDeath:
 
 def checkpoint_cache(ckpt, campaign=ENGINE_CAMPAIGN, planner=PLANNER):
     """``(ShardCache over ckpt, fingerprint, every shard index)`` of a run."""
-    plan = plan_campaign(campaign, build_cross_country_route(), planner)
-    indices = [PASSIVE_SHARD_INDEX] + [w.index for w in plan.windows]
-    return ShardCache(ckpt), config_fingerprint(campaign, plan), indices
+    route = build_cross_country_route()
+    plan = plan_campaign(campaign, route, planner)
+    indices = [w.index for w in plan.windows]
+    return ShardCache(ckpt), config_fingerprint(campaign, plan, route), indices
 
 
 def checkpointed(ckpt, campaign=ENGINE_CAMPAIGN, planner=PLANNER) -> set[int]:
@@ -136,8 +137,8 @@ class TestCheckpointResume:
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
 
-        # First run dies on shard 3 with no retry budget, leaving the
-        # passive shard and windows 0-2 checkpointed.
+        # First run dies on shard 3 with no retry budget, leaving windows
+        # 0-2 checkpointed.
         with pytest.raises(EngineError):
             run_engine(
                 engine_config(
@@ -148,7 +149,7 @@ class TestCheckpointResume:
                 )
             )
         stored = checkpointed(ckpt)
-        assert {PASSIVE_SHARD_INDEX, 0, 1, 2} <= stored
+        assert {0, 1, 2} <= stored
         assert 3 not in stored
 
         # Second run resumes from the checkpoints and completes cleanly.
@@ -412,14 +413,21 @@ class TestTraceIntegrity:
         assert root.dur_s == report.total_wall_s
 
     def test_killed_worker_leaves_parseable_trace(self, tmp_path):
-        """os._exit mid-span: the dying worker's span is simply absent."""
+        """os._exit mid-span: the dying worker's span is simply absent.
+
+        The crash hits the first window, while the other worker is early in
+        its own shard.  A shard that finishes just as a pool breaks writes
+        its "ok" span but loses its result and is computed twice; windows
+        take about equally long, so a later crash would race the shard
+        running beside it.
+        """
         trace = tmp_path / "trace.jsonl"
         _, report = run_engine(
             engine_config(
                 executor="process",
                 workers=2,
                 max_retries=2,
-                inject_faults={2: FaultSpec(times=1, kind="exit")},
+                inject_faults={0: FaultSpec(times=1, kind="exit")},
                 trace_path=str(trace),
             )
         )

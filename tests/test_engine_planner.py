@@ -1,5 +1,7 @@
 """Planner: canonical window decomposition and its invariants."""
 
+import dataclasses
+
 import pytest
 
 from repro.campaign.runner import CampaignConfig
@@ -10,6 +12,8 @@ from repro.engine.planner import (
     nominal_cycle_duration_s,
 )
 from repro.errors import EngineError
+from repro.geo.regions import RegionType
+from repro.geo.route import Route, build_cross_country_route
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +108,29 @@ class TestValidation:
 
 class TestFingerprint:
     def test_stable_for_equal_inputs(self, config, route, plan):
-        assert config_fingerprint(config, plan) == config_fingerprint(config, plan)
+        assert config_fingerprint(config, plan, route) == config_fingerprint(
+            config, plan, build_cross_country_route()
+        )
 
     def test_sensitive_to_seed_scale_and_windows(self, config, route, plan):
-        base = config_fingerprint(config, plan)
+        base = config_fingerprint(config, plan, route)
         other_seed = CampaignConfig(seed=43, scale=config.scale)
         other_scale = CampaignConfig(seed=config.seed, scale=0.02)
         other_plan = plan_campaign(config, route, PlannerParams(window_km=900.0))
-        assert config_fingerprint(other_seed, plan) != base
-        assert config_fingerprint(other_scale, plan) != base
-        assert config_fingerprint(config, other_plan) != base
+        assert config_fingerprint(other_seed, plan, route) != base
+        assert config_fingerprint(other_scale, plan, route) != base
+        assert config_fingerprint(config, other_plan, route) != base
+
+    def test_sensitive_to_route_at_equal_length(self, config, route, plan):
+        """Equal-length routes plan equal windows but are different drives."""
+        first = route.segments[0]
+        other = Route(
+            segments=[dataclasses.replace(first, region=RegionType.HIGHWAY)]
+            + route.segments[1:],
+            cities=route.cities,
+        )
+        assert other.total_length_m == route.total_length_m
+        assert plan_campaign(config, other, PlannerParams(window_km=500.0)) == plan
+        assert config_fingerprint(config, plan, other) != config_fingerprint(
+            config, plan, route
+        )

@@ -17,16 +17,19 @@ import pytest
 from tests.conftest import RCOL_CORRUPTIONS, engine_dataset_bytes as dataset_bytes
 from repro.campaign.dataset import DriveDataset, RttSample
 from repro.campaign.persistence import save_dataset
+from repro.engine import PlannerParams
 from repro.engine.checkpoint import shard_key, shard_meta, shard_stem
-from repro.engine.planner import PASSIVE_SHARD_INDEX
 from repro.engine.worker import ShardResult
 from repro.errors import StoreError, SweepError
+from repro.geo.coords import LatLon
 from repro.geo.regions import RegionType
+from repro.geo.route import Route, RouteSegment
 from repro.geo.timezones import Timezone
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
 from repro.store.format import read_dataset
+from repro.sweep import SweepConfig, run_sweep
 from repro.sweep.cache import ShardCache
 
 FP = "a" * 64
@@ -51,10 +54,7 @@ def make_result(index: int = 0, seed: int = 42, n_rtts: int = 1) -> ShardResult:
                 static=False,
             )
         )
-    return ShardResult(
-        index=index, dataset=ds,
-        active_cells={Operator.VERIZON: 3}, wall_s=1.5,
-    )
+    return ShardResult(index=index, dataset=ds, wall_s=1.5)
 
 
 class TestAddressing:
@@ -65,8 +65,7 @@ class TestAddressing:
         assert shard_key(FP, 1, 42) != base
         assert shard_key(FP, 0, 43) != base
 
-    def test_passive_shard_has_its_own_stem(self):
-        assert shard_stem(PASSIVE_SHARD_INDEX) == "shard-passive"
+    def test_shard_stem_names_the_window(self):
         assert shard_stem(7) == "shard-0007"
 
 
@@ -80,7 +79,6 @@ class TestRoundTrip:
         assert loaded.from_cache
         assert loaded.index == 3
         assert loaded.wall_s == result.wall_s
-        assert loaded.active_cells == result.active_cells
         assert [s.rtt_ms for s in loaded.dataset.rtt_samples] == [
             s.rtt_ms for s in result.dataset.rtt_samples
         ]
@@ -91,7 +89,7 @@ class TestRoundTrip:
         cache = ShardCache(tmp_path)
         cache.store(FP, 42, make_result(index=0))
         cache.store(FP, 42, make_result(index=2))
-        found = cache.load_many(FP, 42, [0, 1, 2, PASSIVE_SHARD_INDEX])
+        found = cache.load_many(FP, 42, [0, 1, 2, 3])
         assert sorted(found) == [0, 2]
         assert cache.stats.hits == 2
         assert cache.stats.misses == 2
@@ -182,14 +180,7 @@ class TestInvalidation:
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda meta: [], id="sidecar-is-a-list"),
-        pytest.param(
-            lambda meta: {**meta, "active_cells": []}, id="cells-are-a-list"
-        ),
         pytest.param(lambda meta: {**meta, "wall_s": None}, id="wall-s-null"),
-        pytest.param(
-            lambda meta: {**meta, "active_cells": {"VERIZON": "x"}},
-            id="cell-count-is-a-string",
-        ),
     ])
     def test_ill_typed_sidecar_misses(self, tmp_path, damage):
         """A sidecar that parses as JSON but has the wrong types is a
@@ -327,3 +318,32 @@ class TestLruBounding:
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(SweepError):
             ShardCache(tmp_path, max_bytes=0)
+
+
+class TestRouteIdentity:
+    """Two routes of equal length plan identical windows; the fingerprint
+    must still tell them apart, or one route's shards replay for the other."""
+
+    @staticmethod
+    def one_segment_route(region: RegionType) -> Route:
+        return Route(segments=[
+            RouteSegment(
+                LatLon(40.0, -100.0), LatLon(40.0, -92.0), 700_000.0, region, "Nowhere"
+            )
+        ])
+
+    def sweep(self, region: RegionType, cache_dir):
+        config = SweepConfig(
+            seeds=(5,), scale=0.004, executor="serial",
+            planner=PlannerParams(window_km=350.0), cache_dir=str(cache_dir),
+        )
+        return run_sweep(config, route=self.one_segment_route(region))
+
+    def test_equal_length_routes_do_not_share_entries(self, tmp_path):
+        highway = self.sweep(RegionType.HIGHWAY, tmp_path)
+        assert highway.report.cache.misses == 2
+        city = self.sweep(RegionType.CITY, tmp_path)
+        assert (city.report.cache.hits, city.report.cache.misses) == (0, 2)
+        samples = city.datasets[5].throughput_samples
+        assert samples
+        assert {s.region for s in samples} == {RegionType.CITY}

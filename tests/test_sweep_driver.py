@@ -235,7 +235,7 @@ class TestSweepReport:
         for run in report.seed_runs:
             assert run.records > 0
             assert run.compute_wall_s > 0.0
-            assert run.n_shards == report.n_windows + 1
+            assert run.n_shards == report.n_windows
         assert report.total_wall_s > 0.0
 
     def test_statistic_lookup(self, swept):

@@ -13,7 +13,9 @@ def traces(route):
     out = {}
     for i, op in enumerate(Operator):
         deployment = DeploymentModel.build(op, route, np.random.default_rng(31 + i))
-        out[op] = run_handover_logger(op, deployment, np.random.default_rng(41 + i))
+        out[op] = run_handover_logger(
+            op, deployment, np.random.default_rng(41 + i), route.total_length_m
+        )
     return out
 
 
@@ -37,7 +39,7 @@ class TestHandoverLogger:
 
     def test_macro_cells_counted(self, traces):
         for trace in traces.values():
-            assert trace.macro_cells > 1000
+            assert len(trace.macro_cell_ids) > 1000
 
     def test_keepalive_volume_is_tiny(self, traces):
         """The point of the 38-B/200 ms keep-alive: negligible traffic."""
@@ -50,3 +52,45 @@ class TestHandoverLogger:
         segs = traces[Operator.TMOBILE].segments
         starts = [s.start_m for s in segs]
         assert starts == sorted(starts)
+
+
+class TestWindowClip:
+    """A window's logger walks the deployment it built past its end (the
+    overrun margin) but records only up to the window end."""
+
+    START_M, END_M, OVERRUN_M = 300_000.0, 900_000.0, 25_000.0
+
+    @pytest.fixture(scope="class")
+    def walk(self, route):
+        deployment = DeploymentModel.build(
+            Operator.TMOBILE, route, np.random.default_rng(5),
+            start_m=self.START_M, end_m=self.END_M + self.OVERRUN_M,
+        )
+        trace = run_handover_logger(
+            Operator.TMOBILE, deployment, np.random.default_rng(6), self.END_M
+        )
+        return deployment, trace
+
+    def test_last_segment_ends_exactly_at_window_end(self, walk):
+        deployment, trace = walk
+        assert deployment.zones[-1].end_m > self.END_M
+        assert trace.segments[0].start_m == self.START_M
+        assert trace.segments[-1].end_m == self.END_M
+        for prev, cur in zip(trace.segments, trace.segments[1:]):
+            assert cur.start_m == prev.end_m
+
+    def test_macro_handovers_count_zone_starts_inside_the_window(self, walk):
+        deployment, trace = walk
+        starts = [z.start_m for z in deployment.macro_zones]
+        assert any(s >= self.END_M for s in starts)
+        assert trace.macro_handovers == sum(1 for s in starts if 0.0 < s < self.END_M)
+
+    def test_first_window_does_not_count_its_first_zone(self, route):
+        deployment = DeploymentModel.build(
+            Operator.ATT, route, np.random.default_rng(7), end_m=50_000.0
+        )
+        trace = run_handover_logger(
+            Operator.ATT, deployment, np.random.default_rng(8), 40_000.0
+        )
+        starts = [z.start_m for z in deployment.macro_zones if z.start_m < 40_000.0]
+        assert trace.macro_handovers == len(starts) - 1
