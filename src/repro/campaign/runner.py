@@ -77,19 +77,16 @@ class CampaignWindow:
     windowed campaign starts at ``start_m`` with a deterministic clock origin
     (``start_m / NOMINAL_CRUISE_MPS``), runs measurement cycles until it
     crosses ``end_m``, and visits only the static-baseline cities that fall
-    inside its span.  Its passive handover-loggers walk the same deployment
-    the active probes drive through, clipped to ``[start_m, end_m)``, so the
-    windows' passive segments tile the route.
-
-    ``overrun_m`` is how far past ``end_m`` the window's radio deployment is
-    built: the last cycle of a window may legitimately overrun the boundary,
-    and its ticks still need zones to camp on.
+    inside its span.  Every window drives through the same whole-route
+    deployment (:meth:`DeploymentModel.world`), so the last cycle of a
+    window may run past ``end_m`` and still find zones to camp on.  Its
+    passive handover-loggers walk that deployment clipped to
+    ``[start_m, end_m)``, so the windows' passive segments tile the route.
     """
 
     index: int
     start_m: float
     end_m: float
-    overrun_m: float
     #: Base added to every locally sequential test id, giving each window a
     #: disjoint, deterministic id namespace in the merged dataset.
     test_id_base: int = 0
@@ -99,8 +96,6 @@ class CampaignWindow:
             raise CampaignError(
                 f"invalid window span [{self.start_m}, {self.end_m})"
             )
-        if self.overrun_m < 0.0:
-            raise CampaignError("overrun_m must be non-negative")
 
     @property
     def start_time_s(self) -> float:
@@ -167,18 +162,19 @@ class DriveCampaign:
             their default profile.
         window:
             The route span to drive (see :class:`CampaignWindow`).  ``None``
-            is the one window covering the whole route, with no overrun
-            and test ids counted from 0.
+            is the one window covering the whole route, with test ids
+            counted from 0.
         rng_factory:
             Override the random-substream factory.  The engine passes each
             window ``RngFactory(seed).shard(window.index)`` so shard draws
-            are independent of executor topology.
+            are independent of executor topology.  The radio deployment is
+            not drawn from it: every window shares the one world of
+            ``(route, config.seed, operator)``.
         """
         self.config = config or CampaignConfig()
         self.route = route or build_cross_country_route()
-        total = self.route.total_length_m
         self.window = window or CampaignWindow(
-            index=0, start_m=0.0, end_m=total, overrun_m=0.0
+            index=0, start_m=0.0, end_m=self.route.total_length_m
         )
         self._rngs = rng_factory or RngFactory(seed=self.config.seed)
         self._servers = ServerRegistry(self.route)
@@ -186,11 +182,7 @@ class DriveCampaign:
         self._sessions: dict[Operator, UESession] = {}
         overrides = policy_profiles or {}
         for op in Operator:
-            deployment = DeploymentModel.build(
-                op, self.route, self._rngs.stream(f"deploy-{op.code}"),
-                start_m=self.window.start_m,
-                end_m=min(self.window.end_m + self.window.overrun_m, total),
-            )
+            deployment = DeploymentModel.world(op, self.route, self.config.seed)
             self._sessions[op] = UESession(
                 op, deployment, self._rngs, policy_profile=overrides.get(op)
             )
@@ -785,6 +777,7 @@ class DriveCampaign:
                 op,
                 session.deployment,
                 self._rngs.stream(f"passive-{op.code}"),
+                self.window.start_m,
                 self.window.end_m,
             )
             self._dataset.passive_coverage.extend(trace.segments)

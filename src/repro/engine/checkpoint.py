@@ -96,7 +96,10 @@ __all__ = [
 #: 3: every shard is a window that also walks its passive loggers (no
 #: passive shard, no cell counts in sidecars); fingerprints commit to the
 #: route.
-ENGINE_CHECKPOINT_VERSION = 3
+#: 4: every window drives through one whole-route deployment per (seed,
+#: operator), drawn as arrays from its own stream (new draw order); windows
+#: carry no overrun margin.
+ENGINE_CHECKPOINT_VERSION = 4
 
 
 def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) -> str:
@@ -115,7 +118,7 @@ def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) ->
         "cycle": [t.name for t in config.cycle.tests],
         "route": route.digest,
         "windows": [
-            [w.index, round(w.start_m, 3), round(w.end_m, 3), round(w.overrun_m, 3)]
+            [w.index, round(w.start_m, 3), round(w.end_m, 3)]
             for w in plan.windows
         ],
     }

@@ -14,10 +14,11 @@ handovers → tests) is preserved by construction.
 
 Boundary semantics: each window starts with freshly-attached UE sessions, so
 no handover event ever spans a shard boundary — the same reconnect the
-campaign performs after every duty-cycle fast-forward.  Each window's
-passive loggers walk its own deployment clipped to the window span, so the
-merged passive segments tile the route once; the per-window header counters
-(``passive_handover_counts``, ``connected_cells``) are summed.  The merger
+campaign performs after every duty-cycle fast-forward.  Every window drives
+through the same whole-route deployment, and its passive loggers walk it
+clipped to the window span, so the merged passive segments tile the route
+once; the per-window header counters (``passive_handover_counts``,
+``connected_cells``) are summed.  The merger
 verifies the invariants this relies on (windows present exactly once,
 id namespaces disjoint) and raises :class:`EngineError` on violation rather
 than emitting a silently inconsistent dataset.
@@ -83,15 +84,15 @@ def merge_shard_results(
     for shard_tables in tables.values():
         merged.set_table(ColumnTable.concat(shard_tables))
 
-    # Macro handovers add up exactly: a window counts the handover onto its
-    # first macro zone, so windows split the trip's handovers between them.
-    # Distinct cells add up per window world: each window builds its own
-    # deployment over its span plus ``overrun_m``, and its last cycle may
-    # connect to cells in that overrun, which the next window's deployment
-    # covers with cells of its own.  The sum therefore counts the boundary
-    # stretches' cells once per window reaching them — deterministic (a pure
-    # function of the shard plan), but not what one seamless drive of the
-    # whole route would count.
+    # Macro handovers add up exactly: a window counts the macro zones
+    # starting inside its span, so any window plan gives the whole route's
+    # count.  Cell ids are global (one world per seed and operator), but the
+    # shards carry counts, not id sets, so the sum counts a cell once per
+    # window that connected to it: the macro cells of a zone straddling a
+    # boundary, and active cells a window's last cycle reaches past its end
+    # that the next window connects to as well.  Only those boundary cells
+    # are counted twice; an exact union would need the id sets in the
+    # shards, which they do not carry.
     merged.passive_handover_counts = {
         op: sum(ds.passive_handover_counts.get(op, 0) for ds in ordered)
         for op in Operator

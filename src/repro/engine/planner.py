@@ -7,7 +7,9 @@ runtime state.  A window is the engine's only unit of simulation: each runs
 as an independent shard with its own RNG substream
 (``RngFactory(seed).shard(index)``), driving both the active probes and the
 passive handover-loggers over its span, so the merged dataset is
-bit-identical however the windows are scheduled.
+bit-identical however the windows are scheduled.  The radio deployment is
+not part of a window: every window drives through the one world of
+``(route, seed, operator)``.
 
 Window sizing adapts to the campaign's duty cycle: one measurement cycle plus
 its fast-forward skip covers ``nominal_cycle_km / scale`` of road, and a
@@ -43,13 +45,6 @@ __all__ = [
 #: renumbering pass at merge time.
 TEST_ID_STRIDE = 1_000_000
 
-#: Upper bound on vehicle speed used to size the deployment overrun margin.
-_MAX_SPEED_MPS = 50.0
-
-#: Wall-clock cushion (s) added to one nominal cycle when sizing the margin:
-#: covers inter-test gaps, the fast-forward cap, and speed-profile excursions.
-_OVERRUN_CUSHION_S = 120.0
-
 
 @dataclass(frozen=True, slots=True)
 class PlannerParams:
@@ -58,7 +53,7 @@ class PlannerParams:
     ``window_km`` overrides the adaptive sizing entirely; otherwise a window
     spans ``cycles_per_window`` nominal cycle strides (cycle distance divided
     by the duty-cycle scale), clamped below by ``min_window_km`` so shards
-    stay coarse enough to amortise their per-shard deployment build.
+    stay coarse enough to amortise their per-shard set-up.
     """
 
     window_km: float | None = None
@@ -163,7 +158,6 @@ def plan_campaign(
     total_m = route.total_length_m
     n = max(1, math.ceil(route.total_length_km / window_km))
     length_m = total_m / n
-    overrun_m = (cycle_s + _OVERRUN_CUSHION_S) * _MAX_SPEED_MPS
 
     windows = []
     for i in range(n):
@@ -174,7 +168,6 @@ def plan_campaign(
                 index=i,
                 start_m=start,
                 end_m=end,
-                overrun_m=overrun_m,
                 test_id_base=(i + 1) * TEST_ID_STRIDE,
             )
         )

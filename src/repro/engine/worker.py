@@ -11,8 +11,10 @@ shard in flight.
 Every shard is one route window: a :class:`DriveCampaign` restricted to
 the window, with RNG substreams derived from ``RngFactory(seed).shard(index)``
 — a pure function of (root seed, window index).  The window's active probes
-and its passive handover-loggers share the one deployment the shard builds,
-so a shard carries both views of its stretch of the network.
+and its passive handover-loggers drive through the whole-route deployment of
+``(route, seed, operator)`` (:meth:`DeploymentModel.world`, built once per
+worker process and shared by its shards), so a shard carries both views of
+its stretch of the one network.
 
 For fault-tolerance testing, a task may carry a :class:`FaultSpec` that
 makes early attempts fail — either by raising (exercising the retry path)

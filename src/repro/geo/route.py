@@ -21,10 +21,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import RouteError
 from repro.geo.coords import LatLon, interpolate, offset_m
-from repro.geo.regions import RegionType
-from repro.geo.timezones import Timezone, timezone_for_longitude
+from repro.geo.regions import ALL_REGION_TYPES, RegionType
+from repro.geo.timezones import Timezone, timezone_codes, timezone_for_longitude
 
 __all__ = [
     "City",
@@ -192,6 +194,38 @@ class Route:
             segment_index=idx,
             city=seg.city,
         )
+
+    @functools.cached_property
+    def _segment_arrays(self) -> tuple[np.ndarray, ...]:
+        """Segment starts (route meters), lengths, region codes and chord
+        end points."""
+        segs = self.segments
+        return (
+            np.array(self._cum_m[:-1]),
+            np.array([s.length_m for s in segs]),
+            np.array([ALL_REGION_TYPES.index(s.region) for s in segs], dtype=np.int8),
+            np.array([s.start_point.lat for s in segs]),
+            np.array([s.start_point.lon for s in segs]),
+            np.array([s.end_point.lat for s in segs]),
+            np.array([s.end_point.lon for s in segs]),
+        )
+
+    def locate(self, distances_m: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`position_at` for an array of in-range route distances.
+
+        Returns ``(region_code, lat, lon, timezone_code)`` arrays, with
+        exactly the values :meth:`position_at` computes one distance at a
+        time (codes index :data:`~repro.geo.regions.ALL_REGION_TYPES` and
+        :data:`~repro.geo.timezones.ALL_TIMEZONES`).
+        """
+        starts, lengths, regions, lat0, lon0, lat1, lon1 = self._segment_arrays
+        idx = np.minimum(
+            np.searchsorted(starts, distances_m, side="right") - 1, len(starts) - 1
+        )
+        frac = np.minimum(np.maximum((distances_m - starts[idx]) / lengths[idx], 0.0), 1.0)
+        lat = lat0[idx] + (lat1[idx] - lat0[idx]) * frac
+        lon = lon0[idx] + (lon1[idx] - lon0[idx]) * frac
+        return regions[idx], lat, lon, timezone_codes(lon)
 
     def city_mark_m(self, city_name: str) -> float:
         """Route distance of the midpoint of a city's CITY segment."""

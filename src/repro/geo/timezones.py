@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from datetime import timedelta
 
+import numpy as np
+
 
 class Timezone(enum.Enum):
     """A continental-US timezone, with its UTC offset under summer (DST) time.
@@ -78,3 +80,13 @@ ALL_TIMEZONES: tuple[Timezone, ...] = (
     Timezone.CENTRAL,
     Timezone.EASTERN,
 )
+
+_CUT_LINES = np.array(
+    [_PACIFIC_MOUNTAIN_LON, _MOUNTAIN_CENTRAL_LON, _CENTRAL_EASTERN_LON]
+)
+
+
+def timezone_codes(lons: np.ndarray) -> np.ndarray:
+    """:func:`timezone_for_longitude` for an array of longitudes, as
+    indices into :data:`ALL_TIMEZONES`."""
+    return np.searchsorted(_CUT_LINES, lons, side="right")

@@ -27,24 +27,43 @@ Two independent partitions exist per operator:
 * the **macro** partition, the sparse LTE anchor grid that the passive
   handover-logger phones camped on for the whole trip (drives Table 1's
   trip-wide handover counts).
+
+Each partition is a :class:`ZoneLayer`: a struct of read-only numpy arrays
+(zone marks, region/timezone/best-tech codes, deployed-set bitmasks, loads,
+and one row per cell site with its id, marks and position), read as a
+sequence of immutable :class:`DeploymentZone` views.  The whole route is
+generated at once, each layer from its own jump of the generator: zone
+lengths one route segment's block at a time so the segment's region median
+applies, every other attribute in one draw over all zones.  Like the paper's phones, which drove through one network per
+carrier, a campaign has one world per (seed, operator):
+:meth:`DeploymentModel.world` draws it from its own stream of the root seed
+and keeps it in a small per-process memo, so every route window of every
+shard in the process shares it.  Rebuilding costs milliseconds, so worlds
+are never written to disk.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import functools
+from collections import OrderedDict
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.rng import choose_weighted, clamp
-
 from repro.errors import DeploymentError
-from repro.geo.regions import RegionType
+from repro.geo.coords import LatLon
+from repro.geo.regions import ALL_REGION_TYPES, RegionType
 from repro.geo.route import Route
-from repro.geo.timezones import Timezone
+from repro.geo.timezones import ALL_TIMEZONES, Timezone
 from repro.radio.cells import Cell, CellId
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
+from repro.rng import RngFactory
 
 __all__ = [
     "TechMix",
@@ -52,6 +71,7 @@ __all__ = [
     "TIMEZONE_5G_MULTIPLIER",
     "ZoneLengthParams",
     "DeploymentZone",
+    "ZoneLayer",
     "DeploymentModel",
 ]
 
@@ -154,8 +174,16 @@ class ZoneLengthParams:
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw a zone length; clipped to a sane [80 m, 20 km] envelope."""
-        length = rng.lognormal(mean=np.log(self.median_m), sigma=self.sigma)
-        return clamp(float(length), 80.0, 20_000.0)
+        return float(self.lengths(rng, 1)[0])
+
+    def lengths(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` zone lengths at once, clipped like :meth:`sample`."""
+        z = rng.standard_normal(n)
+        lengths = self.median_m * np.exp(self.sigma * z)
+        return np.minimum(np.maximum(lengths, _MIN_ZONE_M), _MAX_ZONE_M)
+
+
+_MIN_ZONE_M, _MAX_ZONE_M = 80.0, 20_000.0
 
 
 #: Active-layer zone length medians by region.  Highway medians are
@@ -206,9 +234,46 @@ _UL_LOAD_BETA_B = 2.3
 _UL_DEEP_CONGESTION_PROB = 0.10
 
 
-@dataclass(frozen=True, slots=True)
-class DeploymentZone:
-    """One stretch of road with a fixed radio configuration for an operator."""
+#: Distance of a cell site from the roadside, by region (meters).
+_PERPENDICULAR_RANGE_M: dict[RegionType, tuple[float, float]] = {
+    RegionType.CITY: (25.0, 220.0),
+    RegionType.SUBURBAN: (60.0, 450.0),
+    RegionType.HIGHWAY: (50.0, 500.0),
+}
+
+#: Sequence number of the first macro cell, keeping the macro layer's cell
+#: ids disjoint from the active layer's (numbered from 1).
+_MACRO_SEQ_BASE = 1_000_001
+
+#: Worlds :meth:`DeploymentModel.world` keeps per process: a two-seed
+#: sweep's six (seed, operator) pairs, twice over.
+_WORLD_MEMO_SIZE = 12
+
+# Array codes: a region is its index in ALL_REGION_TYPES, a timezone its
+# index in ALL_TIMEZONES and a technology its rank (its ALL_TECHNOLOGIES
+# index); a deployed set is a bitmask over ranks.
+_IS_MOUNTAIN = np.array([tz is Timezone.MOUNTAIN for tz in ALL_TIMEZONES])
+#: Extra deep-congestion probability and load scale, per timezone code.
+_EXTRA_CONGESTION_BY_TZ = np.where(_IS_MOUNTAIN, _MOUNTAIN_EXTRA_CONGESTION, 0.0)
+_LOAD_SCALE_BY_TZ = np.where(_IS_MOUNTAIN, _MOUNTAIN_LOAD_SCALE, 1.0)
+#: Technology order of the best-tech inverse CDF (the mix tables' order).
+_MIX_ORDER = (_NR_MM, _NR_MID, _NR_LOW, _LTE_A, _LTE)
+_MIX_RANKS = np.array([t.rank for t in _MIX_ORDER], dtype=np.int8)
+_DEPLOYED_SETS = tuple(
+    frozenset(t for t in ALL_TECHNOLOGIES if mask >> t.rank & 1)
+    for mask in range(1 << len(ALL_TECHNOLOGIES))
+)
+_PERP_LO = np.array([_PERPENDICULAR_RANGE_M[r][0] for r in ALL_REGION_TYPES])
+_PERP_HI = np.array([_PERPENDICULAR_RANGE_M[r][1] for r in ALL_REGION_TYPES])
+
+
+class DeploymentZone(NamedTuple):
+    """One stretch of road with a fixed radio configuration for an operator.
+
+    An immutable view of one zone of a :class:`ZoneLayer`.  The layer builds
+    its views once and returns the same objects ever after; worlds are
+    shared by every campaign in the process.
+    """
 
     index: int
     operator: Operator
@@ -220,15 +285,19 @@ class DeploymentZone:
     best_tech: RadioTechnology
     #: All deployed technologies (always includes LTE).
     deployed: frozenset[RadioTechnology]
-    #: One serving cell per deployed technology.
-    cells: dict[RadioTechnology, Cell]
     #: Capacity share available to our UE, per direction (0, 1].
     load_dl: float
     load_ul: float
+    layer: "ZoneLayer"
 
     @property
     def length_m(self) -> float:
         return self.end_m - self.start_m
+
+    @property
+    def cells(self) -> Mapping[RadioTechnology, Cell]:
+        """One serving cell per deployed technology."""
+        return self.layer.cells(self.index)
 
     def cell_for(self, tech: RadioTechnology) -> Cell:
         """Serving cell for a deployed technology.
@@ -239,84 +308,182 @@ class DeploymentZone:
             If ``tech`` is not deployed in this zone.
         """
         try:
-            return self.cells[tech]
+            return self.layer.cells(self.index)[tech]
         except KeyError:
             raise DeploymentError(
                 f"{tech} not deployed in zone {self.index} of {self.operator}"
             ) from None
 
 
-def _deployed_set(best: RadioTechnology, rng: np.random.Generator) -> frozenset[RadioTechnology]:
-    """Derive the full deployed set below the best technology.
+class ZoneLayer(Sequence[DeploymentZone]):
+    """One layer of a deployment: a struct of read-only arrays, read as a
+    sequence of :class:`DeploymentZone` views.
 
-    LTE is ubiquitous.  LTE-A rides on LTE in most zones.  When the best tech
-    is high-speed 5G, the low tier below it is usually (not always) present —
-    NSA anchoring and layered deployments.
+    Zone arrays (one entry per zone, in route order) are named in
+    :attr:`ZONE_ARRAYS`; ``cell_start`` holds ``n + 1`` offsets into the
+    cell arrays of :attr:`CELL_ARRAYS` (one entry per cell site, zone by
+    zone, ascending rank).  A deployed technology without a cell of its own
+    (the macro layer's LTE under an LTE-A anchor) is served by the zone's
+    best-technology cell.  Views and cells are built on first use.
     """
-    deployed = {_LTE, best}
-    if best.rank >= _LTE_A.rank or rng.random() < 0.85:
-        deployed.add(_LTE_A)
-    if best.rank > _NR_LOW.rank and rng.random() < 0.7:
-        deployed.add(_NR_LOW)
-    if best is _NR_MM and rng.random() < 0.5:
-        deployed.add(_NR_MID)
-    return frozenset(deployed)
+
+    ZONE_ARRAYS = (
+        "start_m", "end_m", "region", "timezone", "best_tech", "deployed",
+        "load_dl", "load_ul", "cell_start",
+    )
+    CELL_ARRAYS = (
+        "cell_tech", "cell_seq", "site_mark_m", "perpendicular_m",
+        "site_lat", "site_lon",
+    )
+
+    def __init__(self, operator: Operator, arrays: Mapping[str, np.ndarray]) -> None:
+        self.operator = operator
+        self.arrays = MappingProxyType(
+            {name: arrays[name] for name in self.ZONE_ARRAYS + self.CELL_ARRAYS}
+        )
+        for arr in self.arrays.values():
+            arr.flags.writeable = False
+        if not len(self.arrays["start_m"]):
+            raise DeploymentError("deployment requires at least one zone per layer")
+        self._starts: list[float] = self.arrays["start_m"].tolist()
+        self._route_end_m = float(self.arrays["end_m"][-1])
+        self._cells: dict[int, Mapping[RadioTechnology, Cell]] = {}
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        return self._views[index]
+
+    def __iter__(self) -> Iterator[DeploymentZone]:
+        return iter(self._views)
+
+    def at(self, mark_m: float) -> DeploymentZone:
+        """The zone containing route distance ``mark_m``."""
+        if mark_m < 0.0 or mark_m > self._route_end_m:
+            raise DeploymentError(
+                f"mark {mark_m} outside deployed range [0, {self._route_end_m}]"
+            )
+        return self._views[max(bisect.bisect_right(self._starts, mark_m) - 1, 0)]
+
+    def overlapping(self, start_m: float, end_m: float) -> slice:
+        """The zones overlapping ``[start_m, end_m)``, as a slice of the
+        layer."""
+        first = max(bisect.bisect_right(self._starts, start_m) - 1, 0)
+        return slice(first, bisect.bisect_left(self._starts, end_m))
+
+    def cell_ids(self, zones: slice) -> frozenset[CellId]:
+        """Ids of every cell site of the zones ``zones`` (a slice of the
+        layer, like :meth:`overlapping` returns)."""
+        offsets = self.arrays["cell_start"]
+        lo, hi = offsets[zones.start], offsets[zones.stop]
+        techs = self.arrays["cell_tech"][lo:hi].tolist()
+        seqs = self.arrays["cell_seq"][lo:hi].tolist()
+        return frozenset(
+            CellId(self.operator, ALL_TECHNOLOGIES[t], seq)
+            for t, seq in zip(techs, seqs)
+        )
+
+    def cells(self, index: int) -> Mapping[RadioTechnology, Cell]:
+        """Zone ``index``'s serving cell per deployed technology."""
+        cells = self._cells.get(index)
+        if cells is None:
+            offsets, tech, seq, mark, perp, lat, lon = self._cell_columns
+            own: dict[RadioTechnology, Cell] = {}
+            for c in range(offsets[index], offsets[index + 1]):
+                own[tech[c]] = Cell(
+                    cell_id=CellId(self.operator, tech[c], seq[c]),
+                    site=LatLon(lat[c], lon[c]),
+                    site_mark_m=mark[c],
+                    perpendicular_m=perp[c],
+                )
+            zone = self._views[index]
+            anchor = own[zone.best_tech]
+            cells = self._cells[index] = MappingProxyType(
+                {t: own.get(t, anchor) for t in zone.deployed}
+            )
+        return cells
+
+    @functools.cached_property
+    def _views(self) -> list[DeploymentZone]:
+        a = self.arrays
+        n = len(self)
+        return list(map(
+            DeploymentZone,
+            range(n),
+            repeat(self.operator, n),
+            self._starts,
+            a["end_m"].tolist(),
+            _members(a["region"], ALL_REGION_TYPES),
+            _members(a["timezone"], ALL_TIMEZONES),
+            _members(a["best_tech"], ALL_TECHNOLOGIES),
+            _members(a["deployed"], _DEPLOYED_SETS),
+            a["load_dl"].tolist(),
+            a["load_ul"].tolist(),
+            repeat(self, n),
+        ))
+
+    @functools.cached_property
+    def _cell_columns(self) -> tuple[list, ...]:
+        a = self.arrays
+        return (
+            a["cell_start"].tolist(),
+            _members(a["cell_tech"], ALL_TECHNOLOGIES),
+            *(a[name].tolist() for name in self.CELL_ARRAYS[1:]),
+        )
 
 
-def _perpendicular_offset_m(region: RegionType, rng: np.random.Generator) -> float:
-    """Distance of a cell site from the roadside, by region."""
-    ranges = {
-        RegionType.CITY: (25.0, 220.0),
-        RegionType.SUBURBAN: (60.0, 450.0),
-        RegionType.HIGHWAY: (50.0, 500.0),
-    }
-    lo, hi = ranges[region]
-    return float(rng.uniform(lo, hi))
+def _members(codes: np.ndarray, table: Sequence) -> list:
+    """The Python values an array of codes stands for."""
+    return [table[code] for code in codes.tolist()]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DeploymentModel:
     """The full radio deployment of one operator along a route.
 
-    Build with :meth:`build`; query zones by route distance with
+    Get the campaign world with :meth:`world` (or generate one from any
+    generator with :meth:`build`); query zones by route distance with
     :meth:`zone_at` (active layer) or :meth:`macro_zone_at` (LTE anchor grid
     seen by the passive handover-logger).
     """
 
     operator: Operator
-    zones: list[DeploymentZone]
-    macro_zones: list[DeploymentZone]
-    _zone_starts: list[float] = field(init=False, repr=False)
-    _macro_starts: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.zones or not self.macro_zones:
-            raise DeploymentError("deployment requires at least one zone per layer")
-        self._zone_starts = [z.start_m for z in self.zones]
-        self._macro_starts = [z.start_m for z in self.macro_zones]
+    zones: ZoneLayer
+    macro_zones: ZoneLayer
 
     # -- queries ---------------------------------------------------------
 
     def zone_at(self, mark_m: float) -> DeploymentZone:
         """Active-layer zone containing route distance ``mark_m``."""
-        return self._lookup(self.zones, self._zone_starts, mark_m)
+        return self.zones.at(mark_m)
 
     def macro_zone_at(self, mark_m: float) -> DeploymentZone:
         """Macro (LTE anchor) zone containing route distance ``mark_m``."""
-        return self._lookup(self.macro_zones, self._macro_starts, mark_m)
-
-    @staticmethod
-    def _lookup(
-        zones: list[DeploymentZone], starts: list[float], mark_m: float
-    ) -> DeploymentZone:
-        if mark_m < 0.0 or mark_m > zones[-1].end_m:
-            raise DeploymentError(
-                f"mark {mark_m} outside deployed range [0, {zones[-1].end_m}]"
-            )
-        idx = bisect.bisect_right(starts, mark_m) - 1
-        return zones[max(idx, 0)]
+        return self.macro_zones.at(mark_m)
 
     # -- construction ----------------------------------------------------
+
+    @classmethod
+    def world(cls, operator: Operator, route: Route, seed: int) -> "DeploymentModel":
+        """The operator's deployment for campaign seed ``seed``.
+
+        Generated over the whole route from the stream
+        ``SeedSequence([seed, crc32("deploy-<code>")])``, so it depends on
+        nothing but ``(route, seed, operator)``: not on route windows,
+        executors or worker counts.  Each process keeps the last
+        :data:`_WORLD_MEMO_SIZE` worlds; rebuilding one costs milliseconds.
+        """
+        key = (route.digest, seed, operator)
+        model = _WORLDS.get(key)
+        if model is None:
+            rng = RngFactory(seed).fresh(f"deploy-{operator.code}")
+            model = _WORLDS[key] = cls.build(operator, route, rng)
+            while len(_WORLDS) > _WORLD_MEMO_SIZE:
+                _WORLDS.popitem(last=False)
+        else:
+            _WORLDS.move_to_end(key)
+        return model
 
     @classmethod
     def build(
@@ -325,11 +492,8 @@ class DeploymentModel:
         route: Route,
         rng: np.random.Generator,
         tech_mix: dict[RegionType, TechMix] | None = None,
-        *,
-        start_m: float = 0.0,
-        end_m: float | None = None,
     ) -> "DeploymentModel":
-        """Generate the operator's deployment for ``route``.
+        """Generate the operator's deployment for ``route`` from ``rng``.
 
         Parameters
         ----------
@@ -343,162 +507,181 @@ class DeploymentModel:
         tech_mix:
             Optional override of the per-region best-technology mix,
             bypassing :data:`DEFAULT_TECH_MIX` (used for ablations).
-        start_m / end_m:
-            Optional route span to deploy, in route meters.  The sharded
-            execution engine builds each route shard's deployment only over
-            its own window (plus an overrun margin), so the total deployment
-            work across all shards stays proportional to the route length.
-            Defaults to the full route.
         """
-        if end_m is None:
-            end_m = route.total_length_m
-        if not 0.0 <= start_m < end_m:
-            raise DeploymentError(
-                f"invalid deployment span [{start_m}, {end_m})"
+        # Each layer draws from its own jump of the stream, so changing one
+        # layer's model never reshuffles the other.
+        active_rng, macro_rng = (
+            np.random.Generator(rng.bit_generator.jumped(jumps)) for jumps in (1, 2)
+        )
+        active = ZoneLayer(operator, _active_layer(operator, route, active_rng, tech_mix))
+        macro = ZoneLayer(operator, _macro_layer(operator, route, macro_rng))
+        return cls(operator=operator, zones=active, macro_zones=macro)
+
+
+_WORLDS: OrderedDict[tuple[str, int, Operator], DeploymentModel] = OrderedDict()
+
+
+# -- array construction ------------------------------------------------------
+
+
+def _zone_ends(
+    rng: np.random.Generator, params: ZoneLengthParams, mark_m: float, stop_m: float
+) -> np.ndarray:
+    """End marks of consecutive zones laid from ``mark_m`` until one ends at
+    or past ``stop_m``.  Lengths are drawn in blocks sized to cover the
+    stretch; draws past the last zone of a block are discarded."""
+    parts = []
+    while True:
+        n = int(1.5 * (stop_m - mark_m) / params.median_m) + 8
+        ends = mark_m + np.cumsum(params.lengths(rng, n))
+        k = int(np.searchsorted(ends, stop_m, side="left"))
+        if k < n:
+            parts.append(ends[: k + 1])
+            return np.concatenate(parts)
+        parts.append(ends)
+        mark_m = float(ends[-1])
+
+
+def _zone_geometry(route: Route, ends: np.ndarray) -> dict[str, np.ndarray]:
+    """Start/end marks plus region and timezone codes (at each zone's
+    start) of the zones tiling the route with the given end marks, the
+    last clipped to the route's end."""
+    end_m = np.minimum(ends, route.total_length_m)
+    start_m = np.concatenate(([0.0], end_m[:-1]))
+    region, _, _, timezone = route.locate(start_m)
+    return {
+        "start_m": start_m,
+        "end_m": end_m,
+        "region": region,
+        "timezone": timezone.astype(np.int8),
+    }
+
+
+def _sites(
+    route: Route, rng: np.random.Generator, lo_m: np.ndarray, hi_m: np.ndarray,
+    region: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Cell sites drawn uniformly along ``[lo_m, hi_m)`` of the road, at a
+    region-dependent distance from it."""
+    site_mark = rng.uniform(lo_m, hi_m)
+    perpendicular = rng.uniform(_PERP_LO[region], _PERP_HI[region])
+    _, lat, lon, _ = route.locate(np.minimum(site_mark, route.total_length_m))
+    return {
+        "site_mark_m": site_mark,
+        "perpendicular_m": perpendicular,
+        "site_lat": lat,
+        "site_lon": lon,
+    }
+
+
+def _loads(
+    rng: np.random.Generator, operator: Operator, timezone: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Per-zone capacity shares available to our UE, per direction: a
+    deeply congested share with some probability, else a beta draw (scaled
+    down in the Mountain timezone)."""
+    extra = _EXTRA_CONGESTION_BY_TZ[timezone]
+    scale = _LOAD_SCALE_BY_TZ[timezone]
+    n = len(timezone)
+    out = {}
+    for name, deep_prob, a, b in (
+        ("load_dl", _DEEP_CONGESTION_PROB[operator], _LOAD_BETA_A, _LOAD_BETA_B),
+        ("load_ul", _UL_DEEP_CONGESTION_PROB, _UL_LOAD_BETA_A, _UL_LOAD_BETA_B),
+    ):
+        deep = rng.random(n) < deep_prob + extra
+        congested = rng.uniform(*_DEEP_CONGESTION_RANGE, size=n)
+        share = np.minimum(np.maximum(scale * rng.beta(a, b, size=n), 0.02), 1.0)
+        out[name] = np.where(deep, congested, share)
+    return out
+
+
+def _best_tech_table(
+    operator: Operator, tech_mix: dict[RegionType, TechMix] | None
+) -> np.ndarray:
+    """Cumulative best-tech probabilities, region × timezone × technology
+    (in :data:`_MIX_ORDER`)."""
+    table = np.zeros((len(ALL_REGION_TYPES), len(ALL_TIMEZONES), len(_MIX_ORDER)))
+    for r, region in enumerate(ALL_REGION_TYPES):
+        for t, tz in enumerate(ALL_TIMEZONES):
+            mix = tech_mix[region] if tech_mix is not None else adjusted_mix(
+                operator, region, tz
             )
-        zones = cls._build_active_zones(operator, route, rng, tech_mix, start_m, end_m)
-        macro = cls._build_macro_zones(operator, route, rng, start_m, end_m)
-        return cls(operator=operator, zones=zones, macro_zones=macro)
+            table[r, t] = np.cumsum([mix.get(tech, 0.0) for tech in _MIX_ORDER])
+    return table
 
-    @classmethod
-    def _build_active_zones(
-        cls,
-        operator: Operator,
-        route: Route,
-        rng: np.random.Generator,
-        tech_mix: dict[RegionType, TechMix] | None,
-        start_m: float,
-        span_end_m: float,
-    ) -> list[DeploymentZone]:
-        zones: list[DeploymentZone] = []
-        cell_seq = 0
-        mark = start_m
-        index = 0
-        total = span_end_m
-        while mark < total:
-            pos = route.position_at(min(mark, total))
-            region = pos.region
-            if region is RegionType.HIGHWAY:
-                median = _ACTIVE_HIGHWAY_MEDIAN_M[operator]
-            else:
-                median = _ACTIVE_ZONE_MEDIAN_M[region]
-            length = ZoneLengthParams(median).sample(rng)
-            end = min(mark + length, total)
 
-            if tech_mix is not None:
-                mix = tech_mix[region]
-            else:
-                mix = adjusted_mix(operator, region, pos.timezone)
-            best = choose_weighted(rng, list(mix.keys()), list(mix.values()))
-            deployed = _deployed_set(best, rng)
+def _active_layer(
+    operator: Operator,
+    route: Route,
+    rng: np.random.Generator,
+    tech_mix: dict[RegionType, TechMix] | None,
+) -> dict[str, np.ndarray]:
+    # Zone lengths one route segment at a time, at the segment's region
+    # median; every other attribute in one draw over all zones.
+    total = route.total_length_m
+    parts = []
+    mark = 0.0
+    for k, seg in enumerate(route.segments):
+        seg_end = total if k == len(route.segments) - 1 else route.segment_start_m(k + 1)
+        if mark >= seg_end:
+            continue
+        if seg.region is RegionType.HIGHWAY:
+            median = _ACTIVE_HIGHWAY_MEDIAN_M[operator]
+        else:
+            median = _ACTIVE_ZONE_MEDIAN_M[seg.region]
+        parts.append(_zone_ends(rng, ZoneLengthParams(median), mark, seg_end))
+        mark = float(parts[-1][-1])
+    zones = _zone_geometry(route, np.concatenate(parts))
+    n = len(zones["start_m"])
 
-            cells: dict[RadioTechnology, Cell] = {}
-            for tech in sorted(deployed, key=lambda t: t.rank):
-                cell_seq += 1
-                site_mark = float(rng.uniform(mark + 0.2 * (end - mark), mark + 0.8 * (end - mark)))
-                perp = _perpendicular_offset_m(region, rng)
-                site_pos = route.position_at(min(site_mark, total)).point
-                cells[tech] = Cell(
-                    cell_id=CellId(operator, tech, cell_seq),
-                    site=site_pos,
-                    site_mark_m=site_mark,
-                    perpendicular_m=perp,
-                )
+    # Best technology: one inverse-CDF draw per zone.
+    cdf = _best_tech_table(operator, tech_mix)[zones["region"], zones["timezone"]]
+    u = rng.random(n) * cdf[:, -1]
+    best = _MIX_RANKS[np.minimum((cdf <= u[:, None]).sum(axis=1), len(_MIX_ORDER) - 1)]
 
-            load_dl = cls._draw_load(rng, operator, "downlink", pos.timezone)
-            load_ul = cls._draw_load(rng, operator, "uplink", pos.timezone)
-            zones.append(
-                DeploymentZone(
-                    index=index,
-                    operator=operator,
-                    start_m=mark,
-                    end_m=end,
-                    region=region,
-                    timezone=pos.timezone,
-                    best_tech=best,
-                    deployed=deployed,
-                    cells=cells,
-                    load_dl=load_dl,
-                    load_ul=load_ul,
-                )
-            )
-            index += 1
-            mark = end
-        return zones
+    # Deployed set below it: LTE always; LTE-A in most zones; the low NR
+    # tier under high-speed 5G usually (NSA anchoring, layered deployments);
+    # midband under mmWave half the time.
+    u = rng.random((n, 3))
+    deployed = (1 << _LTE.rank) | (1 << best.astype(np.int64))
+    deployed |= np.where((best >= _LTE_A.rank) | (u[:, 0] < 0.85), 1 << _LTE_A.rank, 0)
+    deployed |= np.where((best > _NR_LOW.rank) & (u[:, 1] < 0.7), 1 << _NR_LOW.rank, 0)
+    deployed |= np.where((best == _NR_MM.rank) & (u[:, 2] < 0.5), 1 << _NR_MID.rank, 0)
 
-    @classmethod
-    def _build_macro_zones(
-        cls,
-        operator: Operator,
-        route: Route,
-        rng: np.random.Generator,
-        start_m: float = 0.0,
-        span_end_m: float | None = None,
-    ) -> list[DeploymentZone]:
-        zones: list[DeploymentZone] = []
-        cell_seq = 1_000_000  # disjoint id space from the active layer
-        mark = start_m
-        index = 0
-        total = route.total_length_m if span_end_m is None else span_end_m
-        median = _MACRO_ZONE_MEDIAN_M[operator]
-        while mark < total:
-            pos = route.position_at(min(mark, total))
-            length = ZoneLengthParams(median, sigma=0.5).sample(rng)
-            end = min(mark + length, total)
-            cell_seq += 1
-            site_mark = float(rng.uniform(mark, end))
-            tech = _LTE_A if rng.random() < 0.6 else _LTE
-            cell = Cell(
-                cell_id=CellId(operator, tech, cell_seq),
-                site=route.position_at(min(site_mark, total)).point,
-                site_mark_m=site_mark,
-                perpendicular_m=_perpendicular_offset_m(pos.region, rng),
-            )
-            zones.append(
-                DeploymentZone(
-                    index=index,
-                    operator=operator,
-                    start_m=mark,
-                    end_m=end,
-                    region=pos.region,
-                    timezone=pos.timezone,
-                    best_tech=tech,
-                    deployed=frozenset({_LTE, tech}),
-                    cells={tech: cell, _LTE: cell},
-                    load_dl=cls._draw_load(rng, operator, "downlink", pos.timezone),
-                    load_ul=cls._draw_load(rng, operator, "uplink", pos.timezone),
-                )
-            )
-            index += 1
-            mark = end
-        return zones
+    # One site per deployed technology, in the middle 60% of its zone.
+    has_cell = (deployed[:, None] >> np.arange(len(ALL_TECHNOLOGIES))) & 1
+    zone_of, cell_tech = np.nonzero(has_cell)
+    start, length = zones["start_m"][zone_of], (zones["end_m"] - zones["start_m"])[zone_of]
+    sites = _sites(
+        route, rng, start + 0.2 * length, start + 0.8 * length, zones["region"][zone_of]
+    )
+    return {
+        **zones,
+        "best_tech": best,
+        "deployed": deployed.astype(np.uint8),
+        **_loads(rng, operator, zones["timezone"]),
+        "cell_start": np.concatenate(([0], np.cumsum(has_cell.sum(axis=1)))),
+        "cell_tech": cell_tech.astype(np.int8),
+        "cell_seq": np.arange(1, len(zone_of) + 1, dtype=np.int64),
+        **sites,
+    }
 
-    @staticmethod
-    def _draw_load(
-        rng: np.random.Generator,
-        operator: Operator,
-        direction: str = "downlink",
-        tz: Timezone | None = None,
-    ) -> float:
-        """Draw the per-zone capacity share available to our UE."""
-        mountain = tz is Timezone.MOUNTAIN
-        scale = _MOUNTAIN_LOAD_SCALE if mountain else 1.0
-        if direction == "uplink":
-            prob = _UL_DEEP_CONGESTION_PROB + (_MOUNTAIN_EXTRA_CONGESTION if mountain else 0.0)
-            if rng.random() < prob:
-                lo, hi = _DEEP_CONGESTION_RANGE
-                return float(rng.uniform(lo, hi))
-            return clamp(scale * float(rng.beta(_UL_LOAD_BETA_A, _UL_LOAD_BETA_B)), 0.02, 1.0)
-        prob = _DEEP_CONGESTION_PROB[operator] + (_MOUNTAIN_EXTRA_CONGESTION if mountain else 0.0)
-        if rng.random() < prob:
-            lo, hi = _DEEP_CONGESTION_RANGE
-            return float(rng.uniform(lo, hi))
-        return clamp(scale * float(rng.beta(_LOAD_BETA_A, _LOAD_BETA_B)), 0.02, 1.0)
 
-    # -- statistics ------------------------------------------------------
-
-    def unique_cell_count(self) -> int:
-        """Total distinct cells across both layers (Table 1 statistic)."""
-        ids = {c.cell_id for z in self.zones for c in z.cells.values()}
-        ids |= {c.cell_id for z in self.macro_zones for c in z.cells.values()}
-        return len(ids)
+def _macro_layer(
+    operator: Operator, route: Route, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    params = ZoneLengthParams(_MACRO_ZONE_MEDIAN_M[operator], sigma=0.5)
+    zones = _zone_geometry(route, _zone_ends(rng, params, 0.0, route.total_length_m))
+    n = len(zones["start_m"])
+    sites = _sites(route, rng, zones["start_m"], zones["end_m"], zones["region"])
+    tech = np.where(rng.random(n) < 0.6, _LTE_A.rank, _LTE.rank).astype(np.int8)
+    return {
+        **zones,
+        "best_tech": tech,
+        "deployed": ((1 << _LTE.rank) | (1 << tech.astype(np.int64))).astype(np.uint8),
+        **_loads(rng, operator, zones["timezone"]),
+        "cell_start": np.arange(n + 1),
+        "cell_tech": tech,
+        "cell_seq": np.arange(_MACRO_SEQ_BASE, _MACRO_SEQ_BASE + n, dtype=np.int64),
+        **sites,
+    }

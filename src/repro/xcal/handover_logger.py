@@ -66,37 +66,39 @@ def run_handover_logger(
     operator: Operator,
     deployment: DeploymentModel,
     rng: np.random.Generator,
+    start_m: float,
     end_m: float,
 ) -> HandoverLoggerTrace:
-    """Walk the deployment as the passive logger phone, up to ``end_m``.
+    """Walk the deployment as the passive logger phone over
+    ``[start_m, end_m)``.
 
     The technology view comes from the active-layer deployment under the
     idle policy (what Android's API would report); the handover count comes
     from the macro anchor grid the idle UE actually camps on.  Every zone
-    starting before ``end_m`` is walked and the last one is clipped there,
-    so loggers walking adjacent route windows tile the route.  Each macro
-    zone starting inside ``(0, end_m)`` is one handover: a window starting
-    past 0 counts the handover onto its first zone.
+    overlapping the span is walked, the first and last clipped to it, so
+    loggers walking adjacent route windows tile the route.  Each macro zone
+    starting inside ``[start_m, end_m)`` past 0 is one handover, so the
+    windows' counts add up to the whole route's whatever the window plan.
     """
     selector = TechnologySelector(operator, rng)
+    zones = deployment.zones
     segments = [
         PassiveCoverageSegment(
             operator=operator,
-            start_m=zone.start_m,
+            start_m=max(zone.start_m, start_m),
             end_m=min(zone.end_m, end_m),
             tech=selector.select(zone, TrafficProfile.IDLE_PING),
             timezone=zone.timezone,
             region=zone.region,
         )
-        for zone in deployment.zones
-        if zone.start_m < end_m
+        for zone in zones[zones.overlapping(start_m, end_m)]
     ]
-    macro = [zone for zone in deployment.macro_zones if zone.start_m < end_m]
+    macro = deployment.macro_zones
+    # Zone 0 starts at 0: where the trip starts, not a handover.
+    lo, hi = np.searchsorted(macro.arrays["start_m"], (start_m, end_m)).tolist()
     return HandoverLoggerTrace(
         operator=operator,
         segments=segments,
-        macro_handovers=sum(1 for zone in macro if zone.start_m > 0.0),
-        macro_cell_ids=frozenset(
-            cell.cell_id for zone in macro for cell in zone.cells.values()
-        ),
+        macro_handovers=max(hi - max(lo, 1), 0),
+        macro_cell_ids=macro.cell_ids(macro.overlapping(start_m, end_m)),
     )

@@ -4,8 +4,9 @@ The library computes each paper statistic once, over the query kernels of
 :mod:`repro.store.query`.  This module keeps the straight loops over record
 objects that those kernels replaced — per-record filters, left-fold sums,
 per-test handover joins — so parity tests can hold every source (row-held
-or column-held datasets, store files, catalogs) to them.  Nothing here
-runs outside the tests.
+or column-held datasets, store files, catalogs) to them.  The record loop
+of :func:`~repro.campaign.validation.validate_dataset`, which now runs on
+column arrays, is kept the same way.  Nothing here runs outside the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.coverage import CoverageShares, _shares_from_weights
 from repro.analysis.performance import StaticVsDriving
 from repro.campaign.dataset import DriveDataset
+from repro.campaign.validation import ValidationReport
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError, ReproError
 from repro.geo.timezones import Timezone
@@ -205,3 +207,87 @@ def evaluate(dataset: DriveDataset, name: str) -> float:
 def statistics(dataset: DriveDataset) -> dict[str, float]:
     """Every statistic on one dataset's records, in registration order."""
     return {name: evaluate(dataset, name) for name in STATISTICS}
+
+
+def validate(dataset: DriveDataset, max_issues: int = 50) -> ValidationReport:
+    """:func:`~repro.campaign.validation.validate_dataset` as a loop over
+    the record lists: the same checks, issues and check count."""
+    report = ValidationReport()
+    tests_by_id = {t.test_id: t for t in dataset.tests}
+
+    def run(check: str, ok: bool, detail: str) -> None:
+        report.checks_run += 1
+        if not ok and len(report.issues) < max_issues:
+            report.add(check, detail)
+
+    for s in dataset.throughput_samples:
+        test = tests_by_id.get(s.test_id)
+        if test is None:
+            run("tput.test-ref", False, f"sample references unknown test {s.test_id}")
+            continue
+        run(
+            "tput.window",
+            test.start_time_s - 1e-6 <= s.time_s <= test.end_time_s + 1e-6,
+            f"sample at t={s.time_s} outside test {s.test_id} window",
+        )
+        run("tput.operator", s.operator is test.operator,
+            f"sample operator {s.operator} != test operator {test.operator}")
+    for s in dataset.rtt_samples:
+        test = tests_by_id.get(s.test_id)
+        run("rtt.test-ref", test is not None, f"unknown test {s.test_id}")
+
+    for test_id, samples in dataset.samples_by_test().items():
+        times = [s.time_s for s in samples]
+        run("tput.monotone", times == sorted(times),
+            f"test {test_id} samples not time-ordered")
+
+    for s in dataset.throughput_samples[:200_000]:
+        run("tput.range", 0.0 <= s.tput_mbps < 10_000.0,
+            f"throughput {s.tput_mbps} out of range")
+        run("kpi.rsrp", -140.0 <= s.rsrp_dbm <= -40.0, f"RSRP {s.rsrp_dbm}")
+        run("kpi.mcs", 0 <= s.mcs <= 28, f"MCS {s.mcs}")
+        run("kpi.bler", 0.0 <= s.bler <= 1.0, f"BLER {s.bler}")
+        run("kpi.speed", 0.0 <= s.speed_mph <= 130.0, f"speed {s.speed_mph}")
+    for s in dataset.rtt_samples[:200_000]:
+        run("rtt.range", 0.0 < s.rtt_ms < 60_000.0, f"RTT {s.rtt_ms}")
+
+    for h in dataset.handovers:
+        run("ho.test-ref", h.test_id in tests_by_id,
+            f"handover references unknown test {h.test_id}")
+        run("ho.duration", h.event.duration_ms > 0.0,
+            f"non-positive handover duration {h.event.duration_ms}")
+        run("ho.operator-test",
+            h.test_id not in tests_by_id
+            or tests_by_id[h.test_id].operator is h.event.operator,
+            f"handover operator mismatch on test {h.test_id}")
+
+    route_end_m = dataset.route_length_km * 1000.0
+    for op in Operator:
+        segs = sorted(
+            (s for s in dataset.passive_coverage if s.operator is op),
+            key=lambda s: s.start_m,
+        )
+        if segs:
+            run("passive.tiling", abs(segs[0].start_m) <= 1e-3,
+                f"{op} passive coverage starts at {segs[0].start_m}, not 0")
+            run("passive.tiling", abs(segs[-1].end_m - route_end_m) <= 1e-3,
+                f"{op} passive coverage ends at {segs[-1].end_m}, "
+                f"not the route end {route_end_m}")
+        for prev, cur in zip(segs, segs[1:]):
+            run("passive.tiling", cur.start_m >= prev.end_m - 1e-6,
+                f"{op} passive segments overlap at {cur.start_m}")
+            run("passive.tiling", cur.start_m <= prev.end_m + 1e-6,
+                f"{op} passive coverage has a gap at {prev.end_m}")
+
+    for r in dataset.offload_runs:
+        run("app.frac", 0.0 <= r.frac_hs5g <= 1.0, f"frac_hs5g {r.frac_hs5g}")
+        run("app.bytes", r.uplink_megabits >= 0.0, "negative uplink volume")
+        run("app.kind", r.app in (TestType.AR, TestType.CAV), f"bad app {r.app}")
+    for r in dataset.video_runs:
+        run("video.rebuffer", 0.0 <= r.rebuffer_ratio <= 1.0,
+            f"rebuffer ratio {r.rebuffer_ratio}")
+    for r in dataset.gaming_runs:
+        run("gaming.drop", 0.0 <= r.frame_drop_rate <= 1.0,
+            f"drop rate {r.frame_drop_rate}")
+
+    return report

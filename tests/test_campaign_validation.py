@@ -1,11 +1,16 @@
 """Dataset integrity validator."""
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.campaign.dataset import DriveDataset
+from tests import row_oracle
+from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM
+from repro.campaign.dataset import RECORD_FAMILIES, DriveDataset
+from repro.campaign.tests import TestType
 from repro.campaign.validation import validate_dataset
+from repro.engine import EngineConfig, PlannerParams, run_engine
 from repro.radio.operators import Operator
 
 
@@ -109,3 +114,69 @@ class TestCorruptionDetection:
         ]
         report = validate_dataset(corrupt, max_issues=10)
         assert len(report.issues) == 10
+
+
+class TestColumnHeldDataset:
+    """Validation reads tables as columns and never builds records."""
+
+    def test_engine_result_stays_column_held(self):
+        ds, _ = run_engine(
+            EngineConfig(
+                campaign=ENGINE_CAMPAIGN,
+                executor="serial",
+                planner=PlannerParams(window_km=ENGINE_WINDOW_KM),
+            )
+        )
+        names = [family.table for family in RECORD_FAMILIES]
+        assert all(ds.held_table(name) is not None for name in names)
+        report = validate_dataset(ds)
+        assert report.ok, [str(i) for i in report.issues[:5]]
+        assert all(ds.held_table(name) is not None for name in names)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_same_report_as_the_record_loop(self, dataset, trial):
+        """Random corruptions of every checked field: the column checks
+        report what the record loop of ``tests.row_oracle`` reports, in
+        the same order, with the same check count, under any issue cap."""
+        rng = random.Random(trial)
+        corrupt = _copy_with(dataset)
+        for _ in range(rng.randint(1, 4)):
+            _CORRUPTIONS[rng.randrange(len(_CORRUPTIONS))](corrupt, rng)
+        columns = DriveDataset(
+            seed=corrupt.seed, scale=corrupt.scale,
+            route_length_km=corrupt.route_length_km,
+        )
+        for family in RECORD_FAMILIES:
+            columns.set_table(corrupt.table(family.table))
+        for cap in (3, 50, 10_000):
+            want = row_oracle.validate(corrupt, max_issues=cap)
+            assert validate_dataset(columns, max_issues=cap) == want
+            assert validate_dataset(corrupt, max_issues=cap) == want
+
+
+def _pick(rows: list, rng: random.Random, **changes) -> None:
+    i = rng.randrange(len(rows))
+    rows[i] = dataclasses.replace(rows[i], **changes)
+
+
+def _other_operator(op: Operator) -> Operator:
+    return Operator.ATT if op is not Operator.ATT else Operator.VERIZON
+
+
+_CORRUPTIONS = (
+    lambda ds, rng: _pick(ds.throughput_samples, rng, test_id=999),
+    lambda ds, rng: _pick(ds.throughput_samples, rng, tput_mbps=-1.0, mcs=40),
+    lambda ds, rng: _pick(ds.throughput_samples, rng, time_s=1e9, rsrp_dbm=0.0),
+    lambda ds, rng: _pick(ds.throughput_samples, rng, operator=_other_operator(
+        ds.throughput_samples[0].operator), bler=2.0, speed_mph=float("nan")),
+    lambda ds, rng: _pick(ds.rtt_samples, rng, test_id=77, rtt_ms=0.0),
+    lambda ds, rng: _pick(ds.handovers, rng, test_id=5),
+    lambda ds, rng: _pick(ds.tests, rng, operator=Operator.TMOBILE, end_time_s=0.0),
+    lambda ds, rng: ds.tests.append(dataclasses.replace(ds.tests[0], start_time_s=1e9)),
+    lambda ds, rng: ds.passive_coverage.pop(rng.randrange(len(ds.passive_coverage))),
+    lambda ds, rng: _pick(ds.passive_coverage, rng, end_m=1e9),
+    lambda ds, rng: _pick(ds.offload_runs, rng, frac_hs5g=1.5, uplink_megabits=-1.0),
+    lambda ds, rng: _pick(ds.offload_runs, rng, app=TestType.VIDEO_360),
+    lambda ds, rng: _pick(ds.video_runs, rng, rebuffer_ratio=2.0),
+    lambda ds, rng: _pick(ds.gaming_runs, rng, frame_drop_rate=-0.1),
+)

@@ -6,11 +6,15 @@ the public serial entry point ``repro.generate_dataset`` (which runs the same
 canonical shard plan in-process).
 """
 
+from collections import OrderedDict
+
 import pytest
 
 from tests.conftest import ENGINE_CAMPAIGN, ENGINE_WINDOW_KM, engine_dataset_bytes
+from repro.campaign.runner import CampaignConfig, DriveCampaign
 from repro.campaign.validation import validate_dataset
-from repro.engine import EngineConfig, PlannerParams, run_engine
+from repro.engine import EngineConfig, PlannerParams, plan_campaign, run_engine
+from repro.radio import deployment
 from repro.radio.operators import Operator
 
 
@@ -41,6 +45,51 @@ class TestShardInvariance:
         _, base = engine_baseline
         data, _ = run_bytes(tmp_path, executor="serial")
         assert data == base
+
+
+class TestWindowPlanIndependence:
+    """The deployment is one world per (seed, operator): the window plan
+    decides how the route is cut, never the network it crosses."""
+
+    CAMPAIGN = CampaignConfig(
+        seed=5, scale=0.004, include_apps=False, include_static=False
+    )
+
+    def test_passive_handover_counts_match_whole_route(self):
+        counts = []
+        for window_km in (300.0, 600.0, None):
+            ds, report = run_engine(
+                EngineConfig(
+                    campaign=self.CAMPAIGN,
+                    executor="serial",
+                    planner=PlannerParams(window_km=window_km),
+                )
+            )
+            counts.append((report.n_windows, ds.passive_handover_counts))
+        assert len({n for n, _ in counts}) == 3
+        whole = DriveCampaign(self.CAMPAIGN).run().passive_handover_counts
+        assert set(whole) == set(Operator)
+        for _, merged in counts:
+            assert merged == whole
+
+    def test_world_arrays_equal_across_plans_and_read_only(self, route, monkeypatch):
+        worlds = []
+        for window_km in (300.0, 600.0):
+            # A fresh memo, so each plan's campaign builds its own world.
+            monkeypatch.setattr(deployment, "_WORLDS", OrderedDict())
+            plan = plan_campaign(self.CAMPAIGN, route, PlannerParams(window_km=window_km))
+            campaign = DriveCampaign(self.CAMPAIGN, route, window=plan.windows[1])
+            worlds.append({op: s.deployment for op, s in campaign._sessions.items()})
+        first, second = worlds
+        for op in Operator:
+            assert first[op] is not second[op]
+            for a, b in ((first[op].zones, second[op].zones),
+                         (first[op].macro_zones, second[op].macro_zones)):
+                assert a.arrays.keys() == b.arrays.keys()
+                for name, arr in a.arrays.items():
+                    assert arr.flags.writeable is False
+                    assert b.arrays[name].flags.writeable is False
+                    assert (arr == b.arrays[name]).all(), name
 
 
 class TestMergedDataset:

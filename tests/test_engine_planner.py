@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.campaign.runner import CampaignConfig
+from repro.campaign.runner import CampaignConfig, DriveCampaign
 from repro.engine import PlannerParams, plan_campaign
 from repro.engine.checkpoint import config_fingerprint
 from repro.engine.planner import (
@@ -44,12 +44,19 @@ class TestDecomposition:
             config, route, params
         )
 
-    def test_overrun_covers_one_cycle(self, plan, config):
-        # A cycle started just before a window's end must stay inside the
-        # deployment span even at maximum speed.
-        cycle_s = nominal_cycle_duration_s(config)
-        for window in plan.windows:
-            assert window.overrun_m >= cycle_s * 45.0
+    def test_last_cycle_past_window_end_resolves_zones(self, plan, route):
+        # A cycle started just before a window's end runs past it; the
+        # whole-route world still has zones there to camp on.
+        window = plan.windows[0]
+        config = CampaignConfig(seed=42, scale=0.01, include_apps=False,
+                                include_static=False)
+        campaign = DriveCampaign(config, route, window=window)
+        campaign._mark_m = window.end_m - 10.0
+        campaign._run_cycle()
+        assert campaign._mark_m > window.end_m
+        for session in campaign._sessions.values():
+            zone = session.deployment.zone_at(campaign._mark_m)
+            assert zone.start_m <= campaign._mark_m <= zone.end_m
 
     def test_window_km_override(self, config, route):
         coarse = plan_campaign(config, route, PlannerParams(window_km=2000.0))

@@ -14,7 +14,7 @@ def traces(route):
     for i, op in enumerate(Operator):
         deployment = DeploymentModel.build(op, route, np.random.default_rng(31 + i))
         out[op] = run_handover_logger(
-            op, deployment, np.random.default_rng(41 + i), route.total_length_m
+            op, deployment, np.random.default_rng(41 + i), 0.0, route.total_length_m
         )
     return out
 
@@ -55,25 +55,26 @@ class TestHandoverLogger:
 
 
 class TestWindowClip:
-    """A window's logger walks the deployment it built past its end (the
-    overrun margin) but records only up to the window end."""
+    """A window's logger walks the whole-route deployment clipped to its
+    span ``[START_M, END_M)``."""
 
-    START_M, END_M, OVERRUN_M = 300_000.0, 900_000.0, 25_000.0
+    START_M, END_M = 300_000.0, 900_000.0
 
     @pytest.fixture(scope="class")
     def walk(self, route):
         deployment = DeploymentModel.build(
-            Operator.TMOBILE, route, np.random.default_rng(5),
-            start_m=self.START_M, end_m=self.END_M + self.OVERRUN_M,
+            Operator.TMOBILE, route, np.random.default_rng(5)
         )
         trace = run_handover_logger(
-            Operator.TMOBILE, deployment, np.random.default_rng(6), self.END_M
+            Operator.TMOBILE, deployment, np.random.default_rng(6),
+            self.START_M, self.END_M,
         )
         return deployment, trace
 
-    def test_last_segment_ends_exactly_at_window_end(self, walk):
+    def test_segments_start_and_end_exactly_at_the_window(self, walk):
         deployment, trace = walk
-        assert deployment.zones[-1].end_m > self.END_M
+        assert deployment.zone_at(self.START_M).start_m < self.START_M
+        assert deployment.zone_at(self.END_M).start_m < self.END_M
         assert trace.segments[0].start_m == self.START_M
         assert trace.segments[-1].end_m == self.END_M
         for prev, cur in zip(trace.segments, trace.segments[1:]):
@@ -82,15 +83,43 @@ class TestWindowClip:
     def test_macro_handovers_count_zone_starts_inside_the_window(self, walk):
         deployment, trace = walk
         starts = [z.start_m for z in deployment.macro_zones]
-        assert any(s >= self.END_M for s in starts)
-        assert trace.macro_handovers == sum(1 for s in starts if 0.0 < s < self.END_M)
+        assert trace.macro_handovers == sum(
+            1 for s in starts if self.START_M <= s < self.END_M and s > 0.0
+        )
+
+    def test_macro_cells_of_straddling_zones_included(self, walk):
+        deployment, trace = walk
+        for mark in (self.START_M, self.END_M - 1.0):
+            zone = deployment.macro_zone_at(mark)
+            assert {c.cell_id for c in zone.cells.values()} <= trace.macro_cell_ids
 
     def test_first_window_does_not_count_its_first_zone(self, route):
         deployment = DeploymentModel.build(
-            Operator.ATT, route, np.random.default_rng(7), end_m=50_000.0
+            Operator.ATT, route, np.random.default_rng(7)
         )
         trace = run_handover_logger(
-            Operator.ATT, deployment, np.random.default_rng(8), 40_000.0
+            Operator.ATT, deployment, np.random.default_rng(8), 0.0, 40_000.0
         )
         starts = [z.start_m for z in deployment.macro_zones if z.start_m < 40_000.0]
+        assert starts[0] == 0.0
         assert trace.macro_handovers == len(starts) - 1
+
+    def test_any_split_adds_up_to_the_whole_route(self, route):
+        deployment = DeploymentModel.build(
+            Operator.VERIZON, route, np.random.default_rng(9)
+        )
+        total = route.total_length_m
+        whole = run_handover_logger(
+            Operator.VERIZON, deployment, np.random.default_rng(10), 0.0, total
+        )
+        assert whole.macro_handovers == len(deployment.macro_zones) - 1
+        for cuts in ([0.0, total], [0.0, 1_234_567.0, total],
+                     [0.0, 600_000.0, 1_200_000.0, 4_000_000.0, total]):
+            parts = [
+                run_handover_logger(
+                    Operator.VERIZON, deployment, np.random.default_rng(11), lo, hi
+                )
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            assert sum(p.macro_handovers for p in parts) == whole.macro_handovers
+            assert sum(p.total_length_m for p in parts) == pytest.approx(total)
