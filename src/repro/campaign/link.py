@@ -103,14 +103,17 @@ class UESession:
         self._selector = TechnologySelector(
             operator, rng_factory.stream(f"select-{tag}"), profile=policy_profile
         )
+        #: The resolved policy (the operator's default unless overridden);
+        #: the passive handover-logger of this operator follows it too.
+        self.policy_profile = self._selector.profile
         self._channel = ChannelModel(operator, rng_factory.stream(f"channel-{tag}"))
         self._phy = PhyModel(rng_factory.stream(f"phy-{tag}"), operator)
         self._ca = CarrierAggregationModel(rng_factory.stream(f"ca-{tag}"))
         self.handover_engine = HandoverEngine(operator, rng_factory.stream(f"ho-{tag}"))
         self._rtt = RttModel(operator, rng_factory.stream(f"rtt-{tag}"))
         self._misc = rng_factory.stream(f"misc-{tag}")
-        # Sticky CA configuration per (zone index, tech, direction).
-        self._cc_cache: dict[tuple[int, RadioTechnology, str], int] = {}
+        # Sticky CA configuration per (zone index, tech rank, direction).
+        self._cc_cache: dict[tuple[int, int, str], int] = {}
 
     # -- driving ticks ----------------------------------------------------
 
@@ -282,13 +285,14 @@ class UESession:
     # -- internals ---------------------------------------------------------
 
     def _sticky_ccs(self, zone_index: int, tech: RadioTechnology, direction: str) -> int:
-        key = (zone_index, tech, direction)
-        if key not in self._cc_cache:
-            self._cc_cache[key] = self._ca.draw_ccs(self.operator, tech, direction)
+        key = (zone_index, tech.rank, direction)
+        n_ccs = self._cc_cache.get(key)
+        if n_ccs is None:
+            n_ccs = self._cc_cache[key] = self._ca.draw_ccs(self.operator, tech, direction)
             if len(self._cc_cache) > 512:
                 for old in list(self._cc_cache)[:-256]:
                     del self._cc_cache[old]
-        return self._cc_cache[key]
+        return n_ccs
 
     def _apply_ul_pathologies(self, tech: RadioTechnology, capacity_ul: float) -> float:
         if (

@@ -188,6 +188,7 @@ class DriveCampaign:
             )
         self._mark_m = self.window.start_m
         self._time_s = self.window.start_time_s
+        self._last_position: RoutePosition | None = None
         self._test_seq = 0
         self._dataset = DriveDataset(
             seed=self.config.seed,
@@ -268,16 +269,24 @@ class DriveCampaign:
         for _ in range(steps):
             self._advance(self.config.tick_s)
 
+    def _position_at(self, mark_m: float) -> RoutePosition:
+        """``route.position_at(mark_m)``, reusing the last lookup when the
+        vehicle has not moved since (positions are immutable)."""
+        last = self._last_position
+        if last is None or last.distance_m != mark_m:
+            last = self._last_position = self.route.position_at(mark_m)
+        return last
+
     def _advance(self, dt_s: float) -> RoutePosition:
         """Move the vehicle for ``dt_s`` seconds; return the new position."""
-        position = self.route.position_at(min(self._mark_m, self.route.total_length_m))
-        speed_mph = self._speed.step(position.region, dt_s)
+        position = self._position_at(min(self._mark_m, self.route.total_length_m))
+        self._speed.step(position.region, dt_s)
         self._mark_m = min(
             self._mark_m + self._speed.current_speed_mps * dt_s,
             self.route.total_length_m,
         )
         self._time_s += dt_s
-        return self.route.position_at(self._mark_m)
+        return self._position_at(self._mark_m)
 
     def _fast_forward(self, cycle_dist_m: float, end_m: float) -> None:
         """Skip the idle stretch implied by the campaign's duty cycle."""
@@ -309,7 +318,7 @@ class DriveCampaign:
         traffic = TEST_TRAFFIC[test_type]
         duration = TEST_DURATIONS_S[test_type]
         ticks = int(duration / self.config.tick_s)
-        start_pos = self.route.position_at(self._mark_m)
+        start_pos = self._position_at(self._mark_m)
         servers = self._servers_now(start_pos)
         test_ids = {op: self._next_test_id() for op in Operator}
         flows = {
@@ -322,8 +331,8 @@ class DriveCampaign:
         for _ in range(ticks):
             position = self._advance(self.config.tick_s)
             speed = self._speed.current_speed_mph
-            for op in Operator:
-                tick = self._sessions[op].tick(
+            for op, session in self._sessions.items():
+                tick = session.tick(
                     self._time_s, position, speed, traffic, direction,
                     servers[op], self.config.tick_s,
                 )
@@ -356,7 +365,7 @@ class DriveCampaign:
         duration = TEST_DURATIONS_S[TestType.RTT]
         interval = 0.2
         pings = int(duration / interval)
-        start_pos = self.route.position_at(self._mark_m)
+        start_pos = self._position_at(self._mark_m)
         servers = self._servers_now(start_pos)
         test_ids = {op: self._next_test_id() for op in Operator}
         start_time, start_mark = self._time_s, self._mark_m
@@ -364,8 +373,8 @@ class DriveCampaign:
         for _ in range(pings):
             position = self._advance(interval)
             speed = self._speed.current_speed_mph
-            for op in Operator:
-                tick = self._sessions[op].tick(
+            for op, session in self._sessions.items():
+                tick = session.tick(
                     self._time_s, position, speed, TrafficProfile.IDLE_PING,
                     Direction.DOWNLINK, servers[op], interval,
                 )
@@ -419,8 +428,8 @@ class DriveCampaign:
         for _ in range(ticks):
             position = self._advance(self.config.tick_s)
             speed = self._speed.current_speed_mph
-            for op in Operator:
-                tick = self._sessions[op].tick(
+            for op, session in self._sessions.items():
+                tick = session.tick(
                     self._time_s, position, speed, traffic, direction,
                     servers[op], self.config.tick_s,
                 )
@@ -451,7 +460,7 @@ class DriveCampaign:
     def _run_offload_test(
         self, test_type: TestType, app_config: OffloadAppConfig, compression: bool
     ) -> None:
-        start_pos = self.route.position_at(self._mark_m)
+        start_pos = self._position_at(self._mark_m)
         servers = self._servers_now(start_pos)
         test_ids = {op: self._next_test_id() for op in Operator}
         start_time, start_mark = self._time_s, self._mark_m
@@ -493,7 +502,7 @@ class DriveCampaign:
             )
 
     def _run_video_test(self) -> None:
-        start_pos = self.route.position_at(self._mark_m)
+        start_pos = self._position_at(self._mark_m)
         servers = self._servers_now(start_pos)
         test_ids = {op: self._next_test_id() for op in Operator}
         start_time, start_mark = self._time_s, self._mark_m
@@ -528,7 +537,7 @@ class DriveCampaign:
             )
 
     def _run_gaming_test(self) -> None:
-        start_pos = self.route.position_at(self._mark_m)
+        start_pos = self._position_at(self._mark_m)
         servers = self._servers_now(start_pos)
         test_ids = {op: self._next_test_id() for op in Operator}
         start_time, start_mark = self._time_s, self._mark_m
@@ -766,12 +775,15 @@ class DriveCampaign:
             )
 
     def _record_passive_coverage(self) -> None:
-        """Walk the window with the passive handover-loggers (§3) and
-        record the distinct cells each operator's phones connected to."""
-        # Imported here: repro.xcal pulls in repro.campaign at package level,
-        # so a module-level import would be circular.
+        """Walk the window with the passive handover-loggers (§3), hold
+        their coverage rows as the dataset's ``passive`` table, and record
+        the distinct cells each operator's phones connected to."""
+        # Imported here: repro.xcal and repro.store pull in repro.campaign at
+        # package level, so module-level imports would be circular.
+        from repro.store.columnar import ColumnTable
         from repro.xcal.handover_logger import run_handover_logger
 
+        tables = []
         for op, session in self._sessions.items():
             trace = run_handover_logger(
                 op,
@@ -779,12 +791,14 @@ class DriveCampaign:
                 self._rngs.stream(f"passive-{op.code}"),
                 self.window.start_m,
                 self.window.end_m,
+                session.policy_profile,
             )
-            self._dataset.passive_coverage.extend(trace.segments)
+            tables.append(trace.table)
             self._dataset.passive_handover_counts[op] = trace.macro_handovers
             self._dataset.connected_cells[op] = len(
                 session.handover_engine.connected_cells | trace.macro_cell_ids
             )
+        self._dataset.set_table(ColumnTable.concat(tables))
 
 
 def generate_dataset(

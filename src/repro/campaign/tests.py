@@ -16,6 +16,10 @@ from repro.radio.ca import Direction
 class TestType(enum.Enum):
     """One test in the round-robin cycle."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     #: Keep pytest from trying to collect this enum as a test class.
     __test__ = False
 

@@ -14,6 +14,10 @@ import enum
 class RegionType(enum.Enum):
     """The three environment classes used throughout the paper's analysis."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     CITY = "city"
     SUBURBAN = "suburban"
     HIGHWAY = "highway"

@@ -24,6 +24,10 @@ class Timezone(enum.Enum):
     so each zone carries its DST offset.
     """
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     PACIFIC = ("Pacific", -7)
     MOUNTAIN = ("Mountain", -6)
     CENTRAL = ("Central", -5)

@@ -114,7 +114,9 @@ class HandoverEngine:
             events.append(self._make_event(previous, cell, time_s, mark_m, direction))
         elif previous is not None and self.rng.random() < _PINGPONG_RATE_PER_S * dt_s:
             # Ping-pong: bounce to a phantom neighbour of the same layer and
-            # back; logged as one handover to a distinct cell id.
+            # back.  That logs two handovers: one out to the neighbour's
+            # distinct cell id on this tick and, as the neighbour stays the
+            # current cell, one back on the next tick the real cell serves.
             neighbour_id = CellId(
                 cell.operator, cell.technology, cell.cell_id.sequence + 500_000
             )

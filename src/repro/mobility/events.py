@@ -19,6 +19,10 @@ from repro.radio.technology import RadioTechnology
 class HandoverType(enum.Enum):
     """The four handover classes of Fig. 12."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     HORIZONTAL_4G = "4G->4G"
     HORIZONTAL_5G = "5G->5G"
     VERTICAL_UP = "4G->5G"

@@ -21,7 +21,7 @@ import numpy as np
 from repro.geo.coords import LatLon
 from repro.net.servers import Server, ServerKind
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 
 __all__ = ["RttModel"]
 
@@ -71,11 +71,20 @@ class RttModel:
     operator: Operator
     rng: np.random.Generator
 
+    def __post_init__(self) -> None:
+        # This operator's constants; the extra core latency by tech rank.
+        self._speed_sensitivity = _SPEED_SENSITIVITY[self.operator]
+        self._jitter_scale = _DRIVING_JITTER_SCALE[self.operator]
+        self._extra_ms = tuple(
+            _ATT_4G_EXTRA_MS if (self.operator is Operator.ATT and tech.is_4g) else 0.0
+            for tech in ALL_TECHNOLOGIES
+        )
+
     def base_rtt_ms(self, server: Server, position: LatLon, tech: RadioTechnology) -> float:
         """Deterministic RTT floor: wired path + RAN scheduling latency."""
         path = server.distance_m(position) / 1000.0 * _FIBRE_RTT_MS_PER_KM
         ran = 2.0 * tech.ran_latency_ms  # grant + scheduling in each direction
-        extra = _ATT_4G_EXTRA_MS if (self.operator is Operator.ATT and tech.is_4g) else 0.0
+        extra = self._extra_ms[tech.rank]
         return _CORE_OVERHEAD_MS[server.kind] + path + ran + extra
 
     def sample_rtt_ms(
@@ -102,8 +111,8 @@ class RttModel:
         if static:
             jitter = self.rng.lognormal(np.log(_STATIC_JITTER_MEDIAN_MS), _STATIC_JITTER_SIGMA)
         else:
-            speed_factor = 1.0 + _SPEED_SENSITIVITY[self.operator] * max(speed_mph, 0.0) / 60.0
-            median = _DRIVING_JITTER_MEDIAN_MS * speed_factor * _DRIVING_JITTER_SCALE[self.operator]
+            speed_factor = 1.0 + self._speed_sensitivity * max(speed_mph, 0.0) / 60.0
+            median = _DRIVING_JITTER_MEDIAN_MS * speed_factor * self._jitter_scale
             jitter = self.rng.lognormal(np.log(median), _DRIVING_JITTER_SIGMA)
         rtt = base + jitter
         # Link-layer retransmissions under lossy conditions.

@@ -26,6 +26,10 @@ __all__ = ["ServerKind", "Server", "ServerRegistry", "EDGE_CITY_RADIUS_M"]
 class ServerKind(enum.Enum):
     """Cloud datacentre vs in-network edge (Wavelength) server."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     CLOUD = "cloud"
     EDGE = "edge"
 

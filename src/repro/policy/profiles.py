@@ -38,6 +38,10 @@ _NR_MM = RadioTechnology.NR_MMWAVE
 class TrafficProfile(enum.Enum):
     """The UE's traffic pattern, as seen by the operator's scheduler."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     #: 38-byte ICMP every 200 ms (handover-logger keep-alive) or a ping test.
     IDLE_PING = "idle"
     #: Saturating TCP download (nuttcp DL, video streaming, cloud gaming).

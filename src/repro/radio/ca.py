@@ -74,6 +74,11 @@ for _tech in RadioTechnology:
     _set_cc(Operator.TMOBILE, _tech, _UL, {1: 0.35, 2: 0.65})
 
 
+#: Capacity contribution of each carrier relative to the primary, by CC
+#: index; carriers past the last share its factor.
+_SECONDARY_CC_FACTORS = (1.0, 0.75, 0.6, 0.5, 0.4, 0.35, 0.3, 0.25)
+
+
 def secondary_cc_factor(cc_index: int) -> float:
     """Capacity contribution of the ``cc_index``-th carrier relative to the
     primary (index 0 → 1.0).
@@ -83,8 +88,16 @@ def secondary_cc_factor(cc_index: int) -> float:
     """
     if cc_index < 0:
         raise ValueError("cc_index must be non-negative")
-    factors = (1.0, 0.75, 0.6, 0.5, 0.4, 0.35, 0.3, 0.25)
-    return factors[min(cc_index, len(factors) - 1)]
+    return _SECONDARY_CC_FACTORS[min(cc_index, len(_SECONDARY_CC_FACTORS) - 1)]
+
+
+def _aggregate(n_ccs: int) -> float:
+    return sum(secondary_cc_factor(i) for i in range(n_ccs))
+
+
+#: :func:`aggregate_capacity_factor` of 0..8 carriers (the S21 aggregates
+#: up to 8), summed once in carrier order.
+_AGGREGATE_FACTORS = tuple(_aggregate(n) for n in range(9))
 
 
 def aggregate_capacity_factor(n_ccs: int) -> float:
@@ -97,7 +110,26 @@ def aggregate_capacity_factor(n_ccs: int) -> float:
     """
     if n_ccs < 1:
         raise ValueError("n_ccs must be at least 1")
-    return sum(secondary_cc_factor(i) for i in range(n_ccs))
+    if n_ccs < len(_AGGREGATE_FACTORS):
+        return _AGGREGATE_FACTORS[n_ccs]
+    return _aggregate(n_ccs)
+
+
+def _cc_choices(
+    op: Operator, tech: RadioTechnology, direction: str
+) -> tuple[list[int], list[float]]:
+    dist = _CC_DISTRIBUTIONS.get((op, tech, direction), {1: 1.0})
+    return list(dist), list(dist.values())
+
+
+#: The CC draw's ``(counts, probabilities)`` for every (operator,
+#: technology, direction), built once.
+_CC_CHOICES = {
+    (op, tech, direction): _cc_choices(op, tech, direction)
+    for op in Operator
+    for tech in RadioTechnology
+    for direction in Direction.ALL
+}
 
 
 @dataclass
@@ -110,5 +142,5 @@ class CarrierAggregationModel:
         """Draw the number of component carriers for a fresh configuration."""
         if direction not in Direction.ALL:
             raise ValueError(f"unknown direction {direction!r}")
-        dist = _CC_DISTRIBUTIONS.get((operator, tech, direction), {1: 1.0})
-        return int(choose_weighted(self.rng, list(dist.keys()), list(dist.values())))
+        counts, probs = _CC_CHOICES[operator, tech, direction]
+        return int(choose_weighted(self.rng, counts, probs))

@@ -26,7 +26,7 @@ from repro.rng import clamp
 from repro.geo.regions import RegionType
 from repro.radio.cells import Cell
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 
 __all__ = ["PathLossParams", "ChannelState", "ChannelModel"]
 
@@ -118,10 +118,16 @@ class ChannelModel:
         self._rng = rng
         # Shadowing memory: cell id -> (last mark_m, last shadow value dB).
         self._shadow: dict[object, tuple[float, float]] = {}
+        # Per-technology tables of this operator, indexed by rank.
+        self._params = tuple(self._adjusted(tech) for tech in ALL_TECHNOLOGIES)
+        self._noise_floor = tuple(_NOISE_FLOOR_DBM[t] for t in ALL_TECHNOLOGIES)
 
     def params_for(self, tech: RadioTechnology) -> PathLossParams:
         """Propagation parameters for ``tech`` including the operator's
         mmWave beam adjustment."""
+        return self._params[tech.rank]
+
+    def _adjusted(self, tech: RadioTechnology) -> PathLossParams:
         base = _PATH_LOSS[tech]
         if tech is RadioTechnology.NR_MMWAVE:
             adj = _MMWAVE_BEAM_ADJUST_DB[self._operator]
@@ -148,14 +154,15 @@ class ChannelModel:
             interference, so a low available share means a high-interference
             environment.
         """
-        params = self.params_for(cell.technology)
+        rank = cell.technology.rank
+        params = self._params[rank]
         distance = max(cell.distance_to_mark_m(mark_m), 10.0)
         mean_rsrp = params.ref_dbm_at_100m - 10.0 * params.exponent * math.log10(distance / 100.0)
         shadow = self._evolve_shadow(cell, mark_m, params.shadow_sigma_db)
         rsrp = clamp(mean_rsrp + shadow, -135.0, -45.0)
 
         interference = _INTERFERENCE_DB[region] + 5.0 * (1.0 - load)
-        floor = _NOISE_FLOOR_DBM[cell.technology] + interference
+        floor = self._noise_floor[rank] + interference
         sinr = clamp(rsrp - floor, -10.0, 40.0)
         return ChannelState(rsrp_dbm=rsrp, sinr_db=sinr)
 

@@ -49,7 +49,6 @@ import functools
 from collections import OrderedDict
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -73,6 +72,7 @@ __all__ = [
     "DeploymentZone",
     "ZoneLayer",
     "DeploymentModel",
+    "DEPLOYED_SETS",
 ]
 
 TechMix = dict[RadioTechnology, float]
@@ -259,7 +259,8 @@ _LOAD_SCALE_BY_TZ = np.where(_IS_MOUNTAIN, _MOUNTAIN_LOAD_SCALE, 1.0)
 #: Technology order of the best-tech inverse CDF (the mix tables' order).
 _MIX_ORDER = (_NR_MM, _NR_MID, _NR_LOW, _LTE_A, _LTE)
 _MIX_RANKS = np.array([t.rank for t in _MIX_ORDER], dtype=np.int8)
-_DEPLOYED_SETS = tuple(
+#: Every deployed technology set, indexed by its bitmask over ranks.
+DEPLOYED_SETS: tuple[frozenset[RadioTechnology], ...] = tuple(
     frozenset(t for t in ALL_TECHNOLOGIES if mask >> t.rank & 1)
     for mask in range(1 << len(ALL_TECHNOLOGIES))
 )
@@ -348,15 +349,18 @@ class ZoneLayer(Sequence[DeploymentZone]):
         self._starts: list[float] = self.arrays["start_m"].tolist()
         self._route_end_m = float(self.arrays["end_m"][-1])
         self._cells: dict[int, Mapping[RadioTechnology, Cell]] = {}
+        self._views: list[DeploymentZone | None] = [None] * len(self._starts)
 
     def __len__(self) -> int:
         return len(self._starts)
 
     def __getitem__(self, index):
-        return self._views[index]
+        if isinstance(index, slice):
+            return [self._view(i) for i in range(len(self))[index]]
+        return self._view(range(len(self))[index])
 
     def __iter__(self) -> Iterator[DeploymentZone]:
-        return iter(self._views)
+        return map(self._view, range(len(self)))
 
     def at(self, mark_m: float) -> DeploymentZone:
         """The zone containing route distance ``mark_m``."""
@@ -364,7 +368,7 @@ class ZoneLayer(Sequence[DeploymentZone]):
             raise DeploymentError(
                 f"mark {mark_m} outside deployed range [0, {self._route_end_m}]"
             )
-        return self._views[max(bisect.bisect_right(self._starts, mark_m) - 1, 0)]
+        return self._view(max(bisect.bisect_right(self._starts, mark_m) - 1, 0))
 
     def overlapping(self, start_m: float, end_m: float) -> slice:
         """The zones overlapping ``[start_m, end_m)``, as a slice of the
@@ -397,31 +401,37 @@ class ZoneLayer(Sequence[DeploymentZone]):
                     site_mark_m=mark[c],
                     perpendicular_m=perp[c],
                 )
-            zone = self._views[index]
+            zone = self._view(index)
             anchor = own[zone.best_tech]
             cells = self._cells[index] = MappingProxyType(
                 {t: own.get(t, anchor) for t in zone.deployed}
             )
         return cells
 
+    def _view(self, index: int) -> DeploymentZone:
+        """Zone ``index``'s view (``0 <= index < len(self)``), built on
+        first use: a campaign window visits a small share of the zones."""
+        view = self._views[index]
+        if view is None:
+            view = self._views[index] = DeploymentZone(
+                index, self.operator, *(col[index] for col in self._zone_columns), self
+            )
+        return view
+
     @functools.cached_property
-    def _views(self) -> list[DeploymentZone]:
+    def _zone_columns(self) -> tuple[list, ...]:
+        """The view fields from ``start_m`` to ``load_ul``, as lists."""
         a = self.arrays
-        n = len(self)
-        return list(map(
-            DeploymentZone,
-            range(n),
-            repeat(self.operator, n),
+        return (
             self._starts,
             a["end_m"].tolist(),
             _members(a["region"], ALL_REGION_TYPES),
             _members(a["timezone"], ALL_TIMEZONES),
             _members(a["best_tech"], ALL_TECHNOLOGIES),
-            _members(a["deployed"], _DEPLOYED_SETS),
+            _members(a["deployed"], DEPLOYED_SETS),
             a["load_dl"].tolist(),
             a["load_ul"].tolist(),
-            repeat(self, n),
-        ))
+        )
 
     @functools.cached_property
     def _cell_columns(self) -> tuple[list, ...]:

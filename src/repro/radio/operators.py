@@ -8,6 +8,10 @@ import enum
 class Operator(enum.Enum):
     """A US carrier, with the paper's single-letter short code."""
 
+    #: Members are singletons: hash by identity, not by name (see
+    #: :class:`~repro.radio.technology.RadioTechnology`).
+    __hash__ = object.__hash__
+
     VERIZON = ("Verizon", "V")
     TMOBILE = ("T-Mobile", "T")
     ATT = ("AT&T", "A")

@@ -28,7 +28,7 @@ from repro.rng import clamp
 from repro.radio.ca import aggregate_capacity_factor
 from repro.radio.channel import ChannelState
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 
 __all__ = ["PhyReport", "PhyModel", "MAX_MCS_INDEX"]
 
@@ -69,6 +69,9 @@ _UL_CAPACITY_RATIO: dict[RadioTechnology, float] = {
 #: usually a narrow LTE anchor (§5.5 "CA").
 _UL_SECONDARY_CC_FACTOR = 0.3
 
+#: ``(MCS / 28)^1.2`` of every MCS index: the capacity formula's MCS term.
+_MCS_SHAPE = tuple((mcs / MAX_MCS_INDEX) ** 1.2 for mcs in range(MAX_MCS_INDEX + 1))
+
 #: SINR (dB) below which MCS bottoms out and above which it saturates.
 _SINR_FLOOR_DB = -6.0
 _SINR_CEILING_DB = 30.0
@@ -106,7 +109,19 @@ class PhyModel:
 
     def __init__(self, rng: np.random.Generator, operator: Operator | None = None) -> None:
         self._rng = rng
-        self._operator = operator
+        # The capacity formula's per-technology factors, indexed by rank:
+        # (peak efficiency, channel MHz, DL duplex share, UL capacity ratio,
+        # operator bandwidth scale).
+        self._factors = tuple(
+            (
+                _PEAK_EFFICIENCY[tech],
+                tech.channel_mhz,
+                _DL_DUPLEX_SHARE[tech],
+                _UL_CAPACITY_RATIO[tech],
+                _OPERATOR_BANDWIDTH_SCALE.get((operator, tech), 1.0),
+            )
+            for tech in ALL_TECHNOLOGIES
+        )
 
     def mcs_from_sinr(self, sinr_db: float) -> int:
         """Select the primary cell's MCS index for a given SINR.
@@ -152,16 +167,17 @@ class PhyModel:
             raise ValueError(f"MCS out of range: {mcs}")
         if not 0.0 < load <= 1.0:
             raise ValueError(f"load must be in (0, 1], got {load}")
-        eff = _PEAK_EFFICIENCY[tech] * (mcs / MAX_MCS_INDEX) ** 1.2
+        peak, channel_mhz, dl_share, ul_ratio, scale = self._factors[tech.rank]
+        eff = peak * _MCS_SHAPE[mcs]
         if direction == "uplink":
-            per_cc = eff * tech.channel_mhz * _UL_CAPACITY_RATIO[tech]
+            per_cc = eff * channel_mhz * ul_ratio
             ca_factor = 1.0 + _UL_SECONDARY_CC_FACTOR * (n_ccs - 1)
         else:
-            per_cc = eff * tech.channel_mhz * _DL_DUPLEX_SHARE[tech]
+            per_cc = eff * channel_mhz * dl_share
             ca_factor = aggregate_capacity_factor(n_ccs)
-        total = per_cc * ca_factor
-        if self._operator is not None:
-            total *= _OPERATOR_BANDWIDTH_SCALE.get((self._operator, tech), 1.0)
+        # An operator without a scale for ``tech`` (or no operator) scales
+        # by exactly 1.0, which leaves the product unchanged.
+        total = per_cc * ca_factor * scale
         return float(max(total * (1.0 - bler) * load, 0.01))
 
     #: Effective SINR penalty per mph: Doppler spread and outdated CSI make

@@ -639,6 +639,27 @@ class ColumnTable:
         return cls(schema.name, len(records), arrays, values)
 
     @classmethod
+    def from_codes(
+        cls,
+        name: str,
+        arrays: Mapping[str, np.ndarray],
+        values: Mapping[str, tuple[str, ...]],
+    ) -> "ColumnTable":
+        """A table straight from column arrays: each dict column's codes
+        index its ``values``, reduced here to the used values in
+        first-appearance order, the dictionary :meth:`from_rows` builds."""
+        arrays = dict(arrays)
+        values = dict(values)
+        for spec in TABLE_SCHEMAS[name].stored:
+            if spec.kind == "dict":
+                codes, values[spec.name] = _first_appearance(
+                    arrays[spec.name], tuple(values[spec.name])
+                )
+                arrays[spec.name] = codes.astype(np.uint32)
+        count = len(next(iter(arrays.values())))
+        return cls(name, count, arrays, values)
+
+    @classmethod
     def concat(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
         """The tables' rows one after another, as one table.
 

@@ -6,23 +6,32 @@ objects that those kernels replaced — per-record filters, left-fold sums,
 per-test handover joins — so parity tests can hold every source (row-held
 or column-held datasets, store files, catalogs) to them.  The record loop
 of :func:`~repro.campaign.validation.validate_dataset`, which now runs on
-column arrays, is kept the same way.  Nothing here runs outside the tests.
+column arrays, is kept the same way, and so is the passive handover-logger's
+zone-by-zone :class:`~repro.policy.selection.TechnologySelector` walk that
+:func:`~repro.xcal.handover_logger.run_handover_logger` replaced with one
+pass over the deployment arrays.  Nothing here runs outside the tests.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.coverage import CoverageShares, _shares_from_weights
 from repro.analysis.performance import StaticVsDriving
-from repro.campaign.dataset import DriveDataset
+from repro.campaign.dataset import DriveDataset, PassiveCoverageSegment
 from repro.campaign.validation import ValidationReport
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError, ReproError
 from repro.geo.timezones import Timezone
+from repro.policy.profiles import PolicyProfile, TrafficProfile
+from repro.policy import selection
+from repro.policy.selection import TechnologySelector
+from repro.radio.cells import CellId
+from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 from repro.units import speed_bin
@@ -291,3 +300,62 @@ def validate(dataset: DriveDataset, max_issues: int = 50) -> ValidationReport:
             f"drop rate {r.frame_drop_rate}")
 
     return report
+
+
+def cascade_down(zone, target: RadioTechnology) -> RadioTechnology:
+    """The most capable technology deployed in ``zone`` at or below
+    ``target``; LTE if there is none (the sorted-set walk that
+    ``selection._CASCADE`` tabulates)."""
+    for tech in sorted(zone.deployed, key=lambda t: t.rank, reverse=True):
+        if tech.rank <= target.rank:
+            return tech
+    return RadioTechnology.LTE
+
+
+def best_deployed_4g(zone) -> RadioTechnology:
+    """The most capable 4G technology deployed in ``zone`` (what
+    ``selection._BEST_4G`` tabulates)."""
+    if RadioTechnology.LTE_A in zone.deployed:
+        return RadioTechnology.LTE_A
+    return RadioTechnology.LTE
+
+
+def handover_logger(
+    operator: Operator,
+    deployment: DeploymentModel,
+    rng: np.random.Generator,
+    start_m: float,
+    end_m: float,
+    profile: PolicyProfile | None = None,
+) -> tuple[list[PassiveCoverageSegment], int, frozenset[CellId]]:
+    """The passive logger's segments, macro handover count and macro cell
+    ids over ``[start_m, end_m)``: one ``TechnologySelector.select`` and
+    one segment record per active zone, the selector's cascade resolved by
+    :func:`cascade_down` and :func:`best_deployed_4g` rather than by the
+    tables the array walk shares with it."""
+    selector = TechnologySelector(operator, rng, profile=profile)
+    zones = deployment.zones
+    with mock.patch.multiple(
+        selection, _cascade_down=cascade_down, _best_deployed_4g=best_deployed_4g
+    ):
+        segments = [
+            PassiveCoverageSegment(
+                operator=operator,
+                start_m=max(zone.start_m, start_m),
+                end_m=min(zone.end_m, end_m),
+                tech=selector.select(zone, TrafficProfile.IDLE_PING),
+                timezone=zone.timezone,
+                region=zone.region,
+            )
+            for zone in zones[zones.overlapping(start_m, end_m)]
+        ]
+    macro = deployment.macro_zones
+    starts = [z.start_m for z in macro]
+    handovers = sum(1 for s in starts if start_m <= s < end_m and s > 0.0)
+    cells = frozenset(
+        c.cell_id
+        for z in macro[macro.overlapping(start_m, end_m)]
+        for c in z.cells.values()
+    )
+    return segments, handovers, cells
+

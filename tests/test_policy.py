@@ -1,15 +1,19 @@
 """Operator technology-selection policies (the Fig. 1 / Fig. 2b mechanics)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.geo.regions import RegionType
 from repro.geo.timezones import Timezone
 from repro.policy.profiles import DEFAULT_POLICY_PROFILES, TrafficProfile
+from repro.policy import selection
 from repro.policy.selection import TechnologySelector
-from repro.radio.deployment import DeploymentModel
+from repro.radio.deployment import DEPLOYED_SETS, DeploymentModel
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
+from tests import row_oracle
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +108,19 @@ class TestSelection:
             TechnologySelector(
                 Operator.VERIZON, rng, profile=DEFAULT_POLICY_PROFILES[Operator.ATT]
             )
+
+
+class TestIdleTables:
+    """The cascade tables by deployed-set bitmask equal the per-zone walks
+    they replaced (:mod:`tests.row_oracle`), for every set and rank."""
+
+    @pytest.mark.parametrize("mask", range(len(DEPLOYED_SETS)))
+    def test_tables_match_the_set_walks(self, mask):
+        zone = SimpleNamespace(deployed=DEPLOYED_SETS[mask])
+        best_4g = row_oracle.best_deployed_4g(zone)
+        assert selection._BEST_4G[mask] == best_4g.rank
+        assert selection._best_deployed_4g(zone) is best_4g
+        for target in ALL_TECHNOLOGIES:
+            expected = row_oracle.cascade_down(zone, target)
+            assert selection._CASCADE[mask, target.rank] == expected.rank
+            assert selection._cascade_down(zone, target) is expected

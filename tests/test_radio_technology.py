@@ -56,3 +56,35 @@ class TestTaxonomy:
         assert str(RadioTechnology.NR_MMWAVE) == "5G-mmWave"
         assert str(RadioTechnology.LTE_A) == "LTE-A"
         assert str(RadioTechnology.NR_LOW) == "5G-low"
+
+
+class TestPlainMembers:
+    """Per-technology constants are plain member attributes and the hot
+    enums hash by identity; names and values are unchanged."""
+
+    def test_flags_agree_with_the_classes(self):
+        for tech in ALL_TECHNOLOGIES:
+            assert tech.is_high_throughput == (tech in HIGH_THROUGHPUT_TECHS)
+            assert tech.is_4g == (not tech.is_5g)
+            assert tech.is_5g == tech.name.startswith("NR_")
+            assert "is_5g" in vars(tech) and "carrier_ghz" in vars(tech)
+
+    def test_name_and_value_unchanged(self):
+        assert RadioTechnology.NR_MID.name == "NR_MID"
+        assert RadioTechnology.NR_MID.value == ("5G-mid", 3)
+        assert RadioTechnology["LTE_A"] is RadioTechnology(("LTE-A", 1))
+
+    def test_hot_enums_hash_by_identity(self):
+        from repro.campaign.tests import TestType
+        from repro.geo.regions import RegionType
+        from repro.geo.timezones import Timezone
+        from repro.mobility.events import HandoverType
+        from repro.net.servers import ServerKind
+        from repro.policy.profiles import TrafficProfile
+        from repro.radio.operators import Operator
+
+        for enum_cls in (RadioTechnology, Operator, RegionType, Timezone,
+                         TrafficProfile, ServerKind, HandoverType, TestType):
+            for member in enum_cls:
+                assert hash(member) == object.__hash__(member)
+                assert {member: 1}[member] == 1

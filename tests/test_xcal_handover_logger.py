@@ -1,11 +1,20 @@
 """The passive handover-logger component."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.analysis.coverage import passive_coverage_shares
+from repro.campaign.runner import CampaignConfig, CampaignWindow, DriveCampaign
+from repro.geo.timezones import Timezone
+from repro.policy.profiles import DEFAULT_POLICY_PROFILES, PolicyProfile
 from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
+from repro.rng import RngFactory
+from repro.store.columnar import TABLE_SCHEMAS, ColumnTable
 from repro.xcal.handover_logger import run_handover_logger
+from tests import row_oracle
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +132,90 @@ class TestWindowClip:
             ]
             assert sum(p.macro_handovers for p in parts) == whole.macro_handovers
             assert sum(p.total_length_m for p in parts) == pytest.approx(total)
+
+
+def _rows(segments):
+    return [(s.start_m, s.end_m, s.tech, s.region, s.timezone) for s in segments]
+
+
+class TestRowOracleParity:
+    """The array walk equals the zone-by-zone selector walk it replaced
+    (:func:`tests.row_oracle.handover_logger`), draw for draw."""
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    @pytest.mark.parametrize("op", list(Operator))
+    def test_windows_match_the_row_walk(self, route, seed, op):
+        deployment = DeploymentModel.world(op, route, seed)
+        total = route.total_length_m
+        for lo, hi in ((0.0, 600_000.0), (600_000.0, 1_200_000.0),
+                       (1_234_567.8, 1_301_234.5), (0.0, total)):
+            stream = f"passive-{op.code}"
+            trace = run_handover_logger(
+                op, deployment, RngFactory(seed).stream(stream), lo, hi
+            )
+            segments, handovers, cells = row_oracle.handover_logger(
+                op, deployment, RngFactory(seed).stream(stream), lo, hi
+            )
+            assert _rows(trace.segments) == _rows(segments)
+            assert trace.macro_handovers == handovers
+            assert trace.macro_cell_ids == cells
+
+    def test_policy_override_matches_the_row_walk(self, route):
+        op = Operator.VERIZON
+        profile = _upgrade_always(op)
+        deployment = DeploymentModel.world(op, route, 41)
+        trace = run_handover_logger(
+            op, deployment, np.random.default_rng(3), 0.0, 900_000.0, profile
+        )
+        segments, _, _ = row_oracle.handover_logger(
+            op, deployment, np.random.default_rng(3), 0.0, 900_000.0, profile
+        )
+        assert _rows(trace.segments) == _rows(segments)
+
+    def test_table_dictionaries_in_first_appearance_order(self, route):
+        deployment = DeploymentModel.world(Operator.TMOBILE, route, 42)
+        trace = run_handover_logger(
+            Operator.TMOBILE, deployment, np.random.default_rng(1), 0.0, 900_000.0
+        )
+        rebuilt = ColumnTable.from_rows(TABLE_SCHEMAS["passive"], trace.segments)
+        for name, values in rebuilt.values.items():
+            assert trace.table.values[name] == values
+            assert trace.table.arrays[name].tolist() == rebuilt.arrays[name].tolist()
+
+
+def _upgrade_always(op: Operator) -> PolicyProfile:
+    default = DEFAULT_POLICY_PROFILES[op]
+    return dataclasses.replace(
+        default, idle_5g_upgrade_prob=dict.fromkeys(Timezone, 1.0)
+    )
+
+
+class TestPolicyOverride:
+    """A campaign's policy overrides reach its passive loggers."""
+
+    def _passive_5g_share(self, route, overrides) -> float:
+        campaign = DriveCampaign(
+            CampaignConfig(seed=3, scale=0.004, include_apps=False,
+                           include_static=False),
+            route,
+            policy_profiles=overrides,
+            window=CampaignWindow(index=0, start_m=0.0, end_m=400_000.0),
+        )
+        dataset = campaign.run()
+        shares = passive_coverage_shares(dataset, Operator.VERIZON)
+        return shares.share_5g
+
+    def test_idle_upgrade_override_raises_passive_5g_share(self, route):
+        default = self._passive_5g_share(route, None)
+        upgraded = self._passive_5g_share(
+            route, {Operator.VERIZON: _upgrade_always(Operator.VERIZON)}
+        )
+        assert upgraded > default + 0.1
+
+    def test_mismatched_profile_rejected(self, route):
+        deployment = DeploymentModel.world(Operator.ATT, route, 1)
+        with pytest.raises(ValueError):
+            run_handover_logger(
+                Operator.ATT, deployment, np.random.default_rng(0), 0.0, 1e5,
+                DEFAULT_POLICY_PROFILES[Operator.VERIZON],
+            )
