@@ -9,6 +9,16 @@ XCAL-style probe logs 500 ms KPI samples, and three further passive
 trip.  Static baselines are measured in each major city facing the best
 high-speed-5G base station available (§5.1).
 
+Both ways of testing run through one loop, ``DriveCampaign._run_test``:
+while driving, each step advances the vehicle and ticks all three
+sessions; parked, each step advances the clock and ticks the one parked
+phone.  A tick's rows (throughput or RTT sample, then its handovers) are
+written inside the loop, tick-major and operator-minor; app runs turn
+their ticks into a :class:`LinkSchedule` after it.  What a cycle runs is
+decided in one place, ``CampaignConfig.plan.runs()`` with run lengths from
+``CampaignConfig.duration_s``: the drive cycle, the parked battery and the
+engine planner's nominal cycle length all read it.
+
 ``CampaignConfig.scale`` subsamples the *active testing duty cycle* (the
 fraction of the route covered by tests) while still traversing the full
 route, so small-scale datasets remain geographically representative.
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.gaming import run_gaming_session
-from repro.apps.offload import AR_CONFIG, CAV_CONFIG, OffloadAppConfig, run_offload_app
+from repro.apps.offload import AR_CONFIG, CAV_CONFIG, run_offload_app
 from repro.apps.schedule import LinkSchedule
 from repro.apps.video import VideoConfig, run_video_session
 from repro.campaign.dataset import (
@@ -40,10 +50,9 @@ from repro.campaign.tests import TEST_DIRECTION, TEST_DURATIONS_S, TEST_TRAFFIC,
 from repro.errors import CampaignError
 from repro.geo.route import Route, RoutePosition, build_cross_country_route
 from repro.geo.speed import SpeedProfile
-from repro.net.servers import Server, ServerRegistry
+from repro.net.servers import Server, ServerKind, ServerRegistry
 from repro.net.tcp import CubicFlow
-from repro.policy.profiles import PolicyProfile, TrafficProfile
-from repro.radio.ca import Direction
+from repro.policy.profiles import PolicyProfile
 from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
 from repro.rng import RngFactory
@@ -61,6 +70,8 @@ __all__ = [
 #: saturating TCP flow experiences (self-induced queueing).
 _TCP_RTT_INFLATION = 1.3
 _TCP_RTT_FLOOR_MS = 15.0
+#: ICMP RTT tests send one ping every 200 ms.
+_PING_INTERVAL_S = 0.2
 
 #: Nominal cruise speed used to give each route window a deterministic
 #: wall-clock origin (matches the ≈60 mph assumption of the duty-cycle
@@ -129,6 +140,21 @@ class CampaignConfig:
             raise CampaignError(f"scale must be in (0, 1], got {self.scale}")
         if self.tick_s <= 0.0:
             raise CampaignError("tick_s must be positive")
+
+    @property
+    def plan(self) -> CyclePlan:
+        """The cycle this campaign runs, driving and parked: ``cycle``,
+        without its app tests unless ``include_apps``."""
+        return self.cycle if self.include_apps else self.cycle.without_apps()
+
+    def duration_s(self, test_type: TestType) -> float:
+        """Length of one run of ``test_type``: video and gaming sessions
+        last as configured, every other test as in :data:`TEST_DURATIONS_S`."""
+        if test_type is TestType.VIDEO_360:
+            return self.video_duration_s
+        if test_type is TestType.CLOUD_GAMING:
+            return self.gaming_duration_s
+        return TEST_DURATIONS_S[test_type]
 
 
 class DriveCampaign:
@@ -236,32 +262,9 @@ class DriveCampaign:
 
     def _run_cycle(self) -> None:
         """One round-robin pass over the configured cycle plan (§3)."""
-        plan = self.config.cycle
-        if not self.config.include_apps:
-            plan = plan.without_apps()
-        for test_type in plan.tests:
-            if test_type in (
-                TestType.DOWNLINK_THROUGHPUT, TestType.UPLINK_THROUGHPUT
-            ):
-                self._run_throughput_test(test_type)
-                self._gap()
-            elif test_type is TestType.RTT:
-                self._run_rtt_test()
-                self._gap()
-            elif test_type is TestType.AR:
-                for compression in (False, True):
-                    self._run_offload_test(TestType.AR, AR_CONFIG, compression)
-                    self._gap()
-            elif test_type is TestType.CAV:
-                for compression in (False, True):
-                    self._run_offload_test(TestType.CAV, CAV_CONFIG, compression)
-                    self._gap()
-            elif test_type is TestType.VIDEO_360:
-                self._run_video_test()
-                self._gap()
-            elif test_type is TestType.CLOUD_GAMING:
-                self._run_gaming_test()
-                self._gap()
+        for test_type, compression in self.config.plan.runs():
+            self._run_test(test_type, compression)
+            self._gap()
 
     def _gap(self) -> None:
         """Short idle gap between tests (reconfiguration, logging flush)."""
@@ -297,7 +300,7 @@ class DriveCampaign:
         if skip <= 0.0:
             return
         self._mark_m += skip
-        self._time_s += skip / 27.0  # ≈ 60 mph average cruise
+        self._time_s += skip / NOMINAL_CRUISE_MPS
         for session in self._sessions.values():
             session.handover_engine.reset_serving()
 
@@ -311,270 +314,12 @@ class DriveCampaign:
             for op in Operator
         }
 
-    # -- driving tests ---------------------------------------------------------
-
-    def _run_throughput_test(self, test_type: TestType) -> None:
-        direction = TEST_DIRECTION[test_type]
-        traffic = TEST_TRAFFIC[test_type]
-        duration = TEST_DURATIONS_S[test_type]
-        ticks = int(duration / self.config.tick_s)
-        start_pos = self._position_at(self._mark_m)
-        servers = self._servers_now(start_pos)
-        test_ids = {op: self._next_test_id() for op in Operator}
-        flows = {
-            op: CubicFlow(self._rngs.stream(f"tcp-{op.code}"))
-            for op in Operator
-        }
-        start_time = self._time_s
-        start_mark = self._mark_m
-
-        for _ in range(ticks):
-            position = self._advance(self.config.tick_s)
-            speed = self._speed.current_speed_mph
-            for op, session in self._sessions.items():
-                tick = session.tick(
-                    self._time_s, position, speed, traffic, direction,
-                    servers[op], self.config.tick_s,
-                )
-                tcp_rtt = max(tick.rtt_ms * _TCP_RTT_INFLATION, _TCP_RTT_FLOOR_MS)
-                tput = flows[op].advance(
-                    capacity_mbps=tick.capacity_mbps(direction),
-                    rtt_ms=tcp_rtt,
-                    dt_s=self.config.tick_s,
-                    bler=tick.bler,
-                    interruption_s=tick.interruption_s,
-                )
-                self._record_tput_tick(test_ids[op], op, direction, tick, tput, static=False)
-
-        for op in Operator:
-            self._dataset.tests.append(
-                TestRecord(
-                    test_id=test_ids[op],
-                    test_type=test_type,
-                    operator=op,
-                    start_time_s=start_time,
-                    end_time_s=self._time_s,
-                    start_mark_m=start_mark,
-                    end_mark_m=self._mark_m,
-                    server_kind=servers[op].kind,
-                    static=False,
-                )
-            )
-
-    def _run_rtt_test(self) -> None:
-        duration = TEST_DURATIONS_S[TestType.RTT]
-        interval = 0.2
-        pings = int(duration / interval)
-        start_pos = self._position_at(self._mark_m)
-        servers = self._servers_now(start_pos)
-        test_ids = {op: self._next_test_id() for op in Operator}
-        start_time, start_mark = self._time_s, self._mark_m
-
-        for _ in range(pings):
-            position = self._advance(interval)
-            speed = self._speed.current_speed_mph
-            for op, session in self._sessions.items():
-                tick = session.tick(
-                    self._time_s, position, speed, TrafficProfile.IDLE_PING,
-                    Direction.DOWNLINK, servers[op], interval,
-                )
-                self._dataset.rtt_samples.append(
-                    RttSample(
-                        test_id=test_ids[op],
-                        operator=op,
-                        time_s=self._time_s,
-                        mark_m=position.distance_m,
-                        speed_mph=speed,
-                        region=position.region,
-                        timezone=position.timezone,
-                        tech=tick.tech,
-                        rtt_ms=tick.rtt_ms,
-                        server_kind=servers[op].kind,
-                        static=False,
-                    )
-                )
-
-        for op in Operator:
-            self._dataset.tests.append(
-                TestRecord(
-                    test_id=test_ids[op],
-                    test_type=TestType.RTT,
-                    operator=op,
-                    start_time_s=start_time,
-                    end_time_s=self._time_s,
-                    start_mark_m=start_mark,
-                    end_mark_m=self._mark_m,
-                    server_kind=servers[op].kind,
-                    static=False,
-                )
-            )
-
-    # -- application tests -------------------------------------------------------
-
-    def _collect_schedule(
-        self,
-        duration_s: float,
-        traffic: TrafficProfile,
-        direction: str,
-        servers: dict[Operator, Server],
-        test_ids: dict[Operator, int],
-    ) -> dict[Operator, LinkSchedule]:
-        """Drive for ``duration_s``, recording a LinkSchedule per operator."""
-        ticks = int(duration_s / self.config.tick_s)
-        per_op: dict[Operator, dict[str, list]] = {
-            op: {"t": [], "ul": [], "dl": [], "rtt": [], "tech": [], "intr": []}
-            for op in Operator
-        }
-        for _ in range(ticks):
-            position = self._advance(self.config.tick_s)
-            speed = self._speed.current_speed_mph
-            for op, session in self._sessions.items():
-                tick = session.tick(
-                    self._time_s, position, speed, traffic, direction,
-                    servers[op], self.config.tick_s,
-                )
-                acc = per_op[op]
-                acc["t"].append(self._time_s)
-                acc["ul"].append(tick.capacity_ul_mbps)
-                acc["dl"].append(tick.capacity_dl_mbps)
-                acc["rtt"].append(tick.rtt_ms)
-                acc["tech"].append(tick.tech)
-                for ev in tick.handovers:
-                    acc["intr"].append((self._time_s, ev.duration_ms / 1000.0))
-                    self._dataset.handovers.append(
-                        HandoverRecord(test_id=test_ids[op], direction=direction, event=ev)
-                    )
-        return {
-            op: LinkSchedule(
-                times_s=np.asarray(acc["t"]),
-                tick_s=self.config.tick_s,
-                ul_mbps=np.asarray(acc["ul"]),
-                dl_mbps=np.asarray(acc["dl"]),
-                rtt_ms=np.asarray(acc["rtt"]),
-                techs=tuple(acc["tech"]),
-                interruptions=tuple(acc["intr"]),
-            )
-            for op, acc in per_op.items()
-        }
-
-    def _run_offload_test(
-        self, test_type: TestType, app_config: OffloadAppConfig, compression: bool
-    ) -> None:
-        start_pos = self._position_at(self._mark_m)
-        servers = self._servers_now(start_pos)
-        test_ids = {op: self._next_test_id() for op in Operator}
-        start_time, start_mark = self._time_s, self._mark_m
-        schedules = self._collect_schedule(
-            app_config.duration_s, TEST_TRAFFIC[test_type], TEST_DIRECTION[test_type],
-            servers, test_ids,
-        )
-        for op, schedule in schedules.items():
-            metrics = run_offload_app(schedule, app_config, compression)
-            self._dataset.offload_runs.append(
-                OffloadRunResult(
-                    app=test_type,
-                    test_id=test_ids[op],
-                    operator=op,
-                    server_kind=servers[op].kind,
-                    compression=compression,
-                    mean_e2e_ms=metrics.mean_e2e_ms,
-                    median_e2e_ms=metrics.median_e2e_ms,
-                    offload_fps=metrics.offload_fps,
-                    map_score=metrics.map_score,
-                    ho_count=schedule.handover_count(),
-                    frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                    static=False,
-                    uplink_megabits=metrics.uplink_megabits,
-                )
-            )
-            self._dataset.tests.append(
-                TestRecord(
-                    test_id=test_ids[op],
-                    test_type=test_type,
-                    operator=op,
-                    start_time_s=start_time,
-                    end_time_s=self._time_s,
-                    start_mark_m=start_mark,
-                    end_mark_m=self._mark_m,
-                    server_kind=servers[op].kind,
-                    static=False,
-                )
-            )
-
-    def _run_video_test(self) -> None:
-        start_pos = self._position_at(self._mark_m)
-        servers = self._servers_now(start_pos)
-        test_ids = {op: self._next_test_id() for op in Operator}
-        start_time, start_mark = self._time_s, self._mark_m
-        schedules = self._collect_schedule(
-            self.config.video_duration_s, TrafficProfile.BACKLOGGED_DL,
-            Direction.DOWNLINK, servers, test_ids,
-        )
-        cfg = VideoConfig(session_duration_s=self.config.video_duration_s)
-        for op, schedule in schedules.items():
-            metrics = run_video_session(schedule, cfg)
-            self._dataset.video_runs.append(
-                VideoRunResult(
-                    test_id=test_ids[op],
-                    operator=op,
-                    server_kind=servers[op].kind,
-                    qoe=metrics.qoe,
-                    avg_bitrate_mbps=metrics.avg_bitrate_mbps,
-                    rebuffer_ratio=metrics.rebuffer_ratio,
-                    ho_count=schedule.handover_count(),
-                    frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                    static=False,
-                    downlink_megabits=metrics.downlink_megabits,
-                )
-            )
-            self._dataset.tests.append(
-                TestRecord(
-                    test_id=test_ids[op], test_type=TestType.VIDEO_360, operator=op,
-                    start_time_s=start_time, end_time_s=self._time_s,
-                    start_mark_m=start_mark, end_mark_m=self._mark_m,
-                    server_kind=servers[op].kind, static=False,
-                )
-            )
-
-    def _run_gaming_test(self) -> None:
-        start_pos = self._position_at(self._mark_m)
-        servers = self._servers_now(start_pos)
-        test_ids = {op: self._next_test_id() for op in Operator}
-        start_time, start_mark = self._time_s, self._mark_m
-        schedules = self._collect_schedule(
-            self.config.gaming_duration_s, TrafficProfile.BACKLOGGED_DL,
-            Direction.DOWNLINK, servers, test_ids,
-        )
-        for op, schedule in schedules.items():
-            metrics = run_gaming_session(schedule)
-            self._dataset.gaming_runs.append(
-                GamingRunResult(
-                    test_id=test_ids[op],
-                    operator=op,
-                    server_kind=servers[op].kind,
-                    avg_bitrate_mbps=metrics.avg_bitrate_mbps,
-                    median_latency_ms=metrics.median_latency_ms,
-                    p95_latency_ms=metrics.p95_latency_ms,
-                    frame_drop_rate=metrics.frame_drop_rate,
-                    ho_count=schedule.handover_count(),
-                    frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                    static=False,
-                    downlink_megabits=metrics.downlink_megabits,
-                )
-            )
-            self._dataset.tests.append(
-                TestRecord(
-                    test_id=test_ids[op], test_type=TestType.CLOUD_GAMING, operator=op,
-                    start_time_s=start_time, end_time_s=self._time_s,
-                    start_mark_m=start_mark, end_mark_m=self._mark_m,
-                    server_kind=servers[op].kind, static=False,
-                )
-            )
-
-    # -- static baselines -----------------------------------------------------------
+    # -- the test loop -----------------------------------------------------------
 
     def _run_static_battery(self, city_name: str) -> None:
-        """Static measurements in a city, facing the best 5G BS (§5.1)."""
+        """Static baselines in a city (§5.1): each phone in turn parks
+        facing the best high-speed-5G base station and runs the cycle's
+        tests there."""
         city_mark = self.route.city_mark_m(city_name)
         position = self.route.position_at(city_mark)
         for op in Operator:
@@ -583,196 +328,217 @@ class DriveCampaign:
             if site is None:
                 continue  # no mmWave/midband here: skip, as the paper did
             server = self._servers.select(op, position.point, position.timezone)
-            self._run_static_throughput(op, site, position, server, Direction.DOWNLINK)
-            self._run_static_throughput(op, site, position, server, Direction.UPLINK)
-            self._run_static_rtt(op, site, position, server)
-            if self.config.include_apps:
-                self._run_static_apps(op, site, position, server)
+            for test_type, compression in self.config.plan.runs():
+                self._run_test(test_type, compression, (op, site, position, server))
             session.handover_engine.reset_serving()
 
-    def _static_schedule(
+    def _run_test(
         self,
-        op: Operator,
-        site: StaticSite,
-        position: RoutePosition,
-        server: Server,
-        duration_s: float,
-        direction: str,
-    ) -> LinkSchedule:
-        ticks = int(duration_s / self.config.tick_s)
-        t, ul, dl, rtt, tech = [], [], [], [], []
-        session = self._sessions[op]
-        for i in range(ticks):
-            tick = session.static_tick(
-                site, position, self._time_s + i * self.config.tick_s, direction, server
-            )
-            t.append(tick.time_s)
-            ul.append(tick.capacity_ul_mbps)
-            dl.append(tick.capacity_dl_mbps)
-            rtt.append(tick.rtt_ms)
-            tech.append(tick.tech)
-        return LinkSchedule(
-            times_s=np.asarray(t), tick_s=self.config.tick_s,
-            ul_mbps=np.asarray(ul), dl_mbps=np.asarray(dl),
-            rtt_ms=np.asarray(rtt), techs=tuple(tech), interruptions=(),
-        )
-
-    def _run_static_throughput(
-        self, op: Operator, site: StaticSite, position: RoutePosition,
-        server: Server, direction: str,
+        test_type: TestType,
+        compression: bool,
+        parked: "tuple[Operator, StaticSite, RoutePosition, Server] | None" = None,
     ) -> None:
-        test_type = (
-            TestType.DOWNLINK_THROUGHPUT
-            if direction == Direction.DOWNLINK
-            else TestType.UPLINK_THROUGHPUT
-        )
-        duration = TEST_DURATIONS_S[test_type]
-        ticks = int(duration / self.config.tick_s)
-        test_id = self._next_test_id()
-        flow = CubicFlow(self._rngs.stream(f"tcp-{op.code}"))
+        """Run one test on every phone while driving, or on the one
+        ``parked`` phone ``(operator, site, position, server)``.
+
+        Each step moves the vehicle (or, parked, the clock) and ticks the
+        sessions; a tick's rows — its throughput or RTT sample, then its
+        handovers — are written as it happens.  App runs keep their ticks
+        for the app model, which runs after the loop.
+        """
+        direction = TEST_DIRECTION[test_type]
+        traffic = TEST_TRAFFIC[test_type]
+        rtt_test = test_type is TestType.RTT
+        tput_test = test_type in (TestType.DOWNLINK_THROUGHPUT, TestType.UPLINK_THROUGHPUT)
+        app_test = not (rtt_test or tput_test)
+        step = _PING_INTERVAL_S if rtt_test else self.config.tick_s
+        static = parked is not None
+        if parked is None:
+            position = self._position_at(self._mark_m)
+            servers = self._servers_now(position)
+        else:
+            parked_op, site, position, server = parked
+            servers = {parked_op: server}
+        test_ids = {op: self._next_test_id() for op in servers}
+        flows = {
+            op: CubicFlow(self._rngs.stream(f"tcp-{op.code}")) for op in servers
+        } if tput_test else {}
+        app_ticks: dict[Operator, list[LinkTick]] = {op: [] for op in servers}
+        sessions = [(op, self._sessions[op]) for op in servers]
         start_time = self._time_s
-        session = self._sessions[op]
-        for _ in range(ticks):
-            self._time_s += self.config.tick_s
-            tick = session.static_tick(site, position, self._time_s, direction, server)
-            tput = flow.advance(
-                capacity_mbps=tick.capacity_mbps(direction),
-                rtt_ms=max(tick.rtt_ms * _TCP_RTT_INFLATION, _TCP_RTT_FLOOR_MS),
-                dt_s=self.config.tick_s,
-                bler=tick.bler,
-            )
-            self._record_tput_tick(test_id, op, direction, tick, tput, static=True)
-        self._dataset.tests.append(
-            TestRecord(
-                test_id=test_id, test_type=test_type, operator=op,
-                start_time_s=start_time, end_time_s=self._time_s,
-                start_mark_m=position.distance_m, end_mark_m=position.distance_m,
-                server_kind=server.kind, static=True,
-            )
-        )
+        start_mark = self._mark_m if parked is None else position.distance_m
 
-    def _run_static_rtt(
-        self, op: Operator, site: StaticSite, position: RoutePosition, server: Server
-    ) -> None:
-        duration = TEST_DURATIONS_S[TestType.RTT]
-        interval = 0.2
-        test_id = self._next_test_id()
-        start_time = self._time_s
-        session = self._sessions[op]
-        for _ in range(int(duration / interval)):
-            self._time_s += interval
-            tick = session.static_tick(
-                site, position, self._time_s, Direction.DOWNLINK, server
-            )
-            self._dataset.rtt_samples.append(
-                RttSample(
-                    test_id=test_id, operator=op, time_s=self._time_s,
-                    mark_m=position.distance_m, speed_mph=0.0,
-                    region=position.region, timezone=position.timezone,
-                    tech=tick.tech, rtt_ms=tick.rtt_ms,
-                    server_kind=server.kind, static=True,
-                )
-            )
-        self._dataset.tests.append(
-            TestRecord(
-                test_id=test_id, test_type=TestType.RTT, operator=op,
-                start_time_s=start_time, end_time_s=self._time_s,
-                start_mark_m=position.distance_m, end_mark_m=position.distance_m,
-                server_kind=server.kind, static=True,
-            )
-        )
-
-    def _run_static_apps(
-        self, op: Operator, site: StaticSite, position: RoutePosition, server: Server
-    ) -> None:
-        for app_config, test_type in ((AR_CONFIG, TestType.AR), (CAV_CONFIG, TestType.CAV)):
-            for compression in (False, True):
-                schedule = self._static_schedule(
-                    op, site, position, server, app_config.duration_s, Direction.UPLINK
-                )
-                metrics = run_offload_app(schedule, app_config, compression)
-                self._time_s += app_config.duration_s
-                self._dataset.offload_runs.append(
-                    OffloadRunResult(
-                        app=test_type, test_id=self._next_test_id(), operator=op,
-                        server_kind=server.kind, compression=compression,
-                        mean_e2e_ms=metrics.mean_e2e_ms,
-                        median_e2e_ms=metrics.median_e2e_ms,
-                        offload_fps=metrics.offload_fps,
-                        map_score=metrics.map_score,
-                        ho_count=0, frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                        static=True, uplink_megabits=metrics.uplink_megabits,
+        for i in range(int(self.config.duration_s(test_type) / step)):
+            if parked is None:
+                position = self._advance(step)
+                speed = self._speed.current_speed_mph
+            elif not app_test:
+                self._time_s += step
+            for op, session in sessions:
+                if parked is None:
+                    tick = session.tick(
+                        self._time_s, position, speed, traffic, direction,
+                        servers[op], step,
                     )
+                else:
+                    # A parked app run ticks from its start time and moves the
+                    # clock once, after the loop: the pinned output's times
+                    # depend on this float arithmetic.
+                    now = start_time + i * step if app_test else self._time_s
+                    tick = session.static_tick(site, position, now, direction, server)
+                if app_test:
+                    app_ticks[op].append(tick)
+                elif tput_test:
+                    tput = flows[op].advance(
+                        capacity_mbps=tick.capacity_mbps(direction),
+                        rtt_ms=max(tick.rtt_ms * _TCP_RTT_INFLATION, _TCP_RTT_FLOOR_MS),
+                        dt_s=step,
+                        bler=tick.bler,
+                        interruption_s=tick.interruption_s,
+                    )
+                    self._dataset.throughput_samples.append(
+                        ThroughputSample(
+                            test_id=test_ids[op],
+                            operator=op,
+                            direction=direction,
+                            time_s=tick.time_s,
+                            mark_m=tick.mark_m,
+                            speed_mph=tick.speed_mph,
+                            region=tick.position.region,
+                            timezone=tick.position.timezone,
+                            tech=tick.tech,
+                            rsrp_dbm=tick.rsrp_dbm,
+                            mcs=tick.mcs,
+                            bler=tick.bler,
+                            n_ccs=tick.n_ccs,
+                            tput_mbps=tput,
+                            server_kind=tick.server.kind,
+                            ho_count=len(tick.handovers),
+                            static=static,
+                        )
+                    )
+                else:
+                    self._dataset.rtt_samples.append(
+                        RttSample(
+                            test_id=test_ids[op],
+                            operator=op,
+                            time_s=tick.time_s,
+                            mark_m=tick.mark_m,
+                            speed_mph=tick.speed_mph,
+                            region=tick.position.region,
+                            timezone=tick.position.timezone,
+                            tech=tick.tech,
+                            rtt_ms=tick.rtt_ms,
+                            server_kind=tick.server.kind,
+                            static=static,
+                        )
+                    )
+                    continue  # RTT tests log no handovers
+                for ev in tick.handovers:
+                    self._dataset.handovers.append(
+                        HandoverRecord(test_id=test_ids[op], direction=direction, event=ev)
+                    )
+
+        if static and app_test:
+            self._time_s += self.config.duration_s(test_type)
+        end_mark = self._mark_m if parked is None else position.distance_m
+        for op, server in servers.items():
+            if app_test:
+                self._record_app_run(
+                    test_type, compression, test_ids[op], op, server.kind,
+                    app_ticks[op], static=static,
                 )
-        schedule = self._static_schedule(
-            op, site, position, server, self.config.video_duration_s, Direction.DOWNLINK
-        )
-        video = run_video_session(
-            schedule, VideoConfig(session_duration_s=self.config.video_duration_s)
-        )
-        self._time_s += self.config.video_duration_s
-        self._dataset.video_runs.append(
-            VideoRunResult(
-                test_id=self._next_test_id(), operator=op, server_kind=server.kind,
-                qoe=video.qoe, avg_bitrate_mbps=video.avg_bitrate_mbps,
-                rebuffer_ratio=video.rebuffer_ratio, ho_count=0,
-                frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                static=True, downlink_megabits=video.downlink_megabits,
+                if static:
+                    # Parked app runs write no TestRecord, so Table 1's test
+                    # counts and run time leave them out (pinned output).
+                    continue
+            self._dataset.tests.append(
+                TestRecord(
+                    test_id=test_ids[op],
+                    test_type=test_type,
+                    operator=op,
+                    start_time_s=start_time,
+                    end_time_s=self._time_s,
+                    start_mark_m=start_mark,
+                    end_mark_m=end_mark,
+                    server_kind=server.kind,
+                    static=static,
+                )
             )
-        )
-        schedule = self._static_schedule(
-            op, site, position, server, self.config.gaming_duration_s, Direction.DOWNLINK
-        )
-        gaming = run_gaming_session(schedule)
-        self._time_s += self.config.gaming_duration_s
-        self._dataset.gaming_runs.append(
-            GamingRunResult(
-                test_id=self._next_test_id(), operator=op, server_kind=server.kind,
-                avg_bitrate_mbps=gaming.avg_bitrate_mbps,
-                median_latency_ms=gaming.median_latency_ms,
-                p95_latency_ms=gaming.p95_latency_ms,
-                frame_drop_rate=gaming.frame_drop_rate, ho_count=0,
-                frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
-                static=True, downlink_megabits=gaming.downlink_megabits,
-            )
-        )
 
-    # -- recording helpers ------------------------------------------------------------
-
-    def _record_tput_tick(
+    def _record_app_run(
         self,
+        test_type: TestType,
+        compression: bool,
         test_id: int,
         op: Operator,
-        direction: str,
-        tick: LinkTick,
-        tput_mbps: float,
+        server_kind: ServerKind,
+        ticks: list[LinkTick],
         static: bool,
     ) -> None:
-        self._dataset.throughput_samples.append(
-            ThroughputSample(
-                test_id=test_id,
-                operator=op,
-                direction=direction,
-                time_s=tick.time_s,
-                mark_m=tick.mark_m,
-                speed_mph=tick.speed_mph,
-                region=tick.position.region,
-                timezone=tick.position.timezone,
-                tech=tick.tech,
-                rsrp_dbm=tick.rsrp_dbm,
-                mcs=tick.mcs,
-                bler=tick.bler,
-                n_ccs=tick.n_ccs,
-                tput_mbps=tput_mbps,
-                server_kind=tick.server.kind,
-                ho_count=len(tick.handovers),
-                static=static,
-            )
+        """Run the app model of ``test_type`` over one phone's ticks and
+        record the run."""
+        schedule = LinkSchedule(
+            times_s=np.asarray([t.time_s for t in ticks]),
+            tick_s=self.config.tick_s,
+            ul_mbps=np.asarray([t.capacity_ul_mbps for t in ticks]),
+            dl_mbps=np.asarray([t.capacity_dl_mbps for t in ticks]),
+            rtt_ms=np.asarray([t.rtt_ms for t in ticks]),
+            techs=tuple(t.tech for t in ticks),
+            interruptions=tuple(
+                (t.time_s, ev.duration_ms / 1000.0) for t in ticks for ev in t.handovers
+            ),
         )
-        for ev in tick.handovers:
-            self._dataset.handovers.append(
-                HandoverRecord(test_id=test_id, direction=direction, event=ev)
+        run = dict(
+            test_id=test_id,
+            operator=op,
+            server_kind=server_kind,
+            ho_count=schedule.handover_count(),
+            frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
+            static=static,
+        )
+        if test_type is TestType.VIDEO_360:
+            video = run_video_session(
+                schedule, VideoConfig(session_duration_s=self.config.video_duration_s)
             )
+            self._dataset.video_runs.append(
+                VideoRunResult(
+                    qoe=video.qoe,
+                    avg_bitrate_mbps=video.avg_bitrate_mbps,
+                    rebuffer_ratio=video.rebuffer_ratio,
+                    downlink_megabits=video.downlink_megabits,
+                    **run,
+                )
+            )
+        elif test_type is TestType.CLOUD_GAMING:
+            gaming = run_gaming_session(schedule)
+            self._dataset.gaming_runs.append(
+                GamingRunResult(
+                    avg_bitrate_mbps=gaming.avg_bitrate_mbps,
+                    median_latency_ms=gaming.median_latency_ms,
+                    p95_latency_ms=gaming.p95_latency_ms,
+                    frame_drop_rate=gaming.frame_drop_rate,
+                    downlink_megabits=gaming.downlink_megabits,
+                    **run,
+                )
+            )
+        else:
+            app_config = AR_CONFIG if test_type is TestType.AR else CAV_CONFIG
+            offload = run_offload_app(schedule, app_config, compression)
+            self._dataset.offload_runs.append(
+                OffloadRunResult(
+                    app=test_type,
+                    compression=compression,
+                    mean_e2e_ms=offload.mean_e2e_ms,
+                    median_e2e_ms=offload.median_e2e_ms,
+                    offload_fps=offload.offload_fps,
+                    map_score=offload.map_score,
+                    uplink_megabits=offload.uplink_megabits,
+                    **run,
+                )
+            )
+
+    # -- recording helpers ------------------------------------------------------------
 
     def _record_passive_coverage(self) -> None:
         """Walk the window with the passive handover-loggers (§3), hold

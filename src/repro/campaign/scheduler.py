@@ -8,9 +8,10 @@ app) support focused studies without paying for the whole battery.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.campaign.tests import TEST_DURATIONS_S, TestType
+from repro.campaign.tests import TestType
 from repro.errors import CampaignError
 
 __all__ = ["CyclePlan", "FULL_CYCLE", "NETWORK_ONLY_CYCLE"]
@@ -40,22 +41,22 @@ class CyclePlan:
             raise CampaignError("plan has no network tests to keep")
         return CyclePlan(tests=network)
 
-    def run_count(self, test_type: TestType) -> int:
-        """Number of runs of ``test_type`` per cycle (AR/CAV double up)."""
-        n = sum(1 for t in self.tests if t is test_type)
-        if test_type in (TestType.AR, TestType.CAV):
-            return 2 * n
-        return n
+    def runs(self) -> Iterator[tuple[TestType, bool]]:
+        """The cycle's runs in order, as ``(test_type, compression)``.
 
-    def nominal_duration_s(self, gap_s: float = 4.0) -> float:
-        """Approximate wall-clock duration of one cycle including gaps."""
-        total = 0.0
-        runs = 0
-        for t in self.tests:
-            multiplier = 2 if t in (TestType.AR, TestType.CAV) else 1
-            total += multiplier * TEST_DURATIONS_S[t]
-            runs += multiplier
-        return total + runs * gap_s
+        AR and CAV run twice, without then with frame compression; every
+        other test runs once (``compression`` is ``False``).
+        """
+        for test_type in self.tests:
+            if test_type in (TestType.AR, TestType.CAV):
+                yield test_type, False
+                yield test_type, True
+            else:
+                yield test_type, False
+
+    def run_count(self, test_type: TestType) -> int:
+        """Number of runs of ``test_type`` per cycle."""
+        return sum(1 for t, _ in self.runs() if t is test_type)
 
 
 #: The paper's full round-robin suite (§3).

@@ -28,7 +28,6 @@ from repro.campaign.runner import (
     CampaignWindow,
     NOMINAL_CRUISE_MPS,
 )
-from repro.campaign.tests import TEST_DURATIONS_S, TestType
 from repro.errors import EngineError
 from repro.geo.route import Route
 
@@ -115,24 +114,15 @@ class ShardPlan:
 def nominal_cycle_duration_s(config: CampaignConfig) -> float:
     """Wall-clock length of one round-robin cycle under ``config``.
 
-    Uses the configured video/gaming session lengths (which may differ from
-    the defaults in :data:`TEST_DURATIONS_S`) and counts the AR/CAV
-    compression doubling plus one inter-test gap per run — mirroring exactly
-    what :meth:`DriveCampaign._run_cycle` executes.
+    Sums the durations of the runs :meth:`DriveCampaign._run_cycle`
+    executes (``config.plan.runs()``, each as long as
+    ``config.duration_s``), then adds one inter-test gap per run.
     """
-    plan = config.cycle if config.include_apps else config.cycle.without_apps()
     total = 0.0
     runs = 0
-    for test in plan.tests:
-        multiplier = 2 if test in (TestType.AR, TestType.CAV) else 1
-        if test is TestType.VIDEO_360:
-            duration = config.video_duration_s
-        elif test is TestType.CLOUD_GAMING:
-            duration = config.gaming_duration_s
-        else:
-            duration = TEST_DURATIONS_S[test]
-        total += multiplier * duration
-        runs += multiplier
+    for test_type, _ in config.plan.runs():
+        total += config.duration_s(test_type)
+        runs += 1
     return total + runs * config.inter_test_gap_s
 
 
