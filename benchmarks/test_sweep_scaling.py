@@ -17,6 +17,7 @@ import time
 from repro.engine import PlannerParams
 from repro.reporting.tables import render_table
 from repro.sweep import SweepConfig, run_sweep
+from repro.sweep.stats import registered_statistics
 
 SCALE = 0.05
 SEEDS = (41, 42, 43, 44)
@@ -75,7 +76,8 @@ def test_sweep_scaling(tmp_path, report, bench):
             title=(
                 f"Sweep scaling (scale={SCALE}, "
                 f"{warm.report.n_windows} windows/seed, "
-                f"{len(warm.report.statistics)} statistics with CIs)"
+                f"{len(registered_statistics())} statistics, "
+                f"{len(warm.report.statistics)} with CIs)"
             ),
         ),
     )
