@@ -18,11 +18,11 @@ import numpy as np
 from scipy import stats
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset, OffloadRunResult
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, select_columns
 
 __all__ = [
     "OffloadAppReport",
@@ -62,14 +62,9 @@ class OffloadAppReport:
     handover_correlation: float
 
 
-def _runs(
-    dataset: DriveDataset, operator: Operator, app: TestType, static: bool
-) -> list[OffloadRunResult]:
-    return [
-        r
-        for r in dataset.offload_runs
-        if r.operator is operator and r.app is app and r.static == static
-    ]
+def _runs(source: Source, table: str, where: tuple, *columns: str) -> list[list]:
+    """Each named column of the matching app runs, in row order."""
+    return [values.tolist() for values in select_columns(source, table, columns, where)]
 
 
 def metric_handover_correlation(pairs: list[tuple[float, float]]) -> float:
@@ -86,14 +81,20 @@ def metric_handover_correlation(pairs: list[tuple[float, float]]) -> float:
 
 
 def offload_app_report(
-    dataset: DriveDataset, operator: Operator, app: TestType
+    source: Source, operator: Operator, app: TestType
 ) -> OffloadAppReport:
     """Build the Fig. 13 (AR) or Fig. 14 (CAV) report for one operator."""
     if app not in (TestType.AR, TestType.CAV):
         raise AnalysisError(f"not an offload app: {app}")
-    driving = _runs(dataset, operator, app, static=False)
-    static = _runs(dataset, operator, app, static=True)
-    if not driving:
+    of_app = (Eq("operator", operator), Eq("app", app))
+    driving = (*of_app, Eq("static", False))
+    static = (*of_app, Eq("static", True))
+    # The scatters' metric: mAP for AR, E2E latency for CAV.
+    metric = "map_score" if app is TestType.AR else "mean_e2e_ms"
+    fracs, metrics, kinds, hos = _runs(
+        source, "offload", driving, "frac_hs5g", metric, "server_kind", "ho_count"
+    )
+    if not fracs:
         raise AnalysisError(f"no driving {app} runs for {operator}")
 
     e2e_cdf: dict[bool, EmpiricalCDF] = {}
@@ -102,30 +103,31 @@ def offload_app_report(
     best_fps: dict[bool, float] = {}
     best_map: dict[bool, float] = {}
     for compression in (False, True):
-        subset = [r for r in driving if r.compression == compression]
-        e2e_values = _finite([r.mean_e2e_ms for r in subset])
+        with_compression = Eq("compression", compression)
+        e2e, fps = _runs(
+            source, "offload", (*driving, with_compression),
+            "mean_e2e_ms", "offload_fps",
+        )
+        e2e_values = _finite(e2e)
         if e2e_values:
             e2e_cdf[compression] = EmpiricalCDF.from_values(e2e_values)
-        fps_values = [r.offload_fps for r in subset]
-        if fps_values:
-            fps_cdf[compression] = EmpiricalCDF.from_values(fps_values)
-        s_subset = [r for r in static if r.compression == compression]
-        s_e2e = _finite([r.mean_e2e_ms for r in s_subset])
-        if s_e2e:
-            best = min(s_subset, key=lambda r: r.mean_e2e_ms)
-            best_e2e[compression] = best.mean_e2e_ms
-            best_fps[compression] = best.offload_fps
-            best_map[compression] = best.map_score
+        if fps:
+            fps_cdf[compression] = EmpiricalCDF.from_values(fps)
+        s_e2e, s_fps, s_map = _runs(
+            source, "offload", (*static, with_compression),
+            "mean_e2e_ms", "offload_fps", "map_score",
+        )
+        if _finite(s_e2e):
+            best = min(range(len(s_e2e)), key=s_e2e.__getitem__)
+            best_e2e[compression] = s_e2e[best]
+            best_fps[compression] = s_fps[best]
+            best_map[compression] = s_map[best]
 
-    def metric(r: OffloadRunResult) -> float:
-        return r.map_score if app is TestType.AR else r.mean_e2e_ms
-
+    finite = [np.isfinite(m) for m in metrics]
     vs_hs5g = [
-        (r.frac_hs5g, metric(r), r.server_kind)
-        for r in driving
-        if np.isfinite(metric(r))
+        (f, m, k) for f, m, k, ok in zip(fracs, metrics, kinds, finite) if ok
     ]
-    vs_ho = [(r.ho_count, metric(r)) for r in driving if np.isfinite(metric(r))]
+    vs_ho = [(h, m) for h, m, ok in zip(hos, metrics, finite) if ok]
     return OffloadAppReport(
         operator=operator,
         app=app,
@@ -157,22 +159,26 @@ class VideoAppReport:
     handover_correlation: float
 
 
-def video_app_report(dataset: DriveDataset, operator: Operator) -> VideoAppReport:
+def video_app_report(source: Source, operator: Operator) -> VideoAppReport:
     """Build the Fig. 15 report for one operator."""
-    driving = [r for r in dataset.video_runs if r.operator is operator and not r.static]
-    static = [r for r in dataset.video_runs if r.operator is operator and r.static]
-    if not driving:
+    of_op = Eq("operator", operator)
+    qoe, bitrates, rebuffers, fracs, kinds, hos = _runs(
+        source, "video", (of_op, Eq("static", False)),
+        "qoe", "avg_bitrate_mbps", "rebuffer_ratio", "frac_hs5g",
+        "server_kind", "ho_count",
+    )
+    if not qoe:
         raise AnalysisError(f"no driving video runs for {operator}")
-    qoe = [r.qoe for r in driving]
-    vs_ho = [(r.ho_count, r.qoe) for r in driving]
+    (static_qoe,) = _runs(source, "video", (of_op, Eq("static", True)), "qoe")
+    vs_ho = list(zip(hos, qoe))
     return VideoAppReport(
         operator=operator,
         qoe_cdf=EmpiricalCDF.from_values(qoe),
-        bitrate_cdf=EmpiricalCDF.from_values([r.avg_bitrate_mbps for r in driving]),
-        rebuffer_cdf=EmpiricalCDF.from_values([r.rebuffer_ratio for r in driving]),
-        best_static_qoe=max((r.qoe for r in static), default=None),
+        bitrate_cdf=EmpiricalCDF.from_values(bitrates),
+        rebuffer_cdf=EmpiricalCDF.from_values(rebuffers),
+        best_static_qoe=max(static_qoe, default=None),
         negative_qoe_fraction=float(np.mean(np.asarray(qoe) < 0.0)),
-        qoe_vs_hs5g=[(r.frac_hs5g, r.qoe, r.server_kind) for r in driving],
+        qoe_vs_hs5g=list(zip(fracs, qoe, kinds)),
         qoe_vs_handovers=vs_ho,
         handover_correlation=metric_handover_correlation(
             [(float(h), q) for h, q in vs_ho]
@@ -198,28 +204,35 @@ class GamingAppReport:
     handover_correlation: float
 
 
-def gaming_app_report(dataset: DriveDataset, operator: Operator) -> GamingAppReport:
+def gaming_app_report(source: Source, operator: Operator) -> GamingAppReport:
     """Build the Fig. 16 report for one operator."""
-    driving = [r for r in dataset.gaming_runs if r.operator is operator and not r.static]
-    static = [r for r in dataset.gaming_runs if r.operator is operator and r.static]
-    if not driving:
+    of_op = Eq("operator", operator)
+    columns = ("avg_bitrate_mbps", "median_latency_ms", "frame_drop_rate")
+    bitrates, latencies, drop_rates, fracs, hos = _runs(
+        source, "gaming", (of_op, Eq("static", False)),
+        *columns, "frac_hs5g", "ho_count",
+    )
+    if not bitrates:
         raise AnalysisError(f"no driving gaming runs for {operator}")
-    latencies = [r.median_latency_ms for r in driving]
-    vs_ho = [(r.ho_count, r.avg_bitrate_mbps) for r in driving]
-    best = max(static, key=lambda r: r.avg_bitrate_mbps, default=None)
+    s_bitrates, s_latencies, s_drop_rates = _runs(
+        source, "gaming", (of_op, Eq("static", True)), *columns
+    )
+    best = max(range(len(s_bitrates)), key=s_bitrates.__getitem__, default=None)
+    vs_ho = list(zip(hos, bitrates))
+    drops_pct = [100.0 * d for d in drop_rates]
     return GamingAppReport(
         operator=operator,
-        bitrate_cdf=EmpiricalCDF.from_values([r.avg_bitrate_mbps for r in driving]),
+        bitrate_cdf=EmpiricalCDF.from_values(bitrates),
         latency_cdf=EmpiricalCDF.from_values(latencies),
-        drop_rate_cdf=EmpiricalCDF.from_values(
-            [100.0 * r.frame_drop_rate for r in driving]
+        drop_rate_cdf=EmpiricalCDF.from_values(drops_pct),
+        best_static_bitrate=None if best is None else s_bitrates[best],
+        best_static_latency_ms=None if best is None else s_latencies[best],
+        best_static_drop_rate=(
+            None if best is None else 100.0 * s_drop_rates[best]
         ),
-        best_static_bitrate=best.avg_bitrate_mbps if best else None,
-        best_static_latency_ms=best.median_latency_ms if best else None,
-        best_static_drop_rate=100.0 * best.frame_drop_rate if best else None,
         high_latency_run_fraction=float(np.mean(np.asarray(latencies) > 200.0)),
-        bitrate_vs_hs5g=[(r.frac_hs5g, r.avg_bitrate_mbps) for r in driving],
-        drops_vs_hs5g=[(r.frac_hs5g, 100.0 * r.frame_drop_rate) for r in driving],
+        bitrate_vs_hs5g=list(zip(fracs, bitrates)),
+        drops_vs_hs5g=list(zip(fracs, drops_pct)),
         bitrate_vs_handovers=vs_ho,
         handover_correlation=metric_handover_correlation(
             [(float(h), b) for h, b in vs_ho]

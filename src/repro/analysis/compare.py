@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, select
 
 __all__ = ["MetricComparison", "DatasetComparison", "compare_datasets"]
 
@@ -80,7 +80,19 @@ def _compare(metric: str, op: Operator, a: np.ndarray, b: np.ndarray) -> MetricC
     )
 
 
-def compare_datasets(a: DriveDataset, b: DriveDataset) -> DatasetComparison:
+def _metrics(source: Source, op: Operator) -> dict[str, np.ndarray]:
+    """The compared distributions of one operator in one source."""
+    of_op = Eq("operator", op)
+    driving = (of_op, Eq("static", False))
+    return {
+        "tput_dl": select(source, "tput", "tput_mbps", (*driving, Eq("direction", "downlink"))),
+        "tput_ul": select(source, "tput", "tput_mbps", (*driving, Eq("direction", "uplink"))),
+        "rtt": select(source, "rtt", "rtt_ms", driving),
+        "ho_duration": select(source, "ho", "duration_ms", (of_op,)),
+    }
+
+
+def compare_datasets(a: Source, b: Source) -> DatasetComparison:
     """Compare the headline distributions of two datasets.
 
     Covered metrics, per operator: driving DL/UL throughput, driving RTT,
@@ -88,19 +100,9 @@ def compare_datasets(a: DriveDataset, b: DriveDataset) -> DatasetComparison:
     """
     comparisons: list[MetricComparison] = []
     for op in Operator:
-        pairs = [
-            ("tput_dl", a.tput_values(operator=op, direction="downlink", static=False),
-             b.tput_values(operator=op, direction="downlink", static=False)),
-            ("tput_ul", a.tput_values(operator=op, direction="uplink", static=False),
-             b.tput_values(operator=op, direction="uplink", static=False)),
-            ("rtt", a.rtt_values(operator=op, static=False),
-             b.rtt_values(operator=op, static=False)),
-            ("ho_duration",
-             np.asarray([h.event.duration_ms for h in a.handovers_of(operator=op)]),
-             np.asarray([h.event.duration_ms for h in b.handovers_of(operator=op)])),
-        ]
-        for metric, va, vb in pairs:
-            comparison = _compare(metric, op, va, vb)
+        metrics_b = _metrics(b, op)
+        for metric, va in _metrics(a, op).items():
+            comparison = _compare(metric, op, va, metrics_b[metric])
             if comparison is not None:
                 comparisons.append(comparison)
     if not comparisons:

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from repro.store.query import Eq, Source, select_columns, select_rows
 from repro.units import speed_bin
 
 __all__ = [
+    "KPI_COLUMNS",
     "KPI_NAMES",
     "CorrelationRow",
     "kpi_correlations",
@@ -33,6 +34,11 @@ __all__ = [
 
 #: Table 2's column order.
 KPI_NAMES = ("RSRP", "MCS", "CA", "BLER", "Speed", "HO")
+
+#: The throughput-table column behind each KPI, in Table 2's order.
+KPI_COLUMNS = dict(zip(
+    KPI_NAMES, ("rsrp_dbm", "mcs", "n_ccs", "bler", "speed_mph", "ho_count")
+))
 
 
 @dataclass(frozen=True)
@@ -45,24 +51,24 @@ class CorrelationRow:
     sample_count: int
 
 
+def _driving(operator: Operator, direction: str | None = None) -> tuple:
+    """Predicates of one operator's driving samples (of one direction)."""
+    where = (Eq("operator", operator), Eq("static", False))
+    return where if direction is None else (*where, Eq("direction", direction))
+
+
 def kpi_correlations(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> CorrelationRow:
     """Compute one row of Table 2."""
-    samples = dataset.tput(operator=operator, direction=direction, static=False)
-    if len(samples) < 10:
+    tput, *kpis = select_columns(
+        source, "tput", ("tput_mbps", *KPI_COLUMNS.values()), _driving(operator, direction)
+    )
+    if len(tput) < 10:
         raise AnalysisError(f"too few samples for {operator} {direction}")
-    tput = np.asarray([s.tput_mbps for s in samples])
-    columns = {
-        "RSRP": np.asarray([s.rsrp_dbm for s in samples]),
-        "MCS": np.asarray([float(s.mcs) for s in samples]),
-        "CA": np.asarray([float(s.n_ccs) for s in samples]),
-        "BLER": np.asarray([s.bler for s in samples]),
-        "Speed": np.asarray([s.speed_mph for s in samples]),
-        "HO": np.asarray([float(s.ho_count) for s in samples]),
-    }
     coeffs: dict[str, float] = {}
-    for name, col in columns.items():
+    for name, col in zip(KPI_COLUMNS, kpis):
+        col = col.astype(float)
         if np.std(col) == 0.0 or np.std(tput) == 0.0:
             coeffs[name] = 0.0
             continue
@@ -71,34 +77,39 @@ def kpi_correlations(
         operator=operator,
         direction=direction,
         coefficients=coeffs,
-        sample_count=len(samples),
+        sample_count=len(tput),
     )
 
 
-def correlation_table(dataset: DriveDataset) -> list[CorrelationRow]:
+def correlation_table(source: Source) -> list[CorrelationRow]:
     """Table 2 — all six (operator, direction) rows."""
     rows = []
     for op in Operator:
         for direction in ("downlink", "uplink"):
-            rows.append(kpi_correlations(dataset, op, direction))
+            rows.append(kpi_correlations(source, op, direction))
     return rows
 
 
+def _speed_scatter(
+    source: Source, table: str, column: str, where: tuple
+) -> list[tuple[float, float, RadioTechnology, str]]:
+    return [
+        (speed, value, tech, speed_bin(speed))
+        for speed, value, tech in select_rows(
+            source, table, ("speed_mph", column, "tech"), where
+        )
+    ]
+
+
 def throughput_speed_scatter(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> list[tuple[float, float, RadioTechnology, str]]:
     """Fig. 7 — (speed, throughput, technology, speed-bin) scatter points."""
-    return [
-        (s.speed_mph, s.tput_mbps, s.tech, speed_bin(s.speed_mph))
-        for s in dataset.tput(operator=operator, direction=direction, static=False)
-    ]
+    return _speed_scatter(source, "tput", "tput_mbps", _driving(operator, direction))
 
 
 def rtt_speed_scatter(
-    dataset: DriveDataset, operator: Operator
+    source: Source, operator: Operator
 ) -> list[tuple[float, float, RadioTechnology, str]]:
     """Fig. 8 — (speed, RTT, technology, speed-bin) scatter points."""
-    return [
-        (s.speed_mph, s.rtt_ms, s.tech, speed_bin(s.speed_mph))
-        for s in dataset.rtts(operator=operator, static=False)
-    ]
+    return _speed_scatter(source, "rtt", "rtt_ms", _driving(operator))

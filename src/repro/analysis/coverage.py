@@ -19,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.geo.timezones import Timezone
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, HIGH_THROUGHPUT_TECHS, RadioTechnology
-from repro.store.query import Eq, Source, group_total, select, where_speed_bin
+from repro.store.query import Eq, Source, fold, group_total, select, select_rows, where_speed_bin
 from repro.units import SPEED_BIN_LABELS
 
 __all__ = [
@@ -104,7 +103,7 @@ def active_coverage_shares(
     if speed_bin_label is not None:
         where.append(where_speed_bin(speed_bin_label))
     weights = {
-        tech: _fold(np.maximum(
+        tech: fold(np.maximum(
             select(source, "tput", "speed_mph", (*where, Eq("tech", tech)),
                    seeds=seeds),
             0.0,
@@ -112,12 +111,6 @@ def active_coverage_shares(
         for tech in ALL_TECHNOLOGIES
     }
     return _shares_from_weights(operator, weights)
-
-
-def _fold(values: np.ndarray) -> float:
-    """``0.0 + v0 + v1 + …`` left to right, as a running ``+=`` adds
-    (``np.cumsum`` adds sequentially, unlike the pairwise ``np.sum``)."""
-    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
 def passive_coverage_shares(
@@ -140,43 +133,43 @@ def passive_coverage_shares(
 
 
 def coverage_by_direction(
-    dataset: DriveDataset, operator: Operator
+    source: Source, operator: Operator
 ) -> dict[str, CoverageShares]:
     """Fig. 2b — coverage split by backlogged traffic direction."""
     return {
-        direction: active_coverage_shares(dataset, operator, direction=direction)
+        direction: active_coverage_shares(source, operator, direction=direction)
         for direction in ("downlink", "uplink")
     }
 
 
 def coverage_by_timezone(
-    dataset: DriveDataset, operator: Operator
+    source: Source, operator: Operator
 ) -> dict[Timezone, CoverageShares]:
     """Fig. 2c — coverage per timezone."""
     out: dict[Timezone, CoverageShares] = {}
     for tz in Timezone:
         try:
-            out[tz] = active_coverage_shares(dataset, operator, timezone=tz)
+            out[tz] = active_coverage_shares(source, operator, timezone=tz)
         except AnalysisError:
             continue  # a small-scale dataset may not sample every zone
     return out
 
 
 def coverage_by_speed_bin(
-    dataset: DriveDataset, operator: Operator
+    source: Source, operator: Operator
 ) -> dict[str, CoverageShares]:
     """Fig. 2d — coverage per speed bin (0-20 / 20-60 / 60+ mph)."""
     out: dict[str, CoverageShares] = {}
     for label in SPEED_BIN_LABELS:
         try:
-            out[label] = active_coverage_shares(dataset, operator, speed_bin_label=label)
+            out[label] = active_coverage_shares(source, operator, speed_bin_label=label)
         except AnalysisError:
             continue
     return out
 
 
 def route_technology_strip(
-    dataset: DriveDataset,
+    source: Source,
     operator: Operator,
     view: str = "passive",
     bin_km: float = 10.0,
@@ -187,24 +180,24 @@ def route_technology_strip(
     no observations), for either the ``"passive"`` handover-logger view or
     the ``"active"`` XCAL-during-tests view.
     """
-    if view not in ("passive", "active"):
-        raise AnalysisError(f"unknown view {view!r}")
-    # Accumulate weight per (bin, tech).
-    bins: dict[int, dict[RadioTechnology, float]] = {}
+    of_op = (Eq("operator", operator),)
     if view == "passive":
-        for seg in dataset.passive_coverage:
-            if seg.operator is not operator:
-                continue
-            b = int(seg.start_m / 1000.0 / bin_km)
-            bins.setdefault(b, {}).setdefault(seg.tech, 0.0)
-            bins[b][seg.tech] += seg.length_m
-        last_bin = max(bins) if bins else 0
+        rows = select_rows(source, "passive", ("start_m", "tech", "length_m"), of_op)
+    elif view == "active":
+        rows = [
+            (mark_m, tech, max(speed_mph, 0.01))
+            for mark_m, tech, speed_mph in select_rows(
+                source, "tput", ("mark_m", "tech", "speed_mph"), (*of_op, Eq("static", False))
+            )
+        ]
     else:
-        for s in dataset.tput(operator=operator, static=False):
-            b = int(s.mark_m / 1000.0 / bin_km)
-            bins.setdefault(b, {}).setdefault(s.tech, 0.0)
-            bins[b][s.tech] += max(s.speed_mph, 0.01)
-        last_bin = max(bins) if bins else 0
+        raise AnalysisError(f"unknown view {view!r}")
+    # Accumulate weight per (bin, tech), in row order.
+    bins: dict[int, dict[RadioTechnology, float]] = {}
+    for mark_m, tech, weight in rows:
+        by_tech = bins.setdefault(int(mark_m / 1000.0 / bin_km), {})
+        by_tech[tech] = by_tech.get(tech, 0.0) + weight
+    last_bin = max(bins) if bins else 0
 
     strip: list[tuple[float, RadioTechnology | None]] = []
     for b in range(last_bin + 1):

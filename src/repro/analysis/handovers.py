@@ -22,12 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset, ThroughputSample
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
-from repro.mobility.events import HandoverType
+from repro.mobility.events import HandoverType, classify_handover
 from repro.radio.operators import Operator
-from repro.store.query import Eq, Source, partitions, select
+from repro.store.query import Eq, In, Source, group_rows, partitions, select, select_columns
 from repro.units import meters_to_miles
 
 __all__ = [
@@ -70,12 +69,11 @@ def handovers_per_mile(
             select(part, "ho", "test_id", of_handovers), return_counts=True
         )
         ho_by_test = dict(zip(ids.tolist(), counts.tolist()))
-        test_ids = select(part, "test", "test_id", of_tests).tolist()
-        n_ho = np.asarray([ho_by_test.get(t, 0) for t in test_ids], dtype=np.int64)
-        miles = meters_to_miles(
-            select(part, "test", "end_mark_m", of_tests)
-            - select(part, "test", "start_mark_m", of_tests)
+        test_ids, end_m, start_m = select_columns(
+            part, "test", ("test_id", "end_mark_m", "start_mark_m"), of_tests
         )
+        n_ho = np.asarray([ho_by_test.get(t, 0) for t in test_ids.tolist()], dtype=np.int64)
+        miles = meters_to_miles(end_m - start_m)
         # A test parked in traffic covers no distance: a per-mile rate is
         # meaningless.
         moving = ~(miles < 0.02)
@@ -86,34 +84,36 @@ def handovers_per_mile(
 
 
 def handover_durations(
-    dataset: DriveDataset, operator: Operator, direction: str | None = None
+    source: Source, operator: Operator, direction: str | None = None
 ) -> EmpiricalCDF:
     """Fig. 11b — handover durations (ms) from the signalling records."""
-    durations = [
-        h.event.duration_ms
-        for h in dataset.handovers_of(operator=operator, direction=direction)
-    ]
-    if not durations:
+    where = [Eq("operator", operator)]
+    if direction is not None:
+        where.append(Eq("direction", direction))
+    durations = select(source, "ho", "duration_ms", where)
+    if not durations.size:
         raise AnalysisError(f"no handovers recorded for {operator}")
     return EmpiricalCDF.from_values(durations)
 
 
 def handover_type_distribution(
-    dataset: DriveDataset, operator: Operator | None = None
+    source: Source, operator: Operator | None = None
 ) -> dict[HandoverType, float]:
     """Share of each handover class (Fig. 12's breakdown dimension).
 
     Horizontal handovers dominate — vertical ones require a technology
     boundary, which only a fraction of zone transitions cross.
     """
-    counts: dict[HandoverType, int] = {t: 0 for t in HandoverType}
-    total = 0
-    for h in dataset.handovers_of(operator=operator):
-        counts[h.event.handover_type] += 1
-        total += 1
-    if total == 0:
+    where = () if operator is None else (Eq("operator", operator),)
+    types = list(map(
+        classify_handover, *select_columns(source, "ho", ("from_tech", "to_tech"), where)
+    ))
+    if not types:
         raise AnalysisError("no handovers recorded")
-    return {t: c / total for t, c in counts.items()}
+    counts: dict[HandoverType, int] = {t: 0 for t in HandoverType}
+    for t in types:
+        counts[t] += 1
+    return {t: c / len(types) for t, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -138,58 +138,53 @@ class HandoverImpact:
         return self.delta_t2.prob_above(0.0)
 
 
-def _index_handovers_by_test(dataset: DriveDataset) -> dict[int, list]:
-    index: dict[int, list] = {}
-    for h in dataset.handovers:
-        index.setdefault(h.test_id, []).append(h)
-    return index
-
-
-def _handover_type_at(
-    by_test: dict[int, list], test_id: int, tick: ThroughputSample
-) -> HandoverType | None:
-    """The type of the (first) handover inside one 500 ms interval."""
-    for h in by_test.get(test_id, ()):
-        if tick.time_s - 0.5 < h.event.time_s <= tick.time_s:
-            return h.event.handover_type
-    return None
-
-
 def handover_impact(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> HandoverImpact:
     """Compute Fig. 12's ΔT1/ΔT2 distributions.
 
     Follows the paper's construction exactly: with the handover inside
     interval t3, ΔT1 = T3 − (T2+T4)/2 and ΔT2 = (T4+T5)/2 − (T1+T2)/2,
-    using XCAL's 500 ms intervals.
+    using XCAL's 500 ms intervals.  Samples and handovers join their test
+    by id inside each partition.
     """
-    test_type = _THROUGHPUT_TEST_TYPES[direction]
-    wanted = {
-        t.test_id
-        for t in dataset.tests_of(test_type=test_type, operator=operator, static=False)
-    }
-    ho_index = _index_handovers_by_test(dataset)
+    of_tests = (
+        Eq("test_type", _THROUGHPUT_TEST_TYPES[direction]),
+        Eq("operator", operator),
+        Eq("static", False),
+    )
     d1, d2 = [], []
     d2_by_type: dict[HandoverType, list[float]] = {t: [] for t in HandoverType}
 
-    for test_id, samples in dataset.samples_by_test().items():
-        if test_id not in wanted:
-            continue
-        samples = sorted(samples, key=lambda s: s.time_s)
-        tputs = [s.tput_mbps for s in samples]
-        for i, s in enumerate(samples):
-            if s.ho_count == 0:
-                continue
-            if i < 2 or i > len(samples) - 3:
-                continue
-            t1_, t2_, t3_, t4_, t5_ = tputs[i - 2 : i + 3]
-            d1.append(t3_ - (t2_ + t4_) / 2.0)
-            delta2 = (t4_ + t5_) / 2.0 - (t1_ + t2_) / 2.0
-            d2.append(delta2)
-            ho_type = _handover_type_at(ho_index, test_id, s)
-            if ho_type is not None:
-                d2_by_type[ho_type].append(delta2)
+    for part in partitions(source):
+        of_wanted = (In("test_id", tuple(select(part, "test", "test_id", of_tests).tolist())),)
+        test_ids, *columns = select_columns(
+            part, "tput", ("test_id", "time_s", "tput_mbps", "ho_count"), of_wanted
+        )
+        times, tputs, ho_counts = (c.tolist() for c in columns)
+        ho_test_ids, ho_times, from_techs, to_techs = select_columns(
+            part, "ho", ("test_id", "time_s", "from_tech", "to_tech")
+        )
+        ho_times = ho_times.tolist()
+        ho_types = list(map(classify_handover, from_techs, to_techs))
+        ho_by_test = group_rows(ho_test_ids)
+        for test_id, rows in group_rows(test_ids).items():
+            rows = sorted(rows.tolist(), key=times.__getitem__)
+            for i, row in enumerate(rows):
+                if ho_counts[row] == 0:
+                    continue
+                if i < 2 or i > len(rows) - 3:
+                    continue
+                t1_, t2_, t3_, t4_, t5_ = (tputs[r] for r in rows[i - 2 : i + 3])
+                d1.append(t3_ - (t2_ + t4_) / 2.0)
+                delta2 = (t4_ + t5_) / 2.0 - (t1_ + t2_) / 2.0
+                d2.append(delta2)
+                # The type of the (first) handover inside this interval.
+                tick_s = times[row]
+                for h in ho_by_test.get(test_id, ()):
+                    if tick_s - 0.5 < ho_times[h] <= tick_s:
+                        d2_by_type[ho_types[h]].append(delta2)
+                        break
 
     if not d1:
         raise AnalysisError(f"no in-test handovers for {operator} {direction}")

@@ -9,15 +9,16 @@ fraction of the test spent on high-speed 5G (mmWave or midband).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
 from repro.radio.technology import HIGH_THROUGHPUT_TECHS
+from repro.store.query import Eq, In, Source, group_rows, partitions, select, select_columns
 
 __all__ = [
     "PerTestStats",
@@ -67,88 +68,65 @@ def _stats(values_per_test: list[np.ndarray], operator: Operator, metric: str) -
     )
 
 
-def _throughput_tests(
-    dataset: DriveDataset, operator: Operator, direction: str
-) -> dict[int, np.ndarray]:
-    test_type = (
-        TestType.DOWNLINK_THROUGHPUT if direction == "downlink" else TestType.UPLINK_THROUGHPUT
-    )
-    wanted = {
-        t.test_id for t in dataset.tests_of(test_type=test_type, operator=operator, static=False)
-    }
-    grouped: dict[int, list[float]] = {}
-    for s in dataset.throughput_samples:
-        if s.test_id in wanted:
-            grouped.setdefault(s.test_id, []).append(s.tput_mbps)
-    return {tid: np.asarray(v) for tid, v in grouped.items()}
+#: Per kind of test: its type, and its sample table and value column.
+_KINDS = {
+    "downlink": (TestType.DOWNLINK_THROUGHPUT, "tput", "tput_mbps"),
+    "uplink": (TestType.UPLINK_THROUGHPUT, "tput", "tput_mbps"),
+    "rtt": (TestType.RTT, "rtt", "rtt_ms"),
+}
+
+
+def _per_test(
+    source: Source, operator: Operator, kind: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(values, technologies)`` of each driving test of ``kind``
+    (``"downlink"``, ``"uplink"`` or ``"rtt"``) run by ``operator``, one
+    pair per test in the order of its first sample.  Samples join their
+    test by id inside each partition."""
+    test_type, table, column = _KINDS[kind]
+    of_tests = (Eq("test_type", test_type), Eq("operator", operator), Eq("static", False))
+    for part in partitions(source):
+        of_wanted = (In("test_id", tuple(select(part, "test", "test_id", of_tests).tolist())),)
+        values, techs, test_ids = select_columns(
+            part, table, (column, "tech", "test_id"), of_wanted
+        )
+        for rows in group_rows(test_ids).values():
+            yield values[rows], techs[rows]
 
 
 def per_test_throughput_stats(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> PerTestStats:
     """Fig. 9 — per-test mean and stddev-% for 30 s throughput tests."""
-    grouped = _throughput_tests(dataset, operator, direction)
-    return _stats(list(grouped.values()), operator, f"tput_{direction}")
+    return _stats(
+        [v for v, _ in _per_test(source, operator, direction)],
+        operator, f"tput_{direction}",
+    )
 
 
-def per_test_rtt_stats(dataset: DriveDataset, operator: Operator) -> PerTestStats:
+def per_test_rtt_stats(source: Source, operator: Operator) -> PerTestStats:
     """Fig. 9 — per-test mean and stddev-% for 20 s RTT tests."""
-    wanted = {
-        t.test_id
-        for t in dataset.tests_of(test_type=TestType.RTT, operator=operator, static=False)
-    }
-    grouped: dict[int, list[float]] = {}
-    for s in dataset.rtt_samples:
-        if s.test_id in wanted:
-            grouped.setdefault(s.test_id, []).append(s.rtt_ms)
-    return _stats([np.asarray(v) for v in grouped.values()], operator, "rtt")
+    return _stats([v for v, _ in _per_test(source, operator, "rtt")], operator, "rtt")
 
 
-def _hs5g_fraction(samples: list) -> float:
-    if not samples:
-        return 0.0
-    return sum(1 for s in samples if s.tech in HIGH_THROUGHPUT_TECHS) / len(samples)
+def _vs_hs5g_fraction(
+    source: Source, operator: Operator, kind: str
+) -> list[tuple[float, float]]:
+    """(high-speed-5G time fraction, mean value) per test of ≥ 4 samples."""
+    return [
+        (sum(t in HIGH_THROUGHPUT_TECHS for t in techs) / len(values), float(np.mean(values)))
+        for values, techs in _per_test(source, operator, kind)
+        if len(values) >= 4
+    ]
 
 
 def throughput_vs_hs5g_fraction(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> list[tuple[float, float]]:
     """Fig. 10a/10b — (high-speed-5G time fraction, mean throughput) per test."""
-    test_type = (
-        TestType.DOWNLINK_THROUGHPUT if direction == "downlink" else TestType.UPLINK_THROUGHPUT
-    )
-    wanted = {
-        t.test_id for t in dataset.tests_of(test_type=test_type, operator=operator, static=False)
-    }
-    grouped: dict[int, list] = {}
-    for s in dataset.throughput_samples:
-        if s.test_id in wanted:
-            grouped.setdefault(s.test_id, []).append(s)
-    points = []
-    for samples in grouped.values():
-        if len(samples) < 4:
-            continue
-        points.append(
-            (_hs5g_fraction(samples), float(np.mean([s.tput_mbps for s in samples])))
-        )
-    return points
+    return _vs_hs5g_fraction(source, operator, direction)
 
 
-def rtt_vs_hs5g_fraction(dataset: DriveDataset, operator: Operator) -> list[tuple[float, float]]:
+def rtt_vs_hs5g_fraction(source: Source, operator: Operator) -> list[tuple[float, float]]:
     """Fig. 10c — (high-speed-5G time fraction, mean RTT) per RTT test."""
-    wanted = {
-        t.test_id
-        for t in dataset.tests_of(test_type=TestType.RTT, operator=operator, static=False)
-    }
-    grouped: dict[int, list] = {}
-    for s in dataset.rtt_samples:
-        if s.test_id in wanted:
-            grouped.setdefault(s.test_id, []).append(s)
-    points = []
-    for samples in grouped.values():
-        if len(samples) < 4:
-            continue
-        points.append(
-            (_hs5g_fraction(samples), float(np.mean([s.rtt_ms for s in samples])))
-        )
-    return points
+    return _vs_hs5g_fraction(source, operator, "rtt")

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaign.dataset import DriveDataset
+from repro.analysis.correlation import KPI_COLUMNS
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, select_columns
 
 __all__ = ["MultivariateFit", "fit_throughput_model", "multivariate_table"]
 
 #: KPI columns, mirroring Table 2 (handover count included for completeness).
-FEATURES = ("RSRP", "MCS", "CA", "BLER", "Speed", "HO")
+FEATURES = tuple(KPI_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,10 @@ class MultivariateFit:
         return max(self.incremental_r2, key=lambda k: self.incremental_r2[k])
 
 
-def _design_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
-    y = np.log(np.asarray([max(s.tput_mbps, 1e-3) for s in samples]))
-    X = np.column_stack([
-        [s.rsrp_dbm for s in samples],
-        [float(s.mcs) for s in samples],
-        [float(s.n_ccs) for s in samples],
-        [s.bler for s in samples],
-        [s.speed_mph for s in samples],
-        [float(s.ho_count) for s in samples],
-    ])
+def _design_matrix(source: Source, where: tuple) -> tuple[np.ndarray, np.ndarray]:
+    tput, *kpis = select_columns(source, "tput", ("tput_mbps", *KPI_COLUMNS.values()), where)
+    y = np.log(np.maximum(tput, 1e-3))
+    X = np.column_stack([kpi.astype(float) for kpi in kpis])
     return X, y
 
 
@@ -75,15 +70,17 @@ def _ols_r2(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def fit_throughput_model(
-    dataset: DriveDataset, operator: Operator, direction: str
+    source: Source, operator: Operator, direction: str
 ) -> MultivariateFit:
     """Fit log(throughput) ~ standardised KPIs for one operator/direction."""
-    samples = dataset.tput(operator=operator, direction=direction, static=False)
-    if len(samples) < 30:
+    where = (
+        Eq("operator", operator), Eq("static", False), Eq("direction", direction)
+    )
+    X_raw, y = _design_matrix(source, where)
+    if len(y) < 30:
         raise AnalysisError(
-            f"need at least 30 samples for a stable fit, got {len(samples)}"
+            f"need at least 30 samples for a stable fit, got {len(y)}"
         )
-    X_raw, y = _design_matrix(samples)
     X = _standardize(X_raw)
     y_std = y.std()
     y_norm = (y - y.mean()) / (y_std if y_std > 0 else 1.0)
@@ -100,14 +97,14 @@ def fit_throughput_model(
         coefficients={name: float(b) for name, b in zip(FEATURES, beta)},
         r_squared=r2,
         incremental_r2=incremental,
-        sample_count=len(samples),
+        sample_count=len(y),
     )
 
 
-def multivariate_table(dataset: DriveDataset) -> list[MultivariateFit]:
+def multivariate_table(source: Source) -> list[MultivariateFit]:
     """All six (operator, direction) fits — the multivariate Table 2."""
     return [
-        fit_throughput_model(dataset, op, d)
+        fit_throughput_model(source, op, d)
         for op in Operator
         for d in ("downlink", "uplink")
     ]

@@ -15,8 +15,8 @@ from repro.analysis.longterm import (
     per_test_rtt_stats,
     per_test_throughput_stats,
 )
-from repro.campaign.dataset import DriveDataset
 from repro.radio.operators import Operator
+from repro.store.query import Source
 
 __all__ = ["OoklaReference", "OOKLA_Q3_2022", "OoklaComparisonRow", "ookla_comparison"]
 
@@ -62,13 +62,13 @@ class OoklaComparisonRow:
         return self.our_downlink_mbps / self.ookla.downlink_mbps
 
 
-def ookla_comparison(dataset: DriveDataset) -> list[OoklaComparisonRow]:
+def ookla_comparison(source: Source) -> list[OoklaComparisonRow]:
     """Table 3 — our per-test medians vs Ookla's Q3 2022 report."""
     rows = []
     for op in Operator:
-        dl = per_test_throughput_stats(dataset, op, "downlink").median_mean
-        ul = per_test_throughput_stats(dataset, op, "uplink").median_mean
-        rtt = per_test_rtt_stats(dataset, op).median_mean
+        dl = per_test_throughput_stats(source, op, "downlink").median_mean
+        ul = per_test_throughput_stats(source, op, "uplink").median_mean
+        rtt = per_test_rtt_stats(source, op).median_mean
         rows.append(
             OoklaComparisonRow(
                 operator=op,

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, partitions, select_rows
 
-__all__ = ["OPERATOR_PAIRS", "PairedDiff", "paired_throughput_differences", "multi_operator_gain"]
+__all__ = ["OPERATOR_PAIRS", "PairedDiff", "concurrent_samples",
+           "paired_throughput_differences", "multi_operator_gain"]
 
 #: The paper's three operator pairs, in its presentation order.
 OPERATOR_PAIRS: tuple[tuple[Operator, Operator], ...] = (
@@ -67,31 +68,37 @@ class PairedDiff:
         return float(np.mean(self.differences > 0.0))
 
 
-def _concurrent_samples(
-    dataset: DriveDataset, direction: str
-) -> dict[float, dict[Operator, tuple[float, bool]]]:
-    """Index driving throughput samples by timestamp.
+def concurrent_samples(
+    source: Source, direction: str
+) -> list[dict[Operator, tuple[float, bool]]]:
+    """The driving throughput samples of ``direction`` indexed by half
+    second: one ``operator -> (tput, is high-throughput tech)`` map per
+    timestamp, in the order of its first sample.
 
-    Returns timestamp -> operator -> (tput, is_high_throughput_tech).
+    Timestamps join inside each partition, because campaign times repeat
+    across seeds; a later sample of an operator at the same half second
+    replaces the earlier one.
     """
-    index: dict[float, dict[Operator, tuple[float, bool]]] = {}
-    for s in dataset.tput(direction=direction, static=False):
-        key = round(s.time_s * 2.0) / 2.0
-        index.setdefault(key, {})[s.operator] = (
-            s.tput_mbps,
-            s.tech.is_high_throughput,
-        )
-    return index
+    where = (Eq("direction", direction), Eq("static", False))
+    out: list[dict[Operator, tuple[float, bool]]] = []
+    for part in partitions(source):
+        index: dict[float, dict[Operator, tuple[float, bool]]] = {}
+        for time_s, op, tput, tech in select_rows(
+            part, "tput", ("time_s", "operator", "tput_mbps", "tech"), where
+        ):
+            key = round(time_s * 2.0) / 2.0
+            index.setdefault(key, {})[op] = (tput, tech.is_high_throughput)
+        out.extend(index.values())
+    return out
 
 
 def paired_throughput_differences(
-    dataset: DriveDataset, first: Operator, second: Operator, direction: str
+    source: Source, first: Operator, second: Operator, direction: str
 ) -> PairedDiff:
     """Fig. 6 — per-timestamp throughput differences for one pair."""
-    index = _concurrent_samples(dataset, direction)
     diffs: list[float] = []
     bins: list[str] = []
-    for by_op in index.values():
+    for by_op in concurrent_samples(source, direction):
         if first not in by_op or second not in by_op:
             continue
         t1, ht1 = by_op[first]
@@ -109,7 +116,7 @@ def paired_throughput_differences(
     )
 
 
-def multi_operator_gain(dataset: DriveDataset, direction: str) -> dict[Operator, float]:
+def multi_operator_gain(source: Source, direction: str) -> dict[Operator, float]:
     """Ablation for the paper's recommendation #2 (multi-connectivity):
     the median gain of taking the per-timestamp *maximum* across all three
     operators over each single operator.
@@ -117,9 +124,8 @@ def multi_operator_gain(dataset: DriveDataset, direction: str) -> dict[Operator,
     Returns, per operator, median(max-over-ops / this-op) across timestamps
     where all three operators have samples.
     """
-    index = _concurrent_samples(dataset, direction)
     ratios: dict[Operator, list[float]] = {op: [] for op in Operator}
-    for by_op in index.values():
+    for by_op in concurrent_samples(source, direction):
         if len(by_op) < 3:
             continue
         best = max(v for v, _ in by_op.values())

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
-from repro.store.query import Eq, Source, cdf
+from repro.store.query import Eq, Source, cdf, select
 
 __all__ = [
     "StaticVsDriving",
@@ -82,65 +81,72 @@ def static_vs_driving(
     )
 
 
+def _per_technology(
+    source: Source, table: str, column: str, where: tuple
+) -> dict[RadioTechnology, EmpiricalCDF]:
+    """CDFs of ``column`` per serving technology with ≥ 5 matching rows."""
+    out: dict[RadioTechnology, EmpiricalCDF] = {}
+    for tech in ALL_TECHNOLOGIES:
+        values = select(source, table, column, (*where, Eq("tech", tech)))
+        if len(values) >= 5:
+            out[tech] = EmpiricalCDF.from_values(values)
+    return out
+
+
+def _driving(operator: Operator, server_kind: ServerKind | None) -> tuple:
+    where = (Eq("operator", operator), Eq("static", False))
+    return where if server_kind is None else (*where, Eq("server_kind", server_kind))
+
+
 def per_technology_throughput(
-    dataset: DriveDataset,
+    source: Source,
     operator: Operator,
     direction: str,
     server_kind: ServerKind | None = None,
 ) -> dict[RadioTechnology, EmpiricalCDF]:
     """Fig. 4 — driving throughput CDFs per serving technology."""
-    out: dict[RadioTechnology, EmpiricalCDF] = {}
-    for tech in ALL_TECHNOLOGIES:
-        values = dataset.tput_values(
-            operator=operator, direction=direction, static=False,
-            techs=[tech], server_kind=server_kind,
-        )
-        if len(values) >= 5:
-            out[tech] = EmpiricalCDF.from_values(values)
+    out = _per_technology(
+        source, "tput", "tput_mbps",
+        (*_driving(operator, server_kind), Eq("direction", direction)),
+    )
     if not out:
         raise AnalysisError(f"no driving samples for {operator} {direction}")
     return out
 
 
 def per_technology_rtt(
-    dataset: DriveDataset,
+    source: Source,
     operator: Operator,
     server_kind: ServerKind | None = None,
 ) -> dict[RadioTechnology, EmpiricalCDF]:
     """Fig. 4 (right) — driving RTT CDFs per serving technology."""
-    out: dict[RadioTechnology, EmpiricalCDF] = {}
-    for tech in ALL_TECHNOLOGIES:
-        values = dataset.rtt_values(
-            operator=operator, static=False, techs=[tech], server_kind=server_kind
-        )
-        if len(values) >= 5:
-            out[tech] = EmpiricalCDF.from_values(values)
+    out = _per_technology(source, "rtt", "rtt_ms", _driving(operator, server_kind))
     if not out:
         raise AnalysisError(f"no driving RTT samples for {operator}")
     return out
 
 
 def edge_vs_cloud_throughput(
-    dataset: DriveDataset, direction: str
+    source: Source, direction: str
 ) -> dict[ServerKind, dict[RadioTechnology, EmpiricalCDF]]:
     """Fig. 4 (Verizon panels) — edge vs cloud per-technology throughput."""
     out: dict[ServerKind, dict[RadioTechnology, EmpiricalCDF]] = {}
     for kind in ServerKind:
         try:
             out[kind] = per_technology_throughput(
-                dataset, Operator.VERIZON, direction, server_kind=kind
+                source, Operator.VERIZON, direction, server_kind=kind
             )
         except AnalysisError:
             continue
     return out
 
 
-def edge_vs_cloud_rtt(dataset: DriveDataset) -> dict[ServerKind, dict[RadioTechnology, EmpiricalCDF]]:
+def edge_vs_cloud_rtt(source: Source) -> dict[ServerKind, dict[RadioTechnology, EmpiricalCDF]]:
     """Fig. 4 (Verizon panels) — edge vs cloud per-technology RTT."""
     out: dict[ServerKind, dict[RadioTechnology, EmpiricalCDF]] = {}
     for kind in ServerKind:
         try:
-            out[kind] = per_technology_rtt(dataset, Operator.VERIZON, server_kind=kind)
+            out[kind] = per_technology_rtt(source, Operator.VERIZON, server_kind=kind)
         except AnalysisError:
             continue
     return out

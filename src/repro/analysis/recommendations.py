@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaign.dataset import DriveDataset
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.net.multipath import MultipathScheduler, simulate_multipath
 from repro.net.servers import ServerKind
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, select
 
 __all__ = [
     "CompressionGain",
@@ -88,22 +88,20 @@ class RecommendationsReport:
     edge: EdgeGain
 
 
-def _compression_gains(dataset: DriveDataset) -> list[CompressionGain]:
+def _finite(values: np.ndarray) -> np.ndarray:
+    return values[np.isfinite(values)]
+
+
+def _compression_gains(source: Source) -> list[CompressionGain]:
     gains = []
     for app in (TestType.AR, TestType.CAV):
-        raw = [
-            r.mean_e2e_ms
-            for r in dataset.offload_runs
-            if r.app is app and not r.compression and not r.static
-            and np.isfinite(r.mean_e2e_ms)
-        ]
-        compressed = [
-            r.mean_e2e_ms
-            for r in dataset.offload_runs
-            if r.app is app and r.compression and not r.static
-            and np.isfinite(r.mean_e2e_ms)
-        ]
-        if not raw or not compressed:
+        raw, compressed = (
+            _finite(select(source, "offload", "mean_e2e_ms", (
+                Eq("app", app), Eq("compression", compression), Eq("static", False),
+            )))
+            for compression in (False, True)
+        )
+        if not raw.size or not compressed.size:
             continue
         gains.append(
             CompressionGain(
@@ -117,10 +115,10 @@ def _compression_gains(dataset: DriveDataset) -> list[CompressionGain]:
     return gains
 
 
-def _multipath_gains(dataset: DriveDataset) -> list[MultipathGain]:
+def _multipath_gains(source: Source) -> list[MultipathGain]:
     gains = []
     for direction in ("downlink", "uplink"):
-        agg = simulate_multipath(dataset, direction, MultipathScheduler.AGGREGATE)
+        agg = simulate_multipath(source, direction, MultipathScheduler.AGGREGATE)
         singles = {
             op: float(np.median(agg.single_path[op])) for op in Operator
         }
@@ -140,37 +138,32 @@ def _multipath_gains(dataset: DriveDataset) -> list[MultipathGain]:
     return gains
 
 
-def _edge_gain(dataset: DriveDataset) -> EdgeGain:
-    rtt_edge = dataset.rtt_values(
-        operator=Operator.VERIZON, static=False, server_kind=ServerKind.EDGE
-    )
-    rtt_cloud = dataset.rtt_values(
-        operator=Operator.VERIZON, static=False, server_kind=ServerKind.CLOUD
-    )
+def _edge_gain(source: Source) -> EdgeGain:
+    def verizon_driving(table: str, column: str, kind: ServerKind) -> np.ndarray:
+        where = (
+            Eq("operator", Operator.VERIZON), Eq("static", False),
+            Eq("server_kind", kind),
+        )
+        return select(source, table, column, where)
+
+    rtt_edge = verizon_driving("rtt", "rtt_ms", ServerKind.EDGE)
+    rtt_cloud = verizon_driving("rtt", "rtt_ms", ServerKind.CLOUD)
     if len(rtt_edge) < 10 or len(rtt_cloud) < 10:
         raise AnalysisError("not enough edge/cloud RTT samples")
-    video_edge = [
-        r.qoe for r in dataset.video_runs
-        if r.operator is Operator.VERIZON and not r.static
-        and r.server_kind is ServerKind.EDGE
-    ]
-    video_cloud = [
-        r.qoe for r in dataset.video_runs
-        if r.operator is Operator.VERIZON and not r.static
-        and r.server_kind is ServerKind.CLOUD
-    ]
+    video_edge = verizon_driving("video", "qoe", ServerKind.EDGE)
+    video_cloud = verizon_driving("video", "qoe", ServerKind.CLOUD)
     return EdgeGain(
         rtt_median_edge_ms=float(np.median(rtt_edge)),
         rtt_median_cloud_ms=float(np.median(rtt_cloud)),
-        video_qoe_edge=float(np.median(video_edge)) if video_edge else None,
-        video_qoe_cloud=float(np.median(video_cloud)) if video_cloud else None,
+        video_qoe_edge=float(np.median(video_edge)) if video_edge.size else None,
+        video_qoe_cloud=float(np.median(video_cloud)) if video_cloud.size else None,
     )
 
 
-def quantify_recommendations(dataset: DriveDataset) -> RecommendationsReport:
+def quantify_recommendations(source: Source) -> RecommendationsReport:
     """Quantify all three §8 recommendations on one dataset."""
     return RecommendationsReport(
-        compression=_compression_gains(dataset),
-        multipath=_multipath_gains(dataset),
-        edge=_edge_gain(dataset),
+        compression=_compression_gains(source),
+        multipath=_multipath_gains(source),
+        edge=_edge_gain(source),
     )

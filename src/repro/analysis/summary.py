@@ -16,10 +16,10 @@ from repro.analysis.correlation import correlation_table
 from repro.analysis.handovers import handover_durations, handover_impact, handovers_per_mile
 from repro.analysis.longterm import per_test_rtt_stats, per_test_throughput_stats
 from repro.analysis.performance import static_vs_driving
-from repro.campaign.dataset import DriveDataset
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
+from repro.store.query import Source
 
 __all__ = ["OperatorHeadlines", "AppHeadlines", "PaperSummary", "summarize_paper"]
 
@@ -91,15 +91,15 @@ class PaperSummary:
         )
 
 
-def _operator_headlines(dataset: DriveDataset, op: Operator) -> OperatorHeadlines:
-    shares = coverage.active_coverage_shares(dataset, op)
-    perf = static_vs_driving(dataset, op)
-    dl_tests = per_test_throughput_stats(dataset, op, "downlink")
-    rtt_tests = per_test_rtt_stats(dataset, op)
-    ho_rate = handovers_per_mile(dataset, op, "downlink")
-    ho_dur = handover_durations(dataset, op)
-    impact = handover_impact(dataset, op, "downlink")
-    rows = [r for r in correlation_table(dataset) if r.operator is op]
+def _operator_headlines(source: Source, op: Operator) -> OperatorHeadlines:
+    shares = coverage.active_coverage_shares(source, op)
+    perf = static_vs_driving(source, op)
+    dl_tests = per_test_throughput_stats(source, op, "downlink")
+    rtt_tests = per_test_rtt_stats(source, op)
+    ho_rate = handovers_per_mile(source, op, "downlink")
+    ho_dur = handover_durations(source, op)
+    impact = handover_impact(source, op, "downlink")
+    rows = [r for r in correlation_table(source) if r.operator is op]
     max_corr = max(abs(v) for r in rows for v in r.coefficients.values())
     return OperatorHeadlines(
         operator=op,
@@ -121,7 +121,7 @@ def _operator_headlines(dataset: DriveDataset, op: Operator) -> OperatorHeadline
     )
 
 
-def _app_headlines(dataset: DriveDataset) -> AppHeadlines:
+def _app_headlines(source: Source) -> AppHeadlines:
     op = Operator.VERIZON
 
     def _safe(factory):
@@ -130,10 +130,10 @@ def _app_headlines(dataset: DriveDataset) -> AppHeadlines:
         except AnalysisError:
             return None
 
-    ar = _safe(lambda: offload_app_report(dataset, op, TestType.AR))
-    cav = _safe(lambda: offload_app_report(dataset, op, TestType.CAV))
-    video = _safe(lambda: video_app_report(dataset, op))
-    gaming = _safe(lambda: gaming_app_report(dataset, op))
+    ar = _safe(lambda: offload_app_report(source, op, TestType.AR))
+    cav = _safe(lambda: offload_app_report(source, op, TestType.CAV))
+    video = _safe(lambda: video_app_report(source, op))
+    gaming = _safe(lambda: gaming_app_report(source, op))
 
     cav_min = None
     if cav is not None and cav.e2e_cdf:
@@ -162,9 +162,9 @@ def _app_headlines(dataset: DriveDataset) -> AppHeadlines:
     )
 
 
-def summarize_paper(dataset: DriveDataset) -> PaperSummary:
+def summarize_paper(source: Source) -> PaperSummary:
     """Compute the full headline summary for a dataset."""
     return PaperSummary(
-        operators={op: _operator_headlines(dataset, op) for op in Operator},
-        apps=_app_headlines(dataset),
+        operators={op: _operator_headlines(source, op) for op in Operator},
+        apps=_app_headlines(source),
     )

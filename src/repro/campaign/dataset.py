@@ -25,9 +25,10 @@ the query engine over those columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,111 +232,34 @@ class DriveDataset:
     #: Distinct cells each operator's UEs connected to (active + passive).
     connected_cells: dict[Operator, int] = field(default_factory=dict)
 
-    # -- selection helpers -------------------------------------------------
-
-    def tput(
-        self,
-        operator: Operator | None = None,
-        direction: str | None = None,
-        static: bool | None = None,
-        techs: Iterable[RadioTechnology] | None = None,
-        server_kind: ServerKind | None = None,
-        timezone: Timezone | None = None,
-    ) -> list[ThroughputSample]:
-        """Filter throughput samples; ``None`` criteria match everything."""
-        tech_set = frozenset(techs) if techs is not None else None
-        return [
-            s
-            for s in self.throughput_samples
-            if (operator is None or s.operator is operator)
-            and (direction is None or s.direction == direction)
-            and (static is None or s.static == static)
-            and (tech_set is None or s.tech in tech_set)
-            and (server_kind is None or s.server_kind is server_kind)
-            and (timezone is None or s.timezone is timezone)
-        ]
+    # -- value helpers -----------------------------------------------------
 
     def tput_values(
         self,
         operator: Operator | None = None,
         direction: str | None = None,
         static: bool | None = None,
-        techs: Iterable[RadioTechnology] | None = None,
         server_kind: ServerKind | None = None,
-        timezone: Timezone | None = None,
     ) -> np.ndarray:
-        """Throughput values (Mbps) matching the same filters as :meth:`tput`,
-        in row order, selected by the query engine from :meth:`table`."""
+        """Throughput values (Mbps) of the samples meeting every given
+        criterion (``None`` matches everything), in row order, selected by
+        the query engine from :meth:`table`."""
         return _values(self, "tput", "tput_mbps", (
             ("operator", operator), ("direction", direction),
-            ("static", static), ("tech", techs),
-            ("server_kind", server_kind), ("timezone", timezone),
+            ("static", static), ("server_kind", server_kind),
         ))
-
-    def rtts(
-        self,
-        operator: Operator | None = None,
-        static: bool | None = None,
-        techs: Iterable[RadioTechnology] | None = None,
-        server_kind: ServerKind | None = None,
-    ) -> list[RttSample]:
-        """Filter RTT samples; ``None`` criteria match everything."""
-        tech_set = frozenset(techs) if techs is not None else None
-        return [
-            s
-            for s in self.rtt_samples
-            if (operator is None or s.operator is operator)
-            and (static is None or s.static == static)
-            and (tech_set is None or s.tech in tech_set)
-            and (server_kind is None or s.server_kind is server_kind)
-        ]
 
     def rtt_values(
         self,
         operator: Operator | None = None,
         static: bool | None = None,
-        techs: Iterable[RadioTechnology] | None = None,
         server_kind: ServerKind | None = None,
     ) -> np.ndarray:
-        """RTT values (ms) matching the same filters as :meth:`rtts`, in row
-        order, selected by the query engine from :meth:`table`."""
+        """RTT values (ms) of the samples meeting every given criterion, in
+        row order, selected by the query engine from :meth:`table`."""
         return _values(self, "rtt", "rtt_ms", (
-            ("operator", operator), ("static", static),
-            ("tech", techs), ("server_kind", server_kind),
+            ("operator", operator), ("static", static), ("server_kind", server_kind),
         ))
-
-    def tests_of(
-        self,
-        test_type: TestType | None = None,
-        operator: Operator | None = None,
-        static: bool | None = None,
-    ) -> list[TestRecord]:
-        """Filter test records."""
-        return [
-            t
-            for t in self.tests
-            if (test_type is None or t.test_type is test_type)
-            and (operator is None or t.operator is operator)
-            and (static is None or t.static == static)
-        ]
-
-    def handovers_of(
-        self, operator: Operator | None = None, direction: str | None = None
-    ) -> list[HandoverRecord]:
-        """Filter handover records observed during tests."""
-        return [
-            h
-            for h in self.handovers
-            if (operator is None or h.event.operator is operator)
-            and (direction is None or h.direction == direction)
-        ]
-
-    def samples_by_test(self) -> dict[int, list[ThroughputSample]]:
-        """Group throughput samples by test id, preserving time order."""
-        grouped: dict[int, list[ThroughputSample]] = {}
-        for s in self.throughput_samples:
-            grouped.setdefault(s.test_id, []).append(s)
-        return grouped
 
     # -- tables ----------------------------------------------------------------
 
@@ -392,38 +316,45 @@ class DriveDataset:
     # -- summary -------------------------------------------------------------
 
     def data_volume_bytes(self) -> tuple[float, float]:
-        """(rx_bytes, tx_bytes) moved by all tests and app runs."""
-        rx = 0.0
-        tx = 0.0
-        for s in self.throughput_samples:
-            mbits = s.tput_mbps * 0.5
-            if s.direction == "uplink":
-                tx += megabits_to_bytes(mbits)
-            else:
-                rx += megabits_to_bytes(mbits)
-        for run in self.offload_runs:
-            tx += megabits_to_bytes(run.uplink_megabits)
-        for run in self.video_runs:
-            rx += megabits_to_bytes(run.downlink_megabits)
-        for run in self.gaming_runs:
-            rx += megabits_to_bytes(run.downlink_megabits)
+        """(rx_bytes, tx_bytes) moved by all tests and app runs.
+
+        Each total is one left fold in row order: the throughput samples'
+        500 ms volumes (uplink to tx, every other direction to rx), then
+        the app runs' volumes (offload uplink; video, then gaming downlink).
+        """
+        # Imported here: the query engine reads datasets.
+        from repro.store.query import fold, select, select_columns
+
+        tput_mbps, directions = select_columns(self, "tput", ("tput_mbps", "direction"))
+        tput_bytes = megabits_to_bytes(tput_mbps * 0.5)
+        uplink = directions == "uplink"
+
+        def run_bytes(table: str, column: str) -> np.ndarray:
+            return megabits_to_bytes(select(self, table, column))
+
+        rx = fold(np.concatenate((
+            tput_bytes[~uplink],
+            run_bytes("video", "downlink_megabits"),
+            run_bytes("gaming", "downlink_megabits"),
+        )))
+        tx = fold(np.concatenate((
+            tput_bytes[uplink], run_bytes("offload", "uplink_megabits")
+        )))
         return rx, tx
 
     def summary(self) -> DatasetSummary:
         """Compute Table 1's dataset statistics."""
-        runtime: dict[Operator, float] = {op: 0.0 for op in Operator}
-        for t in self.tests:
-            runtime[t.operator] += t.duration_s
-        active_hos: dict[Operator, int] = {op: 0 for op in Operator}
-        for h in self.handovers:
-            active_hos[h.event.operator] += 1
-        handover_totals = {
-            op: self.passive_handover_counts.get(op, 0) + active_hos[op]
-            for op in Operator
-        }
-        test_counts: dict[TestType, int] = {}
-        for t in self.tests:
-            test_counts[t.test_type] = test_counts.get(t.test_type, 0) + 1
+        from repro.store.query import Eq, count, fold, select, select_columns
+
+        runtime: dict[Operator, float] = {}
+        handover_totals: dict[Operator, int] = {}
+        for op in Operator:
+            of_op = (Eq("operator", op),)
+            end, start = select_columns(self, "test", ("end_time_s", "start_time_s"), of_op)
+            runtime[op] = fold(end - start)
+            handover_totals[op] = self.passive_handover_counts.get(op, 0) + count(
+                self, "ho", of_op
+            )
         rx, tx = self.data_volume_bytes()
         return DatasetSummary(
             total_distance_km=self.route_length_km,
@@ -433,7 +364,7 @@ class DriveDataset:
             total_rx_gb=bytes_to_gigabytes(rx),
             total_tx_gb=bytes_to_gigabytes(tx),
             runtime_min={op: v / 60.0 for op, v in runtime.items()},
-            test_counts=test_counts,
+            test_counts=dict(Counter(select(self, "test", "test_type"))),
         )
 
 
@@ -521,16 +452,10 @@ def _same_records(snapshot: list, rows: list) -> bool:
 
 
 def _values(dataset: DriveDataset, table: str, column: str, criteria) -> np.ndarray:
-    """``column`` of the rows of ``table`` meeting every ``(column, value)``
-    criterion of the record filters: ``None`` matches everything, an
-    iterable of technologies is a membership test, anything else must be
-    equal."""
+    """``column`` of the rows of ``table`` equal to every ``(column, value)``
+    criterion whose value is not ``None``."""
     # Imported here: the query engine reads datasets.
-    from repro.store.query import Eq, In, select
+    from repro.store.query import Eq, select
 
-    where = tuple(
-        In(name, tuple(want)) if name == "tech" else Eq(name, want)
-        for name, want in criteria
-        if want is not None
-    )
+    where = tuple(Eq(name, want) for name, want in criteria if want is not None)
     return select(dataset, table, column, where)

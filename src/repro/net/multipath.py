@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaign.dataset import DriveDataset
+from repro.analysis.opdiversity import concurrent_samples
 from repro.errors import AnalysisError
 from repro.radio.operators import Operator
+from repro.store.query import Source
 
 __all__ = ["MultipathScheduler", "MultipathResult", "simulate_multipath"]
 
@@ -74,27 +75,8 @@ class MultipathResult:
         return float(np.mean(self.throughput_mbps < threshold_mbps))
 
 
-def _concurrent_matrix(
-    dataset: DriveDataset, direction: str
-) -> tuple[np.ndarray, list[Operator]]:
-    """(timestamps × operators) throughput matrix from concurrent samples."""
-    index: dict[float, dict[Operator, float]] = {}
-    for s in dataset.tput(direction=direction, static=False):
-        key = round(s.time_s * 2.0) / 2.0
-        index.setdefault(key, {})[s.operator] = s.tput_mbps
-    operators = list(Operator)
-    rows = [
-        [by_op[op] for op in operators]
-        for by_op in index.values()
-        if len(by_op) == len(operators)
-    ]
-    if not rows:
-        raise AnalysisError("no timestamps with samples from all operators")
-    return np.asarray(rows, dtype=float), operators
-
-
 def simulate_multipath(
-    dataset: DriveDataset,
+    source: Source,
     direction: str,
     scheduler: MultipathScheduler = MultipathScheduler.AGGREGATE,
 ) -> MultipathResult:
@@ -103,7 +85,16 @@ def simulate_multipath(
     Uses only timestamps where all three operators have samples (the
     campaign runs tests concurrently, so this is nearly all of them).
     """
-    matrix, operators = _concurrent_matrix(dataset, direction)
+    operators = list(Operator)
+    # (timestamps × operators) throughput matrix.
+    rows = [
+        [by_op[op][0] for op in operators]
+        for by_op in concurrent_samples(source, direction)
+        if len(by_op) == len(operators)
+    ]
+    if not rows:
+        raise AnalysisError("no timestamps with samples from all operators")
+    matrix = np.asarray(rows, dtype=float)
     if scheduler is MultipathScheduler.AGGREGATE:
         tput = matrix.sum(axis=1) * _AGGREGATE_EFFICIENCY
     elif scheduler is MultipathScheduler.BEST_PATH:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.dataset import DriveDataset
 from repro.errors import AnalysisError
 from repro.geo.timezones import Timezone
 from repro.radio.operators import Operator
+from repro.store.query import Eq, Source, select_rows
 
 __all__ = ["IdleUpgradeEstimate", "estimate_idle_upgrade_rates", "estimate_ul_demotion_rate"]
 
@@ -50,7 +50,7 @@ class IdleUpgradeEstimate:
 
 
 def estimate_idle_upgrade_rates(
-    dataset: DriveDataset, operator: Operator
+    source: Source, operator: Operator
 ) -> IdleUpgradeEstimate:
     """Estimate how readily an operator upgrades idle UEs to deployed 5G.
 
@@ -60,26 +60,29 @@ def estimate_idle_upgrade_rates(
     """
     # Active view: bins where 5G provably exists.
     active_5g_bins: dict[int, Timezone] = {}
-    for s in dataset.tput(operator=operator, static=False):
-        if s.tech.is_5g:
-            active_5g_bins[int(s.mark_m / _LOCATION_BIN_M)] = s.timezone
+    driving = (Eq("operator", operator), Eq("static", False))
+    for mark_m, tech, tz in select_rows(
+        source, "tput", ("mark_m", "tech", "timezone"), driving
+    ):
+        if tech.is_5g:
+            active_5g_bins[int(mark_m / _LOCATION_BIN_M)] = tz
 
     # Passive view per bin: was the logger on 5G for most of the bin?
     passive_5g_weight: dict[int, float] = {}
     passive_weight: dict[int, float] = {}
-    for seg in dataset.passive_coverage:
-        if seg.operator is not operator:
-            continue
-        first = int(seg.start_m / _LOCATION_BIN_M)
-        last = int(seg.end_m / _LOCATION_BIN_M)
+    for start_m, end_m, tech in select_rows(
+        source, "passive", ("start_m", "end_m", "tech"), (Eq("operator", operator),)
+    ):
+        first = int(start_m / _LOCATION_BIN_M)
+        last = int(end_m / _LOCATION_BIN_M)
         for b in range(first, last + 1):
             if b not in active_5g_bins:
                 continue
-            lo = max(seg.start_m, b * _LOCATION_BIN_M)
-            hi = min(seg.end_m, (b + 1) * _LOCATION_BIN_M)
+            lo = max(start_m, b * _LOCATION_BIN_M)
+            hi = min(end_m, (b + 1) * _LOCATION_BIN_M)
             overlap = max(hi - lo, 0.0)
             passive_weight[b] = passive_weight.get(b, 0.0) + overlap
-            if seg.tech.is_5g:
+            if tech.is_5g:
                 passive_5g_weight[b] = passive_5g_weight.get(b, 0.0) + overlap
 
     hits: dict[Timezone, int] = {tz: 0 for tz in Timezone}
@@ -101,7 +104,7 @@ def estimate_idle_upgrade_rates(
     )
 
 
-def estimate_ul_demotion_rate(dataset: DriveDataset, operator: Operator) -> float:
+def estimate_ul_demotion_rate(source: Source, operator: Operator) -> float:
     """P(uplink served by something below high-speed 5G | downlink test at
     the same ~2 km location ran on high-speed 5G).
 
@@ -109,19 +112,23 @@ def estimate_ul_demotion_rate(dataset: DriveDataset, operator: Operator) -> floa
     operator grants high-speed 5G symmetrically; values near 1 mean uplink
     backlogs are demoted.
     """
-    dl_hs_bins: set[int] = set()
-    for s in dataset.tput(operator=operator, direction="downlink", static=False):
-        if s.tech.is_high_throughput:
-            dl_hs_bins.add(int(s.mark_m / _LOCATION_BIN_M))
+    driving = (Eq("operator", operator), Eq("static", False))
+    dl, ul = (
+        select_rows(source, "tput", ("mark_m", "tech"), (*driving, Eq("direction", d)))
+        for d in ("downlink", "uplink")
+    )
+    dl_hs_bins = {
+        int(mark_m / _LOCATION_BIN_M) for mark_m, tech in dl if tech.is_high_throughput
+    }
     if not dl_hs_bins:
         raise AnalysisError(f"no high-speed-5G downlink locations for {operator}")
 
     demoted = 0
     kept = 0
-    for s in dataset.tput(operator=operator, direction="uplink", static=False):
-        if int(s.mark_m / _LOCATION_BIN_M) not in dl_hs_bins:
+    for mark_m, tech in ul:
+        if int(mark_m / _LOCATION_BIN_M) not in dl_hs_bins:
             continue
-        if s.tech.is_high_throughput:
+        if tech.is_high_throughput:
             kept += 1
         else:
             demoted += 1

@@ -20,9 +20,9 @@ from repro.analysis import (
     performance,
 )
 from repro.analysis.cdf import EmpiricalCDF
-from repro.campaign.dataset import DriveDataset
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES
+from repro.store.query import Source
 
 __all__ = ["figure_series", "export_figures_json"]
 
@@ -32,7 +32,7 @@ def _cdf_series(cdf: EmpiricalCDF, points: int = 150) -> dict:
     return {"x": [float(v) for v in xs], "y": [float(v) for v in ys]}
 
 
-def figure_series(dataset: DriveDataset) -> dict:
+def figure_series(source: Source) -> dict:
     """Build the full figure bundle as nested plain-python dicts.
 
     Keys are figure identifiers (``fig2a``, ``fig3``, ``fig4``, ...); values
@@ -43,7 +43,7 @@ def figure_series(dataset: DriveDataset) -> dict:
     # Fig. 2a: coverage bars.
     bundle["fig2a"] = {
         op.label: {
-            t.label: coverage.active_coverage_shares(dataset, op).shares.get(t, 0.0)
+            t.label: coverage.active_coverage_shares(source, op).shares.get(t, 0.0)
             for t in ALL_TECHNOLOGIES
         }
         for op in Operator
@@ -52,7 +52,7 @@ def figure_series(dataset: DriveDataset) -> dict:
     # Fig. 3: static vs driving CDFs.
     fig3 = {}
     for op in Operator:
-        r = performance.static_vs_driving(dataset, op)
+        r = performance.static_vs_driving(source, op)
         fig3[op.label] = {
             "static_dl": _cdf_series(r.static_dl),
             "driving_dl": _cdf_series(r.driving_dl),
@@ -66,8 +66,8 @@ def figure_series(dataset: DriveDataset) -> dict:
     # Fig. 4: per-technology CDFs (downlink + RTT).
     fig4 = {}
     for op in Operator:
-        tput = performance.per_technology_throughput(dataset, op, "downlink")
-        rtt = performance.per_technology_rtt(dataset, op)
+        tput = performance.per_technology_throughput(source, op, "downlink")
+        rtt = performance.per_technology_rtt(source, op)
         fig4[op.label] = {
             "tput_dl": {t.label: _cdf_series(c) for t, c in tput.items()},
             "rtt": {t.label: _cdf_series(c) for t, c in rtt.items()},
@@ -78,7 +78,7 @@ def figure_series(dataset: DriveDataset) -> dict:
     bundle["fig5"] = {
         op.label: {
             tz.label: _cdf_series(c)
-            for tz, c in geodiversity.throughput_by_timezone(dataset, op, "downlink").items()
+            for tz, c in geodiversity.throughput_by_timezone(source, op, "downlink").items()
         }
         for op in Operator
     }
@@ -86,14 +86,14 @@ def figure_series(dataset: DriveDataset) -> dict:
     # Fig. 6a: pairwise difference CDFs.
     fig6 = {}
     for first, second in opdiversity.OPERATOR_PAIRS:
-        pd = opdiversity.paired_throughput_differences(dataset, first, second, "downlink")
+        pd = opdiversity.paired_throughput_differences(source, first, second, "downlink")
         fig6[f"{first.code}-{second.code}"] = _cdf_series(pd.cdf)
     bundle["fig6a"] = fig6
 
     # Fig. 9: per-test mean CDFs.
     fig9 = {}
     for op in Operator:
-        dl = longterm.per_test_throughput_stats(dataset, op, "downlink")
+        dl = longterm.per_test_throughput_stats(source, op, "downlink")
         fig9[op.label] = {
             "dl_means": _cdf_series(dl.means),
             "dl_stddev_pct": _cdf_series(dl.stddev_pct),
@@ -104,7 +104,7 @@ def figure_series(dataset: DriveDataset) -> dict:
     bundle["fig10"] = {
         op.label: [
             {"hs5g": f, "tput": t}
-            for f, t in longterm.throughput_vs_hs5g_fraction(dataset, op, "downlink")
+            for f, t in longterm.throughput_vs_hs5g_fraction(source, op, "downlink")
         ]
         for op in Operator
     }
@@ -113,15 +113,15 @@ def figure_series(dataset: DriveDataset) -> dict:
     fig11 = {}
     for op in Operator:
         fig11[op.label] = {
-            "rate_per_mile": _cdf_series(handovers.handovers_per_mile(dataset, op, "downlink")),
-            "duration_ms": _cdf_series(handovers.handover_durations(dataset, op)),
+            "rate_per_mile": _cdf_series(handovers.handovers_per_mile(source, op, "downlink")),
+            "duration_ms": _cdf_series(handovers.handover_durations(source, op)),
         }
     bundle["fig11"] = fig11
 
     # Fig. 12: ΔT1/ΔT2 CDFs.
     fig12 = {}
     for op in Operator:
-        impact = handovers.handover_impact(dataset, op, "downlink")
+        impact = handovers.handover_impact(source, op, "downlink")
         fig12[op.label] = {
             "delta_t1": _cdf_series(impact.delta_t1),
             "delta_t2": _cdf_series(impact.delta_t2),
@@ -131,8 +131,8 @@ def figure_series(dataset: DriveDataset) -> dict:
     return bundle
 
 
-def export_figures_json(dataset: DriveDataset, path: str | pathlib.Path) -> int:
+def export_figures_json(source: Source, path: str | pathlib.Path) -> int:
     """Write the figure bundle as JSON; returns the number of figures."""
-    bundle = figure_series(dataset)
+    bundle = figure_series(source)
     pathlib.Path(path).write_text(json.dumps(bundle, indent=1))
     return len(bundle)

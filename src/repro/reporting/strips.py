@@ -9,9 +9,9 @@ passive/active disparity is visible in a terminal or a report file.
 from __future__ import annotations
 
 from repro.analysis.coverage import route_technology_strip
-from repro.campaign.dataset import DriveDataset
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from repro.store.query import Source
 
 __all__ = ["TECH_GLYPHS", "render_strip", "render_fig1"]
 
@@ -28,7 +28,7 @@ _NO_DATA = "."
 
 
 def render_strip(
-    dataset: DriveDataset,
+    source: Source,
     operator: Operator,
     view: str,
     bin_km: float = 50.0,
@@ -44,7 +44,7 @@ def render_strip(
     width:
         Optional re-binning to exactly this many characters.
     """
-    strip = route_technology_strip(dataset, operator, view=view, bin_km=bin_km)
+    strip = route_technology_strip(source, operator, view=view, bin_km=bin_km)
     glyphs = [TECH_GLYPHS[t] if t is not None else _NO_DATA for _, t in strip]
     if width is not None and len(glyphs) > width:
         # Majority re-bin down to the requested width.
@@ -58,7 +58,7 @@ def render_strip(
     return "".join(glyphs)
 
 
-def render_fig1(dataset: DriveDataset, bin_km: float = 50.0) -> str:
+def render_fig1(source: Source, bin_km: float = 50.0) -> str:
     """The full Fig. 1: both views for all operators, plus a legend."""
     lines = ["Fig. 1 — technology along the route (LA → Boston)", ""]
     legend = "  ".join(f"{g}={t.label}" for t, g in TECH_GLYPHS.items())
@@ -66,7 +66,7 @@ def render_fig1(dataset: DriveDataset, bin_km: float = 50.0) -> str:
     lines.append("")
     for op in Operator:
         for view in ("passive", "active"):
-            strip = render_strip(dataset, op, view, bin_km=bin_km)
+            strip = render_strip(source, op, view, bin_km=bin_km)
             lines.append(f"{op.code} {view:>7}: {strip}")
         lines.append("")
     return "\n".join(lines)

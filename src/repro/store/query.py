@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.analysis.cdf import EmpiricalCDF
 from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
 from repro.store.catalog import Catalog, PartitionInfo
-from repro.store.columnar import ColumnTable
+from repro.store.columnar import TABLE_SCHEMAS, ColumnTable
 from repro.store.format import DatasetReader, TableReader
 from repro.units import SPEED_BIN_EDGES_MPH, SPEED_BIN_LABELS
 
@@ -57,11 +57,15 @@ __all__ = [
     "QueryStats",
     "cdf",
     "count",
+    "fold",
+    "group_rows",
     "group_total",
     "mean",
     "partitions",
     "percentile",
     "select",
+    "select_columns",
+    "select_rows",
     "total",
     "where_speed_bin",
 ]
@@ -392,7 +396,7 @@ def _iter_tables(
         yield _open(source, handle).table(table)
 
 
-_EMPTY_DTYPES = {"f8": np.float64, "i8": np.int64, "bool": np.uint8}
+_EMPTY_DTYPES = {"f8": np.float64, "i8": np.int64, "bool": np.uint8, "dict": object}
 
 
 def _projected(
@@ -400,9 +404,12 @@ def _projected(
     column: str,
     mask: np.ndarray | bool,
     qstats: QueryStats | None,
+    members: bool = False,
 ) -> np.ndarray:
+    """The matching values of ``column``; a dict column's members only when
+    ``members`` is set, so no aggregate ever sums or sorts codes."""
     entry = table.column_entry(column)
-    if entry["kind"] == "dict":
+    if entry["kind"] == "dict" and not members:
         raise StoreError(
             f"cannot aggregate dict column {column!r}; "
             "use group_total or a predicate instead"
@@ -413,6 +420,13 @@ def _projected(
         qstats.columns_decoded += 1
         qstats.bytes_decoded += int(entry.get("nbytes", 0))
     arr = table.array(column)
+    if entry["kind"] == "dict":
+        # One member per distinct value, mapped through an object table.
+        lookup = np.empty(len(entry.get("values", ())), dtype=object)
+        lookup[:] = TABLE_SCHEMAS[table.name].column(column).members(
+            entry.get("values", [])
+        )
+        return lookup[arr if mask is True else arr[mask]]
     if mask is True:
         return arr.copy()  # detach from the mmap
     return arr[mask]
@@ -446,21 +460,28 @@ def count(
 def _selections(
     source: Source,
     table: str,
-    column: str,
+    columns: Sequence[str],
     where: Sequence[Predicate],
     seeds: Sequence[int] | None,
     qstats: QueryStats | None,
-) -> Iterator[np.ndarray]:
-    """Each surviving partition's matching values of ``column`` (non-empty
-    ones only), in partition order."""
+    members: bool = False,
+) -> Iterator[list[np.ndarray]]:
+    """Each surviving partition's matching values of each of ``columns``
+    (partitions with a match only), in partition order; the predicates are
+    evaluated once per partition."""
     for tr in _iter_tables(source, table, where, seeds, qstats):
         mask = _match_mask(tr, where, qstats)
-        values = _projected(tr, column, mask, qstats)
+        values = [_projected(tr, column, mask, qstats, members) for column in columns]
         if qstats is not None:
             qstats.rows_total += tr.count
-            qstats.rows_matched += int(values.size)
-        if values.size:
+            qstats.rows_matched += int(values[0].size)
+        if values[0].size:
             yield values
+
+
+def _joined(parts: Iterable[np.ndarray]) -> np.ndarray:
+    parts = list(parts)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
 
 def select(
@@ -472,11 +493,56 @@ def select(
     seeds: Sequence[int] | None = None,
     qstats: QueryStats | None = None,
 ) -> np.ndarray:
-    """Matching values of one numeric column, concatenated across partitions."""
-    parts = list(_selections(source, table, column, where, seeds, qstats))
-    if not parts:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(parts)
+    """Matching values of one column in row order, concatenated across
+    partitions; a dict column's as an object array of its Python values
+    (enum members, cell ids, strings), the one dict-column projection."""
+    parts = _selections(source, table, (column,), where, seeds, qstats, True)
+    return _joined(v for v, in parts)
+
+
+def select_columns(
+    source: Source,
+    table: str,
+    columns: Sequence[str],
+    where: Sequence[Predicate] = (),
+) -> list[np.ndarray]:
+    """Matching values of several columns, each as :func:`select` gives it,
+    with one predicate evaluation per partition however many columns."""
+    parts = list(zip(*_selections(source, table, columns, where, None, None, True)))
+    return [_joined(p) for p in parts] if parts else [_joined(()) for _ in columns]
+
+
+def select_rows(
+    source: Source,
+    table: str,
+    columns: Sequence[str],
+    where: Sequence[Predicate] = (),
+) -> list[tuple]:
+    """The matching rows as tuples of the named columns' Python values
+    (:func:`select_columns`', listed), in row order across partitions."""
+    return list(zip(*(
+        values.tolist() for values in select_columns(source, table, columns, where)
+    )))
+
+
+def group_rows(keys: np.ndarray) -> dict[Any, np.ndarray]:
+    """Row positions of each distinct key of one partition: keys in the
+    order of their first row, each group's positions ascending.
+
+    The one "group rows by test id" step of the per-test figures; the
+    caller keeps it inside one partition, because ids repeat across seeds.
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    rows = np.argsort(inverse, kind="stable")
+    groups = np.split(rows, np.cumsum(np.bincount(inverse))[:-1])
+    return {uniq[k].item(): groups[k] for k in np.argsort(first, kind="stable")}
+
+
+def fold(values: np.ndarray) -> float:
+    """``0.0 + v0 + v1 + …`` left to right, as a running ``+=`` adds
+    (``np.cumsum`` adds sequentially, unlike the pairwise ``np.sum``)."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
 def total(
@@ -490,7 +556,7 @@ def total(
 ) -> float:
     """Sum of matching values, accumulated partition by partition."""
     acc = 0.0
-    for values in _selections(source, table, column, where, seeds, qstats):
+    for values, in _selections(source, table, (column,), where, seeds, qstats):
         acc += float(values.sum())
     return acc
 
@@ -507,7 +573,7 @@ def mean(
     """Mean of matching values (sum/count, never materialised as rows)."""
     acc = 0.0
     n = 0
-    for values in _selections(source, table, column, where, seeds, qstats):
+    for values, in _selections(source, table, (column,), where, seeds, qstats):
         acc += float(values.sum())
         n += int(values.size)
     if n == 0:
@@ -528,7 +594,7 @@ def percentile(
     qstats: QueryStats | None = None,
 ) -> float | np.ndarray:
     """Quantile(s) of the matching values (linear interpolation)."""
-    values = select(source, table, column, where, seeds=seeds, qstats=qstats)
+    values = _joined(v for v, in _selections(source, table, (column,), where, seeds, qstats))
     if values.size == 0:
         raise StoreError(
             f"percentile over empty selection ({table}.{column})"
@@ -549,8 +615,9 @@ def cdf(
     qstats: QueryStats | None = None,
 ) -> EmpiricalCDF:
     """Empirical CDF of the matching values — plugs into every figure."""
-    values = select(source, table, column, where, seeds=seeds, qstats=qstats)
-    return EmpiricalCDF.from_values(values)
+    return EmpiricalCDF.from_values(
+        _joined(v for v, in _selections(source, table, (column,), where, seeds, qstats))
+    )
 
 
 def group_total(

@@ -1,8 +1,10 @@
 """Shared fixtures.
 
 The expensive fixtures are session-scoped: one small-but-complete campaign
-dataset (apps + static baselines included) shared by all analysis tests, and
-one bare-bones dataset for tests that only need throughput/RTT records.
+dataset (apps + static baselines included) shared by all analysis tests,
+one bare-bones dataset for tests that only need throughput/RTT records, and
+a catalog of small driving-only campaigns over several seeds for the
+paper-shape tests that one small campaign decides by a handful of zones.
 The ``RCOL_CORRUPTIONS`` helpers damage a columnar store file in the ways
 the shard-cache tests expect the reader to reject.
 """
@@ -17,6 +19,7 @@ import pytest
 
 from repro.campaign.runner import CampaignConfig, DriveCampaign
 from repro.geo.route import build_cross_country_route
+from repro.store import Catalog
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +47,24 @@ def bare_dataset():
         CampaignConfig(seed=7, scale=0.008, include_apps=False, include_static=False)
     )
     return c.run()
+
+
+#: Seeds of ``seed_catalog``, one partition each.
+SEED_SWEEP = (42, 43, 44)
+
+
+@pytest.fixture(scope="session")
+def seed_catalog(tmp_path_factory):
+    """Driving-only campaigns (scale 0.01) at every ``SEED_SWEEP`` seed, as
+    one catalog: the analyses pool the seeds' samples, so a property is
+    asserted over all of them rather than over one campaign's few zones."""
+    catalog = Catalog(tmp_path_factory.mktemp("seed-catalog"))
+    for seed in SEED_SWEEP:
+        catalog.ingest(DriveCampaign(CampaignConfig(
+            seed=seed, scale=0.01, include_apps=False, include_static=False
+        )).run())
+    yield catalog
+    catalog.close()
 
 
 @pytest.fixture()

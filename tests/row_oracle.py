@@ -1,10 +1,13 @@
-"""The row-object oracle of every paper statistic and analysis bridge.
+"""The row-object oracle of every paper statistic, table and figure.
 
-The library computes each paper statistic once, over the query kernels of
-:mod:`repro.store.query`.  This module keeps the straight loops over record
-objects that those kernels replaced — per-record filters, left-fold sums,
-per-test handover joins — so parity tests can hold every source (row-held
-or column-held datasets, store files, catalogs) to them.  The record loop
+The library computes each paper statistic, table and figure once, over the
+query kernels of :mod:`repro.store.query`.  This module keeps the straight
+loops over record objects that those kernels replaced — the record filters
+``DriveDataset`` once had (:func:`tput`, :func:`rtts`, :func:`tests_of`,
+:func:`handovers_of`, :func:`samples_by_test`), left-fold sums, per-test
+joins, the half-second concurrent-sample index — so parity tests can hold
+every source (row-held or column-held datasets, store files, catalogs) to
+them.  The record loop
 of :func:`~repro.campaign.validation.validate_dataset`, which now runs on
 column arrays, is kept the same way, and so is the passive handover-logger's
 zone-by-zone :class:`~repro.policy.selection.TechnologySelector` walk that
@@ -15,26 +18,64 @@ pass over the deployment arrays.  Nothing here runs outside the tests.
 from __future__ import annotations
 
 import math
+from datetime import timedelta
 from unittest import mock
 
 import numpy as np
+from scipy import stats as scipy_stats
 
+from repro.analysis import apps, compare, longterm, multivariate
+from repro.analysis.apps import GamingAppReport, OffloadAppReport, VideoAppReport
 from repro.analysis.cdf import EmpiricalCDF
+from repro.analysis.compare import DatasetComparison
+from repro.analysis.correlation import CorrelationRow
 from repro.analysis.coverage import CoverageShares, _shares_from_weights
+from repro.analysis.handovers import HandoverImpact
+from repro.analysis.longterm import PerTestStats
+from repro.analysis.multivariate import MultivariateFit
+from repro.analysis.opdiversity import PairedDiff
 from repro.analysis.performance import StaticVsDriving
-from repro.campaign.dataset import DriveDataset, PassiveCoverageSegment
+from repro.analysis.recommendations import (
+    CompressionGain,
+    EdgeGain,
+    MultipathGain,
+    RecommendationsReport,
+)
+from repro.campaign.dataset import (
+    DatasetSummary,
+    DriveDataset,
+    HandoverRecord,
+    PassiveCoverageSegment,
+    RttSample,
+    TestRecord,
+    ThroughputSample,
+)
 from repro.campaign.validation import ValidationReport
 from repro.campaign.tests import TestType
 from repro.errors import AnalysisError, ReproError
-from repro.geo.timezones import Timezone
+from repro.mobility.events import HandoverType
+from repro.net import multipath
+from repro.net.multipath import MultipathResult, MultipathScheduler
+from repro.policy import inference
+from repro.policy.inference import IdleUpgradeEstimate
+from repro.geo.timezones import Timezone, timezone_for_longitude
+from repro.net.servers import ServerKind
 from repro.policy.profiles import PolicyProfile, TrafficProfile
 from repro.policy import selection
 from repro.policy.selection import TechnologySelector
 from repro.radio.cells import CellId
 from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
-from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
-from repro.units import speed_bin
+from repro.radio.technology import (
+    ALL_TECHNOLOGIES,
+    HIGH_THROUGHPUT_TECHS,
+    RadioTechnology,
+)
+from repro.units import bytes_to_gigabytes, megabits_to_bytes, speed_bin
+from repro.xcal import export
+from repro.xcal.applog import AppLogFile
+from repro.xcal.drm import DrmFile
+from repro.xcal.records import SignalingRecord, XcalKpiRecord
 
 _THROUGHPUT_TEST_TYPES = {
     "downlink": TestType.DOWNLINK_THROUGHPUT,
@@ -42,17 +83,100 @@ _THROUGHPUT_TEST_TYPES = {
 }
 
 
+# -- record filters -------------------------------------------------------
+
+
+def tput(
+    dataset: DriveDataset,
+    operator: Operator | None = None,
+    direction: str | None = None,
+    static: bool | None = None,
+    techs=None,
+    server_kind: ServerKind | None = None,
+    timezone: Timezone | None = None,
+) -> list[ThroughputSample]:
+    """Filter throughput samples; ``None`` criteria match everything."""
+    tech_set = frozenset(techs) if techs is not None else None
+    return [
+        s
+        for s in dataset.throughput_samples
+        if (operator is None or s.operator is operator)
+        and (direction is None or s.direction == direction)
+        and (static is None or s.static == static)
+        and (tech_set is None or s.tech in tech_set)
+        and (server_kind is None or s.server_kind is server_kind)
+        and (timezone is None or s.timezone is timezone)
+    ]
+
+
+def rtts(
+    dataset: DriveDataset,
+    operator: Operator | None = None,
+    static: bool | None = None,
+    techs=None,
+    server_kind: ServerKind | None = None,
+) -> list[RttSample]:
+    """Filter RTT samples; ``None`` criteria match everything."""
+    tech_set = frozenset(techs) if techs is not None else None
+    return [
+        s
+        for s in dataset.rtt_samples
+        if (operator is None or s.operator is operator)
+        and (static is None or s.static == static)
+        and (tech_set is None or s.tech in tech_set)
+        and (server_kind is None or s.server_kind is server_kind)
+    ]
+
+
+def tests_of(
+    dataset: DriveDataset,
+    test_type: TestType | None = None,
+    operator: Operator | None = None,
+    static: bool | None = None,
+) -> list[TestRecord]:
+    """Filter test records."""
+    return [
+        t
+        for t in dataset.tests
+        if (test_type is None or t.test_type is test_type)
+        and (operator is None or t.operator is operator)
+        and (static is None or t.static == static)
+    ]
+
+
+def handovers_of(
+    dataset: DriveDataset,
+    operator: Operator | None = None,
+    direction: str | None = None,
+) -> list[HandoverRecord]:
+    """Filter handover records observed during tests."""
+    return [
+        h
+        for h in dataset.handovers
+        if (operator is None or h.event.operator is operator)
+        and (direction is None or h.direction == direction)
+    ]
+
+
+def samples_by_test(dataset: DriveDataset) -> dict[int, list[ThroughputSample]]:
+    """Group throughput samples by test id, preserving row order."""
+    grouped: dict[int, list[ThroughputSample]] = {}
+    for s in dataset.throughput_samples:
+        grouped.setdefault(s.test_id, []).append(s)
+    return grouped
+
+
 def tput_values(dataset: DriveDataset, *args, **kwargs) -> np.ndarray:
-    """Throughput values of the records :meth:`DriveDataset.tput` selects."""
+    """Throughput values of the records :func:`tput` selects."""
     return np.asarray(
-        [s.tput_mbps for s in dataset.tput(*args, **kwargs)], dtype=float
+        [s.tput_mbps for s in tput(dataset, *args, **kwargs)], dtype=float
     )
 
 
 def rtt_values(dataset: DriveDataset, *args, **kwargs) -> np.ndarray:
-    """RTT values of the records :meth:`DriveDataset.rtts` selects."""
+    """RTT values of the records :func:`rtts` selects."""
     return np.asarray(
-        [s.rtt_ms for s in dataset.rtts(*args, **kwargs)], dtype=float
+        [s.rtt_ms for s in rtts(dataset, *args, **kwargs)], dtype=float
     )
 
 
@@ -64,7 +188,7 @@ def active_coverage_shares(
     speed_bin_label: str | None = None,
 ) -> CoverageShares:
     weights: dict[RadioTechnology, float] = {t: 0.0 for t in ALL_TECHNOLOGIES}
-    for s in dataset.tput(operator=operator, direction=direction, static=False):
+    for s in tput(dataset, operator=operator, direction=direction, static=False):
         if timezone is not None and s.timezone is not timezone:
             continue
         if speed_bin_label is not None and speed_bin(s.speed_mph) != speed_bin_label:
@@ -112,10 +236,10 @@ def handovers_per_mile(
 ) -> EmpiricalCDF:
     test_type = _THROUGHPUT_TEST_TYPES[direction]
     ho_by_test: dict[int, int] = {}
-    for h in dataset.handovers_of(operator=operator, direction=direction):
+    for h in handovers_of(dataset, operator=operator, direction=direction):
         ho_by_test[h.test_id] = ho_by_test.get(h.test_id, 0) + 1
     rates = []
-    for t in dataset.tests_of(test_type=test_type, operator=operator, static=False):
+    for t in tests_of(dataset, test_type=test_type, operator=operator, static=False):
         miles = t.distance_miles
         if miles < 0.02:
             continue  # parked in traffic: a per-mile rate is meaningless
@@ -245,7 +369,7 @@ def validate(dataset: DriveDataset, max_issues: int = 50) -> ValidationReport:
         test = tests_by_id.get(s.test_id)
         run("rtt.test-ref", test is not None, f"unknown test {s.test_id}")
 
-    for test_id, samples in dataset.samples_by_test().items():
+    for test_id, samples in samples_by_test(dataset).items():
         times = [s.time_s for s in samples]
         run("tput.monotone", times == sorted(times),
             f"test {test_id} samples not time-ordered")
@@ -359,3 +483,729 @@ def handover_logger(
     )
     return segments, handovers, cells
 
+
+
+# -- tables and figures -------------------------------------------------------
+
+
+def handover_durations(
+    dataset: DriveDataset, operator: Operator, direction: str | None = None
+) -> EmpiricalCDF:
+    durations = [
+        h.event.duration_ms
+        for h in handovers_of(dataset, operator=operator, direction=direction)
+    ]
+    if not durations:
+        raise AnalysisError(f"no handovers recorded for {operator}")
+    return EmpiricalCDF.from_values(durations)
+
+
+def handover_type_distribution(
+    dataset: DriveDataset, operator: Operator | None = None
+) -> dict[HandoverType, float]:
+    counts: dict[HandoverType, int] = {t: 0 for t in HandoverType}
+    total = 0
+    for h in handovers_of(dataset, operator=operator):
+        counts[h.event.handover_type] += 1
+        total += 1
+    if total == 0:
+        raise AnalysisError("no handovers recorded")
+    return {t: c / total for t, c in counts.items()}
+
+
+def handover_impact(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> HandoverImpact:
+    wanted = {
+        t.test_id
+        for t in tests_of(
+            dataset, test_type=_THROUGHPUT_TEST_TYPES[direction],
+            operator=operator, static=False,
+        )
+    }
+    ho_index: dict[int, list] = {}
+    for h in dataset.handovers:
+        ho_index.setdefault(h.test_id, []).append(h)
+    d1, d2 = [], []
+    d2_by_type: dict[HandoverType, list[float]] = {t: [] for t in HandoverType}
+    for test_id, samples in samples_by_test(dataset).items():
+        if test_id not in wanted:
+            continue
+        samples = sorted(samples, key=lambda s: s.time_s)
+        tputs = [s.tput_mbps for s in samples]
+        for i, s in enumerate(samples):
+            if s.ho_count == 0:
+                continue
+            if i < 2 or i > len(samples) - 3:
+                continue
+            t1_, t2_, t3_, t4_, t5_ = tputs[i - 2 : i + 3]
+            d1.append(t3_ - (t2_ + t4_) / 2.0)
+            delta2 = (t4_ + t5_) / 2.0 - (t1_ + t2_) / 2.0
+            d2.append(delta2)
+            for h in ho_index.get(test_id, ()):
+                if s.time_s - 0.5 < h.event.time_s <= s.time_s:
+                    d2_by_type[h.event.handover_type].append(delta2)
+                    break
+    if not d1:
+        raise AnalysisError(f"no in-test handovers for {operator} {direction}")
+    return HandoverImpact(
+        operator=operator,
+        direction=direction,
+        delta_t1=EmpiricalCDF.from_values(d1),
+        delta_t2=EmpiricalCDF.from_values(d2),
+        delta_t2_by_type={
+            t: EmpiricalCDF.from_values(v)
+            for t, v in d2_by_type.items() if len(v) >= 5
+        },
+    )
+
+
+def _grouped(samples, wanted: set[int]) -> dict[int, list]:
+    grouped: dict[int, list] = {}
+    for s in samples:
+        if s.test_id in wanted:
+            grouped.setdefault(s.test_id, []).append(s)
+    return grouped
+
+
+def _per_test_samples(dataset: DriveDataset, operator: Operator, kind: str) -> list[list]:
+    test_type = _THROUGHPUT_TEST_TYPES.get(kind, TestType.RTT)
+    wanted = {
+        t.test_id
+        for t in tests_of(dataset, test_type=test_type, operator=operator, static=False)
+    }
+    samples = dataset.rtt_samples if kind == "rtt" else dataset.throughput_samples
+    return list(_grouped(samples, wanted).values())
+
+
+def _value(s) -> float:
+    return s.rtt_ms if isinstance(s, RttSample) else s.tput_mbps
+
+
+def per_test_throughput_stats(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> PerTestStats:
+    return longterm._stats(
+        [np.asarray([s.tput_mbps for s in g])
+         for g in _per_test_samples(dataset, operator, direction)],
+        operator, f"tput_{direction}",
+    )
+
+
+def per_test_rtt_stats(dataset: DriveDataset, operator: Operator) -> PerTestStats:
+    return longterm._stats(
+        [np.asarray([s.rtt_ms for s in g])
+         for g in _per_test_samples(dataset, operator, "rtt")],
+        operator, "rtt",
+    )
+
+
+def _vs_hs5g(dataset: DriveDataset, operator: Operator, kind: str) -> list:
+    points = []
+    for samples in _per_test_samples(dataset, operator, kind):
+        if len(samples) < 4:
+            continue
+        hs5g = sum(1 for s in samples if s.tech in HIGH_THROUGHPUT_TECHS)
+        points.append(
+            (hs5g / len(samples), float(np.mean([_value(s) for s in samples])))
+        )
+    return points
+
+
+def throughput_vs_hs5g_fraction(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> list[tuple[float, float]]:
+    return _vs_hs5g(dataset, operator, direction)
+
+
+def rtt_vs_hs5g_fraction(
+    dataset: DriveDataset, operator: Operator
+) -> list[tuple[float, float]]:
+    return _vs_hs5g(dataset, operator, "rtt")
+
+
+def kpi_correlations(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> CorrelationRow:
+    samples = tput(dataset, operator=operator, direction=direction, static=False)
+    if len(samples) < 10:
+        raise AnalysisError(f"too few samples for {operator} {direction}")
+    values = np.asarray([s.tput_mbps for s in samples])
+    columns = {
+        "RSRP": np.asarray([s.rsrp_dbm for s in samples]),
+        "MCS": np.asarray([float(s.mcs) for s in samples]),
+        "CA": np.asarray([float(s.n_ccs) for s in samples]),
+        "BLER": np.asarray([s.bler for s in samples]),
+        "Speed": np.asarray([s.speed_mph for s in samples]),
+        "HO": np.asarray([float(s.ho_count) for s in samples]),
+    }
+    coeffs: dict[str, float] = {}
+    for name, col in columns.items():
+        if np.std(col) == 0.0 or np.std(values) == 0.0:
+            coeffs[name] = 0.0
+            continue
+        coeffs[name] = float(scipy_stats.pearsonr(values, col).statistic)
+    return CorrelationRow(
+        operator=operator, direction=direction,
+        coefficients=coeffs, sample_count=len(samples),
+    )
+
+
+def throughput_speed_scatter(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> list:
+    return [
+        (s.speed_mph, s.tput_mbps, s.tech, speed_bin(s.speed_mph))
+        for s in tput(dataset, operator=operator, direction=direction, static=False)
+    ]
+
+
+def rtt_speed_scatter(dataset: DriveDataset, operator: Operator) -> list:
+    return [
+        (s.speed_mph, s.rtt_ms, s.tech, speed_bin(s.speed_mph))
+        for s in rtts(dataset, operator=operator, static=False)
+    ]
+
+
+def fit_throughput_model(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> MultivariateFit:
+    samples = tput(dataset, operator=operator, direction=direction, static=False)
+    if len(samples) < 30:
+        raise AnalysisError(
+            f"need at least 30 samples for a stable fit, got {len(samples)}"
+        )
+    y = np.log(np.asarray([max(s.tput_mbps, 1e-3) for s in samples]))
+    X = multivariate._standardize(np.column_stack([
+        [s.rsrp_dbm for s in samples],
+        [float(s.mcs) for s in samples],
+        [float(s.n_ccs) for s in samples],
+        [s.bler for s in samples],
+        [s.speed_mph for s in samples],
+        [float(s.ho_count) for s in samples],
+    ]))
+    y_std = y.std()
+    y_norm = (y - y.mean()) / (y_std if y_std > 0 else 1.0)
+    beta, r2 = multivariate._ols_r2(X, y_norm)
+    incremental = {
+        name: max(r2 - multivariate._ols_r2(np.delete(X, i, axis=1), y_norm)[1], 0.0)
+        for i, name in enumerate(multivariate.FEATURES)
+    }
+    return MultivariateFit(
+        operator=operator,
+        direction=direction,
+        coefficients={n: float(b) for n, b in zip(multivariate.FEATURES, beta)},
+        r_squared=r2,
+        incremental_r2=incremental,
+        sample_count=len(samples),
+    )
+
+
+def concurrent_samples(
+    dataset: DriveDataset, direction: str
+) -> dict[float, dict[Operator, tuple[float, bool]]]:
+    """The half-second index both Fig. 6 and the multipath model read."""
+    index: dict[float, dict[Operator, tuple[float, bool]]] = {}
+    for s in tput(dataset, direction=direction, static=False):
+        key = round(s.time_s * 2.0) / 2.0
+        index.setdefault(key, {})[s.operator] = (
+            s.tput_mbps, s.tech.is_high_throughput,
+        )
+    return index
+
+
+def paired_throughput_differences(
+    dataset: DriveDataset, first: Operator, second: Operator, direction: str
+) -> PairedDiff:
+    diffs: list[float] = []
+    bins: list[str] = []
+    for by_op in concurrent_samples(dataset, direction).values():
+        if first not in by_op or second not in by_op:
+            continue
+        t1, ht1 = by_op[first]
+        t2, ht2 = by_op[second]
+        diffs.append(t1 - t2)
+        bins.append(f"{'HT' if ht1 else 'LT'}-{'HT' if ht2 else 'LT'}")
+    if not diffs:
+        raise AnalysisError(f"no concurrent samples for {first}/{second} {direction}")
+    return PairedDiff(
+        first=first, second=second, direction=direction,
+        differences=np.asarray(diffs), bins=bins,
+    )
+
+
+def multi_operator_gain(dataset: DriveDataset, direction: str) -> dict[Operator, float]:
+    ratios: dict[Operator, list[float]] = {op: [] for op in Operator}
+    for by_op in concurrent_samples(dataset, direction).values():
+        if len(by_op) < 3:
+            continue
+        best = max(v for v, _ in by_op.values())
+        for op, (v, _) in by_op.items():
+            if v > 0:
+                ratios[op].append(best / v)
+    out = {op: float(np.median(v)) for op, v in ratios.items() if v}
+    if not out:
+        raise AnalysisError("no fully concurrent samples across all operators")
+    return out
+
+
+def simulate_multipath(
+    dataset: DriveDataset,
+    direction: str,
+    scheduler: MultipathScheduler = MultipathScheduler.AGGREGATE,
+) -> MultipathResult:
+    operators = list(Operator)
+    rows = [
+        [by_op[op][0] for op in operators]
+        for by_op in concurrent_samples(dataset, direction).values()
+        if len(by_op) == len(operators)
+    ]
+    if not rows:
+        raise AnalysisError("no timestamps with samples from all operators")
+    matrix = np.asarray(rows, dtype=float)
+    if scheduler is MultipathScheduler.AGGREGATE:
+        values = matrix.sum(axis=1) * multipath._AGGREGATE_EFFICIENCY
+    else:
+        values = matrix.max(axis=1)
+    return MultipathResult(
+        scheduler=scheduler,
+        direction=direction,
+        throughput_mbps=values,
+        single_path={op: matrix[:, i] for i, op in enumerate(operators)},
+    )
+
+
+def _offload_runs(dataset, operator, app, static) -> list:
+    return [
+        r for r in dataset.offload_runs
+        if r.operator is operator and r.app is app and r.static == static
+    ]
+
+
+def offload_app_report(
+    dataset: DriveDataset, operator: Operator, app: TestType
+) -> OffloadAppReport:
+    if app not in (TestType.AR, TestType.CAV):
+        raise AnalysisError(f"not an offload app: {app}")
+    driving = _offload_runs(dataset, operator, app, False)
+    static = _offload_runs(dataset, operator, app, True)
+    if not driving:
+        raise AnalysisError(f"no driving {app} runs for {operator}")
+    e2e_cdf, fps_cdf, best_e2e, best_fps, best_map = {}, {}, {}, {}, {}
+    for compression in (False, True):
+        subset = [r for r in driving if r.compression == compression]
+        e2e_values = apps._finite([r.mean_e2e_ms for r in subset])
+        if e2e_values:
+            e2e_cdf[compression] = EmpiricalCDF.from_values(e2e_values)
+        fps_values = [r.offload_fps for r in subset]
+        if fps_values:
+            fps_cdf[compression] = EmpiricalCDF.from_values(fps_values)
+        s_subset = [r for r in static if r.compression == compression]
+        if apps._finite([r.mean_e2e_ms for r in s_subset]):
+            best = min(s_subset, key=lambda r: r.mean_e2e_ms)
+            best_e2e[compression] = best.mean_e2e_ms
+            best_fps[compression] = best.offload_fps
+            best_map[compression] = best.map_score
+
+    def metric(r) -> float:
+        return r.map_score if app is TestType.AR else r.mean_e2e_ms
+
+    vs_ho = [(r.ho_count, metric(r)) for r in driving if np.isfinite(metric(r))]
+    return OffloadAppReport(
+        operator=operator, app=app, e2e_cdf=e2e_cdf, fps_cdf=fps_cdf,
+        best_static_e2e_ms=best_e2e, best_static_fps=best_fps,
+        best_static_map=best_map,
+        metric_vs_hs5g=[
+            (r.frac_hs5g, metric(r), r.server_kind)
+            for r in driving if np.isfinite(metric(r))
+        ],
+        metric_vs_handovers=vs_ho,
+        handover_correlation=apps.metric_handover_correlation(
+            [(float(h), m) for h, m in vs_ho]
+        ),
+    )
+
+
+def video_app_report(dataset: DriveDataset, operator: Operator) -> VideoAppReport:
+    driving = [r for r in dataset.video_runs if r.operator is operator and not r.static]
+    static = [r for r in dataset.video_runs if r.operator is operator and r.static]
+    if not driving:
+        raise AnalysisError(f"no driving video runs for {operator}")
+    qoe = [r.qoe for r in driving]
+    vs_ho = [(r.ho_count, r.qoe) for r in driving]
+    return VideoAppReport(
+        operator=operator,
+        qoe_cdf=EmpiricalCDF.from_values(qoe),
+        bitrate_cdf=EmpiricalCDF.from_values([r.avg_bitrate_mbps for r in driving]),
+        rebuffer_cdf=EmpiricalCDF.from_values([r.rebuffer_ratio for r in driving]),
+        best_static_qoe=max((r.qoe for r in static), default=None),
+        negative_qoe_fraction=float(np.mean(np.asarray(qoe) < 0.0)),
+        qoe_vs_hs5g=[(r.frac_hs5g, r.qoe, r.server_kind) for r in driving],
+        qoe_vs_handovers=vs_ho,
+        handover_correlation=apps.metric_handover_correlation(
+            [(float(h), q) for h, q in vs_ho]
+        ),
+    )
+
+
+def gaming_app_report(dataset: DriveDataset, operator: Operator) -> GamingAppReport:
+    driving = [r for r in dataset.gaming_runs if r.operator is operator and not r.static]
+    static = [r for r in dataset.gaming_runs if r.operator is operator and r.static]
+    if not driving:
+        raise AnalysisError(f"no driving gaming runs for {operator}")
+    latencies = [r.median_latency_ms for r in driving]
+    vs_ho = [(r.ho_count, r.avg_bitrate_mbps) for r in driving]
+    best = max(static, key=lambda r: r.avg_bitrate_mbps, default=None)
+    return GamingAppReport(
+        operator=operator,
+        bitrate_cdf=EmpiricalCDF.from_values([r.avg_bitrate_mbps for r in driving]),
+        latency_cdf=EmpiricalCDF.from_values(latencies),
+        drop_rate_cdf=EmpiricalCDF.from_values(
+            [100.0 * r.frame_drop_rate for r in driving]
+        ),
+        best_static_bitrate=best.avg_bitrate_mbps if best else None,
+        best_static_latency_ms=best.median_latency_ms if best else None,
+        best_static_drop_rate=100.0 * best.frame_drop_rate if best else None,
+        high_latency_run_fraction=float(np.mean(np.asarray(latencies) > 200.0)),
+        bitrate_vs_hs5g=[(r.frac_hs5g, r.avg_bitrate_mbps) for r in driving],
+        drops_vs_hs5g=[(r.frac_hs5g, 100.0 * r.frame_drop_rate) for r in driving],
+        bitrate_vs_handovers=vs_ho,
+        handover_correlation=apps.metric_handover_correlation(
+            [(float(h), b) for h, b in vs_ho]
+        ),
+    )
+
+
+def quantify_recommendations(dataset: DriveDataset) -> RecommendationsReport:
+    compression = []
+    for app in (TestType.AR, TestType.CAV):
+        raw, compressed = (
+            [
+                r.mean_e2e_ms for r in dataset.offload_runs
+                if r.app is app and r.compression == flag and not r.static
+                and np.isfinite(r.mean_e2e_ms)
+            ]
+            for flag in (False, True)
+        )
+        if raw and compressed:
+            compression.append(CompressionGain(
+                app=app,
+                median_e2e_raw_ms=float(np.median(raw)),
+                median_e2e_compressed_ms=float(np.median(compressed)),
+            ))
+    if not compression:
+        raise AnalysisError("no offload runs to quantify compression")
+    gains = []
+    for direction in ("downlink", "uplink"):
+        agg = simulate_multipath(dataset, direction, MultipathScheduler.AGGREGATE)
+        singles = {op: float(np.median(agg.single_path[op])) for op in Operator}
+        best_op = max(singles, key=lambda op: singles[op])
+        gains.append(MultipathGain(
+            direction=direction,
+            aggregate_median_mbps=agg.median_mbps,
+            best_single_median_mbps=singles[best_op],
+            single_outage_fraction=min(
+                float((agg.single_path[op] < 5.0).mean()) for op in Operator
+            ),
+            aggregate_outage_fraction=agg.outage_fraction(5.0),
+        ))
+    verizon = dict(operator=Operator.VERIZON, static=False)
+    rtt_edge = rtt_values(dataset, server_kind=ServerKind.EDGE, **verizon)
+    rtt_cloud = rtt_values(dataset, server_kind=ServerKind.CLOUD, **verizon)
+    if len(rtt_edge) < 10 or len(rtt_cloud) < 10:
+        raise AnalysisError("not enough edge/cloud RTT samples")
+    video = {
+        kind: [
+            r.qoe for r in dataset.video_runs
+            if r.operator is Operator.VERIZON and not r.static
+            and r.server_kind is kind
+        ]
+        for kind in (ServerKind.EDGE, ServerKind.CLOUD)
+    }
+    return RecommendationsReport(
+        compression=compression,
+        multipath=gains,
+        edge=EdgeGain(
+            rtt_median_edge_ms=float(np.median(rtt_edge)),
+            rtt_median_cloud_ms=float(np.median(rtt_cloud)),
+            video_qoe_edge=(
+                float(np.median(video[ServerKind.EDGE]))
+                if video[ServerKind.EDGE] else None
+            ),
+            video_qoe_cloud=(
+                float(np.median(video[ServerKind.CLOUD]))
+                if video[ServerKind.CLOUD] else None
+            ),
+        ),
+    )
+
+
+def compare_datasets(a: DriveDataset, b: DriveDataset) -> DatasetComparison:
+    comparisons = []
+    for op in Operator:
+        pairs = [
+            ("tput_dl",
+             tput_values(a, operator=op, direction="downlink", static=False),
+             tput_values(b, operator=op, direction="downlink", static=False)),
+            ("tput_ul",
+             tput_values(a, operator=op, direction="uplink", static=False),
+             tput_values(b, operator=op, direction="uplink", static=False)),
+            ("rtt", rtt_values(a, operator=op, static=False),
+             rtt_values(b, operator=op, static=False)),
+            ("ho_duration",
+             np.asarray([h.event.duration_ms for h in handovers_of(a, operator=op)]),
+             np.asarray([h.event.duration_ms for h in handovers_of(b, operator=op)])),
+        ]
+        for metric, va, vb in pairs:
+            comparison = compare._compare(metric, op, va, vb)
+            if comparison is not None:
+                comparisons.append(comparison)
+    if not comparisons:
+        raise AnalysisError("datasets too small to compare")
+    return DatasetComparison(comparisons=comparisons)
+
+
+def route_technology_strip(
+    dataset: DriveDataset, operator: Operator, view: str = "passive",
+    bin_km: float = 10.0,
+) -> list:
+    if view not in ("passive", "active"):
+        raise AnalysisError(f"unknown view {view!r}")
+    bins: dict[int, dict[RadioTechnology, float]] = {}
+    if view == "passive":
+        for seg in dataset.passive_coverage:
+            if seg.operator is not operator:
+                continue
+            b = int(seg.start_m / 1000.0 / bin_km)
+            bins.setdefault(b, {}).setdefault(seg.tech, 0.0)
+            bins[b][seg.tech] += seg.length_m
+    else:
+        for s in tput(dataset, operator=operator, static=False):
+            b = int(s.mark_m / 1000.0 / bin_km)
+            bins.setdefault(b, {}).setdefault(s.tech, 0.0)
+            bins[b][s.tech] += max(s.speed_mph, 0.01)
+    last_bin = max(bins) if bins else 0
+    strip = []
+    for b in range(last_bin + 1):
+        weights = bins.get(b)
+        strip.append((b * bin_km, max(weights, key=weights.get) if weights else None))
+    return strip
+
+
+def estimate_idle_upgrade_rates(
+    dataset: DriveDataset, operator: Operator
+) -> IdleUpgradeEstimate:
+    bin_m = inference._LOCATION_BIN_M
+    active_5g_bins: dict[int, Timezone] = {}
+    for s in tput(dataset, operator=operator, static=False):
+        if s.tech.is_5g:
+            active_5g_bins[int(s.mark_m / bin_m)] = s.timezone
+    passive_5g_weight: dict[int, float] = {}
+    passive_weight: dict[int, float] = {}
+    for seg in dataset.passive_coverage:
+        if seg.operator is not operator:
+            continue
+        for b in range(int(seg.start_m / bin_m), int(seg.end_m / bin_m) + 1):
+            if b not in active_5g_bins:
+                continue
+            lo = max(seg.start_m, b * bin_m)
+            hi = min(seg.end_m, (b + 1) * bin_m)
+            overlap = max(hi - lo, 0.0)
+            passive_weight[b] = passive_weight.get(b, 0.0) + overlap
+            if seg.tech.is_5g:
+                passive_5g_weight[b] = passive_5g_weight.get(b, 0.0) + overlap
+    hits = {tz: 0 for tz in Timezone}
+    support = {tz: 0 for tz in Timezone}
+    for b, tz in active_5g_bins.items():
+        weight = passive_weight.get(b, 0.0)
+        if weight <= 0.0:
+            continue
+        support[tz] += 1
+        if passive_5g_weight.get(b, 0.0) / weight > 0.5:
+            hits[tz] += 1
+    if sum(support.values()) == 0:
+        raise AnalysisError(f"no co-located passive/active bins for {operator}")
+    return IdleUpgradeEstimate(
+        operator=operator,
+        rate_by_timezone={
+            tz: (hits[tz] / support[tz]) if support[tz] else 0.0 for tz in Timezone
+        },
+        support_by_timezone=support,
+    )
+
+
+def estimate_ul_demotion_rate(dataset: DriveDataset, operator: Operator) -> float:
+    bin_m = inference._LOCATION_BIN_M
+    dl_hs_bins = {
+        int(s.mark_m / bin_m)
+        for s in tput(dataset, operator=operator, direction="downlink", static=False)
+        if s.tech.is_high_throughput
+    }
+    if not dl_hs_bins:
+        raise AnalysisError(f"no high-speed-5G downlink locations for {operator}")
+    demoted = kept = 0
+    for s in tput(dataset, operator=operator, direction="uplink", static=False):
+        if int(s.mark_m / bin_m) not in dl_hs_bins:
+            continue
+        if s.tech.is_high_throughput:
+            kept += 1
+        else:
+            demoted += 1
+    if demoted + kept == 0:
+        raise AnalysisError(f"no co-located uplink samples for {operator}")
+    return demoted / (demoted + kept)
+
+
+def per_technology_throughput(
+    dataset: DriveDataset, operator: Operator, direction: str,
+    server_kind: ServerKind | None = None,
+) -> dict[RadioTechnology, EmpiricalCDF]:
+    out = {}
+    for tech in ALL_TECHNOLOGIES:
+        values = tput_values(
+            dataset, operator=operator, direction=direction, static=False,
+            techs=[tech], server_kind=server_kind,
+        )
+        if len(values) >= 5:
+            out[tech] = EmpiricalCDF.from_values(values)
+    if not out:
+        raise AnalysisError(f"no driving samples for {operator} {direction}")
+    return out
+
+
+def per_technology_rtt(
+    dataset: DriveDataset, operator: Operator, server_kind: ServerKind | None = None
+) -> dict[RadioTechnology, EmpiricalCDF]:
+    out = {}
+    for tech in ALL_TECHNOLOGIES:
+        values = rtt_values(
+            dataset, operator=operator, static=False, techs=[tech],
+            server_kind=server_kind,
+        )
+        if len(values) >= 5:
+            out[tech] = EmpiricalCDF.from_values(values)
+    if not out:
+        raise AnalysisError(f"no driving RTT samples for {operator}")
+    return out
+
+
+def throughput_by_timezone(
+    dataset: DriveDataset, operator: Operator, direction: str
+) -> dict[Timezone, EmpiricalCDF]:
+    out = {}
+    for tz in Timezone:
+        values = tput_values(
+            dataset, operator=operator, direction=direction, static=False,
+            timezone=tz,
+        )
+        if len(values) >= 5:
+            out[tz] = EmpiricalCDF.from_values(values)
+    if not out:
+        raise AnalysisError(f"no samples for {operator} {direction} in any timezone")
+    return out
+
+
+def export_logs(
+    dataset: DriveDataset,
+    route,
+    test_types: tuple[TestType, ...] = (
+        TestType.DOWNLINK_THROUGHPUT, TestType.UPLINK_THROUGHPUT, TestType.RTT,
+    ),
+    max_tests: int | None = None,
+    timeline=None,
+) -> tuple[list[DrmFile], list[AppLogFile]]:
+    tests = [t for t in dataset.tests if t.test_type in test_types and not t.static]
+    tests.sort(key=lambda t: (t.start_time_s, t.operator.code))
+    if max_tests is not None:
+        tests = tests[:max_tests]
+    tput_by_test = samples_by_test(dataset)
+    rtt_by_test: dict[int, list] = {}
+    for s in dataset.rtt_samples:
+        rtt_by_test.setdefault(s.test_id, []).append(s)
+    ho_by_test: dict[int, list] = {}
+    for h in dataset.handovers:
+        ho_by_test.setdefault(h.test_id, []).append(h)
+    drms, logs = [], []
+    for test in tests:
+        position = route.position_at(min(test.start_mark_m, route.total_length_m))
+        offset_h = timezone_for_longitude(position.point.lon).utc_offset_hours
+        drm = DrmFile(
+            operator=test.operator,
+            test_label=test.test_type.value,
+            start_local=export._utc_at(test.start_time_s, timeline)
+            + timedelta(hours=offset_h),
+        )
+        is_rtt = test.test_type is TestType.RTT
+        samples = (rtt_by_test if is_rtt else tput_by_test).get(test.test_id, [])
+        for s in samples:
+            drm.kpi_records.append(XcalKpiRecord(
+                timestamp_edt=export._edt_at(s.time_s, timeline),
+                technology=s.tech,
+                rsrp_dbm=-99.0 if is_rtt else s.rsrp_dbm,
+                mcs=0 if is_rtt else s.mcs,
+                bler=0.0 if is_rtt else s.bler,
+                n_ccs=1 if is_rtt else s.n_ccs,
+                tput_mbps=0.0 if is_rtt else s.tput_mbps,
+            ))
+        for h in ho_by_test.get(test.test_id, []):
+            start = export._edt_at(h.event.time_s, timeline)
+            end = start + timedelta(milliseconds=h.event.duration_ms)
+            cells = (str(h.event.from_cell), str(h.event.to_cell))
+            drm.signaling_records.append(SignalingRecord(start, "HO_START", *cells))
+            drm.signaling_records.append(SignalingRecord(end, "HO_END", *cells))
+        log = AppLogFile(
+            operator=test.operator,
+            test_label=test.test_type.value,
+            start_utc=export._utc_at(test.start_time_s, timeline),
+            convention=export._APP_CONVENTION[test.test_type],
+            utc_offset_hours=offset_h,
+        )
+        for s in samples:
+            log.samples.append((s.time_s - test.start_time_s, _value(s)))
+        drms.append(drm)
+        logs.append(log)
+    return drms, logs
+
+
+def data_volume_bytes(dataset: DriveDataset) -> tuple[float, float]:
+    rx = 0.0
+    tx = 0.0
+    for s in dataset.throughput_samples:
+        mbits = s.tput_mbps * 0.5
+        if s.direction == "uplink":
+            tx += megabits_to_bytes(mbits)
+        else:
+            rx += megabits_to_bytes(mbits)
+    for run in dataset.offload_runs:
+        tx += megabits_to_bytes(run.uplink_megabits)
+    for run in dataset.video_runs:
+        rx += megabits_to_bytes(run.downlink_megabits)
+    for run in dataset.gaming_runs:
+        rx += megabits_to_bytes(run.downlink_megabits)
+    return rx, tx
+
+
+def summary(dataset: DriveDataset) -> DatasetSummary:
+    runtime: dict[Operator, float] = {op: 0.0 for op in Operator}
+    for t in dataset.tests:
+        runtime[t.operator] += t.duration_s
+    active_hos: dict[Operator, int] = {op: 0 for op in Operator}
+    for h in dataset.handovers:
+        active_hos[h.event.operator] += 1
+    test_counts: dict[TestType, int] = {}
+    for t in dataset.tests:
+        test_counts[t.test_type] = test_counts.get(t.test_type, 0) + 1
+    rx, tx = data_volume_bytes(dataset)
+    return DatasetSummary(
+        total_distance_km=dataset.route_length_km,
+        operators=tuple(Operator),
+        unique_cells=dict(dataset.connected_cells),
+        handovers={
+            op: dataset.passive_handover_counts.get(op, 0) + active_hos[op]
+            for op in Operator
+        },
+        total_rx_gb=bytes_to_gigabytes(rx),
+        total_tx_gb=bytes_to_gigabytes(tx),
+        runtime_min={op: v / 60.0 for op, v in runtime.items()},
+        test_counts=test_counts,
+    )

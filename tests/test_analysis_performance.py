@@ -117,7 +117,9 @@ class TestOperatorDiversity:
             dataset, Operator.VERIZON, Operator.TMOBILE, "downlink"
         )
         # Concurrent testing means (almost) every sample pairs up.
-        n_samples = len(dataset.tput(operator=Operator.VERIZON, direction="downlink", static=False))
+        n_samples = len(dataset.tput_values(
+            operator=Operator.VERIZON, direction="downlink", static=False
+        ))
         assert len(pd.differences) > n_samples * 0.9
 
     def test_multi_operator_gain(self, dataset):

@@ -7,6 +7,7 @@ from repro.campaign.tests import TEST_DIRECTION, TEST_DURATIONS_S, TEST_TRAFFIC,
 from repro.errors import CampaignError
 from repro.policy.profiles import TrafficProfile
 from repro.radio.operators import Operator
+from tests import row_oracle
 
 
 class TestConfig:
@@ -49,7 +50,9 @@ class TestCampaignRun:
 
     def test_all_operators_tested_concurrently(self, dataset):
         # Every driving DL test window exists for all three operators.
-        dl = dataset.tests_of(test_type=TestType.DOWNLINK_THROUGHPUT, static=False)
+        dl = row_oracle.tests_of(
+            dataset, test_type=TestType.DOWNLINK_THROUGHPUT, static=False
+        )
         by_start = {}
         for t in dl:
             by_start.setdefault(round(t.start_time_s, 1), set()).add(t.operator)
@@ -57,13 +60,15 @@ class TestCampaignRun:
         assert all(ops == set(Operator) for ops in by_start.values())
 
     def test_throughput_test_sample_counts(self, dataset):
-        grouped = dataset.samples_by_test()
-        dl_tests = dataset.tests_of(test_type=TestType.DOWNLINK_THROUGHPUT, static=False)
+        grouped = row_oracle.samples_by_test(dataset)
+        dl_tests = row_oracle.tests_of(
+            dataset, test_type=TestType.DOWNLINK_THROUGHPUT, static=False
+        )
         for t in dl_tests[:10]:
             assert len(grouped[t.test_id]) == 60  # 30 s at 500 ms
 
     def test_rtt_test_sample_counts(self, dataset):
-        rtt_tests = dataset.tests_of(test_type=TestType.RTT, static=False)
+        rtt_tests = row_oracle.tests_of(dataset, test_type=TestType.RTT, static=False)
         by_test = {}
         for s in dataset.rtt_samples:
             by_test.setdefault(s.test_id, 0)
@@ -76,14 +81,14 @@ class TestCampaignRun:
         assert max(marks) > 5_000_000.0  # reached the east coast
 
     def test_static_tests_have_zero_distance(self, dataset):
-        static = dataset.tests_of(static=True)
+        static = row_oracle.tests_of(dataset, static=True)
         assert static
         for t in static:
             assert t.start_mark_m == t.end_mark_m
 
     def test_static_tests_use_high_speed_5g(self, dataset):
         """§5.1: static baselines face a mmWave or midband BS."""
-        static_samples = dataset.tput(static=True)
+        static_samples = row_oracle.tput(dataset, static=True)
         assert static_samples
         assert all(s.tech.is_high_throughput for s in static_samples)
 
@@ -106,7 +111,7 @@ class TestCampaignRun:
             assert total == pytest.approx(route.total_length_m, rel=0.01)
 
     def test_speeds_are_plausible(self, dataset):
-        speeds = [s.speed_mph for s in dataset.tput(static=False)]
+        speeds = [s.speed_mph for s in row_oracle.tput(dataset, static=False)]
         assert 0.0 <= min(speeds)
         assert max(speeds) < 110.0
 

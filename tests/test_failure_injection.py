@@ -87,6 +87,6 @@ class TestTinyCampaigns:
         ds = DriveCampaign(
             CampaignConfig(seed=2, scale=0.002, include_apps=False)
         ).run()
-        static_tests = ds.tests_of(static=True)
+        static_tests = [t for t in ds.tests if t.static]
         # Some cities yield static tests; combos without 5G were skipped.
         assert 0 < len(static_tests) <= 10 * 3 * 3

@@ -16,9 +16,10 @@ class TestIdleUpgradeInference:
         est = estimate_idle_upgrade_rates(dataset, Operator.ATT)
         assert est.overall_rate < 0.1
 
-    def test_tmobile_east_west_split_recovered(self, dataset):
-        """The regional policy (§4.1) is visible in the estimates."""
-        est = estimate_idle_upgrade_rates(dataset, Operator.TMOBILE)
+    def test_tmobile_east_west_split_recovered(self, seed_catalog):
+        """The regional policy (§4.1) is visible in the estimates, pooled
+        over the seed catalog's campaigns."""
+        est = estimate_idle_upgrade_rates(seed_catalog, Operator.TMOBILE)
         east = [
             est.rate_by_timezone[tz]
             for tz in (Timezone.CENTRAL, Timezone.EASTERN)

@@ -12,6 +12,7 @@ from repro.sync.database import ConsolidatedDatabase
 from repro.sync.matcher import match_logs
 from repro.sync.timestamps import edt_to_utc, local_to_utc, utc_offset_for_mark, utc_to_local
 from repro.xcal.export import export_logs
+from tests import row_oracle
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestExport:
 
     def test_kpi_counts_match_samples(self, log_bundle):
         _, ds, drms, _ = log_bundle
-        by_test = ds.samples_by_test()
+        by_test = row_oracle.samples_by_test(ds)
         tput_drms = [d for d in drms if d.test_label != "rtt"]
         assert any(len(d.kpi_records) == 60 for d in tput_drms)
 
