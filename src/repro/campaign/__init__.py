@@ -2,7 +2,7 @@
 applications together to generate the reproduction's dataset."""
 
 from repro.campaign.tests import TestType, TEST_DURATIONS_S
-from repro.campaign.link import UESession, LinkTick
+from repro.campaign.link import LinkColumns, UESession, VehiclePath
 from repro.campaign.dataset import (
     DriveDataset,
     ThroughputSample,
@@ -23,7 +23,8 @@ __all__ = [
     "TestType",
     "TEST_DURATIONS_S",
     "UESession",
-    "LinkTick",
+    "LinkColumns",
+    "VehiclePath",
     "DriveDataset",
     "ThroughputSample",
     "RttSample",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 
 
@@ -48,6 +50,28 @@ def haversine_m(a: LatLon, b: LatLon) -> float:
     # Clamp for numeric safety before the asin.
     h = min(1.0, max(0.0, h))
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
+
+
+def haversine_from_m(a: LatLon, lats: np.ndarray, lons: np.ndarray) -> list[float]:
+    """:func:`haversine_m` from ``a`` to each point ``(lats[i], lons[i])``,
+    equal to it value for value.
+
+    The radians, sines and cosines run as numpy ufuncs, which agree with
+    ``math`` bit for bit on them; the squares (``x ** 2`` is libm ``pow``,
+    which can differ from ``x * x`` in the last bit) and the arcsine stay
+    scalar.
+    """
+    phi1 = math.radians(a.lat)
+    phi2 = np.radians(lats)
+    half_dphi = np.sin((phi2 - phi1) / 2.0).tolist()
+    cosines = (math.cos(phi1) * np.cos(phi2)).tolist()
+    half_dlam = np.sin(np.radians(lons - a.lon) / 2.0).tolist()
+    out = []
+    for s_phi, cos12, s_lam in zip(half_dphi, cosines, half_dlam):
+        h = s_phi ** 2 + cos12 * s_lam ** 2
+        h = min(1.0, max(0.0, h))
+        out.append(2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h)))
+    return out
 
 
 def interpolate(a: LatLon, b: LatLon, fraction: float) -> LatLon:

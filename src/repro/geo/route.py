@@ -195,6 +195,12 @@ class Route:
             city=seg.city,
         )
 
+    def region_at(self, distance_m: float) -> RegionType:
+        """``position_at(distance_m).region``, without resolving the rest
+        of the position (``distance_m`` must be on the route)."""
+        idx = min(bisect.bisect_right(self._cum_m, distance_m) - 1, len(self.segments) - 1)
+        return self.segments[idx].region
+
     @functools.cached_property
     def _segment_arrays(self) -> tuple[np.ndarray, ...]:
         """Segment starts (route meters), lengths, region codes and chord

@@ -167,6 +167,14 @@ class PhyModel:
             raise ValueError(f"MCS out of range: {mcs}")
         if not 0.0 < load <= 1.0:
             raise ValueError(f"load must be in (0, 1], got {load}")
+        total = self.capacity_total(tech, mcs, n_ccs, direction)
+        return float(max(total * (1.0 - bler) * load, 0.01))
+
+    def capacity_total(
+        self, tech: RadioTechnology, mcs: int, n_ccs: int, direction: str
+    ) -> float:
+        """The capacity formula before BLER and load, in Mbps:
+        peak_eff · (MCS/28)^1.2 · BW · duplex · CA."""
         peak, channel_mhz, dl_share, ul_ratio, scale = self._factors[tech.rank]
         eff = peak * _MCS_SHAPE[mcs]
         if direction == "uplink":
@@ -177,8 +185,7 @@ class PhyModel:
             ca_factor = aggregate_capacity_factor(n_ccs)
         # An operator without a scale for ``tech`` (or no operator) scales
         # by exactly 1.0, which leaves the product unchanged.
-        total = per_cc * ca_factor * scale
-        return float(max(total * (1.0 - bler) * load, 0.01))
+        return per_cc * ca_factor * scale
 
     #: Effective SINR penalty per mph: Doppler spread and outdated CSI make
     #: link adaptation conservative at speed (Table 2's weak negative

@@ -9,15 +9,30 @@ contents).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from datetime import datetime, timedelta
+from typing import Protocol
 
-from repro.campaign.link import LinkTick
 from repro.geo.timezones import XCAL_INTERNAL_TZ, Timezone
+from repro.mobility.events import HandoverEvent
 from repro.radio.operators import Operator
+from repro.radio.technology import RadioTechnology
 from repro.xcal.drm import DrmFile
 from repro.xcal.records import SignalingRecord, XcalKpiRecord
 
-__all__ = ["XcalProbe"]
+__all__ = ["ProbeTick", "XcalProbe"]
+
+
+class ProbeTick(Protocol):
+    """What the probe reads off one 500 ms tick of the serving link."""
+
+    time_s: float
+    tech: RadioTechnology
+    rsrp_dbm: float
+    mcs: int
+    bler: float
+    n_ccs: int
+    handovers: Sequence[HandoverEvent]
 
 
 class XcalProbe:
@@ -62,7 +77,7 @@ class XcalProbe:
     def _edt(self, time_s: float) -> datetime:
         return self._trip_start_utc + timedelta(seconds=time_s) + XCAL_INTERNAL_TZ.utc_offset
 
-    def observe(self, tick: LinkTick, tput_mbps: float = 0.0) -> None:
+    def observe(self, tick: ProbeTick, tput_mbps: float = 0.0) -> None:
         """Record one 500 ms tick (KPIs + any handover signalling)."""
         if self._first_time_s is None:
             self._first_time_s = tick.time_s

@@ -17,7 +17,9 @@ pass over the deployment arrays.  Nothing here runs outside the tests.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from dataclasses import dataclass
 from datetime import timedelta
 from unittest import mock
 
@@ -25,6 +27,40 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.analysis import apps, compare, longterm, multivariate
+from repro.apps.gaming import run_gaming_session
+from repro.apps.offload import AR_CONFIG, CAV_CONFIG, run_offload_app
+from repro.apps.schedule import LinkSchedule
+from repro.apps.video import VideoConfig, run_video_session
+from repro.campaign.dataset import GamingRunResult, OffloadRunResult, VideoRunResult
+from repro.campaign.link import (
+    _ATT_MMWAVE_UL_BREAK_PROB,
+    _ATT_MMWAVE_UL_FACTOR_RANGE,
+    _TCP_RTT_FLOOR_MS,
+    _TCP_RTT_INFLATION,
+    StaticSite,
+)
+from repro.campaign.runner import (
+    _PING_INTERVAL_S,
+    NOMINAL_CRUISE_MPS,
+    CampaignConfig,
+    CampaignWindow,
+)
+from repro.campaign.tests import TEST_DIRECTION, TEST_TRAFFIC
+from repro.engine import worker
+from repro.geo.regions import RegionType
+from repro.geo.route import Route, RoutePosition, build_cross_country_route
+from repro.geo.speed import SpeedProfile
+from repro.mobility.engine import HandoverEngine
+from repro.mobility.events import HandoverEvent
+from repro.net.latency import RttModel
+from repro.net.servers import Server, ServerRegistry
+from repro.net.tcp import CubicFlow
+from repro.radio.ca import CarrierAggregationModel, Direction
+from repro.radio.cells import Cell
+from repro.radio.channel import ChannelModel
+from repro.radio.deployment import DeploymentZone
+from repro.radio.phy import PhyModel
+from repro.rng import RngFactory, clamp
 from repro.analysis.apps import GamingAppReport, OffloadAppReport, VideoAppReport
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.compare import DatasetComparison
@@ -1209,3 +1245,681 @@ def summary(dataset: DriveDataset) -> DatasetSummary:
         runtime_min={op: v / 60.0 for op, v in runtime.items()},
         test_counts=test_counts,
     )
+
+
+# -- the simulator's scalar tick loop ------------------------------------------
+#
+# The campaign before its test-block kernel, kept verbatim as the kernel's
+# parity oracle: a tick-major loop over per-tick ``LinkTick`` observations
+# from ``RowUESession.tick``/``static_tick``, writing record objects.
+# ``tests/test_kernel_parity.py`` holds ``DriveCampaign`` to it byte for
+# byte; :func:`row_campaigns` swaps it into the engine.
+
+
+@dataclass(frozen=True, slots=True)
+class LinkTick:
+    """One 500 ms observation of the serving link (what XCAL would log)."""
+
+    time_s: float
+    mark_m: float
+    speed_mph: float
+    position: RoutePosition
+    tech: RadioTechnology
+    cell_id: CellId
+    rsrp_dbm: float
+    sinr_db: float
+    mcs: int
+    bler: float
+    n_ccs: int
+    capacity_dl_mbps: float
+    capacity_ul_mbps: float
+    rtt_ms: float
+    server: Server
+    handovers: tuple[HandoverEvent, ...]
+    #: Time within the tick lost to handover execution, seconds.
+    interruption_s: float
+
+    def capacity_mbps(self, direction: str) -> float:
+        """Capacity in the requested direction."""
+        if direction == Direction.UPLINK:
+            return self.capacity_ul_mbps
+        return self.capacity_dl_mbps
+
+
+
+
+class RowUESession:
+    """One operator's phone through the whole campaign.
+
+    Parameters
+    ----------
+    operator:
+        The carrier of this phone's SIM.
+    deployment:
+        The carrier's radio deployment along the route.
+    rng_factory:
+        Source of named substreams; each subsystem gets its own.
+    """
+
+    def __init__(
+        self,
+        operator: Operator,
+        deployment: DeploymentModel,
+        rng_factory: RngFactory,
+        policy_profile: "PolicyProfile | None" = None,
+    ) -> None:
+        self.operator = operator
+        self.deployment = deployment
+        tag = operator.code
+        self._selector = TechnologySelector(
+            operator, rng_factory.stream(f"select-{tag}"), profile=policy_profile
+        )
+        #: The resolved policy (the operator's default unless overridden);
+        #: the passive handover-logger of this operator follows it too.
+        self.policy_profile = self._selector.profile
+        self._channel = ChannelModel(operator, rng_factory.stream(f"channel-{tag}"))
+        self._phy = PhyModel(rng_factory.stream(f"phy-{tag}"), operator)
+        self._ca = CarrierAggregationModel(rng_factory.stream(f"ca-{tag}"))
+        self.handover_engine = HandoverEngine(operator, rng_factory.stream(f"ho-{tag}"))
+        self._rtt = RttModel(operator, rng_factory.stream(f"rtt-{tag}"))
+        self._misc = rng_factory.stream(f"misc-{tag}")
+        # Sticky CA configuration per (zone index, tech rank, direction).
+        self._cc_cache: dict[tuple[int, int, str], int] = {}
+
+    # -- driving ticks ----------------------------------------------------
+
+    def tick(
+        self,
+        time_s: float,
+        position: RoutePosition,
+        speed_mph: float,
+        traffic: TrafficProfile,
+        direction: str,
+        server: Server,
+        dt_s: float = 0.5,
+    ) -> LinkTick:
+        """Advance the session by one tick while driving."""
+        zone = self.deployment.zone_at(position.distance_m)
+        tech = self._selector.select(zone, traffic)
+        cell = zone.cell_for(tech)
+        load = zone.load_dl if direction == Direction.DOWNLINK else zone.load_ul
+
+        state = self._channel.state(cell, position.distance_m, position.region, load)
+        n_ccs = self._sticky_ccs(zone.index, tech, direction)
+        report = self._phy.report(tech, state, n_ccs, load, speed_mph, direction)
+
+        capacity_dl = (
+            report.capacity_mbps
+            if direction == Direction.DOWNLINK
+            else self._phy.capacity_mbps(
+                tech, report.mcs, report.bler,
+                self._sticky_ccs(zone.index, tech, Direction.DOWNLINK),
+                zone.load_dl, Direction.DOWNLINK,
+            )
+        )
+        capacity_ul = (
+            report.capacity_mbps
+            if direction == Direction.UPLINK
+            else self._phy.capacity_mbps(
+                tech, report.mcs, report.bler,
+                self._sticky_ccs(zone.index, tech, Direction.UPLINK),
+                zone.load_ul, Direction.UPLINK,
+            )
+        )
+        capacity_ul = self._apply_ul_pathologies(tech, capacity_ul)
+
+        handovers = tuple(
+            self.handover_engine.observe(
+                cell, time_s, position.distance_m, dt_s, direction
+            )
+        )
+        interruption = min(sum(ev.duration_ms for ev in handovers) / 1000.0, dt_s)
+
+        rtt = self._rtt.sample_rtt_ms(
+            server, position.point, tech, speed_mph, static=False, bler=report.bler
+        )
+
+        return LinkTick(
+            time_s=time_s,
+            mark_m=position.distance_m,
+            speed_mph=speed_mph,
+            position=position,
+            tech=tech,
+            cell_id=cell.cell_id,
+            rsrp_dbm=state.rsrp_dbm,
+            sinr_db=state.sinr_db,
+            mcs=report.mcs,
+            bler=report.bler,
+            n_ccs=n_ccs,
+            capacity_dl_mbps=capacity_dl,
+            capacity_ul_mbps=capacity_ul,
+            rtt_ms=rtt,
+            server=server,
+            handovers=handovers,
+            interruption_s=interruption,
+        )
+
+    # -- static baseline ticks ---------------------------------------------
+
+    def find_static_site(self, city_mark_m: float, city_span_m: float) -> StaticSite | None:
+        """Find the best high-speed-5G base station within a city segment.
+
+        Mirrors the paper's baseline methodology (§5.1): in each city, find a
+        5G mmWave BS and measure facing it; fall back to midband; return
+        ``None`` (skip the city) when neither is available.
+        """
+        start = max(city_mark_m - city_span_m / 2.0, 0.0)
+        end = city_mark_m + city_span_m / 2.0
+        best: tuple[int, DeploymentZone] | None = None
+        mark = start
+        while mark < end:
+            zone = self.deployment.zone_at(mark)
+            for tech in (RadioTechnology.NR_MMWAVE, RadioTechnology.NR_MID):
+                if tech in zone.deployed:
+                    rank = 1 if tech is RadioTechnology.NR_MMWAVE else 0
+                    if best is None or rank > best[0]:
+                        best = (rank, zone)
+                    break
+            mark = zone.end_m + 1.0
+        if best is None:
+            return None
+        zone = best[1]
+        tech = (
+            RadioTechnology.NR_MMWAVE
+            if RadioTechnology.NR_MMWAVE in zone.deployed
+            else RadioTechnology.NR_MID
+        )
+        cell = zone.cell_for(tech)
+        # Standing right at the site: distance dominated by a short offset.
+        near = Cell(
+            cell_id=cell.cell_id,
+            site=cell.site,
+            site_mark_m=(zone.start_m + zone.end_m) / 2.0,
+            perpendicular_m=float(self._misc.uniform(30.0, 90.0)),
+        )
+        load = float(self._misc.uniform(0.50, 0.95))
+        return StaticSite(tech=tech, cell=near, load=load)
+
+    def static_tick(
+        self,
+        site: StaticSite,
+        position: RoutePosition,
+        time_s: float,
+        direction: str,
+        server: Server,
+    ) -> LinkTick:
+        """One tick parked in front of ``site``'s base station."""
+        mark = site.cell.site_mark_m + float(self._misc.uniform(-5.0, 5.0))
+        state = self._channel.state(site.cell, mark, RegionType.CITY, site.load)
+        tech = site.tech
+        zone_key = -1 - site.cell.cell_id.sequence  # static CA sticky key
+        n_ccs = self._sticky_ccs(zone_key, tech, direction)
+        load = site.load * float(self._misc.uniform(0.85, 1.05))
+        load = clamp(load, 0.05, 1.0)
+        report = self._phy.report(tech, state, n_ccs, load, 0.0, direction)
+        capacity = report.capacity_mbps
+        if (
+            direction == Direction.UPLINK
+            and self.operator is Operator.ATT
+            and tech is RadioTechnology.NR_MMWAVE
+        ):
+            capacity *= float(self._misc.uniform(0.25, 0.6))
+        # Transient blockage: even ideal static mmWave/midband shows a
+        # non-negligible fraction of low samples (Fig. 3a).
+        if self._misc.random() < 0.06:
+            capacity *= float(self._misc.uniform(0.01, 0.15))
+        cap_dl = capacity if direction == Direction.DOWNLINK else capacity / 0.12
+        cap_ul = capacity if direction == Direction.UPLINK else capacity * 0.12
+        rtt = self._rtt.sample_rtt_ms(
+            server, position.point, tech, 0.0, static=True, bler=report.bler
+        )
+        return LinkTick(
+            time_s=time_s,
+            mark_m=position.distance_m,
+            speed_mph=0.0,
+            position=position,
+            tech=tech,
+            cell_id=site.cell.cell_id,
+            rsrp_dbm=state.rsrp_dbm,
+            sinr_db=state.sinr_db,
+            mcs=report.mcs,
+            bler=report.bler,
+            n_ccs=n_ccs,
+            capacity_dl_mbps=max(cap_dl, 0.01),
+            capacity_ul_mbps=max(cap_ul, 0.01),
+            rtt_ms=rtt,
+            server=server,
+            handovers=(),
+            interruption_s=0.0,
+        )
+
+    # -- internals ---------------------------------------------------------
+
+    def _sticky_ccs(self, zone_index: int, tech: RadioTechnology, direction: str) -> int:
+        key = (zone_index, tech.rank, direction)
+        n_ccs = self._cc_cache.get(key)
+        if n_ccs is None:
+            n_ccs = self._cc_cache[key] = self._ca.draw_ccs(self.operator, tech, direction)
+            if len(self._cc_cache) > 512:
+                for old in list(self._cc_cache)[:-256]:
+                    del self._cc_cache[old]
+        return n_ccs
+
+    def _apply_ul_pathologies(self, tech: RadioTechnology, capacity_ul: float) -> float:
+        if (
+            self.operator is Operator.ATT
+            and tech is RadioTechnology.NR_MMWAVE
+            and self._misc.random() < _ATT_MMWAVE_UL_BREAK_PROB
+        ):
+            lo, hi = _ATT_MMWAVE_UL_FACTOR_RANGE
+            return max(capacity_ul * float(self._misc.uniform(lo, hi)), 0.01)
+        return capacity_ul
+
+
+class RowDriveCampaign:
+    """The campaign of the scalar tick loop: :class:`~repro.campaign.runner.DriveCampaign` before its test-block kernel."""
+
+    def __init__(
+        self,
+        config: CampaignConfig | None = None,
+        route: Route | None = None,
+        policy_profiles: "dict[Operator, PolicyProfile] | None" = None,
+        *,
+        window: CampaignWindow | None = None,
+        rng_factory: RngFactory | None = None,
+    ) -> None:
+        """Set up the campaign.
+
+        Parameters
+        ----------
+        policy_profiles:
+            Optional per-operator policy overrides (ablations: e.g. a
+            no-uplink-demotion world).  Operators not in the mapping keep
+            their default profile.
+        window:
+            The route span to drive (see :class:`CampaignWindow`).  ``None``
+            is the one window covering the whole route, with test ids
+            counted from 0.
+        rng_factory:
+            Override the random-substream factory.  The engine passes each
+            window ``RngFactory(seed).shard(window.index)`` so shard draws
+            are independent of executor topology.  The radio deployment is
+            not drawn from it: every window shares the one world of
+            ``(route, config.seed, operator)``.
+        """
+        self.config = config or CampaignConfig()
+        self.route = route or build_cross_country_route()
+        self.window = window or CampaignWindow(
+            index=0, start_m=0.0, end_m=self.route.total_length_m
+        )
+        self._rngs = rng_factory or RngFactory(seed=self.config.seed)
+        self._servers = ServerRegistry(self.route)
+        self._speed = SpeedProfile(self._rngs.stream("speed"))
+        self._sessions: dict[Operator, RowUESession] = {}
+        overrides = policy_profiles or {}
+        for op in Operator:
+            deployment = DeploymentModel.world(op, self.route, self.config.seed)
+            self._sessions[op] = RowUESession(
+                op, deployment, self._rngs, policy_profile=overrides.get(op)
+            )
+        self._mark_m = self.window.start_m
+        self._time_s = self.window.start_time_s
+        self._last_position: RoutePosition | None = None
+        self._test_seq = 0
+        self._dataset = DriveDataset(
+            seed=self.config.seed,
+            scale=self.config.scale,
+            route_length_km=self.route.total_length_km,
+        )
+
+    # -- public API --------------------------------------------------------
+
+    def run(self) -> DriveDataset:
+        """Execute the campaign window and return its dataset."""
+        marks = ((self.route.city_mark_m(c.name), c.name) for c in self.route.cities)
+        remaining_cities = sorted(m for m in marks if self._city_in_window(m[0]))
+        end_m = min(self.window.end_m, self.route.total_length_m - 2_000.0)
+        while self._mark_m < end_m:
+            # Static battery when we reach a city.
+            while remaining_cities and remaining_cities[0][0] <= self._mark_m:
+                _, city_name = remaining_cities.pop(0)
+                if self.config.include_static:
+                    self._run_static_battery(city_name)
+            cycle_start_m = self._mark_m
+            self._run_cycle()
+            cycle_dist = self._mark_m - cycle_start_m
+            self._fast_forward(cycle_dist, end_m)
+
+        # Cities not reached before the loop ended (Boston sits at the end).
+        for _, city_name in remaining_cities:
+            if self.config.include_static:
+                self._run_static_battery(city_name)
+        self._record_passive_coverage()
+        return self._dataset
+
+    def _city_in_window(self, city_mark_m: float) -> bool:
+        """Whether this window owns the city at ``city_mark_m``.
+
+        Windows own cities half-open ``[start, end)``; the final window (the
+        one whose end reaches the route terminus) also owns the terminus
+        city, Boston.
+        """
+        if self.window.end_m >= self.route.total_length_m - 1e-6:
+            return self.window.start_m <= city_mark_m <= self.window.end_m
+        return self.window.start_m <= city_mark_m < self.window.end_m
+
+    # -- cycle & movement ----------------------------------------------------
+
+    def _run_cycle(self) -> None:
+        """One round-robin pass over the configured cycle plan (§3)."""
+        for test_type, compression in self.config.plan.runs():
+            self._run_test(test_type, compression)
+            self._gap()
+
+    def _gap(self) -> None:
+        """Short idle gap between tests (reconfiguration, logging flush)."""
+        steps = max(int(self.config.inter_test_gap_s / self.config.tick_s), 1)
+        for _ in range(steps):
+            self._advance(self.config.tick_s)
+
+    def _position_at(self, mark_m: float) -> RoutePosition:
+        """``route.position_at(mark_m)``, reusing the last lookup when the
+        vehicle has not moved since (positions are immutable)."""
+        last = self._last_position
+        if last is None or last.distance_m != mark_m:
+            last = self._last_position = self.route.position_at(mark_m)
+        return last
+
+    def _advance(self, dt_s: float) -> RoutePosition:
+        """Move the vehicle for ``dt_s`` seconds; return the new position."""
+        position = self._position_at(min(self._mark_m, self.route.total_length_m))
+        self._speed.step(position.region, dt_s)
+        self._mark_m = min(
+            self._mark_m + self._speed.current_speed_mps * dt_s,
+            self.route.total_length_m,
+        )
+        self._time_s += dt_s
+        return self._position_at(self._mark_m)
+
+    def _fast_forward(self, cycle_dist_m: float, end_m: float) -> None:
+        """Skip the idle stretch implied by the campaign's duty cycle."""
+        if self.config.scale >= 1.0:
+            return
+        skip = cycle_dist_m * (1.0 / self.config.scale - 1.0)
+        skip = min(skip, max(end_m + 1_000.0 - self._mark_m, 0.0))
+        if skip <= 0.0:
+            return
+        self._mark_m += skip
+        self._time_s += skip / NOMINAL_CRUISE_MPS
+        for session in self._sessions.values():
+            session.handover_engine.reset_serving()
+
+    def _next_test_id(self) -> int:
+        self._test_seq += 1
+        return self.window.test_id_base + self._test_seq
+
+    def _servers_now(self, position: RoutePosition) -> dict[Operator, Server]:
+        return {
+            op: self._servers.select(op, position.point, position.timezone)
+            for op in Operator
+        }
+
+    # -- the test loop -----------------------------------------------------------
+
+    def _run_static_battery(self, city_name: str) -> None:
+        """Static baselines in a city (§5.1): each phone in turn parks
+        facing the best high-speed-5G base station and runs the cycle's
+        tests there."""
+        city_mark = self.route.city_mark_m(city_name)
+        position = self.route.position_at(city_mark)
+        for op in Operator:
+            session = self._sessions[op]
+            site = session.find_static_site(city_mark, city_span_m=8_000.0)
+            if site is None:
+                continue  # no mmWave/midband here: skip, as the paper did
+            server = self._servers.select(op, position.point, position.timezone)
+            for test_type, compression in self.config.plan.runs():
+                self._run_test(test_type, compression, (op, site, position, server))
+            session.handover_engine.reset_serving()
+
+    def _run_test(
+        self,
+        test_type: TestType,
+        compression: bool,
+        parked: "tuple[Operator, StaticSite, RoutePosition, Server] | None" = None,
+    ) -> None:
+        """Run one test on every phone while driving, or on the one
+        ``parked`` phone ``(operator, site, position, server)``.
+
+        Each step moves the vehicle (or, parked, the clock) and ticks the
+        sessions; a tick's rows — its throughput or RTT sample, then its
+        handovers — are written as it happens.  App runs keep their ticks
+        for the app model, which runs after the loop.
+        """
+        direction = TEST_DIRECTION[test_type]
+        traffic = TEST_TRAFFIC[test_type]
+        rtt_test = test_type is TestType.RTT
+        tput_test = test_type in (TestType.DOWNLINK_THROUGHPUT, TestType.UPLINK_THROUGHPUT)
+        app_test = not (rtt_test or tput_test)
+        step = _PING_INTERVAL_S if rtt_test else self.config.tick_s
+        static = parked is not None
+        if parked is None:
+            position = self._position_at(self._mark_m)
+            servers = self._servers_now(position)
+        else:
+            parked_op, site, position, server = parked
+            servers = {parked_op: server}
+        test_ids = {op: self._next_test_id() for op in servers}
+        flows = {
+            op: CubicFlow(self._rngs.stream(f"tcp-{op.code}")) for op in servers
+        } if tput_test else {}
+        app_ticks: dict[Operator, list[LinkTick]] = {op: [] for op in servers}
+        sessions = [(op, self._sessions[op]) for op in servers]
+        start_time = self._time_s
+        start_mark = self._mark_m if parked is None else position.distance_m
+
+        for i in range(int(self.config.duration_s(test_type) / step)):
+            if parked is None:
+                position = self._advance(step)
+                speed = self._speed.current_speed_mph
+            elif not app_test:
+                self._time_s += step
+            for op, session in sessions:
+                if parked is None:
+                    tick = session.tick(
+                        self._time_s, position, speed, traffic, direction,
+                        servers[op], step,
+                    )
+                else:
+                    # A parked app run ticks from its start time and moves the
+                    # clock once, after the loop: the pinned output's times
+                    # depend on this float arithmetic.
+                    now = start_time + i * step if app_test else self._time_s
+                    tick = session.static_tick(site, position, now, direction, server)
+                if app_test:
+                    app_ticks[op].append(tick)
+                elif tput_test:
+                    tput = flows[op].advance(
+                        capacity_mbps=tick.capacity_mbps(direction),
+                        rtt_ms=max(tick.rtt_ms * _TCP_RTT_INFLATION, _TCP_RTT_FLOOR_MS),
+                        dt_s=step,
+                        bler=tick.bler,
+                        interruption_s=tick.interruption_s,
+                    )
+                    self._dataset.throughput_samples.append(
+                        ThroughputSample(
+                            test_id=test_ids[op],
+                            operator=op,
+                            direction=direction,
+                            time_s=tick.time_s,
+                            mark_m=tick.mark_m,
+                            speed_mph=tick.speed_mph,
+                            region=tick.position.region,
+                            timezone=tick.position.timezone,
+                            tech=tick.tech,
+                            rsrp_dbm=tick.rsrp_dbm,
+                            mcs=tick.mcs,
+                            bler=tick.bler,
+                            n_ccs=tick.n_ccs,
+                            tput_mbps=tput,
+                            server_kind=tick.server.kind,
+                            ho_count=len(tick.handovers),
+                            static=static,
+                        )
+                    )
+                else:
+                    self._dataset.rtt_samples.append(
+                        RttSample(
+                            test_id=test_ids[op],
+                            operator=op,
+                            time_s=tick.time_s,
+                            mark_m=tick.mark_m,
+                            speed_mph=tick.speed_mph,
+                            region=tick.position.region,
+                            timezone=tick.position.timezone,
+                            tech=tick.tech,
+                            rtt_ms=tick.rtt_ms,
+                            server_kind=tick.server.kind,
+                            static=static,
+                        )
+                    )
+                    continue  # RTT tests log no handovers
+                for ev in tick.handovers:
+                    self._dataset.handovers.append(
+                        HandoverRecord(test_id=test_ids[op], direction=direction, event=ev)
+                    )
+
+        if static and app_test:
+            self._time_s += self.config.duration_s(test_type)
+        end_mark = self._mark_m if parked is None else position.distance_m
+        for op, server in servers.items():
+            if app_test:
+                self._record_app_run(
+                    test_type, compression, test_ids[op], op, server.kind,
+                    app_ticks[op], static=static,
+                )
+                if static:
+                    # Parked app runs write no TestRecord, so Table 1's test
+                    # counts and run time leave them out (pinned output).
+                    continue
+            self._dataset.tests.append(
+                TestRecord(
+                    test_id=test_ids[op],
+                    test_type=test_type,
+                    operator=op,
+                    start_time_s=start_time,
+                    end_time_s=self._time_s,
+                    start_mark_m=start_mark,
+                    end_mark_m=end_mark,
+                    server_kind=server.kind,
+                    static=static,
+                )
+            )
+
+    def _record_app_run(
+        self,
+        test_type: TestType,
+        compression: bool,
+        test_id: int,
+        op: Operator,
+        server_kind: ServerKind,
+        ticks: list[LinkTick],
+        static: bool,
+    ) -> None:
+        """Run the app model of ``test_type`` over one phone's ticks and
+        record the run."""
+        schedule = LinkSchedule(
+            times_s=np.asarray([t.time_s for t in ticks]),
+            tick_s=self.config.tick_s,
+            ul_mbps=np.asarray([t.capacity_ul_mbps for t in ticks]),
+            dl_mbps=np.asarray([t.capacity_dl_mbps for t in ticks]),
+            rtt_ms=np.asarray([t.rtt_ms for t in ticks]),
+            techs=tuple(t.tech for t in ticks),
+            interruptions=tuple(
+                (t.time_s, ev.duration_ms / 1000.0) for t in ticks for ev in t.handovers
+            ),
+        )
+        run = dict(
+            test_id=test_id,
+            operator=op,
+            server_kind=server_kind,
+            ho_count=schedule.handover_count(),
+            frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
+            static=static,
+        )
+        if test_type is TestType.VIDEO_360:
+            video = run_video_session(
+                schedule, VideoConfig(session_duration_s=self.config.video_duration_s)
+            )
+            self._dataset.video_runs.append(
+                VideoRunResult(
+                    qoe=video.qoe,
+                    avg_bitrate_mbps=video.avg_bitrate_mbps,
+                    rebuffer_ratio=video.rebuffer_ratio,
+                    downlink_megabits=video.downlink_megabits,
+                    **run,
+                )
+            )
+        elif test_type is TestType.CLOUD_GAMING:
+            gaming = run_gaming_session(schedule)
+            self._dataset.gaming_runs.append(
+                GamingRunResult(
+                    avg_bitrate_mbps=gaming.avg_bitrate_mbps,
+                    median_latency_ms=gaming.median_latency_ms,
+                    p95_latency_ms=gaming.p95_latency_ms,
+                    frame_drop_rate=gaming.frame_drop_rate,
+                    downlink_megabits=gaming.downlink_megabits,
+                    **run,
+                )
+            )
+        else:
+            app_config = AR_CONFIG if test_type is TestType.AR else CAV_CONFIG
+            offload = run_offload_app(schedule, app_config, compression)
+            self._dataset.offload_runs.append(
+                OffloadRunResult(
+                    app=test_type,
+                    compression=compression,
+                    mean_e2e_ms=offload.mean_e2e_ms,
+                    median_e2e_ms=offload.median_e2e_ms,
+                    offload_fps=offload.offload_fps,
+                    map_score=offload.map_score,
+                    uplink_megabits=offload.uplink_megabits,
+                    **run,
+                )
+            )
+
+    # -- recording helpers ------------------------------------------------------------
+
+    def _record_passive_coverage(self) -> None:
+        """Walk the window with the passive handover-loggers (§3), hold
+        their coverage rows as the dataset's ``passive`` table, and record
+        the distinct cells each operator's phones connected to."""
+        # Imported here: repro.xcal and repro.store pull in repro.campaign at
+        # package level, so module-level imports would be circular.
+        from repro.store.columnar import ColumnTable
+        from repro.xcal.handover_logger import run_handover_logger
+
+        tables = []
+        for op, session in self._sessions.items():
+            trace = run_handover_logger(
+                op,
+                session.deployment,
+                self._rngs.stream(f"passive-{op.code}"),
+                self.window.start_m,
+                self.window.end_m,
+                session.policy_profile,
+            )
+            tables.append(trace.table)
+            self._dataset.passive_handover_counts[op] = trace.macro_handovers
+            self._dataset.connected_cells[op] = len(
+                session.handover_engine.connected_cells | trace.macro_cell_ids
+            )
+        self._dataset.set_table(ColumnTable.concat(tables))
+
+
+@contextlib.contextmanager
+def row_campaigns():
+    """Run every engine shard on :class:`RowDriveCampaign` (serial
+    executor) for the duration of the block."""
+    with mock.patch.object(worker, "DriveCampaign", RowDriveCampaign):
+        yield

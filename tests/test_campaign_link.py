@@ -1,9 +1,11 @@
-"""UESession: the per-tick radio stack (the phone + XCAL Solo)."""
+"""UESession: the radio stack (the phone + XCAL Solo) as a block kernel."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.campaign.link import UESession
+from repro.campaign.link import UESession, VehiclePath
 from repro.geo.route import build_cross_country_route
 from repro.geo.timezones import Timezone
 from repro.net.servers import Server, ServerKind
@@ -16,7 +18,7 @@ from repro.policy.profiles import (
 from repro.radio.ca import Direction
 from repro.radio.deployment import DeploymentModel
 from repro.radio.operators import Operator
-from repro.radio.technology import RadioTechnology
+from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 from repro.rng import RngFactory
 
 CLOUD = Server("cloud", ServerKind.CLOUD, LatLon(37.35, -121.96))
@@ -30,10 +32,45 @@ def session(route):
     return UESession(Operator.TMOBILE, deployment, RngFactory(seed=77)), route
 
 
+def _observation(session, link, i=0):
+    """Tick ``i`` of a block's columns, by the old per-tick field names."""
+    handovers = tuple(
+        SimpleNamespace(duration_ms=ms)
+        for tick, ms in zip(link.ho_tick, link.ho_duration_ms)
+        if tick == i
+    )
+    return SimpleNamespace(
+        tech=ALL_TECHNOLOGIES[link.tech[i]],
+        rsrp_dbm=link.rsrp_dbm[i],
+        mcs=link.mcs[i],
+        bler=link.bler[i],
+        n_ccs=link.n_ccs[i],
+        capacity_dl_mbps=link.capacity_dl_mbps[i],
+        capacity_ul_mbps=link.capacity_ul_mbps[i],
+        rtt_ms=link.rtt_ms[i],
+        tput_mbps=link.tput_mbps[i] if link.tput_mbps else None,
+        handovers=handovers,
+        interruption_s=min(sum(h.duration_ms for h in handovers) / 1000.0, 0.5),
+    )
+
+
 def _tick(session, route, mark=500_000.0, traffic=TrafficProfile.BACKLOGGED_DL,
-          direction=Direction.DOWNLINK, t=0.0, speed=65.0):
-    position = route.position_at(mark)
-    return session.tick(t, position, speed, traffic, direction, CLOUD)
+          direction=Direction.DOWNLINK, t=0.0, speed=65.0, flow=False):
+    """One driving tick at ``mark``: a one-tick block through the kernel."""
+    marks = np.array([mark])
+    region, lat, lon, timezone = route.locate(marks)
+    path = VehiclePath([t], marks, [speed], region, timezone, lat, lon)
+    link = session.drive(path, traffic, direction, CLOUD, 0.5, flow)
+    tick = _observation(session, link)
+    tick.mark_m = mark
+    return tick
+
+
+def _static_tick(session, site, position, t, direction=Direction.DOWNLINK):
+    link = session.park(site, position, [t], direction, CLOUD, 0.5)
+    tick = _observation(session, link)
+    tick.speed_mph = 0.0
+    return tick
 
 
 class TestTick:
@@ -49,10 +86,14 @@ class TestTick:
         assert tick.n_ccs >= 1
 
     def test_capacity_direction_accessor(self, session):
+        # A test's flow runs over the capacity of the test's direction.
         ue, route = session
-        tick = _tick(ue, route)
-        assert tick.capacity_mbps(Direction.DOWNLINK) == tick.capacity_dl_mbps
-        assert tick.capacity_mbps(Direction.UPLINK) == tick.capacity_ul_mbps
+        for direction, traffic, capacity in (
+            (Direction.DOWNLINK, TrafficProfile.BACKLOGGED_DL, "capacity_dl_mbps"),
+            (Direction.UPLINK, TrafficProfile.BACKLOGGED_UL, "capacity_ul_mbps"),
+        ):
+            tick = _tick(ue, route, traffic=traffic, direction=direction, flow=True)
+            assert 0.0 <= tick.tput_mbps <= getattr(tick, capacity)
 
     def test_uplink_below_downlink_typically(self, session):
         ue, route = session
@@ -79,14 +120,14 @@ class TestTick:
 
     def test_handover_on_zone_crossing(self, session):
         ue, route = session
-        ue.handover_engine.reset_serving()
+        ue.reset_serving()
         mark = 2_000_000.0
         zone = ue.deployment.zone_at(mark)
         _tick(ue, route, mark=zone.end_m - 5.0, t=100.0)
         tick = _tick(ue, route, mark=zone.end_m + 5.0, t=100.5)
         # Crossing the boundary changes the serving cell (barring ping-pong
         # artefacts the engine already counts as handovers anyway).
-        assert tick.handovers or tick.cell_id is not None
+        assert tick.handovers or tick.tech is not None
 
     def test_interruption_bounded_by_tick(self, session):
         ue, route = session
@@ -137,7 +178,7 @@ class TestStaticSite:
         if site is None:
             pytest.skip("no high-speed 5G in this city for this seed")
         position = route.position_at(mark)
-        tick = ue.static_tick(site, position, 0.0, Direction.DOWNLINK, CLOUD)
+        tick = _static_tick(ue, site, position, 0.0)
         assert tick.speed_mph == 0.0
         assert tick.handovers == ()
         assert tick.tech is site.tech
@@ -150,7 +191,7 @@ class TestStaticSite:
             pytest.skip("no high-speed 5G in this city for this seed")
         position = route.position_at(mark)
         static_caps = [
-            ue.static_tick(site, position, i * 0.5, Direction.DOWNLINK, CLOUD).capacity_dl_mbps
+            _static_tick(ue, site, position, i * 0.5).capacity_dl_mbps
             for i in range(40)
         ]
         driving_caps = [

@@ -4,22 +4,23 @@ from datetime import datetime
 
 import pytest
 
-from repro.campaign.link import UESession
-from repro.campaign.runner import CampaignConfig, DriveCampaign
+from repro.campaign.runner import CampaignConfig
 from repro.geo.timezones import Timezone
 from repro.policy.profiles import TrafficProfile
 from repro.radio.ca import Direction
 from repro.radio.operators import Operator
 from repro.xcal.drm import DrmFile
 from repro.xcal.probe import XcalProbe
+from tests.row_oracle import RowDriveCampaign
 
 TRIP_START = datetime(2022, 8, 8, 15, 0, 0)
 
 
 @pytest.fixture()
 def ticks():
-    """A short run of real LinkTicks from a campaign session."""
-    campaign = DriveCampaign(
+    """A short run of real per-tick observations from a campaign session
+    (the tick-major oracle's ``LinkTick`` s)."""
+    campaign = RowDriveCampaign(
         CampaignConfig(seed=5, scale=0.002, include_apps=False, include_static=False)
     )
     session = campaign._sessions[Operator.VERIZON]
