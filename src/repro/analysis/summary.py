@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.analysis import coverage
 from repro.analysis.apps import gaming_app_report, offload_app_report, video_app_report
-from repro.analysis.correlation import correlation_table
+from repro.analysis.correlation import CorrelationRow, correlation_table
 from repro.analysis.handovers import handover_durations, handover_impact, handovers_per_mile
 from repro.analysis.longterm import per_test_rtt_stats, per_test_throughput_stats
 from repro.analysis.performance import static_vs_driving
@@ -91,7 +91,10 @@ class PaperSummary:
         )
 
 
-def _operator_headlines(source: Source, op: Operator) -> OperatorHeadlines:
+def _operator_headlines(
+    source: Source, op: Operator, rows: list[CorrelationRow]
+) -> OperatorHeadlines:
+    """One operator's headlines; ``rows`` are its Table 2 rows."""
     shares = coverage.active_coverage_shares(source, op)
     perf = static_vs_driving(source, op)
     dl_tests = per_test_throughput_stats(source, op, "downlink")
@@ -99,7 +102,6 @@ def _operator_headlines(source: Source, op: Operator) -> OperatorHeadlines:
     ho_rate = handovers_per_mile(source, op, "downlink")
     ho_dur = handover_durations(source, op)
     impact = handover_impact(source, op, "downlink")
-    rows = [r for r in correlation_table(source) if r.operator is op]
     max_corr = max(abs(v) for r in rows for v in r.coefficients.values())
     return OperatorHeadlines(
         operator=op,
@@ -164,7 +166,11 @@ def _app_headlines(source: Source) -> AppHeadlines:
 
 def summarize_paper(source: Source) -> PaperSummary:
     """Compute the full headline summary for a dataset."""
+    table2 = correlation_table(source)
     return PaperSummary(
-        operators={op: _operator_headlines(source, op) for op in Operator},
+        operators={
+            op: _operator_headlines(source, op, [r for r in table2 if r.operator is op])
+            for op in Operator
+        },
         apps=_app_headlines(source),
     )

@@ -20,6 +20,7 @@ from repro.analysis import (
     performance,
 )
 from repro.analysis.cdf import EmpiricalCDF
+from repro.errors import AnalysisError
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES
 from repro.store.query import Source
@@ -36,24 +37,41 @@ def figure_series(source: Source) -> dict:
     """Build the full figure bundle as nested plain-python dicts.
 
     Keys are figure identifiers (``fig2a``, ``fig3``, ``fig4``, ...); values
-    hold labelled series ready for any plotting frontend.
+    hold one labelled panel per operator (or operator pair), ready for any
+    plotting frontend.  A panel the data cannot support (an
+    :class:`~repro.errors.AnalysisError`, such as an operator without
+    in-test handovers for Fig. 12) is left out, and its reason is named
+    under ``bundle["skipped"][figure][panel]``; the ``skipped`` key is
+    present only when some panel was left out.
     """
+    skipped: dict[str, dict[str, str]] = {}
+
+    def panels(figure: str, builders) -> dict:
+        """``{label: build()}`` over ``(label, build)`` pairs, without the
+        panels whose data falls short."""
+        out = {}
+        for label, build in builders:
+            try:
+                out[label] = build()
+            except AnalysisError as exc:
+                skipped.setdefault(figure, {})[label] = str(exc)
+        return out
+
+    def per_operator(figure: str, build) -> dict:
+        return panels(figure, ((op.label, lambda op=op: build(op)) for op in Operator))
+
     bundle: dict = {}
 
     # Fig. 2a: coverage bars.
-    bundle["fig2a"] = {
-        op.label: {
-            t.label: coverage.active_coverage_shares(source, op).shares.get(t, 0.0)
-            for t in ALL_TECHNOLOGIES
-        }
-        for op in Operator
-    }
+    bundle["fig2a"] = per_operator("fig2a", lambda op: {
+        t.label: coverage.active_coverage_shares(source, op).shares.get(t, 0.0)
+        for t in ALL_TECHNOLOGIES
+    })
 
     # Fig. 3: static vs driving CDFs.
-    fig3 = {}
-    for op in Operator:
+    def fig3(op: Operator) -> dict:
         r = performance.static_vs_driving(source, op)
-        fig3[op.label] = {
+        return {
             "static_dl": _cdf_series(r.static_dl),
             "driving_dl": _cdf_series(r.driving_dl),
             "static_ul": _cdf_series(r.static_ul),
@@ -61,73 +79,73 @@ def figure_series(source: Source) -> dict:
             "static_rtt": _cdf_series(r.static_rtt),
             "driving_rtt": _cdf_series(r.driving_rtt),
         }
-    bundle["fig3"] = fig3
+
+    bundle["fig3"] = per_operator("fig3", fig3)
 
     # Fig. 4: per-technology CDFs (downlink + RTT).
-    fig4 = {}
-    for op in Operator:
+    def fig4(op: Operator) -> dict:
         tput = performance.per_technology_throughput(source, op, "downlink")
         rtt = performance.per_technology_rtt(source, op)
-        fig4[op.label] = {
+        return {
             "tput_dl": {t.label: _cdf_series(c) for t, c in tput.items()},
             "rtt": {t.label: _cdf_series(c) for t, c in rtt.items()},
         }
-    bundle["fig4"] = fig4
+
+    bundle["fig4"] = per_operator("fig4", fig4)
 
     # Fig. 5: per-timezone throughput CDFs.
-    bundle["fig5"] = {
-        op.label: {
-            tz.label: _cdf_series(c)
-            for tz, c in geodiversity.throughput_by_timezone(source, op, "downlink").items()
-        }
-        for op in Operator
-    }
+    bundle["fig5"] = per_operator("fig5", lambda op: {
+        tz.label: _cdf_series(c)
+        for tz, c in geodiversity.throughput_by_timezone(source, op, "downlink").items()
+    })
 
     # Fig. 6a: pairwise difference CDFs.
-    fig6 = {}
-    for first, second in opdiversity.OPERATOR_PAIRS:
-        pd = opdiversity.paired_throughput_differences(source, first, second, "downlink")
-        fig6[f"{first.code}-{second.code}"] = _cdf_series(pd.cdf)
-    bundle["fig6a"] = fig6
+    bundle["fig6a"] = panels("fig6a", (
+        (
+            f"{first.code}-{second.code}",
+            lambda first=first, second=second: _cdf_series(
+                opdiversity.paired_throughput_differences(
+                    source, first, second, "downlink"
+                ).cdf
+            ),
+        )
+        for first, second in opdiversity.OPERATOR_PAIRS
+    ))
 
     # Fig. 9: per-test mean CDFs.
-    fig9 = {}
-    for op in Operator:
+    def fig9(op: Operator) -> dict:
         dl = longterm.per_test_throughput_stats(source, op, "downlink")
-        fig9[op.label] = {
+        return {
             "dl_means": _cdf_series(dl.means),
             "dl_stddev_pct": _cdf_series(dl.stddev_pct),
         }
-    bundle["fig9"] = fig9
+
+    bundle["fig9"] = per_operator("fig9", fig9)
 
     # Fig. 10: scatter of per-test mean vs HS-5G fraction.
-    bundle["fig10"] = {
-        op.label: [
-            {"hs5g": f, "tput": t}
-            for f, t in longterm.throughput_vs_hs5g_fraction(source, op, "downlink")
-        ]
-        for op in Operator
-    }
+    bundle["fig10"] = per_operator("fig10", lambda op: [
+        {"hs5g": f, "tput": t}
+        for f, t in longterm.throughput_vs_hs5g_fraction(source, op, "downlink")
+    ])
 
     # Fig. 11: handover rate/duration CDFs.
-    fig11 = {}
-    for op in Operator:
-        fig11[op.label] = {
-            "rate_per_mile": _cdf_series(handovers.handovers_per_mile(source, op, "downlink")),
-            "duration_ms": _cdf_series(handovers.handover_durations(source, op)),
-        }
-    bundle["fig11"] = fig11
+    bundle["fig11"] = per_operator("fig11", lambda op: {
+        "rate_per_mile": _cdf_series(handovers.handovers_per_mile(source, op, "downlink")),
+        "duration_ms": _cdf_series(handovers.handover_durations(source, op)),
+    })
 
     # Fig. 12: ΔT1/ΔT2 CDFs.
-    fig12 = {}
-    for op in Operator:
+    def fig12(op: Operator) -> dict:
         impact = handovers.handover_impact(source, op, "downlink")
-        fig12[op.label] = {
+        return {
             "delta_t1": _cdf_series(impact.delta_t1),
             "delta_t2": _cdf_series(impact.delta_t2),
         }
-    bundle["fig12"] = fig12
 
+    bundle["fig12"] = per_operator("fig12", fig12)
+
+    if skipped:
+        bundle["skipped"] = skipped
     return bundle
 
 
@@ -135,4 +153,4 @@ def export_figures_json(source: Source, path: str | pathlib.Path) -> int:
     """Write the figure bundle as JSON; returns the number of figures."""
     bundle = figure_series(source)
     pathlib.Path(path).write_text(json.dumps(bundle, indent=1))
-    return len(bundle)
+    return len(bundle) - ("skipped" in bundle)

@@ -45,3 +45,26 @@ class TestFigureSeries:
         assert count >= 9
         loaded = json.loads(path.read_text())
         assert "fig3" in loaded
+
+
+def test_export_leaves_out_panels_without_data(tmp_path):
+    """The pin campaign has no in-test Verizon downlink handovers, so
+    Fig. 12 has no Verizon panel: the bundle leaves that panel out, names
+    it under ``skipped`` and keeps every other panel."""
+    from tests.test_simulator_pin import pinned_dataset
+
+    path = tmp_path / "figures.json"
+    assert export_figures_json(pinned_dataset(), path) == 9
+    bundle = json.loads(path.read_text())
+    assert bundle["skipped"] == {
+        "fig12": {"Verizon": "no in-test handovers for Verizon downlink"}
+    }
+    assert set(bundle["fig12"]) == {"T-Mobile", "AT&T"}
+    for figure in ("fig2a", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11"):
+        assert len(bundle[figure]) == 3, figure
+
+
+def test_complete_bundle_names_nothing_skipped(bundle):
+    assert "skipped" not in bundle
+    for figure, panels in bundle.items():
+        assert len(panels) == 3, figure
