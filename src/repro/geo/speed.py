@@ -10,6 +10,7 @@ within the region's envelope, including full stops at city lights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +124,11 @@ class SpeedProfile:
             return 0.0
 
         theta = p.reversion_per_s
-        sigma = p.stddev_mph * np.sqrt(2.0 * theta)
+        # math.sqrt and np.sqrt are both the correctly rounded square root.
+        sigma = p.stddev_mph * math.sqrt(2.0 * theta)
         drift = theta * (p.mean_mph - self._speed_mph) * dt_s
-        noise = sigma * np.sqrt(dt_s) * self._rng.standard_normal()
-        self._speed_mph = max(float(self._speed_mph + drift + noise), 0.0)
+        noise = sigma * math.sqrt(dt_s) * self._rng.standard_normal()
+        self._speed_mph = max(self._speed_mph + drift + noise, 0.0)
         return self._speed_mph
 
     def distance_travelled_m(self, dt_s: float) -> float:
