@@ -67,6 +67,7 @@ __all__ = [
     "TableSchema",
     "TABLE_SCHEMAS",
     "TABLE_ATTRS",
+    "cell_to_str",
     "encode_array",
     "encode_column",
     "decode_column",
@@ -455,7 +456,7 @@ _DERIVED: dict[str, dict[str, Callable[[Mapping[str, np.ndarray]], np.ndarray]]]
 }
 
 
-def _cell_to_str(cid: CellId) -> str:
+def cell_to_str(cid: CellId) -> str:
     """The stored form of a cell id, ``OP:TECH:seq`` (not ``str(cid)``)."""
     return f"{cid.operator.name}:{cid.technology.name}:{cid.sequence}"
 
@@ -485,7 +486,7 @@ def _column(name: str, tp: Any, owner: type) -> ColumnSpec:
 def _getter(path: str, tp: Any) -> Callable[[Any], Any]:
     get = attrgetter(path)
     if tp is CellId:
-        return lambda record: _cell_to_str(get(record))
+        return lambda record: cell_to_str(get(record))
     return get
 
 
