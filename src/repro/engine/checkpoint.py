@@ -99,7 +99,9 @@ __all__ = [
 #: 4: every window drives through one whole-route deployment per (seed,
 #: operator), drawn as arrays from its own stream (new draw order); windows
 #: carry no overrun margin.
-ENGINE_CHECKPOINT_VERSION = 4
+#: 5: zone lengths take libm ``exp`` instead of numpy's CPU-dispatched
+#: array ``exp``, so the output no longer depends on the host CPU.
+ENGINE_CHECKPOINT_VERSION = 5
 
 
 def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) -> str:
