@@ -51,7 +51,7 @@ from repro.policy.profiles import PolicyProfile, TrafficProfile
 from repro.policy.selection import TechnologySelector
 from repro.radio import channel, phy
 from repro.radio.ca import CarrierAggregationModel, Direction
-from repro.radio.cells import Cell, CellId
+from repro.radio.cells import Cell
 from repro.radio.channel import ChannelModel
 from repro.radio.deployment import DeploymentModel, DeploymentZone
 from repro.radio.operators import Operator
@@ -267,12 +267,10 @@ class UESession:
     # -- state -------------------------------------------------------------
 
     @property
-    def connected_cells(self) -> frozenset[CellId]:
-        """All distinct cells this phone has been served by while driving."""
-        return frozenset(
-            CellId(self.operator, ALL_TECHNOLOGIES[key & 7], key >> 3)
-            for key in self._connected
-        )
+    def connected_cell_keys(self) -> frozenset[int]:
+        """All distinct cells this phone has been served by while driving,
+        as ``seq << 3 | tech rank`` keys (:meth:`ZoneLayer.cell_keys`)."""
+        return frozenset(self._connected)
 
     def reset_serving(self) -> None:
         """Forget the serving cell (e.g. between distant test locations)."""

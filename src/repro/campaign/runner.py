@@ -510,7 +510,7 @@ class DriveCampaign:
             tables.append(trace.table)
             self._dataset.passive_handover_counts[op] = trace.macro_handovers
             self._dataset.connected_cells[op] = len(
-                session.connected_cells | trace.macro_cell_ids
+                session.connected_cell_keys | trace.macro_cell_keys
             )
         self._dataset.set_table(ColumnTable.concat(tables))
 

@@ -44,7 +44,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
 from repro.campaign.dataset import DriveDataset
 from repro.campaign.runner import CampaignConfig, CampaignWindow
@@ -64,6 +64,9 @@ from repro.errors import EngineError
 from repro.geo.route import Route, build_cross_country_route
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.trace import get_tracer
+
+if TYPE_CHECKING:
+    from repro.store.catalog import Catalog
 
 __all__ = [
     "EngineConfig",
@@ -457,55 +460,66 @@ def run_campaigns(
             max_retries=first.max_retries,
         )
 
-    for run in runs:
-        config, plan, seed = run.config, run.plan, run.config.campaign.seed
-        merge_started = time.perf_counter()
-        with tracer.span(f"{phase}.merge", seed=seed) as merge_span:
-            run.dataset = merge_shard_results(
-                config.campaign, plan, run.results, campaign_route.total_length_km
-            )
-            merge_s = time.perf_counter() - merge_started
-            # Freeze the span to the report's merge_s: the trace and the
-            # report must quote the *same* float.
-            merge_span.dur_s = merge_s
-        if config.validate:
-            with tracer.span(f"{phase}.validate", seed=seed):
-                outcome = validate_dataset(run.dataset)
-                if not outcome.ok:
-                    raise EngineError(
-                        f"seed {seed} merged dataset failed validation: "
-                        + "; ".join(str(issue) for issue in outcome.issues[:5])
-                    )
-        if config.store_dir is not None:
-            from repro.store.catalog import Catalog
+    # One catalog object per store directory for every config: its manifest
+    # is parsed once, and each ingest encodes only its own manifest entry.
+    catalogs: dict[str, Catalog] = {}
+    try:
+        for run in runs:
+            config, plan, seed = run.config, run.plan, run.config.campaign.seed
+            merge_started = time.perf_counter()
+            with tracer.span(f"{phase}.merge", seed=seed) as merge_span:
+                run.dataset = merge_shard_results(
+                    config.campaign, plan, run.results, campaign_route.total_length_km
+                )
+                merge_s = time.perf_counter() - merge_started
+                # Freeze the span to the report's merge_s: the trace and the
+                # report must quote the *same* float.
+                merge_span.dur_s = merge_s
+            if config.validate:
+                with tracer.span(f"{phase}.validate", seed=seed):
+                    outcome = validate_dataset(run.dataset)
+                    if not outcome.ok:
+                        raise EngineError(
+                            f"seed {seed} merged dataset failed validation: "
+                            + "; ".join(str(issue) for issue in outcome.issues[:5])
+                        )
+            if config.store_dir is not None:
+                with tracer.span(f"{phase}.ingest", seed=seed):
+                    catalog = catalogs.get(config.store_dir)
+                    if catalog is None:
+                        from repro.store.catalog import Catalog
 
-            with tracer.span(f"{phase}.ingest", seed=seed):
-                with Catalog(config.store_dir) as catalog:
+                        catalog = catalogs[config.store_dir] = Catalog(
+                            config.store_dir
+                        )
                     catalog.ingest(run.dataset)
 
-        run.report = EngineReport(
-            executor=stats.executor,
-            workers=stats.workers,
-            n_windows=plan.n_windows,
-            n_batches=len(run.batches),
-            merge_s=merge_s,
-            validated=config.validate,
-            cache_hits=run.cache_hits,
-            cache_misses=run.cache_misses,
-            shards=[
-                ShardMetrics(
-                    index=index,
-                    start_km=plan.windows[index].start_m / 1000.0,
-                    end_km=plan.windows[index].end_m / 1000.0,
-                    wall_s=result.wall_s,
-                    records=result.records,
-                    retries=run.retries.get(index, 0),
-                    from_checkpoint=result.from_checkpoint,
-                    from_cache=result.from_cache,
-                )
-                for index, result in sorted(run.results.items())
-            ],
-        )
+            run.report = EngineReport(
+                executor=stats.executor,
+                workers=stats.workers,
+                n_windows=plan.n_windows,
+                n_batches=len(run.batches),
+                merge_s=merge_s,
+                validated=config.validate,
+                cache_hits=run.cache_hits,
+                cache_misses=run.cache_misses,
+                shards=[
+                    ShardMetrics(
+                        index=index,
+                        start_km=plan.windows[index].start_m / 1000.0,
+                        end_km=plan.windows[index].end_m / 1000.0,
+                        wall_s=result.wall_s,
+                        records=result.records,
+                        retries=run.retries.get(index, 0),
+                        from_checkpoint=result.from_checkpoint,
+                        from_cache=result.from_cache,
+                    )
+                    for index, result in sorted(run.results.items())
+                ],
+            )
+    finally:
+        for catalog in catalogs.values():
+            catalog.close()
     return runs, stats
 
 

@@ -392,17 +392,15 @@ class ZoneLayer(Sequence[DeploymentZone]):
         first = max(bisect.bisect_right(self._starts, start_m) - 1, 0)
         return slice(first, bisect.bisect_left(self._starts, end_m))
 
-    def cell_ids(self, zones: slice) -> frozenset[CellId]:
-        """Ids of every cell site of the zones ``zones`` (a slice of the
-        layer, like :meth:`overlapping` returns)."""
+    def cell_keys(self, zones: slice) -> frozenset[int]:
+        """Every cell site of the zones ``zones`` (a slice of the layer, like
+        :meth:`overlapping` returns) as a ``seq << 3 | tech rank`` key, the
+        int a phone's session keys its cells by (one operator's sequences
+        are unique per technology)."""
         offsets = self.arrays["cell_start"]
         lo, hi = offsets[zones.start], offsets[zones.stop]
-        techs = self.arrays["cell_tech"][lo:hi].tolist()
-        seqs = self.arrays["cell_seq"][lo:hi].tolist()
-        return frozenset(
-            CellId(self.operator, ALL_TECHNOLOGIES[t], seq)
-            for t, seq in zip(techs, seqs)
-        )
+        keys = self.arrays["cell_seq"][lo:hi] << 3 | self.arrays["cell_tech"][lo:hi]
+        return frozenset(keys.tolist())
 
     def cells(self, index: int) -> Mapping[RadioTechnology, Cell]:
         """Zone ``index``'s serving cell per deployed technology."""

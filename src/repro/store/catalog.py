@@ -22,6 +22,16 @@ writer's temp-and-replace, then the manifest is rewritten the same way.
 Re-ingesting an existing ``(seed, label)`` replaces that partition.  The
 catalog is single-writer (the engine/sweep drivers ingest sequentially);
 readers can open it concurrently at any time.
+
+The manifest is the canonical compact JSON of its content
+(``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, C-encoded).
+Ingest takes the new partition's stats from the footer the store writer
+has just encoded rather than reopening the file, and every partition
+encodes its manifest entry once: a rewrite encodes the partition it
+ingests and joins the encodings it already holds, so a catalog object
+ingesting many partitions pays for one entry per ingest, not for the
+whole manifest.  Manifests written with indentation (before the compact
+form) open the same way and are rewritten compactly on the next ingest.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import json
 import os
 import pathlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
@@ -60,7 +70,9 @@ class PartitionInfo:
     label: str | None
     nbytes: int
     #: Per-table pruning stats: ``{table: {"count": n, "columns": {...}}}``.
+    #: Never mutated: the entry's manifest encoding is kept.
     tables: dict[str, dict]
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def table_stats(self, table: str) -> dict | None:
         """Manifest stats of one table; ``None`` when unknown."""
@@ -78,6 +90,12 @@ class PartitionInfo:
             "nbytes": self.nbytes,
             "tables": self.tables,
         }
+
+    def to_json(self) -> str:
+        """The entry's canonical compact JSON, encoded on first use only."""
+        if self._json is None:
+            object.__setattr__(self, "_json", _encode(self.to_obj()))
+        return self._json
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PartitionInfo":
@@ -124,19 +142,23 @@ def _tables_problem(tables) -> str | None:
     return None
 
 
-def _lite_tables(reader: DatasetReader) -> dict[str, dict]:
-    """Copy a store file's footer stats into manifest (pruning) form."""
-    tables: dict[str, dict] = {}
-    for name in reader.table_names:
-        table = reader.table(name)
-        columns = {}
-        for column in table.column_names:
-            entry = table.column_entry(column)
-            columns[column] = {
-                k: entry[k] for k in _LITE_COLUMN_FIELDS if k in entry
-            }
-        tables[name] = {"count": table.count, "columns": columns}
-    return tables
+def _encode(obj) -> str:
+    """Canonical compact JSON: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _lite_tables(footer_tables: dict) -> dict[str, dict]:
+    """Copy a store footer's table stats into manifest (pruning) form."""
+    return {
+        name: {
+            "count": table["count"],
+            "columns": {
+                col["name"]: {k: col[k] for k in _LITE_COLUMN_FIELDS if k in col}
+                for col in table["columns"]
+            },
+        }
+        for name, table in sorted(footer_tables.items())
+    }
 
 
 class Catalog:
@@ -215,19 +237,18 @@ class Catalog:
         rel = f"{_PARTS_DIR}/{stem}.rcol"
         target = self.root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_dataset(dataset, target)
+        footer = write_dataset(dataset, target)
 
         stale = self._readers.pop(rel, None)
         if stale is not None:
             stale.close()
-        with DatasetReader(target) as reader:
-            info = PartitionInfo(
-                path=rel,
-                seed=seed,
-                label=label,
-                nbytes=reader.nbytes(),
-                tables=_lite_tables(reader),
-            )
+        info = PartitionInfo(
+            path=rel,
+            seed=seed,
+            label=label,
+            nbytes=target.stat().st_size,
+            tables=_lite_tables(footer["tables"]),
+        )
         self._partitions = [
             p for p in self._partitions if (p.seed, p.label) != (seed, label)
         ]
@@ -242,17 +263,17 @@ class Catalog:
         return self.ingest(load_dataset(dataset_path), **kwargs)
 
     def _write_manifest(self) -> None:
-        obj = {
-            "format": CATALOG_FORMAT_VERSION,
-            "partitions": [p.to_obj() for p in self.partitions],
-        }
+        # ``_encode({"format": ..., "partitions": [...]})``, joined from the
+        # partitions' kept encodings ("format" sorts before "partitions").
+        text = "".join((
+            '{"format":', _encode(CATALOG_FORMAT_VERSION), ',"partitions":[',
+            ",".join(p.to_json() for p in self.partitions), "]}",
+        ))
         manifest = self.root / _MANIFEST_NAME
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = manifest.with_name(f"{manifest.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(
-                json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, manifest)
         finally:
             tmp.unlink(missing_ok=True)

@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import threading
 import typing
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -102,27 +104,77 @@ class ColumnSpec:
         """Python objects of a dict column's distinct footer ``values``.
 
         Built once per column, so enum lookups and parses run once per
-        distinct value, not once per row.  Raises :class:`StoreError` on a
-        non-string value, an unknown enum member or an unparsable value.
+        distinct value, not once per row, and checked once per distinct
+        dictionary: the check is a pure function of the strings, so a
+        dictionary met before (every shard of a sweep has the same operator
+        and technology dictionaries) is answered from a bounded cache.
+        Raises :class:`StoreError` on a non-string value, an unknown enum
+        member or an unparsable value; failures are never cached.
         """
-        if not isinstance(values, (list, tuple)) or not all(
-            isinstance(v, str) for v in values
-        ):
+        if not isinstance(values, (list, tuple)):
+            raise StoreError(
+                f"column {self.name!r}: dictionary values must be strings"
+            )
+        key = (self, tuple(values))
+        try:
+            cached = _MEMBERS.get(key)
+        except TypeError:  # an unhashable value: not a string either
+            cached = None
+        if cached is None:
+            cached = self._check_members(key[1])
+            _MEMBERS.put(key, cached)
+        return list(cached)
+
+    def _check_members(self, values: tuple[Any, ...]) -> tuple[Any, ...]:
+        if not all(isinstance(v, str) for v in values):
             raise StoreError(
                 f"column {self.name!r}: dictionary values must be strings"
             )
         if self.enum is not None:
-            lookup = {member.name: member for member in self.enum}
+            lookup = _enum_lookup(self.enum)
             try:
-                return [lookup[v] for v in values]
+                return tuple([lookup[v] for v in values])
             except KeyError as exc:
                 raise StoreError(
                     f"unknown {self.enum.__name__} member {exc.args[0]!r} in "
                     f"column {self.name!r}"
                 ) from None
         if self.parse is not None:
-            return [self.parse(v) for v in values]
-        return list(values)
+            return tuple(map(self.parse, values))
+        return values
+
+
+@functools.cache
+def _enum_lookup(cls: type[enum.Enum]) -> dict[str, enum.Enum]:
+    """An enum's members by name (aliases left out, as iteration does)."""
+    return {member.name: member for member in cls}
+
+
+class _MembersCache:
+    """Checked dictionaries and their members, first in first out, bounded
+    by the number of values held rather than of entries (a cell-id
+    dictionary of a whole-route campaign holds thousands)."""
+
+    def __init__(self, max_values: int) -> None:
+        self.max_values = max_values
+        self._held = 0
+        self._entries: dict[tuple, tuple] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple | None:
+        return self._entries.get(key)
+
+    def put(self, key: tuple, members: tuple) -> None:
+        with self._lock:
+            if len(members) > self.max_values or key in self._entries:
+                return
+            self._entries[key] = members
+            self._held += len(members)
+            while self._held > self.max_values:
+                self._held -= len(self._entries.pop(next(iter(self._entries))))
+
+
+_MEMBERS = _MembersCache(max_values=1 << 16)
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,7 +417,7 @@ def _decode_rle(
     pairs = np.frombuffer(
         payload, dtype=[("n", "<u4"), ("v", _CODE_DTYPES.get(width, "<i8"))]
     )
-    decoded = np.repeat(pairs["v"], pairs["n"])
+    decoded = pairs["v"].repeat(pairs["n"])
     if decoded.size != int(entry["count"]):
         raise StoreError(
             f"column {entry.get('name')!r}: RLE expands to {decoded.size} "
@@ -570,7 +622,7 @@ class TableSchema:
             f"known: {[c.name for c in self.columns]}"
         )
 
-    @property
+    @functools.cached_property
     def stored(self) -> tuple[ColumnSpec, ...]:
         """The non-derived columns: what a :class:`ColumnTable` holds."""
         return tuple(spec for spec in self.columns if not spec.derived)
@@ -609,9 +661,10 @@ class ColumnTable:
     values: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
-        for spec in self.schema.stored:
+        shape = (self.count,)
+        for spec in TABLE_SCHEMAS[self.name].stored:
             arr = self.arrays[spec.name]
-            if arr.shape != (self.count,):
+            if arr.shape != shape:
                 raise StoreError(
                     f"column {spec.name!r} holds {arr.size} values, table "
                     f"{self.name!r} has {self.count} rows"
@@ -677,17 +730,20 @@ class ColumnTable:
         values: dict[str, tuple[str, ...]] = {}
         for spec in first.schema.stored:
             parts = [t.arrays[spec.name] for t in tables]
-            if spec.kind == "dict":
-                joined: dict[str, int] = {}
-                for k, t in enumerate(tables):
-                    dictionary = t.values[spec.name]
-                    remap = np.fromiter(
-                        (joined.setdefault(v, len(joined)) for v in dictionary),
-                        dtype=np.uint32, count=len(dictionary),
-                    )
-                    parts[k] = remap[parts[k]]
-                values[spec.name] = tuple(joined)
-            arrays[spec.name] = np.concatenate(parts)
+            if spec.kind != "dict":
+                arrays[spec.name] = np.concatenate(parts)
+                continue
+            joined: dict[str, int] = {}
+            for k, t in enumerate(tables):
+                remap = [
+                    joined.setdefault(v, len(joined)) for v in t.values[spec.name]
+                ]
+                # A dictionary that is a prefix of the joined one (the same
+                # operators in the same order, say) keeps its codes.
+                if parts[k].dtype.kind != "u" or remap != list(range(len(remap))):
+                    parts[k] = np.array(remap, dtype=np.uint32)[parts[k]]
+            values[spec.name] = tuple(joined)
+            arrays[spec.name] = np.concatenate(parts, dtype=np.uint32)
         return cls(first.name, sum(t.count for t in tables), arrays, values)
 
     def members(self, column: str) -> list[Any]:

@@ -90,8 +90,13 @@ _TAIL_MAGIC = b"RCOL"
 STORE_SUFFIX = ".rcol"
 
 
-def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> None:
-    """Write a dataset as one columnar store file, atomically."""
+def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> dict:
+    """Write a dataset as one columnar store file, atomically.
+
+    Returns the footer as written (the object whose canonical JSON the file
+    holds), so a caller that needs the column stats, such as the catalog's
+    ingest, does not have to reopen the file.
+    """
     path = pathlib.Path(path)
     tables: dict[str, Any] = {}
     chunks: list[bytes] = []
@@ -137,6 +142,7 @@ def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return footer
 
 
 def is_store_file(path: str | pathlib.Path) -> bool:
@@ -166,13 +172,23 @@ def _is_size(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+#: Footer fields of a column entry that must be sizes.
+_SIZE_KEYS = ("count", "offset", "nbytes", "width")
+
+
+def _where(column: str, table: str) -> str:
+    return f"column {column!r} of table {table!r}"
+
+
 def _footer_problem(footer: dict) -> str | None:
     """What is structurally wrong with a parsed footer, or ``None``.
 
     Checks the shape :func:`write_dataset` gives every footer — a ``meta``
     object and a ``tables`` object whose tables hold a row count and a list
     of column entries with sizes, offsets and string names — so a reader
-    never trips over a wrong JSON type later.
+    never trips over a wrong JSON type later.  Every shard replay runs it,
+    so a size that is an exact non-negative ``int`` (every size a writer
+    writes) passes inline; anything else gets the full :func:`_is_size`.
     """
     if not isinstance(footer.get("meta", {}), dict):
         return "meta is not an object"
@@ -191,21 +207,23 @@ def _footer_problem(footer: dict) -> str | None:
         for col in columns:
             if not isinstance(col, dict) or not isinstance(col.get("name"), str):
                 return f"table {name!r} has a column entry without a name"
-            where = f"column {col['name']!r} of table {name!r}"
-            if col["name"] in seen:
-                return f"{where} appears twice"
-            seen.add(col["name"])
-            if not isinstance(col.get("kind"), str) or not isinstance(
-                col.get("codec", "plain"), str
+            get = col.get
+            column = col["name"]
+            if column in seen:
+                return f"{_where(column, name)} appears twice"
+            seen.add(column)
+            if not isinstance(get("kind"), str) or not isinstance(
+                get("codec", "plain"), str
             ):
-                return f"{where} has no kind or codec"
-            for key in ("count", "offset", "nbytes", "width"):
-                if not _is_size(col.get(key)):
-                    return f"{where} has a bad {key}"
-            if not isinstance(col.get("stats", {}), dict):
-                return f"{where} has bad stats"
-            if not isinstance(col.get("values", []), list):
-                return f"{where} has bad dictionary values"
+                return f"{_where(column, name)} has no kind or codec"
+            for key in _SIZE_KEYS:
+                v = get(key)
+                if not (v.__class__ is int and v >= 0) and not _is_size(v):
+                    return f"{_where(column, name)} has a bad {key}"
+            if "stats" in col and not isinstance(col["stats"], dict):
+                return f"{_where(column, name)} has bad stats"
+            if "values" in col and not isinstance(col["values"], list):
+                return f"{_where(column, name)} has bad dictionary values"
     return None
 
 
@@ -255,8 +273,11 @@ class TableReader:
     def array(self, name: str) -> np.ndarray:
         """Decode a column to numbers: f8/i8 values, bool bytes, dict codes
         (checked, on first decode, to index the column's dictionary)."""
-        entry = self.column_entry(name)
+        return self._decode(self.column_entry(name))
+
+    def _decode(self, entry: dict) -> np.ndarray:
         payload = self._payload(entry)
+        name = entry["name"]
         if entry["kind"] != "dict" or name in self._checked_codes:
             return decode_column(entry, payload)
         codes = decode_dict_codes(entry, payload)
@@ -275,24 +296,25 @@ class TableReader:
         values: dict[str, tuple[str, ...]] = {}
         for spec in schema.stored:
             entry = self.column_entry(spec.name)
-            if entry["kind"] != spec.kind:
+            kind = entry["kind"]
+            if kind != spec.kind:
                 raise StoreError(
                     f"column {spec.name!r} of table {self.name!r} is "
-                    f"{entry['kind']}, schema says {spec.kind}"
+                    f"{kind}, schema says {spec.kind}"
                 )
-            arr = self.array(spec.name)
-            if spec.kind == "dict":
-                spec.members(entry.get("values", []))
+            arr = self._decode(entry)
+            if kind == "dict":
                 values[spec.name] = tuple(entry.get("values", ()))
-            elif spec.kind == "bool":
+                spec.members(values[spec.name])
+            elif kind == "bool":
                 arr = arr != 0
             if arr.size != self.count:
                 raise StoreError(
                     f"column {spec.name!r} holds {arr.size} values, table "
                     f"{self.name!r} has {self.count} rows (corrupt file)"
                 )
-            # Copy out of the map: the table outlives the reader.
-            arrays[spec.name] = np.array(arr)
+            # Copy a view out of the map: the table outlives the reader.
+            arrays[spec.name] = arr if arr.flags.owndata else np.array(arr)
         return ColumnTable(self.name, self.count, arrays, values)
 
 

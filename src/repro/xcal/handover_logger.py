@@ -61,8 +61,17 @@ class HandoverLoggerTrace:
     #: Handovers on the macro (LTE anchor) grid — summed over the whole
     #: trip, the Table 1 numbers (2657/4119/2494 for V/T/A).
     macro_handovers: int
-    #: Distinct macro cells camped on.
-    macro_cell_ids: frozenset[CellId]
+    #: Distinct macro cells camped on, as ``seq << 3 | tech rank`` keys
+    #: (:meth:`~repro.radio.deployment.ZoneLayer.cell_keys`).
+    macro_cell_keys: frozenset[int]
+
+    @functools.cached_property
+    def macro_cell_ids(self) -> frozenset[CellId]:
+        """Distinct macro cells camped on, built on first use."""
+        return frozenset(
+            CellId(self.operator, ALL_TECHNOLOGIES[key & 7], key >> 3)
+            for key in self.macro_cell_keys
+        )
 
     @functools.cached_property
     def segments(self) -> list[PassiveCoverageSegment]:
@@ -139,5 +148,5 @@ def run_handover_logger(
         operator=operator,
         table=table,
         macro_handovers=max(hi - max(lo, 1), 0),
-        macro_cell_ids=macro.cell_ids(macro.overlapping(start_m, end_m)),
+        macro_cell_keys=macro.cell_keys(macro.overlapping(start_m, end_m)),
     )

@@ -35,8 +35,15 @@ def session(route):
 def _observation(session, link, i=0):
     """Tick ``i`` of a block's columns, by the old per-tick field names."""
     handovers = tuple(
-        SimpleNamespace(duration_ms=ms)
-        for tick, ms in zip(link.ho_tick, link.ho_duration_ms)
+        SimpleNamespace(
+            duration_ms=ms,
+            from_cell=(ALL_TECHNOLOGIES[from_tech], from_seq),
+            to_cell=(ALL_TECHNOLOGIES[to_tech], to_seq),
+        )
+        for tick, ms, from_tech, from_seq, to_tech, to_seq in zip(
+            link.ho_tick, link.ho_duration_ms, link.ho_from_tech,
+            link.ho_from_seq, link.ho_to_tech, link.ho_to_seq,
+        )
         if tick == i
     )
     return SimpleNamespace(
@@ -119,15 +126,24 @@ class TestTick:
             assert first.n_ccs == second.n_ccs
 
     def test_handover_on_zone_crossing(self, session):
+        """Crossing a zone boundary hands over, on the tick that crosses,
+        from the last zone's serving cell to the next zone's."""
         ue, route = session
-        ue.reset_serving()
-        mark = 2_000_000.0
-        zone = ue.deployment.zone_at(mark)
-        _tick(ue, route, mark=zone.end_m - 5.0, t=100.0)
-        tick = _tick(ue, route, mark=zone.end_m + 5.0, t=100.5)
-        # Crossing the boundary changes the serving cell (barring ping-pong
-        # artefacts the engine already counts as handovers anyway).
-        assert tick.handovers or tick.tech is not None
+        for mark in (1_000_000.0, 2_000_000.0, 3_000_000.0):
+            ue.reset_serving()
+            zone = ue.deployment.zone_at(mark)
+            before = _tick(ue, route, mark=zone.end_m - 5.0, t=100.0)
+            after = _tick(ue, route, mark=zone.end_m + 5.0, t=100.5)
+            nxt = ue.deployment.zone_at(zone.end_m + 5.0)
+            assert nxt.index == zone.index + 1
+            left = zone.cells[before.tech].cell_id
+            joined = nxt.cells[after.tech].cell_id
+            # Attaching after a reset is no handover (nor a ping-pong).
+            assert before.handovers == ()
+            assert [(h.from_cell, h.to_cell) for h in after.handovers] == [(
+                (left.technology, left.sequence),
+                (joined.technology, joined.sequence),
+            )]
 
     def test_interruption_bounded_by_tick(self, session):
         ue, route = session

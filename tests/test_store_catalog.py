@@ -82,6 +82,65 @@ class TestIngest:
                 seeded_datasets[7].throughput_samples
             )
 
+    def test_manifest_is_canonical_compact_json(self, catalog, seeded_datasets):
+        manifest = catalog.root / "catalog.json"
+        catalog.ingest(seeded_datasets[8], label="rerun")
+        for _ in range(2):  # also after a replace, from a fresh catalog
+            text = manifest.read_text()
+            assert text == json.dumps(
+                json.loads(text), sort_keys=True, separators=(",", ":")
+            )
+            with Catalog(catalog.root) as fresh:
+                fresh.ingest(seeded_datasets[7])
+
+    def test_indented_manifest_opens_and_is_rewritten_compact(
+        self, catalog, seeded_datasets
+    ):
+        """A manifest of the earlier indented form reads the same, and the
+        next ingest rewrites it compactly with equal content."""
+        manifest = catalog.root / "catalog.json"
+        content = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        with Catalog(catalog.root) as old:
+            assert old.partitions == catalog.partitions
+            assert query.count(old, "tput", ()) == query.count(catalog, "tput", ())
+            old.ingest(seeded_datasets[9])
+        text = manifest.read_text()
+        assert "\n" not in text
+        assert json.loads(text) == content
+
+    def test_ingest_encodes_only_its_own_entry(
+        self, seeded_datasets, tmp_path, monkeypatch
+    ):
+        """Each ingest encodes the partition it writes and joins the kept
+        encodings of the others, however many partitions the catalog holds."""
+        from repro.store import catalog as catalog_module
+
+        encoded = []
+        encode = catalog_module._encode
+
+        def counting(obj):
+            if isinstance(obj, dict):
+                encoded.append(obj["path"])
+            return encode(obj)
+
+        monkeypatch.setattr(catalog_module, "_encode", counting)
+        ds = seeded_datasets[7]
+        with Catalog(tmp_path / "store") as cat:
+            for n in range(1, 7):
+                encoded.clear()
+                info = cat.ingest(ds, seed=n)
+                assert encoded == [info.path]
+            encoded.clear()
+            info = cat.ingest(ds, seed=3)  # a replace, too
+            assert encoded == [info.path]
+        with Catalog(tmp_path / "store") as reopened:
+            assert len(reopened.partitions) == 6
+        assert (tmp_path / "store" / "catalog.json").read_text() == encode({
+            "format": catalog_module.CATALOG_FORMAT_VERSION,
+            "partitions": [p.to_obj() for p in reopened.partitions],
+        })
+
     def test_version_mismatch_rejected(self, catalog):
         manifest = catalog.root / "catalog.json"
         obj = json.loads(manifest.read_text())

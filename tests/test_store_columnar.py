@@ -161,3 +161,42 @@ class TestCorruption:
     def test_unknown_spec_kind_rejected(self):
         with pytest.raises(StoreError, match="unknown column kind"):
             encode_column(ColumnSpec("x", "decimal"), [1])
+
+
+class TestMemberChecks:
+    """Dictionary members are checked once per distinct dictionary."""
+
+    SPEC = ColumnSpec("operator", "dict", enum=Operator)
+
+    def test_cached_dictionary_returns_equal_members(self):
+        names = [op.name for op in Operator]
+        first = self.SPEC.members(names)
+        again = self.SPEC.members(tuple(names))
+        assert first == again == list(Operator)
+        again.append("mutated")  # a caller's list is its own
+        assert self.SPEC.members(names) == list(Operator)
+
+    @pytest.mark.parametrize("values,match", [
+        (["VERIZON", "NOT_AN_OPERATOR"], "unknown Operator member"),
+        (["VERIZON", 3], "must be strings"),
+        (["VERIZON", ["unhashable"]], "must be strings"),
+        ("VERIZON", "must be strings"),
+    ])
+    def test_bad_dictionary_raises_every_time(self, values, match):
+        self.SPEC.members(["VERIZON"])
+        for _ in range(2):
+            with pytest.raises(StoreError, match=match):
+                self.SPEC.members(values)
+
+    def test_cache_is_bounded_by_values_held(self):
+        from repro.store.columnar import _MembersCache
+
+        cache = _MembersCache(max_values=5)
+        cache.put(("a",), (1, 2))
+        cache.put(("b",), (1, 2))
+        cache.put(("c",), (1, 2))  # 6 values held: the oldest goes
+        assert cache.get(("a",)) is None
+        assert cache.get(("b",)) == cache.get(("c",)) == (1, 2)
+        cache.put(("big",), tuple(range(6)))  # larger than the bound
+        assert cache.get(("big",)) is None
+        assert cache.get(("c",)) == (1, 2)

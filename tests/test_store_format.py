@@ -258,6 +258,35 @@ class TestCorruption:
         with pytest.raises(StoreError, match="invalid cell id"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("table,column,bad,match", [
+        ("tput", "operator", "NOT_AN_OPERATOR", "unknown Operator member"),
+        ("ho", "from_cell", "VERIZON:NOT_A_TECH:12", "invalid cell id"),
+    ])
+    def test_bad_member_after_a_cached_read_still_raises(
+        self, tmp_path, table, column, bad, match
+    ):
+        """Dictionary checks are cached per distinct dictionary: reading a
+        valid file first must not let the same file with one bad member
+        through."""
+        import random
+
+        from tests.conftest import join_rcol, split_rcol
+        from tests.test_store_properties import _random_dataset
+
+        path = tmp_path / "members.rcol"
+        write_dataset(_random_dataset(random.Random(7)), path)
+        read_dataset(path)
+        read_dataset(path)  # every dictionary of the file is now cached
+        body, footer = split_rcol(path)
+        entry = next(
+            c for c in footer["tables"][table]["columns"] if c["name"] == column
+        )
+        entry["values"][-1] = bad
+        join_rcol(path, body, footer)
+        for _ in range(2):  # and the failure is not cached either
+            with pytest.raises(StoreError, match=match):
+                read_dataset(path)
+
     def test_column_count_disagreeing_with_table_raises(
         self, bare_dataset, tmp_path
     ):

@@ -56,7 +56,8 @@ from repro.store.columnar import (
     encode_column,
 )
 from repro.campaign.persistence import load_dataset, save_dataset
-from repro.store.format import read_dataset, write_dataset
+from repro.store.catalog import Catalog
+from repro.store.format import DatasetReader, read_dataset, write_dataset
 
 N_CASES = 25  # seeded cases per property; each case is a fresh random column
 
@@ -443,6 +444,20 @@ class TestFileRoundTrip:
         write_dataset(read_dataset(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ingest_stats_equal_the_reopened_file(self, seed, tmp_path):
+        """The catalog builds a partition's manifest stats from the footer
+        the writer returns; they equal the stats read back from the file
+        (empty tables, NaN-only and ±inf columns, cell-id dictionaries)."""
+        rng = random.Random(200 + seed)
+        empty = frozenset(t for t in TABLE_ATTRS if rng.random() < 0.3)
+        with Catalog(tmp_path / "store") as catalog:
+            info = catalog.ingest(_random_dataset(rng, empty_tables=empty))
+            with DatasetReader(catalog.root / info.path) as reader:
+                assert info.tables == _reader_stats(reader)
+                assert info.nbytes == reader.nbytes()
+            assert Catalog(catalog.root).partitions == (info,)
+
     def test_fully_empty_dataset_roundtrips(self, tmp_path):
         original = DriveDataset(seed=1, scale=0.5, route_length_km=10.0)
         path = tmp_path / "empty.rcol"
@@ -451,6 +466,21 @@ class TestFileRoundTrip:
         _assert_datasets_match(original, rebuilt)
         for attr in TABLE_ATTRS.values():
             assert getattr(rebuilt, attr) == []
+
+
+def _reader_stats(reader: DatasetReader) -> dict:
+    """A store file's footer stats in manifest form, read through the
+    reader's table API."""
+    fields = ("name", "kind", "codec", "width", "count", "stats", "values")
+    tables = {}
+    for name in reader.table_names:
+        table = reader.table(name)
+        columns = {}
+        for column in table.column_names:
+            entry = table.column_entry(column)
+            columns[column] = {k: entry[k] for k in fields if k in entry}
+        tables[name] = {"count": table.count, "columns": columns}
+    return tables
 
 
 # -- differential: columnar vs JSON-lines round trip --------------------------
