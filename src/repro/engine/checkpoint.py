@@ -101,7 +101,9 @@ __all__ = [
 #: carry no overrun margin.
 #: 5: zone lengths take libm ``exp`` instead of numpy's CPU-dispatched
 #: array ``exp``, so the output no longer depends on the host CPU.
-ENGINE_CHECKPOINT_VERSION = 5
+#: 6: RTT tests log their handovers and parked app runs write their test
+#: rows.
+ENGINE_CHECKPOINT_VERSION = 6
 
 
 def config_fingerprint(config: CampaignConfig, plan: ShardPlan, route: Route) -> str:

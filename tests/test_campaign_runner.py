@@ -119,3 +119,25 @@ class TestCampaignRun:
         small = generate_dataset(seed=9, scale=0.003, include_apps=False, include_static=False)
         larger = generate_dataset(seed=9, scale=0.009, include_apps=False, include_static=False)
         assert len(larger.tests) > len(small.tests) * 1.5
+
+
+class TestRecordsEveryRun:
+    """Every run writes its rows: app runs (parked ones too) a test row,
+    RTT tests their handovers."""
+
+    def test_every_app_run_has_a_test_row(self, dataset):
+        from repro.store.query import select_columns
+
+        test_ids, static = select_columns(dataset, "test", ("test_id", "static"))
+        rows = dict(zip(test_ids.tolist(), static.tolist()))
+        runs = [*dataset.offload_runs, *dataset.video_runs, *dataset.gaming_runs]
+        assert any(run.static for run in runs)
+        for run in runs:
+            assert rows.get(run.test_id) == run.static, run.test_id
+
+    def test_rtt_tests_log_handovers(self, dataset):
+        from repro.store.query import select
+
+        rtt_ids = {t.test_id for t in row_oracle.tests_of(dataset, test_type=TestType.RTT)}
+        handover_ids = set(select(dataset, "ho", "test_id").tolist())
+        assert rtt_ids & handover_ids

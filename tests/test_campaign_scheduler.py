@@ -101,13 +101,11 @@ def _parked_campaign(**config):
 
 def _parked_runs(ds):
     """Every parked run as ``(test_id, operator, test_type, compression)``,
-    in test-id order."""
-    runs = [(t.test_id, t.operator, t.test_type, False) for t in ds.tests if t.static]
-    runs += [(r.test_id, r.operator, r.app, r.compression) for r in ds.offload_runs if r.static]
-    runs += [(r.test_id, r.operator, TestType.VIDEO_360, False) for r in ds.video_runs if r.static]
-    runs += [
-        (r.test_id, r.operator, TestType.CLOUD_GAMING, False)
-        for r in ds.gaming_runs if r.static
+    in test-id order: its test row, with an offload run's compression."""
+    compression = {r.test_id: r.compression for r in ds.offload_runs if r.static}
+    runs = [
+        (t.test_id, t.operator, t.test_type, compression.get(t.test_id, False))
+        for t in ds.tests if t.static
     ]
     return sorted(runs, key=lambda run: run[0])
 
