@@ -46,32 +46,28 @@ def haversine_m(a: LatLon, b: LatLon) -> float:
     phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
     dphi = phi2 - phi1
     dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    s_phi, s_lam = math.sin(dphi / 2.0), math.sin(dlam / 2.0)
+    h = s_phi * s_phi + math.cos(phi1) * math.cos(phi2) * (s_lam * s_lam)
     # Clamp for numeric safety before the asin.
     h = min(1.0, max(0.0, h))
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
-def haversine_from_m(a: LatLon, lats: np.ndarray, lons: np.ndarray) -> list[float]:
+def haversine_from_m(a: LatLon, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """:func:`haversine_m` from ``a`` to each point ``(lats[i], lons[i])``,
     equal to it value for value.
 
-    The radians, sines and cosines run as numpy ufuncs, which agree with
-    ``math`` bit for bit on them; the squares (``x ** 2`` is libm ``pow``,
-    which can differ from ``x * x`` in the last bit) and the arcsine stay
-    scalar.
+    The radians, sines, cosines, products and square roots run as numpy
+    ufuncs, which agree with ``math`` bit for bit on them; the arcsine
+    stays a ``math`` call per element (DESIGN.md §6).
     """
     phi1 = math.radians(a.lat)
     phi2 = np.radians(lats)
-    half_dphi = np.sin((phi2 - phi1) / 2.0).tolist()
-    cosines = (math.cos(phi1) * np.cos(phi2)).tolist()
-    half_dlam = np.sin(np.radians(lons - a.lon) / 2.0).tolist()
-    out = []
-    for s_phi, cos12, s_lam in zip(half_dphi, cosines, half_dlam):
-        h = s_phi ** 2 + cos12 * s_lam ** 2
-        h = min(1.0, max(0.0, h))
-        out.append(2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(h)))
-    return out
+    s_phi = np.sin((phi2 - phi1) / 2.0)
+    s_lam = np.sin(np.radians(lons - a.lon) / 2.0)
+    h = np.clip(s_phi * s_phi + math.cos(phi1) * np.cos(phi2) * (s_lam * s_lam), 0.0, 1.0)
+    roots = np.sqrt(h)
+    return 2.0 * EARTH_RADIUS_M * np.fromiter(map(math.asin, roots.tolist()), float, roots.size)
 
 
 def interpolate(a: LatLon, b: LatLon, fraction: float) -> LatLon:

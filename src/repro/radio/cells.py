@@ -8,6 +8,7 @@ accounting and by Table 1's "# of unique cells connected" statistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.geo.coords import LatLon
@@ -57,4 +58,4 @@ class Cell:
         along the route plus the fixed perpendicular offset.
         """
         dx = mark_m - self.site_mark_m
-        return float((dx * dx + self.perpendicular_m * self.perpendicular_m) ** 0.5)
+        return math.sqrt(dx * dx + self.perpendicular_m * self.perpendicular_m)

@@ -81,7 +81,7 @@ def test_haversine_from_matches_scalar_haversine():
     rng = np.random.default_rng(2)
     lats, lons = rng.uniform(30.0, 45.0, 3000), rng.uniform(-120.0, -70.0, 3000)
     server = LatLon(37.35, -121.96)
-    assert haversine_from_m(server, lats, lons) == [
+    assert haversine_from_m(server, lats, lons).tolist() == [
         haversine_m(server, LatLon(lat, lon))
         for lat, lon in zip(lats.tolist(), lons.tolist())
     ]
