@@ -355,6 +355,7 @@ class ZoneLayer(Sequence[DeploymentZone]):
         self._starts: list[float] = self.arrays["start_m"].tolist()
         self._route_end_m = float(self.arrays["end_m"][-1])
         self._cells: dict[int, Mapping[RadioTechnology, Cell]] = {}
+        self._rows: dict[int, dict[RadioTechnology, int]] = {}
         self._views: list[DeploymentZone | None] = [None] * len(self._starts)
 
     def __len__(self) -> int:
@@ -363,6 +364,8 @@ class ZoneLayer(Sequence[DeploymentZone]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self._view(i) for i in range(len(self))[index]]
+        if type(index) is int and 0 <= index < len(self._views):
+            return self._view(index)
         return self._view(range(len(self))[index])
 
     def __iter__(self) -> Iterator[DeploymentZone]:
@@ -406,21 +409,45 @@ class ZoneLayer(Sequence[DeploymentZone]):
         """Zone ``index``'s serving cell per deployed technology."""
         cells = self._cells.get(index)
         if cells is None:
-            offsets, tech, seq, mark, perp, lat, lon = self._cell_columns
-            own: dict[RadioTechnology, Cell] = {}
-            for c in range(offsets[index], offsets[index + 1]):
-                own[tech[c]] = Cell(
+            _, tech, seq, mark, perp, lat, lon = self._cell_columns
+            built: dict[int, Cell] = {}
+            for c in sorted(set(self._cell_rows(index).values())):
+                built[c] = Cell(
                     cell_id=CellId(self.operator, tech[c], seq[c]),
                     site=LatLon(lat[c], lon[c]),
                     site_mark_m=mark[c],
                     perpendicular_m=perp[c],
                 )
-            zone = self._view(index)
-            anchor = own[zone.best_tech]
             cells = self._cells[index] = MappingProxyType(
-                {t: own.get(t, anchor) for t in zone.deployed}
+                {t: built[c] for t, c in self._cell_rows(index).items()}
             )
         return cells
+
+    def serving_site(self, index: int, tech: RadioTechnology) -> tuple[int, float, float]:
+        """Zone ``index``'s serving cell for ``tech`` as its sequence, site
+        mark and perpendicular offset: the fields of ``cells(index)[tech]``
+        the link kernel reads, without building the cell."""
+        try:
+            c = self._cell_rows(index)[tech]
+        except KeyError:
+            raise DeploymentError(
+                f"{tech} not deployed in zone {index} of {self.operator}"
+            ) from None
+        _, _, seq, mark, perp, _, _ = self._cell_columns
+        return seq[c], mark[c], perp[c]
+
+    def _cell_rows(self, index: int) -> dict[RadioTechnology, int]:
+        """Zone ``index``'s serving cell per deployed technology, as a row
+        of the cell arrays: the technology's own cell, or the zone's
+        best-technology cell (the anchor) when it has none."""
+        rows = self._rows.get(index)
+        if rows is None:
+            offsets, tech = self._cell_columns[:2]
+            own = {tech[c]: c for c in range(offsets[index], offsets[index + 1])}
+            zone = self._view(index)
+            anchor = own[zone.best_tech]
+            rows = self._rows[index] = {t: own.get(t, anchor) for t in zone.deployed}
+        return rows
 
     def _view(self, index: int) -> DeploymentZone:
         """Zone ``index``'s view (``0 <= index < len(self)``), built on
