@@ -12,6 +12,11 @@ from repro.net.tcp import CubicFlow
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
 
+
+def _one_stream(rng):
+    """The model's jitter, loss and tail streams, all one generator."""
+    return rng, rng, rng
+
 capacities = st.lists(
     st.floats(min_value=0.5, max_value=3000.0), min_size=5, max_size=60
 )
@@ -61,7 +66,7 @@ class TestRttModelProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_rtt_always_positive_and_bounded(self, op, tech, speed, seed):
-        model = RttModel(op, np.random.default_rng(seed))
+        model = RttModel(op, *_one_stream(np.random.default_rng(seed)))
         server = Server("s", ServerKind.CLOUD, LatLon(40.0, -100.0))
         rtt = model.sample_rtt_ms(server, LatLon(41.0, -99.0), tech, speed)
         assert 0.0 < rtt < 10_000.0
@@ -69,7 +74,7 @@ class TestRttModelProperties:
     @given(st.sampled_from(list(RadioTechnology)), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_base_rtt_grows_with_distance(self, tech, seed):
-        model = RttModel(Operator.VERIZON, np.random.default_rng(seed))
+        model = RttModel(Operator.VERIZON, *_one_stream(np.random.default_rng(seed)))
         near = Server("near", ServerKind.CLOUD, LatLon(40.0, -100.0))
         far = Server("far", ServerKind.CLOUD, LatLon(40.0, -70.0))
         ue = LatLon(40.0, -100.5)

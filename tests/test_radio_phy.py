@@ -12,7 +12,7 @@ from repro.radio.technology import RadioTechnology
 
 @pytest.fixture()
 def phy(rng):
-    return PhyModel(rng)
+    return PhyModel(rng, bler_rng=rng, doppler_rng=rng)
 
 
 class TestMcs:
@@ -99,8 +99,8 @@ class TestCapacity:
             phy.capacity_mbps(RadioTechnology.LTE, 10, 0.1, 1, 0.0, Direction.DOWNLINK)
 
     def test_operator_spectrum_scaling(self, rng):
-        tmo = PhyModel(np.random.default_rng(0), Operator.TMOBILE)
-        vzw = PhyModel(np.random.default_rng(0), Operator.VERIZON)
+        tmo = PhyModel(rng, Operator.TMOBILE, bler_rng=rng, doppler_rng=rng)
+        vzw = PhyModel(rng, Operator.VERIZON, bler_rng=rng, doppler_rng=rng)
         t_mid = tmo.capacity_mbps(RadioTechnology.NR_MID, 20, 0.08, 1, 0.5, Direction.DOWNLINK)
         v_mid = vzw.capacity_mbps(RadioTechnology.NR_MID, 20, 0.08, 1, 0.5, Direction.DOWNLINK)
         # T-Mobile's 100 MHz n41 vs Verizon's partial C-band (Fig. 4).
