@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.rng import RngFactory, choose_weighted, clamp, default_rng
+from repro.rng import (
+    BufferedUniforms, RngFactory, choose_weighted, clamp, default_rng, peek_uniforms,
+)
 
 
 class TestRngFactory:
@@ -85,3 +87,27 @@ class TestChooseWeighted:
         draws = [choose_weighted(rng, items, [3.0, 1.0]) for _ in range(4000)]
         frac_x = draws.count("x") / len(draws)
         assert 0.70 < frac_x < 0.80
+
+
+class TestBlockReads:
+    def test_peek_leaves_the_stream_where_it_was(self):
+        rng, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        ahead = peek_uniforms(rng, 10)
+        assert ahead.tolist() == [scalar.random() for _ in range(10)]
+        assert rng.random() == ahead[0]
+
+    def test_drawing_the_used_ones_resumes_the_scalar_order(self):
+        """Read ahead, use a data-dependent count, then draw another kind:
+        the stream gives what scalar draws would have."""
+        rng, scalar = np.random.default_rng(4), np.random.default_rng(4)
+        ahead = peek_uniforms(rng, 50)
+        used = int(np.argmax(ahead > 0.9)) + 1
+        rng.random(used)
+        for _ in range(used):
+            scalar.random()
+        assert rng.lognormal(3.0, 0.45) == scalar.lognormal(3.0, 0.45)
+        assert rng.random() == scalar.random()
+
+    def test_buffered_uniforms_equal_scalar_draws_across_refills(self):
+        buffered, scalar = BufferedUniforms(np.random.default_rng(5)), np.random.default_rng(5)
+        assert [buffered.random() for _ in range(600)] == [scalar.random() for _ in range(600)]
