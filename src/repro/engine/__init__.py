@@ -27,9 +27,9 @@ execute, merge, report — written over a *sequence* of campaign configs:
 :func:`run_engine` is its one-config case, and multi-run callers such as
 :mod:`repro.sweep` hand it one config per seed, so every seed's batches
 interleave through one :func:`execute_jobs` call (and one process pool).
-A shared :class:`~repro.engine.checkpoint.ShardCache` passed as
-``shard_store`` is consulted before computing a shard and fed every freshly
-computed result.
+Its one store, the :class:`~repro.engine.checkpoint.ShardCache` passed as
+``shard_store``, is replayed before computing a shard; workers write each
+fresh entry, and the pipeline only records it as the result lands.
 
 Quickstart::
 
@@ -101,8 +101,9 @@ class EngineConfig:
     #: ``"process"`` (ProcessPoolExecutor) or ``"serial"`` (in-process).
     executor: str = "process"
     planner: PlannerParams = field(default_factory=PlannerParams)
-    #: Checkpoint directory — a :class:`ShardCache` that workers store each
-    #: shard into as it finishes and that reruns replay; ``None`` disables.
+    #: Checkpoint directory of :func:`run_engine` — a :class:`ShardCache`
+    #: that workers write each shard into as it finishes and that reruns
+    #: replay; ``None`` disables.  :func:`run_campaigns` ignores it.
     checkpoint_dir: str | None = None
     #: Retries per shard batch before the run is abandoned.
     max_retries: int = 2
@@ -142,11 +143,13 @@ def build_task_batches(
     fingerprint: str,
     route: Route | None,
     trace_parent: str | None = None,
+    cache_dir: str | None = None,
 ) -> list[tuple[ShardTask, ...]]:
     """Group the pending windows into submission batches.
 
     ``trace_parent`` is the orchestrator's execute-span id; it rides on
-    every task so worker-emitted shard spans attach under it.
+    every task so worker-emitted shard spans attach under it.  Each task's
+    worker writes its shard into the shard cache at ``cache_dir``.
     """
     pending = replace(plan, windows=tuple(pending_windows))
     return [
@@ -154,7 +157,7 @@ def build_task_batches(
             ShardTask(
                 config=config.campaign,
                 window=window,
-                checkpoint_dir=config.checkpoint_dir,
+                cache_dir=cache_dir,
                 fingerprint=fingerprint,
                 fault=config.inject_faults.get(window.index),
                 parent_pid=os.getpid(),
@@ -382,12 +385,12 @@ def run_campaigns(
     case, and :func:`repro.sweep.run_sweep` runs one config per seed.
 
     1. ``<phase>.plan`` (per config): plan the windows, fingerprint them,
-       and replay every shard the config's ``checkpoint_dir`` and then
-       ``shard_store`` can serve;
+       and replay every shard ``shard_store`` can serve;
     2. ``<phase>.execute``: interleave every config's pending batches
        round-robin through one :func:`execute_jobs` call — no campaign's
-       tail straggles behind another's entire run — storing each fresh
-       result into ``shard_store`` (workers write checkpoints themselves);
+       tail straggles behind another's entire run.  Workers write each
+       fresh shard into ``shard_store``; the pipeline records it there
+       (recency, counters, size bound) as the result lands;
     3. ``<phase>.merge`` / ``.validate`` / ``.ingest`` (per config): merge
        the shards, optionally validate, optionally ingest into
        ``config.store_dir``, and build the config's :class:`EngineReport`.
@@ -409,20 +412,10 @@ def run_campaigns(
                 config_fingerprint(config.campaign, plan, campaign_route),
             )
             indices = [w.index for w in plan.windows]
-            if config.checkpoint_dir is not None:
-                checkpoints = ShardCache(config.checkpoint_dir)
-                for index, result in checkpoints.load_many(
-                    run.fingerprint, seed, indices
-                ).items():
-                    # Reported as checkpoint hits, apart from shard_store hits.
-                    result.from_cache, result.from_checkpoint = False, True
-                    run.results[index] = result
             if shard_store is not None:
-                remaining = [i for i in indices if i not in run.results]
-                cached = shard_store.load_many(run.fingerprint, seed, remaining)
-                run.results.update(cached)
-                run.cache_hits = len(cached)
-                run.cache_misses = len(remaining) - len(cached)
+                run.results = shard_store.load_many(run.fingerprint, seed, indices)
+                run.cache_hits = len(run.results)
+                run.cache_misses = len(indices) - run.cache_hits
             plan_span.set(shards=len(indices), cache_hits=run.cache_hits)
         runs.append(run)
 
@@ -432,8 +425,11 @@ def run_campaigns(
             run.results[outcome.index] = outcome
             run.retries[outcome.index] = attempt
             if shard_store is not None:
-                shard_store.store(run.fingerprint, run.config.campaign.seed, outcome)
+                shard_store.record(
+                    run.fingerprint, run.config.campaign.seed, outcome.index
+                )
 
+    cache_dir = str(shard_store.directory) if shard_store is not None else None
     with tracer.span(f"{phase}.execute") as exec_span:
         for run in runs:
             run.batches = build_task_batches(
@@ -443,6 +439,7 @@ def run_campaigns(
                 run.fingerprint,
                 route,
                 trace_parent=exec_span.span_id,
+                cache_dir=cache_dir,
             )
         depth = max(len(run.batches) for run in runs)
         jobs = [
@@ -511,7 +508,6 @@ def run_campaigns(
                         wall_s=result.wall_s,
                         records=result.records,
                         retries=run.retries.get(index, 0),
-                        from_checkpoint=result.from_checkpoint,
                         from_cache=result.from_cache,
                     )
                     for index, result in sorted(run.results.items())
@@ -546,18 +542,15 @@ def fold_shard_metrics(registry: MetricsRegistry, runs: Sequence[CampaignRun]) -
 def run_engine(
     config: EngineConfig,
     route: Route | None = None,
-    *,
-    shard_store: ShardCache | None = None,
 ) -> tuple[DriveDataset, EngineReport]:
     """Execute a campaign under the sharded engine.
 
     Returns the merged dataset and the execution report.  Raises
     :class:`EngineError` when a shard exhausts its retry budget or (with
     ``config.validate``) the merged dataset violates an invariant.
-
-    ``shard_store`` plugs a shared :class:`ShardCache` (such as a sweep's)
-    under the engine: matching shards are replayed instead of recomputed,
-    and fresh results are stored back.
+    ``config.checkpoint_dir`` is the run's :class:`ShardCache`: matching
+    shards are replayed instead of recomputed, and workers write fresh
+    ones into it.
     """
     tracer = get_tracer(config.trace_path)
     started = time.perf_counter()
@@ -567,7 +560,8 @@ def run_engine(
         scale=config.campaign.scale,
         executor=config.executor,
     ) as root:
-        (run,), stats = run_campaigns([config], route, shard_store=shard_store)
+        store = ShardCache(config.checkpoint_dir) if config.checkpoint_dir else None
+        (run,), stats = run_campaigns([config], route, shard_store=store)
         report = run.report
         report.pool_rebuilds = stats.pool_rebuilds
         if tracer.enabled:

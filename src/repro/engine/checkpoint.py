@@ -7,12 +7,11 @@ stores shard results under the SHA-256 of exactly that triple
 resumed campaign, the same seed re-appearing in a different sweep, a re-run
 at the same scale — replays it instead of recomputing it.
 
-The cache is the engine's only on-disk shard format.  A run's
-``checkpoint_dir`` *is* a shard cache: workers store each shard into it the
-moment the shard finishes (a mid-batch crash loses at most the shard in
-flight), and a rerun replays every matching entry.  The same directory can
-therefore serve as a sweep's ``cache_dir`` or as ``run_engine(shard_store=
-ShardCache(dir))``, and vice versa.
+The cache is the engine's only on-disk shard format.  The worker that
+computes a shard writes its entry the moment the shard finishes (a
+mid-batch crash loses at most the shard in flight); the orchestrating
+process only replays entries and keeps the books.  A run's
+``checkpoint_dir`` and a sweep's ``cache_dir`` each serve as the other.
 
 On-disk layout (one entry per shard, fanned out by key prefix)::
 
@@ -54,9 +53,9 @@ Guarantees:
   coarse-mtime filesystems (batch hits would otherwise tie and fall back to
   size order) and clock skew (an entry stamped in the future would otherwise
   outrank the shard that was *just* used).  Seeding scans the directory, so
-  only hits and bounded stores seed: a store into an unbounded cache (a
-  worker writing one checkpoint) costs two file writes however many entries
-  the directory already holds.
+  only hits and bounded records seed.  Eviction spares an entry the cache
+  missed until it is recorded (it is being computed), so a process sweep
+  can overshoot ``max_bytes`` by the entries in flight.
 * **Counters** — hits/misses/stores/evictions accumulate in
   :class:`CacheStats` for the sweep report.
 """
@@ -86,7 +85,6 @@ __all__ = [
     "config_fingerprint",
     "shard_key",
     "shard_meta",
-    "shard_from_parts",
     "shard_stem",
 ]
 
@@ -166,24 +164,6 @@ def shard_meta(result: ShardResult, fingerprint: str) -> dict:
     return meta
 
 
-def shard_from_parts(index: int, meta: dict, dataset) -> ShardResult:
-    """Rebuild a :class:`ShardResult` from its sidecar and dataset.
-
-    Raises ``ValueError`` when a sidecar field has the wrong type, so a
-    damaged sidecar is a cache miss, never a crash or a wrong merge.
-    """
-    wall_s = meta.get("wall_s", 0.0)
-    if isinstance(wall_s, bool) or not isinstance(wall_s, (int, float)):
-        raise ValueError(f"bad wall_s {wall_s!r}")
-    metrics = meta.get("metrics")
-    return ShardResult(
-        index=index,
-        dataset=dataset,
-        wall_s=float(wall_s),
-        metrics=metrics if isinstance(metrics, dict) else None,
-    )
-
-
 @dataclass
 class CacheStats:
     """Hit/miss accounting of one :class:`ShardCache` instance."""
@@ -234,6 +214,10 @@ class ShardCache:
         #: Whether the clock has been raised to the newest existing entry's
         #: mtime, so every later stamp outranks what is already on disk.
         self._seeded = False
+        #: Entries this instance missed and has not recorded since: its
+        #: caller is computing them, so a worker may already have written
+        #: one.  Eviction leaves them alone until they are recorded.
+        self._awaited: set[pathlib.Path] = set()
         #: Optional ``repro.obs`` registry mirroring :attr:`stats` under
         #: ``cache.*`` counter names, so a traced sweep's report carries the
         #: same counts the cache itself saw (counted at source, not
@@ -275,13 +259,22 @@ class ShardCache:
                 or meta.get("index") != index
             ):
                 raise ValueError("cache entry does not match its address")
-            dataset = read_dataset(entry / self.DATA_NAME)
-            result = shard_from_parts(index, meta, dataset)
+            wall_s = meta.get("wall_s", 0.0)
+            if isinstance(wall_s, bool) or not isinstance(wall_s, (int, float)):
+                raise ValueError(f"bad wall_s {wall_s!r}")
+            metrics = meta.get("metrics")
+            result = ShardResult(
+                index=index,
+                dataset=read_dataset(entry / self.DATA_NAME),
+                wall_s=float(wall_s),
+                from_cache=True,
+                metrics=metrics if isinstance(metrics, dict) else None,
+            )
         except (OSError, ValueError, KeyError, EOFError, ReproError):
+            self._awaited.add(entry)
             self.stats.misses += 1
             self._count("cache.misses")
             return None
-        result.from_cache = True
         self._touch(meta_path)
         self.stats.hits += 1
         self._count("cache.hits")
@@ -307,11 +300,15 @@ class ShardCache:
     # -- write -------------------------------------------------------------
 
     def store(self, fingerprint: str, seed: int, result: ShardResult) -> None:
-        """Persist one shard result atomically, then enforce the size bound.
+        """Persist one shard result: :meth:`write`, then :meth:`record`."""
+        self.write(fingerprint, seed, result)
+        self.record(fingerprint, seed, result.index)
 
-        Storing an already-present key simply rewrites the same bytes
-        (datasets serialise byte-reproducibly), so last-write-wins races
-        between concurrent runs sharing a cache directory are harmless.
+    def write(self, fingerprint: str, seed: int, result: ShardResult) -> None:
+        """Write one shard's entry atomically (a worker's half of a store).
+
+        Rewriting a present key writes the same bytes, so last-write-wins
+        races between runs sharing a cache directory are harmless.
         """
         entry = self.entry_dir(self.key(fingerprint, result.index, seed))
         entry.mkdir(parents=True, exist_ok=True)
@@ -325,11 +322,20 @@ class ShardCache:
             os.replace(tmp, meta_path)
         finally:
             tmp.unlink(missing_ok=True)
+
+    def record(self, fingerprint: str, seed: int, index: int) -> None:
+        """Book a written entry: stamp its recency, count it, enforce the bound.
+
+        The orchestrating process's half of a store, run as each computed
+        result lands, so one instance holds the LRU order and the counters.
+        """
+        entry = self.entry_dir(self.key(fingerprint, index, seed))
+        self._awaited.discard(entry)
         # Stamp the fresh entry through the same logical clock hits use,
         # so stores and hits share one total recency order.  Only a bounded
         # cache seeds the clock here: its eviction scans the directory
-        # anyway, while an unbounded store must not.
-        self._touch(meta_path, seed=self.max_bytes is not None)
+        # anyway, while an unbounded record must not.
+        self._touch(entry / self.META_NAME, seed=self.max_bytes is not None)
         self.stats.stores += 1
         self._count("cache.stores")
         if self.max_bytes is not None:
@@ -386,16 +392,17 @@ class ShardCache:
     def _evict(self, keep: pathlib.Path) -> None:
         """Drop LRU entries until the cache fits ``max_bytes``.
 
-        The just-written entry is exempt, so a single oversized shard still
-        caches (the bound is then best-effort) and a store can never evict
-        its own result.
+        The just-recorded entry is exempt, so a single oversized shard
+        still caches (the bound is then best-effort) and a store can never
+        evict its own result; so are awaited entries, which a worker may
+        have written before their results reached this process.
         """
         entries = sorted(self._entries())
         total = sum(size for _, size, _ in entries)
         for _, size, entry in entries:
             if total <= self.max_bytes:
                 break
-            if entry == keep:
+            if entry == keep or entry in self._awaited:
                 continue
             self._remove_entry(entry)
             total -= size

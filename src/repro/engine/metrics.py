@@ -2,7 +2,7 @@
 
 An :class:`EngineReport` is produced by every engine run.  It records, per
 shard: the route span, wall time, record count, retry count, and whether the
-shard was served from a checkpoint or the shard cache — plus run-level
+shard was replayed from the shard cache — plus run-level
 aggregates (worker utilisation, pool rebuilds after hard worker deaths,
 merge time, cache hit/miss counters).  The report serialises to JSON so
 campaign farms can scrape it; ``schema_version`` lets scrapers detect format
@@ -23,8 +23,10 @@ __all__ = ["ShardMetrics", "EngineReport", "REPORT_SCHEMA_VERSION"]
 #: History: 1 = initial engine report; 2 = adds schema_version itself,
 #: per-shard ``from_cache``, and run-level ``cache_hits``/``cache_misses``;
 #: 3 = per-shard ``wall_s`` at full precision, optional run-level
-#: ``metrics`` snapshot (see ``repro.obs.metrics``).
-REPORT_SCHEMA_VERSION = 3
+#: ``metrics`` snapshot (see ``repro.obs.metrics``); 4 = every replayed
+#: shard is ``from_cache`` and counts in ``cache_hits`` (the separate
+#: checkpoint flag and count are gone).
+REPORT_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +39,6 @@ class ShardMetrics:
     wall_s: float
     records: int
     retries: int
-    from_checkpoint: bool
     from_cache: bool = False
 
     def to_obj(self) -> dict:
@@ -56,7 +57,6 @@ class ShardMetrics:
             "wall_s": self.wall_s,
             "records": self.records,
             "retries": self.retries,
-            "from_checkpoint": self.from_checkpoint,
             "from_cache": self.from_cache,
         }
 
@@ -75,8 +75,8 @@ class ShardMetrics:
             wall_s=float(obj.get("wall_s", 0.0)),
             records=int(obj.get("records", 0)),
             retries=int(obj.get("retries", 0)),
-            from_checkpoint=bool(obj.get("from_checkpoint", False)),
-            from_cache=bool(obj.get("from_cache", False)),
+            # Schema v3 reported a checkpoint replay apart from a cache hit.
+            from_cache=bool(obj.get("from_cache") or obj.get("from_checkpoint")),
         )
 
 
@@ -93,8 +93,8 @@ class EngineReport:
     merge_s: float = 0.0
     pool_rebuilds: int = 0
     validated: bool = False
-    #: Shards served from / missed by the pluggable shard-result store
-    #: (zero when no store is configured; checkpoints count separately).
+    #: Shards replayed from / missed by the run's shard cache (zero when
+    #: no cache is configured).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Optional merged metrics snapshot (``repro.obs.metrics`` shape:
@@ -112,16 +112,9 @@ class EngineReport:
         return sum(s.retries for s in self.shards)
 
     @property
-    def checkpoint_hits(self) -> int:
-        return sum(1 for s in self.shards if s.from_checkpoint)
-
-    @property
     def shard_wall_s(self) -> float:
         """Summed per-shard compute time (excludes replayed shards)."""
-        return sum(
-            s.wall_s for s in self.shards
-            if not (s.from_checkpoint or s.from_cache)
-        )
+        return sum(s.wall_s for s in self.shards if not s.from_cache)
 
     def cache_hit_ratio(self) -> float:
         """Hits over store lookups; 0.0 when no store was configured."""
@@ -157,7 +150,6 @@ class EngineReport:
             "cache_hit_ratio": round(self.cache_hit_ratio(), 4),
             "total_records": self.total_records,
             "total_retries": self.total_retries,
-            "checkpoint_hits": self.checkpoint_hits,
             "worker_utilisation": round(self.worker_utilisation(), 4),
             "shards": [s.to_obj() for s in self.shards],
         }

@@ -3,10 +3,11 @@
 :func:`execute_batch` is the top-level (picklable) entry point submitted to
 ``ProcessPoolExecutor`` — or called inline by the serial fallback executor.
 A batch is an ordered tuple of :class:`ShardTask`; the worker runs each task
-to a :class:`ShardResult` and, when a checkpoint directory is configured,
-stores every result into that :class:`~repro.engine.checkpoint.ShardCache`
-the moment it completes, so even a mid-batch worker death loses at most the
-shard in flight.
+to a :class:`ShardResult` and, when the task names a shard cache, writes the
+result's entry into that :class:`~repro.engine.checkpoint.ShardCache` the
+moment it completes, so even a mid-batch worker death loses at most the
+shard in flight.  The worker is the entry's only writer; the orchestrating
+process only records it (recency, counters, the size bound).
 
 Every shard is one route window: a :class:`DriveCampaign` restricted to
 the window, with RNG substreams derived from ``RngFactory(seed).shard(index)``
@@ -66,7 +67,9 @@ class ShardTask:
     config: CampaignConfig
     window: CampaignWindow
     attempt: int = 0
-    checkpoint_dir: str | None = None
+    #: Shard cache directory this worker writes the shard's entry into;
+    #: ``None`` writes nothing.
+    cache_dir: str | None = None
     fingerprint: str = ""
     fault: FaultSpec | None = None
     #: Pid of the orchestrating process; lets an "exit" fault detect whether
@@ -95,9 +98,8 @@ class ShardResult:
     index: int
     dataset: DriveDataset
     wall_s: float = 0.0
-    from_checkpoint: bool = False
-    #: Served from a content-addressed shard cache (see
-    #: ``repro.engine.checkpoint``) other than the run's checkpoint directory.
+    #: Replayed from the run's shard cache (see ``repro.engine.checkpoint``)
+    #: instead of computed.
     from_cache: bool = False
     #: Metrics snapshot (``repro.obs.metrics`` shape) recorded while the
     #: shard computed; ``None`` unless the run was traced.  Rides back on
@@ -155,12 +157,12 @@ def execute_shard(task: ShardTask) -> ShardResult:
             registry.count("engine.records_generated", result.records)
             registry.observe("engine.shard_s", result.wall_s)
             result.metrics = registry.snapshot()
-        if task.checkpoint_dir:
+        if task.cache_dir:
             # Imported lazily so the worker module stays import-light.
             from repro.engine.checkpoint import ShardCache
 
             with tracer.span("engine.checkpoint.store", index=task.index):
-                ShardCache(task.checkpoint_dir).store(
+                ShardCache(task.cache_dir).write(
                     task.fingerprint, task.config.seed, result
                 )
     return result
@@ -169,8 +171,8 @@ def execute_shard(task: ShardTask) -> ShardResult:
 def execute_batch(tasks: tuple[ShardTask, ...]) -> list[ShardResult]:
     """Run a batch of shards sequentially in this process.
 
-    Each shard is checkpointed as soon as it finishes, so a crash mid-batch
-    preserves every already-completed shard.
+    Each shard's cache entry is written as soon as it finishes, so a crash
+    mid-batch preserves every already-completed shard.
     """
     return [execute_shard(task) for task in tasks]
 

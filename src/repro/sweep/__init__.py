@@ -16,8 +16,9 @@ aggregate repeated vantage-point runs.  It is built directly on the
    executor: shards are keyed on ``(config_fingerprint, shard_index,
    shard_seed)``, so repeated sweeps — the same seeds again, a superset of
    seeds, a resumed run, a run's checkpoint directory — replay overlapping
-   shards instead of recomputing them, with LRU size bounding and hit/miss
-   counters;
+   shards instead of recomputing them.  Workers write the entries, so a
+   failed batch keeps its finished shards; the sweep keeps the LRU bound
+   and hit/miss counters;
 3. the **statistics layer** (:mod:`repro.sweep.stats`) evaluates a registry
    of paper statistics on each seed's merged dataset and aggregates them
    into mean/median/std plus percentile-bootstrap confidence intervals;

@@ -6,6 +6,7 @@ run — fault tolerance may cost time, never correctness.
 
 import gzip
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.engine import (
     EngineConfig,
     FaultSpec,
     PlannerParams,
+    run_campaigns,
     run_engine,
 )
 from repro.engine.checkpoint import ShardCache, config_fingerprint
@@ -157,15 +159,15 @@ class TestCheckpointResume:
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == len(stored)
-        assert report.checkpoint_hits < len(report.shards)
+        assert report.cache_hits == len(stored)
+        assert report.cache_hits < len(report.shards)
 
         # Third run is served fully from checkpoints.
         ds, report = run_engine(
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == len(report.shards)
+        assert report.cache_hits == len(report.shards)
 
     def test_empty_checkpoint_dir_replays_nothing(self, tmp_path):
         assert checkpointed(tmp_path / "never-written") == set()
@@ -195,7 +197,7 @@ class TestCheckpointResume:
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == 0
+        assert report.cache_hits == 0
 
     def test_changed_planner_window_invalidates(self, engine_baseline, tmp_path):
         """A different window decomposition changes the fingerprint, so
@@ -218,7 +220,7 @@ class TestCheckpointResume:
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == 0
+        assert report.cache_hits == 0
 
     def test_corrupt_checkpoint_recomputed(self, engine_baseline, tmp_path):
         _, base = engine_baseline
@@ -244,7 +246,7 @@ class TestCheckpointResume:
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == len(report.shards) - 3
+        assert report.cache_hits == len(report.shards) - 3
 
     def test_corrupt_store_files_recomputed(self, engine_baseline, tmp_path):
         """Each kind of damaged ``.rcol`` entry (one shard per kind) is a
@@ -267,7 +269,7 @@ class TestCheckpointResume:
             engine_config(executor="serial", checkpoint_dir=str(ckpt))
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
-        assert report.checkpoint_hits == len(report.shards) - len(damaged)
+        assert report.cache_hits == len(report.shards) - len(damaged)
         assert set(damaged) <= checkpointed(ckpt)
 
     def test_checkpoints_survive_mid_batch_failure(self, tmp_path):
@@ -288,6 +290,27 @@ class TestCheckpointResume:
         stored = checkpointed(ckpt)
         assert 8 in stored
         assert 9 not in stored
+
+    def test_shard_store_keeps_finished_shards_of_a_failed_batch(
+        self, engine_baseline, tmp_path
+    ):
+        """The worker that computes a shard writes its entry, so a shared
+        store (a sweep's cache) keeps every shard a failed batch finished,
+        and a rerun computes only the one that failed."""
+        _, base = engine_baseline
+        store = tmp_path / "store"
+        config = engine_config(executor="serial", shards=1, max_retries=0)
+        with pytest.raises(EngineError):
+            run_campaigns(
+                [replace(config, inject_faults={9: FaultSpec()})],
+                shard_store=ShardCache(store),
+            )
+        assert checkpointed(store) == set(range(9))
+
+        (run,), _ = run_campaigns([config], shard_store=ShardCache(store))
+        assert (run.report.cache_hits, run.report.cache_misses) == (9, 1)
+        assert [s.index for s in run.report.shards if not s.from_cache] == [9]
+        assert engine_dataset_bytes(run.dataset, tmp_path) == base
 
 
 class TestResumeMetricsParity:
@@ -331,7 +354,7 @@ class TestResumeMetricsParity:
                 trace_path=str(tmp_path / "resumed.jsonl"),
             )
         )
-        assert resumed.checkpoint_hits > 0  # the resume actually replayed
+        assert resumed.cache_hits > 0  # the resume actually replayed
         clean_counters = clean.metrics["counters"]
         resumed_counters = resumed.metrics["counters"]
         for key in ("engine.shards_computed", "engine.records_generated"):
@@ -359,7 +382,7 @@ class TestResumeMetricsParity:
                 trace_path=str(tmp_path / "replayed.jsonl"),
             )
         )
-        assert replayed.checkpoint_hits == len(replayed.shards)
+        assert replayed.cache_hits == len(replayed.shards)
         assert (
             replayed.metrics["counters"]["engine.shards_computed"]
             == clean.metrics["counters"]["engine.shards_computed"]

@@ -16,7 +16,7 @@ def _engine_obj(**extra) -> dict:
     report.shards = [
         ShardMetrics(
             index=0, start_km=0.0, end_km=100.0, wall_s=1.5,
-            records=10, retries=0, from_checkpoint=False,
+            records=10, retries=0, from_cache=False,
         )
     ]
     obj = report.to_obj()
@@ -77,6 +77,20 @@ class TestEngineReportForwardCompat:
     def test_roundtrip_still_exact(self):
         obj = _engine_obj()
         assert EngineReport.from_obj(obj).to_obj() == obj
+
+    def test_v3_checkpoint_replay_reads_as_cache_hit(self):
+        """Schema v3 flagged a shard replayed from a checkpoint directory
+        apart from a cache hit; v4 has one replay flag and reads it as
+        ``from_cache``, so the shard's wall time leaves ``shard_wall_s``."""
+        obj = _engine_obj(schema_version=3, checkpoint_hits=1)
+        replayed = dict(obj["shards"][0], index=1, from_checkpoint=True)
+        computed = dict(obj["shards"][0], from_checkpoint=False)
+        obj["shards"] = [computed, replayed]
+        report = EngineReport.from_obj(obj)
+        assert [s.from_cache for s in report.shards] == [False, True]
+        assert report.shard_wall_s == 1.5
+        assert "from_checkpoint" not in report.to_obj()["shards"][1]
+        assert "checkpoint_hits" not in report.to_obj()
 
     def test_missing_structural_field_still_fails(self):
         obj = _engine_obj()

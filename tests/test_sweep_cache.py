@@ -30,7 +30,7 @@ from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
 from repro.store.format import read_dataset
 from repro.sweep import SweepConfig, run_sweep
-from repro.sweep.cache import ShardCache
+from repro.sweep.cache import CacheStats, ShardCache
 
 FP = "a" * 64
 OTHER_FP = "b" * 64
@@ -98,7 +98,6 @@ class TestRoundTrip:
         cache = ShardCache(tmp_path)
         cache.store(FP, 42, make_result())
         assert not list(tmp_path.rglob("*.tmp"))
-
 
 class TestInvalidation:
     """A cache entry written under a different computation must be ignored."""
@@ -278,6 +277,25 @@ class TestLruBounding:
         assert cache.load(FP, 42, 3) is not None  # just written, kept
         assert cache.load(FP, 42, 1) is None  # oldest untouched: evicted
 
+    def test_write_keeps_no_books_and_record_keeps_them(self, tmp_path):
+        """A worker's ``write`` puts the entry on disk and counts nothing;
+        the orchestrator's ``record`` counts the store and enforces the
+        bound, sparing the entries it missed and has not recorded yet."""
+        size = self.entry_bytes(tmp_path)
+        writer = ShardCache(tmp_path / "c")
+        books = ShardCache(tmp_path / "c", max_bytes=2 * size + size // 2)
+        assert books.load_many(FP, 42, [0, 1, 2]) == {}  # to be computed
+        for index in range(3):
+            writer.write(FP, 42, make_result(index=index))
+        assert writer.stats == CacheStats()
+        books.record(FP, 42, 0)
+        assert len(books) == 3  # 1 and 2 are in flight: the bound waits
+        books.record(FP, 42, 1)
+        books.record(FP, 42, 2)
+        assert (books.stats.stores, books.stats.evictions) == (3, 1)
+        assert len(books) == 2
+        assert set(books.load_many(FP, 42, [0, 1, 2])) == {1, 2}
+
     def test_oversized_single_entry_still_cached(self, tmp_path):
         cache = ShardCache(tmp_path, max_bytes=1)
         cache.store(FP, 42, make_result(n_rtts=50))
@@ -292,9 +310,10 @@ class TestLruBounding:
         assert cache.stats.evictions == 0
 
     def test_unbounded_store_does_not_scan_the_directory(self, tmp_path, monkeypatch):
-        """Regression: workers write every checkpoint through a fresh
-        unbounded cache, and seeding the recency clock on store scanned
-        every entry — a checkpointed run cost O(shards x entries)."""
+        """Regression: seeding the recency clock on store scanned every
+        entry, so a checkpointed run cost O(shards x entries).  Neither
+        half of a store scans an unbounded cache: not a worker's ``write``
+        through a fresh instance, nor the orchestrator's ``record``."""
         import os
         import time
 
@@ -310,10 +329,14 @@ class TestLruBounding:
         with monkeypatch.context() as patch:
             patch.setattr(ShardCache, "_entries", no_scan)
             cache.store(FP, 42, make_result(index=1))
+            ShardCache(tmp_path).write(FP, 42, make_result(index=2))
+            cache.record(FP, 42, 2)
+        assert cache.stats.stores == 2
         # The first hit still seeds the clock past the future-dated entry.
-        assert cache.load(FP, 42, 1) is not None
-        fresh = cache.entry_dir(shard_key(FP, 1, 42)) / "meta.json"
-        assert fresh.stat().st_mtime_ns > future
+        for index in (1, 2):
+            assert cache.load(FP, 42, index) is not None
+            fresh = cache.entry_dir(shard_key(FP, index, 42)) / "meta.json"
+            assert fresh.stat().st_mtime_ns > future
 
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(SweepError):

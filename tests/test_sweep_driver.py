@@ -201,17 +201,66 @@ class TestCacheReplay:
         """The cache is one namespace: run_engine replays sweep shards."""
         _, _, sweep_tmp = swept
         _, base = engine_baseline
-        cache = ShardCache(sweep_tmp / "shard-cache")
         ds, report = run_engine(
             EngineConfig(
-                campaign=ENGINE_CAMPAIGN, executor="serial", planner=PLANNER
-            ),
-            shard_store=cache,
+                campaign=ENGINE_CAMPAIGN, executor="serial", planner=PLANNER,
+                checkpoint_dir=str(sweep_tmp / "shard-cache"),
+            )
         )
         assert engine_dataset_bytes(ds, tmp_path) == base
         assert report.cache_hits == len(report.shards)
         assert report.cache_misses == 0
         assert report.cache_hit_ratio() == 1.0
+
+
+class TestBoundedCache:
+    """Workers write every entry and the sweep's process keeps the books, so
+    a cold sweep into a cache smaller than its shards still ends within the
+    bound, counts every eviction and keeps the newest entries."""
+
+    @pytest.fixture(scope="class")
+    def full_bytes(self, tmp_path_factory):
+        """Disk footprint of an unbounded cold sweep's entries."""
+        tmp = tmp_path_factory.mktemp("unbounded")
+        return run_sweep(sweep_config(tmp)).cache.total_bytes()
+
+    @pytest.mark.parametrize(
+        "topology", [{"executor": "serial"}, {"executor": "process", "workers": 2}]
+    )
+    def test_cold_sweep_ends_within_bound_keeping_newest(
+        self, full_bytes, topology, tmp_path, monkeypatch
+    ):
+        recorded: list[tuple[str, int, int]] = []
+        record = ShardCache.record
+
+        def logged(self, fingerprint, seed, index):
+            recorded.append((fingerprint, seed, index))
+            return record(self, fingerprint, seed, index)
+
+        monkeypatch.setattr(ShardCache, "record", logged)
+        budget = full_bytes // 2
+        try:
+            result = run_sweep(
+                sweep_config(
+                    tmp_path,
+                    **topology,
+                    cache_max_bytes=budget,
+                    trace_path=str(tmp_path / "trace.jsonl"),
+                )
+            )
+        finally:
+            reset_tracers()
+        cache, stats = result.cache, result.cache.stats
+        assert cache.total_bytes() <= budget
+        assert stats.stores == stats.misses == len(recorded)
+        assert stats.evictions == len(recorded) - len(cache) > 0
+        assert result.report.metrics["counters"]["cache.evictions"] == stats.evictions
+        survivors = [
+            (fingerprint, seed, index)
+            for fingerprint, seed, index in recorded
+            if cache.load(fingerprint, seed, index) is not None
+        ]
+        assert survivors == recorded[-len(cache):]
 
 
 class TestSweepReport:
@@ -275,7 +324,7 @@ class TestOnePipeline:
     def shard_facts(report):
         return [
             (s.index, s.start_km, s.end_km, s.records, s.retries,
-             s.from_cache, s.from_checkpoint)
+             s.from_cache)
             for s in report.shards
         ]
 
@@ -287,7 +336,7 @@ class TestOnePipeline:
         for _ in ("cold", "warm"):
             swept = run_sweep(sweep_cfg).engine_reports[SEEDS[0]]
             _, engine = run_engine(
-                engine_config(SEEDS[0]), shard_store=ShardCache(engine_cache)
+                engine_config(SEEDS[0], checkpoint_dir=str(engine_cache))
             )
             assert self.shard_facts(swept) == self.shard_facts(engine)
             assert (swept.cache_hits, swept.cache_misses) == (
@@ -309,7 +358,7 @@ class TestOnePipeline:
         )
 
         ds, report = run_engine(
-            engine_config(SEEDS[0]), shard_store=ShardCache(ckpt)
+            engine_config(SEEDS[0], checkpoint_dir=str(ckpt))
         )
         assert report.cache_hits == len(report.shards)
         assert report.cache_misses == 0
