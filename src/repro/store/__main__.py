@@ -176,8 +176,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _inspect_reader(reader: DatasetReader, indent: str = "") -> None:
     print(
-        f"{indent}seed {reader.seed}  scale {reader.scale}  "
-        f"route {reader.route_length_km:.1f} km  {reader.nbytes()} bytes"
+        f"{indent}format {reader.format_version}  seed {reader.seed}  "
+        f"scale {reader.scale}  route {reader.route_length_km:.1f} km  "
+        f"{reader.nbytes()} bytes"
     )
     for table in reader.tables():
         print(f"{indent}  table {table.name:8s} rows {table.count}")
@@ -212,7 +213,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             rows = sum(part.rows(t) for t in TABLE_SCHEMAS)
             print(
                 f"  {part.path}  seed={part.seed}{label}  "
-                f"{rows} rows  {part.nbytes} bytes"
+                f"{rows} rows  {part.nbytes} bytes  "
+                f"format {catalog.open(part).format_version}"
             )
     return 0
 

@@ -1,12 +1,15 @@
 """Golden files pin both dataset formats byte for byte.
 
-``tests/data/golden.jsonl.gz`` and ``tests/data/golden.rcol`` hold
-:func:`golden_dataset` saved by the hand-written per-field codecs the
-record-layout derivation replaced.  Loading either must rebuild exactly
-that dataset, and saving it again must reproduce the committed bytes, so
-any change to a field's key, order, encoding or type shows up here first.
+``tests/data/golden.jsonl.gz`` and ``tests/data/golden-v3.rcol`` hold
+:func:`golden_dataset` as the current writers save it.  Loading either
+must rebuild exactly that dataset, and saving it again must reproduce the
+committed bytes, so any change to a field's key, order, encoding or type
+shows up here first.  ``tests/data/golden.rcol`` is the same dataset as
+the version 2 store writer saved it (JSON footer), frozen: it must keep
+loading, and is never regenerated.
 
-Regenerate (only on a deliberate format change, with a version bump)::
+Regenerate the current-format files (only on a deliberate format change,
+with a version bump)::
 
     PYTHONPATH=src python -m tests.test_golden_files
 """
@@ -43,7 +46,11 @@ from repro.radio.technology import RadioTechnology
 from repro.store.columnar import TableSchema
 
 DATA = pathlib.Path(__file__).parent / "data"
-GOLDEN = {"jsonl": DATA / "golden.jsonl.gz", "rcol": DATA / "golden.rcol"}
+#: The current writers' golden files, by format.
+GOLDEN = {"jsonl": DATA / "golden.jsonl.gz", "rcol": DATA / "golden-v3.rcol"}
+#: Every golden file that must load: the current ones and the frozen
+#: version 2 store file.
+LOADABLE = {"rcol3": GOLDEN["rcol"], "jsonl": GOLDEN["jsonl"], "rcol": DATA / "golden.rcol"}
 
 NAN, INF = math.nan, math.inf
 
@@ -149,17 +156,27 @@ def _assert_same(got: DriveDataset, want: DriveDataset) -> None:
         assert repr(a) == repr(b), f.name
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN))
 class TestGoldenFiles:
+    @pytest.mark.parametrize("fmt", sorted(LOADABLE))
     def test_loads_equal_to_dataset(self, fmt):
-        _assert_same(load_dataset(GOLDEN[fmt]), golden_dataset())
+        _assert_same(load_dataset(LOADABLE[fmt]), golden_dataset())
 
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN))
     @pytest.mark.parametrize("source", ["built", "loaded"])
     def test_resave_reproduces_bytes(self, fmt, source, tmp_path):
         ds = golden_dataset() if source == "built" else load_dataset(GOLDEN[fmt])
         out = tmp_path / GOLDEN[fmt].name
         save_dataset(ds, out)
         assert out.read_bytes() == GOLDEN[fmt].read_bytes()
+
+
+def test_v2_writer_writes_the_frozen_file(tmp_path):
+    """``tests/store_v2.py``, which the legacy read tests write their
+    files with, writes the version 2 bytes exactly."""
+    from tests.store_v2 import write_dataset_v2
+
+    write_dataset_v2(golden_dataset(), tmp_path / "v2.rcol")
+    assert (tmp_path / "v2.rcol").read_bytes() == LOADABLE["rcol"].read_bytes()
 
 
 def test_golden_dataset_covers_every_shape():
@@ -204,6 +221,6 @@ class TestSchemaDerivation:
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for path in GOLDEN.values():
+    for path in GOLDEN.values():  # never the frozen version 2 file
         save_dataset(golden_dataset(), path)
         print(f"wrote {path}")

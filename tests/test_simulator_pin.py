@@ -10,7 +10,9 @@ must leave it unchanged.
 The pin changes only with a deliberate change to a random stream (a new
 draw, a reordered draw, a different formula), and such a change must bump
 ``ENGINE_CHECKPOINT_VERSION`` so that shard caches filled by the old code
-are not replayed.  Regenerate with::
+are not replayed.  A store format change (a ``STORE_FORMAT_VERSION`` bump)
+changes the bytes hashed, not the dataset: re-take the pin then, and check
+that the dataset's JSON-lines save is unchanged.  Regenerate with::
 
     PYTHONPATH=src python -m tests.test_simulator_pin
 
@@ -35,8 +37,8 @@ from repro.campaign.runner import generate_dataset
 from repro.engine.checkpoint import ENGINE_CHECKPOINT_VERSION
 from repro.store.format import write_dataset
 
-#: SHA-256 of ``write_dataset(pinned_dataset())``.
-PINNED_SHA256 = "49c2f2eb57979b48f1c502e2d56e950f9bada64d3040a6e04c86a2ac9d90ba6f"
+#: SHA-256 of ``write_dataset(pinned_dataset())`` (store format 3).
+PINNED_SHA256 = "a6aa3e99d8dc1163ac5ead77e3653669e22c08b0be68983a39476f700e9489da"
 #: The checkpoint version the pin was taken at.
 PINNED_CHECKPOINT_VERSION = 6
 

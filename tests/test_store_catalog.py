@@ -176,6 +176,86 @@ class TestIngest:
         assert "store command failed" in capsys.readouterr().err
 
 
+def _every_query_kind(catalog) -> str:
+    """One answer of every ``repro.store.query`` kind, with the pushdown
+    counters, as one comparable string."""
+    verizon = (Eq("operator", Operator.VERIZON),)
+    qstats = QueryStats()
+    answers = {
+        "count": query.count(catalog, "tput", verizon, qstats=qstats),
+        "count_pruned": query.count(
+            catalog, "tput", (query.Between("mark_m", 0.0, 5e6),), qstats=qstats
+        ),
+        "count_seed": query.count(catalog, "tput", seeds=(8,), qstats=qstats),
+        "select": query.select(catalog, "tput", "tput_mbps", verizon, qstats=qstats),
+        "select_members": query.select(catalog, "tput", "tech", verizon),
+        "select_columns": query.select_columns(
+            catalog, "rtt", ("rtt_ms", "operator"), verizon
+        ),
+        "select_rows": query.select_rows(catalog, "test", ("test_id", "test_type")),
+        "total": query.total(catalog, "tput", "tput_mbps", verizon, qstats=qstats),
+        "mean": query.mean(catalog, "rtt", "rtt_ms", qstats=qstats),
+        "percentile": query.percentile(
+            catalog, "tput", "tput_mbps", [0.1, 0.5, 0.9], verizon, qstats=qstats
+        ),
+        "cdf": query.cdf(catalog, "rtt", "rtt_ms", qstats=qstats).sorted_values,
+        "group_total": query.group_total(
+            catalog, "passive", "tech", "length_m", qstats=qstats
+        ),
+        "partitions": [r.seed for r in query.partitions(catalog, seeds=(7, 9))],
+        "qstats": (
+            qstats.partitions_scanned, qstats.partitions_pruned,
+            qstats.columns_decoded, qstats.bytes_decoded, qstats.rows_matched,
+        ),
+    }
+    return repr({
+        k: v.tolist() if hasattr(v, "tolist") else
+        [x.tolist() for x in v] if k == "select_columns" else v
+        for k, v in answers.items()
+    })
+
+
+class TestMixedVersions:
+    """Partitions a version 2 build wrote answer queries next to ones the
+    current writer wrote exactly as an all-version-2 catalog does."""
+
+    @staticmethod
+    def _catalog(root, datasets, v2_seeds):
+        from tests.store_v2 import write_dataset_v2
+
+        catalog = Catalog(root)
+        for seed, ds in datasets.items():
+            info = catalog.ingest(ds)
+            if seed in v2_seeds:  # the partition as a version 2 build wrote it
+                write_dataset_v2(ds, root / info.path)
+        return catalog
+
+    def test_every_query_kind_agrees(self, seeded_datasets, tmp_path):
+        answers = {}
+        for name, v2_seeds in (
+            ("all-v2", (7, 8, 9)), ("mixed", (8,)), ("all-v3", ()),
+        ):
+            with self._catalog(tmp_path / name, seeded_datasets, v2_seeds) as cat:
+                versions = [cat.open(p).format_version for p in cat.partitions]
+                assert versions.count(2) == len(v2_seeds), versions
+                answers[name] = _every_query_kind(cat)
+        assert answers["mixed"] == answers["all-v2"]
+        assert answers["all-v3"] == answers["all-v2"]
+
+    def test_inspect_prints_each_format(self, seeded_datasets, tmp_path, capsys):
+        root = tmp_path / "mixed"
+        with self._catalog(root, seeded_datasets, (8,)) as cat:
+            v2_path = root / next(p.path for p in cat.partitions if p.seed == 8)
+        assert store_main(["inspect", str(root)]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines() if ".rcol" in line
+        ]
+        assert [line.endswith("format 2") for line in lines] == [False, True, False]
+        assert all(line.endswith("format 3") for line in lines[::2])
+        assert store_main(["inspect", str(v2_path)]) == 0
+        assert capsys.readouterr().out.startswith("format 2 ")
+
+
 class TestPruning:
     def test_seed_restriction_skips_partitions(self, catalog):
         qstats = QueryStats()
