@@ -52,8 +52,8 @@ class SweepError(ReproError):
 class StoreError(ReproError):
     """A columnar store file or catalog is invalid, truncated, or misused.
 
-    Raised when a store file fails its magic/version/footer checks, a column
-    chunk's byte length disagrees with its footer entry (truncation or
+    Raised when a store file fails its magic/version/directory checks, a
+    column chunk's byte length disagrees with its directory row (truncation or
     corruption can never decode to garbage rows), or a query references an
     unknown table, column, or predicate value type.
     """

@@ -11,10 +11,10 @@ records at scale (cf. cniCloud's queryable measurement warehouse):
    compression for slowly-changing columns, with min/max/null stats per
    column;
 2. **format** (:mod:`repro.store.format`) — one atomic, byte-stable
-   ``.rcol`` file per dataset, mmap-backed, footer-described, schema
-   versioned; exact value round-trip with the row path;
+   ``.rcol`` file per dataset, described by a binary column directory,
+   schema versioned; exact value round-trip with the row path;
 3. **query engine** (:mod:`repro.store.query`) — projection, predicate
-   pushdown against footer stats, and aggregation kernels (count, sum,
+   pushdown against column stats, and aggregation kernels (count, sum,
    mean, percentiles, CDFs, grouped sums) feeding the analysis layer
    without ever materialising row objects;
 4. **catalog** (:mod:`repro.store.catalog`) — per-seed partitions behind a

@@ -25,8 +25,8 @@ readers can open it concurrently at any time.
 
 The manifest is the canonical compact JSON of its content
 (``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, C-encoded).
-Ingest takes the new partition's stats from the footer the store writer
-has just encoded rather than reopening the file, and every partition
+Ingest takes the new partition's stats from the column entries the store
+writer returns rather than reopening the file, and every partition
 encodes its manifest entry once: a rewrite encodes the partition it
 ingests and joins the encodings it already holds, so a catalog object
 ingesting many partitions pays for one entry per ingest, not for the
