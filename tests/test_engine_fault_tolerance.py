@@ -249,13 +249,15 @@ class TestCheckpointResume:
         assert report.cache_hits == len(report.shards) - 3
 
     def test_corrupt_store_files_recomputed(self, engine_baseline, tmp_path):
-        """Each kind of damaged ``.rcol`` entry (one shard per kind) is a
-        miss; the rerun recomputes those shards and nothing else."""
+        """Damaged ``.rcol`` entries (a different kind on every other
+        shard) are misses; the rerun recomputes those shards and nothing
+        else.  Every kind is a miss in ``tests/test_sweep_cache.py``."""
         _, base = engine_baseline
         ckpt = tmp_path / "ckpt"
         run_engine(engine_config(executor="serial", checkpoint_dir=str(ckpt)))
         cache, fingerprint, indices = checkpoint_cache(ckpt)
-        damaged = dict(zip(indices, sorted(RCOL_CORRUPTIONS)))
+        # The clean shards show that nothing else is recomputed.
+        damaged = dict(zip(indices[::2], sorted(RCOL_CORRUPTIONS)))
         for index, corruption in damaged.items():
             RCOL_CORRUPTIONS[corruption](
                 cache.entry_dir(
