@@ -68,7 +68,6 @@ from repro.geo.coords import haversine_from_m
 from repro.geo.regions import ALL_REGION_TYPES, RegionType
 from repro.geo.route import RoutePosition
 from repro.mobility import engine as handover_engine
-from repro.mobility.engine import HandoverDurationParams
 from repro.net import latency
 from repro.net.servers import Server
 from repro.net.tcp import CubicFlow
@@ -77,10 +76,8 @@ from repro.policy.selection import TechnologySelector
 from repro.radio import channel, phy
 from repro.radio.ca import CarrierAggregationModel, Direction
 from repro.radio.cells import Cell
-from repro.radio.channel import ChannelModel
 from repro.radio.deployment import DeploymentModel, DeploymentZone
 from repro.radio.operators import Operator
-from repro.radio.phy import PhyModel
 from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 from repro.rng import BufferedUniforms, RngFactory, peek_uniforms
 
@@ -98,21 +95,18 @@ _ATT_MMWAVE_UL_FACTOR_RANGE = (0.002, 0.02)
 _TCP_RTT_INFLATION = 1.3
 _TCP_RTT_FLOOR_MS = 15.0
 
-#: Ping-pong neighbours are numbered this far above the real cell.
-_PINGPONG_SEQ_OFFSET = 500_000
-
 _MMWAVE = RadioTechnology.NR_MMWAVE.rank
 _IS_4G = tuple(t.is_4g for t in ALL_TECHNOLOGIES)
-#: ``ChannelModel.state``'s interference margin, by region code.
-_INTERFERENCE_DB = np.array([channel._INTERFERENCE_DB[r] for r in ALL_REGION_TYPES])
-_CITY_INTERFERENCE_DB = channel._INTERFERENCE_DB[RegionType.CITY]
-_NOISE_FLOOR_DBM = np.array([channel._NOISE_FLOOR_DBM[t] for t in ALL_TECHNOLOGIES])
-_SHADOW_DECORRELATION_M = channel._SHADOW_DECORRELATION_M
-_SINR_FLOOR_DB = phy._SINR_FLOOR_DB
-_SINR_SPAN_DB = phy._SINR_CEILING_DB - phy._SINR_FLOOR_DB
+#: The channel's interference margin, by region code.
+_INTERFERENCE_DB = np.array([channel.INTERFERENCE_DB[r] for r in ALL_REGION_TYPES])
+_CITY_INTERFERENCE_DB = channel.INTERFERENCE_DB[RegionType.CITY]
+_NOISE_FLOOR_DBM = np.array([channel.NOISE_FLOOR_DBM[t] for t in ALL_TECHNOLOGIES])
+_SHADOW_DECORRELATION_M = channel.SHADOW_DECORRELATION_M
+_SINR_FLOOR_DB = phy.SINR_FLOOR_DB
+_SINR_SPAN_DB = phy.SINR_CEILING_DB - phy.SINR_FLOOR_DB
 _MAX_MCS = phy.MAX_MCS_INDEX
-_SPEED_SINR_PENALTY = PhyModel.SPEED_SINR_PENALTY_DB_PER_MPH
-_STATIC_JITTER_LOG_MEDIAN = math.log(latency._STATIC_JITTER_MEDIAN_MS)
+_SPEED_SINR_PENALTY = phy.SPEED_SINR_PENALTY_DB_PER_MPH
+_STATIC_JITTER_LOG_MEDIAN = math.log(latency.STATIC_JITTER_MEDIAN_MS)
 
 _exp, _log, _log10 = math.exp, math.log, math.log10
 
@@ -130,7 +124,7 @@ def _shadow_mark(item: tuple) -> float:
 
 
 def _shadowing(shadow: dict, seq: int, mark: float, sigma: float, z: float) -> float:
-    """``ChannelModel._evolve_shadow`` on a memory keyed by cell sequence,
+    """One step of a cell's shadowing on a memory keyed by cell sequence,
     with the tick's standard normal ``z``: the cell's correlated shadowing
     at ``mark`` (dB), stored; past 64 cells the memory keeps the 32 seen
     last, by mark, in that order."""
@@ -205,9 +199,14 @@ def _mcs_bler(
     doppler_u: np.ndarray,
     bler_z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``PhyModel.mcs_from_sinr`` and ``bler_from_sinr`` over a block, from
-    its MCS normals, speed-penalty uniforms and BLER normals; ``speed`` is
-    already floored at zero."""
+    """The MCS and BLER of every tick of a block, from its MCS normals,
+    speed-penalty uniforms and BLER normals; ``speed`` is already floored
+    at zero.
+
+    The MCS maps the speed-penalised SINR linearly from its working range
+    onto [0, 28] with ±1.5 index reporting noise.  The BLER sits near 3–10%
+    (the HARQ operating point), rises as SINR collapses, and takes a small
+    Doppler penalty with speed."""
     raw = (sinr - _SPEED_SINR_PENALTY * speed - _SINR_FLOOR_DB) / _SINR_SPAN_DB * _MAX_MCS + (
         0.0 + 1.5 * mcs_z
     )
@@ -223,28 +222,18 @@ def _mcs_bler(
 @functools.cache
 def _operator_tables(operator: Operator) -> tuple:
     """One operator's per-technology arrays, indexed by rank: path loss
-    (reference power, 10 x exponent, shadowing sigma); the PHY's capacity
-    before BLER and load, by direction code, rank, CC count and MCS; the
-    RTT model's RAN and extra core latency; then the RTT model's speed
-    sensitivity and jitter scale."""
-    params = ChannelModel(operator, None)
-    path_loss = np.array([
-        (p.ref_dbm_at_100m, 10.0 * p.exponent, p.shadow_sigma_db)
-        for p in map(params.params_for, ALL_TECHNOLOGIES)
-    ])
-    model = PhyModel(None, operator, bler_rng=None, doppler_rng=None)
-    capacity = np.zeros((2, len(ALL_TECHNOLOGIES), 9, _MAX_MCS + 1))
-    for d, direction in enumerate(Direction.ALL):
-        for tech in ALL_TECHNOLOGIES:
-            for n_ccs in range(1, 9):
-                capacity[d, tech.rank, n_ccs] = [
-                    model.capacity_total(tech, mcs, n_ccs, direction)
-                    for mcs in range(_MAX_MCS + 1)
-                ]
-    rtt = latency.RttModel(operator, None, None, None)
+    (reference power, 10 x exponent, shadowing sigma); the capacity before
+    BLER and load, by direction code, rank, CC count and MCS
+    (:func:`~repro.radio.phy.capacity_table`); the RAN and extra core
+    latency; then the jitter's speed sensitivity and scale."""
+    path_loss = np.array([channel.path_loss(operator, tech) for tech in ALL_TECHNOLOGIES])
+    path_loss[:, 1] *= 10.0
     ran_ms = np.array([2.0 * t.ran_latency_ms for t in ALL_TECHNOLOGIES])
-    extra_ms = np.array(rtt._extra_ms)
-    return path_loss, capacity, ran_ms, extra_ms, rtt._speed_sensitivity, rtt._jitter_scale
+    return (
+        path_loss, phy.capacity_table(operator), ran_ms,
+        np.array(latency.extra_core_ms(operator)),
+        latency.SPEED_SENSITIVITY[operator], latency.DRIVING_JITTER_SCALE[operator],
+    )
 
 
 class _SessionTables(NamedTuple):
@@ -494,8 +483,8 @@ class UESession:
         totals = self._capacity[Direction.ALL.index(direction), rank, n_ccs]
         broken_ul = uplink and self.operator is Operator.ATT and rank == _MMWAVE
         rtt_base = (
-            latency._CORE_OVERHEAD_MS[server.kind]
-            + server.distance_m(position.point) / 1000.0 * latency._FIBRE_RTT_MS_PER_KM
+            latency.CORE_OVERHEAD_MS[server.kind]
+            + server.distance_m(position.point) / 1000.0 * latency.FIBRE_RTT_MS_PER_KM
             + self._ran_ms[rank]
             + self._extra_ms[rank]
         )
@@ -530,12 +519,12 @@ class UESession:
         cap_ul = np.maximum(capacity if uplink else capacity * 0.12, 0.01)
 
         jitter = _libm(
-            _exp, _STATIC_JITTER_LOG_MEDIAN + latency._STATIC_JITTER_SIGMA * self._rtt.standard_normal(n)
+            _exp, _STATIC_JITTER_LOG_MEDIAN + latency.STATIC_JITTER_SIGMA * self._rtt.standard_normal(n)
         )
         loss = self._rtt_loss.random((n, 2))
         tail = self._rtt_tail.standard_exponential((n, 2))
         rtt = rtt_base + jitter
-        rtt = np.where(loss[:, 0] < bler * 0.5, rtt + 30.0 * tail[:, 0], rtt)
+        rtt = np.where(loss[:, 0] < bler * 0.5, rtt + latency.RETRANSMIT_MEAN_MS * tail[:, 0], rtt)
 
         tput = self._flow(cap_ul if uplink else cap_dl, rtt, dt_s, bler, zero) if flow else ()
         none = np.empty(0, np.int64)
@@ -651,13 +640,13 @@ class UESession:
                 used += int(hits[0]) + 1
                 # Out to a phantom neighbour of the same layer, which stays
                 # the serving cell until the real one takes over again.
-                key = ((key >> 3) + _PINGPONG_SEQ_OFFSET) << 3 | (key & 7)
+                key = ((key >> 3) + handover_engine.PINGPONG_SEQ_OFFSET) << 3 | (key & 7)
                 self._connected.add(key)
             if serving is not None:
                 ho.random(used)
                 ms = duration(ho)
                 if _IS_4G[serving & 7] != _IS_4G[key & 7]:
-                    ms *= handover_engine._VERTICAL_DURATION_FACTOR
+                    ms *= handover_engine.VERTICAL_DURATION_FACTOR
                 out.append((i, ms, serving & 7, serving >> 3, key & 7, key >> 3))
                 interruption[i] = min(ms / 1000.0, dt_s)
                 ahead, used = peek_uniforms(ho, n - i), 0
@@ -759,7 +748,7 @@ def drive_block(
     # rare spikes.
     log_median = _libm(
         _log,
-        latency._DRIVING_JITTER_MEDIAN_MS
+        latency.DRIVING_JITTER_MEDIAN_MS
         * (1.0 + tables.speed_sensitivity * speed / 60.0)
         * tables.jitter_scale,
     )
@@ -768,30 +757,30 @@ def drive_block(
         if server.location not in paths:
             paths[server.location] = haversine_from_m(server.location, path.lat, path.lon)
     wired = np.array([
-        latency._CORE_OVERHEAD_MS[server.kind]
-        + paths[server.location] / 1000.0 * latency._FIBRE_RTT_MS_PER_KM
+        latency.CORE_OVERHEAD_MS[server.kind]
+        + paths[server.location] / 1000.0 * latency.FIBRE_RTT_MS_PER_KM
         for server in servers
     ]).reshape(shape)
     rtt = (
         wired + tables.ran_ms[session_index, rank] + tables.extra_ms[session_index, rank]
-        + _libm(_exp, log_median + latency._DRIVING_JITTER_SIGMA * rtt_z)
+        + _libm(_exp, log_median + latency.DRIVING_JITTER_SIGMA * rtt_z)
     )
-    rtt = np.where(loss[..., 0] < bler * 0.5, rtt + 30.0 * tail[..., 0], rtt)
+    rtt = np.where(loss[..., 0] < bler * 0.5, rtt + latency.RETRANSMIT_MEAN_MS * tail[..., 0], rtt)
     rtt = np.where(
-        loss[..., 1] < latency._SPIKE_PROB,
-        rtt + np.minimum(latency._SPIKE_MEAN_MS * tail[..., 1], latency._SPIKE_CAP_MS),
+        loss[..., 1] < latency.SPIKE_PROB,
+        rtt + np.minimum(latency.SPIKE_MEAN_MS * tail[..., 1], latency.SPIKE_CAP_MS),
         rtt,
     )
 
     # Handovers, then the TCP flows they interrupt.
     keys = seq << 3 | rank
-    rate = handover_engine._PINGPONG_RATE_PER_S * dt_s
+    rate = handover_engine.PINGPONG_RATE_PER_S * dt_s
     interruption = np.zeros(shape)
     handovers = []
     for j, s in enumerate(sessions):
         s._connected.update(keys[j].tolist())
-        duration = HandoverDurationParams(
-            handover_engine._DURATION_MEDIANS_MS[(s.operator, direction)]
+        duration = handover_engine.HandoverDurationParams(
+            handover_engine.DURATION_MEDIANS_MS[(s.operator, direction)]
         ).sample
         handovers += [
             (ho[0], j, *ho[1:])

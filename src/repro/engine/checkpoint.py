@@ -53,7 +53,8 @@ Guarantees:
   coarse-mtime filesystems (batch hits would otherwise tie and fall back to
   size order) and clock skew (an entry stamped in the future would otherwise
   outrank the shard that was *just* used).  Seeding scans the directory, so
-  only hits and bounded records seed.  Eviction spares an entry the cache
+  only a bounded cache seeds; an unbounded one never evicts, and its
+  stamps only order its own uses.  Eviction spares an entry the cache
   missed until it is recorded (it is being computed), so a process sweep
   can overshoot ``max_bytes`` by the entries in flight.
 * **Counters** — hits/misses/stores/evictions accumulate in
@@ -332,10 +333,8 @@ class ShardCache:
         entry = self.entry_dir(self.key(fingerprint, index, seed))
         self._awaited.discard(entry)
         # Stamp the fresh entry through the same logical clock hits use,
-        # so stores and hits share one total recency order.  Only a bounded
-        # cache seeds the clock here: its eviction scans the directory
-        # anyway, while an unbounded record must not.
-        self._touch(entry / self.META_NAME, seed=self.max_bytes is not None)
+        # so stores and hits share one total recency order.
+        self._touch(entry / self.META_NAME)
         self.stats.stores += 1
         self._count("cache.stores")
         if self.max_bytes is not None:
@@ -343,27 +342,27 @@ class ShardCache:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _next_recency_ns(self, seed: bool = True) -> int:
+    def _next_recency_ns(self) -> int:
         """Next stamp of the logical recency clock, strictly increasing.
 
-        Tracks ``max(wall clock, previous stamp + 1)``, seeded (on the first
-        ``seed=True`` call) from the newest entry already on disk.  Two
+        Tracks ``max(wall clock, previous stamp + 1)``, seeded in a bounded
+        cache (on its first call) from the newest entry already on disk.  Two
         properties the raw wall clock lacks: consecutive accesses (e.g. the
         hits of one ``load_many`` batch) never tie even on coarse-mtime
         filesystems, and an entry whose stored mtime lies in the future
         (clock skew, another host's writes) can never outrank a shard that
         was just used.
         """
-        if seed and not self._seeded:
+        if self.max_bytes is not None and not self._seeded:
             existing = [ns for ns, _, _ in self._entries()]
             self._recency_ns = max([self._recency_ns, *existing])
             self._seeded = True
         self._recency_ns = max(time.time_ns(), self._recency_ns + 1)
         return self._recency_ns
 
-    def _touch(self, path: pathlib.Path, seed: bool = True) -> None:
+    def _touch(self, path: pathlib.Path) -> None:
         try:
-            stamp = self._next_recency_ns(seed)
+            stamp = self._next_recency_ns()
             os.utime(path, ns=(stamp, stamp))
         except OSError:
             pass  # recency refresh is best-effort

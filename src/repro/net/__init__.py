@@ -1,8 +1,6 @@
-"""End-to-end network substrate: servers, RTT model, TCP throughput model."""
+"""End-to-end network substrate: servers, RTT parameters, TCP throughput model."""
 
 from repro.net.servers import Server, ServerKind, ServerRegistry
-from repro.net.latency import RttModel
 from repro.net.tcp import CubicFlow
-from repro.net.ping import PingTest
 
-__all__ = ["Server", "ServerKind", "ServerRegistry", "RttModel", "CubicFlow", "PingTest"]
+__all__ = ["Server", "ServerKind", "ServerRegistry", "CubicFlow"]

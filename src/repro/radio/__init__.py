@@ -10,8 +10,6 @@ from repro.radio.technology import RadioTechnology, HIGH_THROUGHPUT_TECHS, LOW_T
 from repro.radio.operators import Operator
 from repro.radio.cells import Cell, CellId
 from repro.radio.deployment import DeploymentModel, DeploymentZone
-from repro.radio.channel import ChannelModel, ChannelState
-from repro.radio.phy import PhyModel, PhyReport
 from repro.radio.ca import CarrierAggregationModel
 
 __all__ = [
@@ -23,9 +21,5 @@ __all__ = [
     "CellId",
     "DeploymentModel",
     "DeploymentZone",
-    "ChannelModel",
-    "ChannelState",
-    "PhyModel",
-    "PhyReport",
     "CarrierAggregationModel",
 ]

@@ -1,9 +1,11 @@
-"""PHY-layer model: MCS selection, BLER, and link capacity.
+"""PHY-layer parameters: MCS selection, BLER, and link capacity.
 
-Given the channel state (SINR), this module produces the KPIs XCAL logs —
-primary-cell MCS and BLER — and the instantaneous link-layer capacity offered
-to transport, combining spectral efficiency, channel bandwidth, duplexing
-share, carrier aggregation, and the zone's load share.
+The test-block kernel (:mod:`repro.campaign.link`) maps the channel's SINR
+to the KPIs XCAL logs — primary-cell MCS and BLER — and to the instantaneous
+link-layer capacity offered to transport, combining spectral efficiency,
+channel bandwidth, duplexing share, carrier aggregation, and the zone's load
+share.  This module holds the MCS map's working range and the capacity
+formula, as one table per operator (:func:`capacity_table`).
 
 Capacity calibration anchors (paper values):
 
@@ -17,22 +19,25 @@ Capacity calibration anchors (paper values):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import math
-
 import numpy as np
 
-from repro.rng import clamp
-
-from repro.radio.ca import aggregate_capacity_factor
-from repro.radio.channel import ChannelState
+from repro.radio.ca import Direction, aggregate_capacity_factor
 from repro.radio.operators import Operator
 from repro.radio.technology import ALL_TECHNOLOGIES, RadioTechnology
 
-__all__ = ["PhyReport", "PhyModel", "MAX_MCS_INDEX"]
+__all__ = [
+    "MAX_CCS",
+    "MAX_MCS_INDEX",
+    "SINR_CEILING_DB",
+    "SINR_FLOOR_DB",
+    "SPEED_SINR_PENALTY_DB_PER_MPH",
+    "capacity_table",
+]
 
 MAX_MCS_INDEX = 28
+
+#: Most component carriers a phone aggregates (the S21 supports 8).
+MAX_CCS = 8
 
 #: Peak spectral efficiency per technology in bit/s/Hz (MIMO layers folded
 #: in), reached at the highest MCS.
@@ -73,8 +78,13 @@ _UL_SECONDARY_CC_FACTOR = 0.3
 _MCS_SHAPE = tuple((mcs / MAX_MCS_INDEX) ** 1.2 for mcs in range(MAX_MCS_INDEX + 1))
 
 #: SINR (dB) below which MCS bottoms out and above which it saturates.
-_SINR_FLOOR_DB = -6.0
-_SINR_CEILING_DB = 30.0
+SINR_FLOOR_DB = -6.0
+SINR_CEILING_DB = 30.0
+
+#: Effective SINR penalty per mph: Doppler spread and outdated CSI make
+#: link adaptation conservative at speed (Table 2's weak negative
+#: speed-throughput correlation).
+SPEED_SINR_PENALTY_DB_PER_MPH = 0.05
 
 #: Spectrum-holding scale per (operator, technology): T-Mobile's n71+n41
 #: low-band depth and 100 MHz midband vs the others' narrower mid-band
@@ -89,134 +99,32 @@ _OPERATOR_BANDWIDTH_SCALE: dict[tuple[Operator, RadioTechnology], float] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PhyReport:
-    """One PHY-layer observation: the KPIs XCAL would log plus capacity."""
+def capacity_table(operator: Operator | None) -> np.ndarray:
+    """``operator``'s link capacity before BLER and load, in Mbps, by
+    direction (its position in ``Direction.ALL``), technology rank, CC count
+    (1 to :data:`MAX_CCS`; row 0 is zero) and MCS:
 
-    mcs: int
-    bler: float
-    n_ccs: int
-    #: Link capacity offered to the transport layer, in Mbps, after load.
-    capacity_mbps: float
+    capacity = peak_eff · (MCS/28)^1.2 · BW · duplex · CA · spectrum scale
 
-
-class PhyModel:
-    """Maps channel state to MCS/BLER/capacity.
-
-    Stateless apart from its RNGs; callers hold per-zone CA configuration
-    and load and pass them in.  Each draw kind has its own stream, one draw
-    per report: the MCS normals come from ``rng``, the BLER normals from
-    ``bler_rng`` and the speed-penalty uniforms from ``doppler_rng``.
+    The mild super-linearity in MCS reflects that low indices also use QPSK
+    with heavy coding.  Uplink secondary carriers add a flat fraction each;
+    ``None`` (or an operator without a scale for a technology) scales by
+    exactly 1.0.
     """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        operator: Operator | None = None,
-        *,
-        bler_rng: np.random.Generator,
-        doppler_rng: np.random.Generator,
-    ) -> None:
-        self._rng = rng
-        self._bler_rng = bler_rng
-        self._doppler_rng = doppler_rng
-        # The capacity formula's per-technology factors, indexed by rank:
-        # (peak efficiency, channel MHz, DL duplex share, UL capacity ratio,
-        # operator bandwidth scale).
-        self._factors = tuple(
-            (
-                _PEAK_EFFICIENCY[tech],
-                tech.channel_mhz,
-                _DL_DUPLEX_SHARE[tech],
-                _UL_CAPACITY_RATIO[tech],
-                _OPERATOR_BANDWIDTH_SCALE.get((operator, tech), 1.0),
-            )
-            for tech in ALL_TECHNOLOGIES
-        )
-
-    def mcs_from_sinr(self, sinr_db: float) -> int:
-        """Select the primary cell's MCS index for a given SINR.
-
-        A linear map from the SINR working range onto [0, 28] with ±1.5
-        index reporting noise — the shape of real link adaptation without
-        modelling the full CQI feedback loop.
-        """
-        span = _SINR_CEILING_DB - _SINR_FLOOR_DB
-        frac = (sinr_db - _SINR_FLOOR_DB) / span
-        raw = frac * MAX_MCS_INDEX + self._rng.normal(0.0, 1.5)
-        return int(clamp(round(raw), 0, MAX_MCS_INDEX))
-
-    def bler_from_sinr(self, sinr_db: float, speed_mph: float) -> float:
-        """Residual block error rate.
-
-        Near 3–10% in good conditions (HARQ operating point), rising when
-        SINR collapses; vehicle speed adds a small Doppler/fast-fading
-        penalty.
-        """
-        base = 0.03 + 0.25 / (1.0 + math.exp(clamp((sinr_db - 4.0) / 2.5, -60.0, 60.0)))
-        speed_penalty = 0.0008 * max(speed_mph, 0.0) * self._doppler_rng.uniform(0.5, 1.5)
-        noise = self._bler_rng.normal(0.0, 0.01)
-        return clamp(base + speed_penalty + noise, 0.002, 0.85)
-
-    def capacity_mbps(
-        self,
-        tech: RadioTechnology,
-        mcs: int,
-        bler: float,
-        n_ccs: int,
-        load: float,
-        direction: str,
-    ) -> float:
-        """Instantaneous capacity offered to transport, in Mbps.
-
-        capacity = peak_eff · (MCS/28)^1.2 · BW · duplex · CA · (1−BLER) · load
-
-        The mild super-linearity in MCS reflects that low indices also use
-        QPSK with heavy coding.
-        """
-        if not 0 <= mcs <= MAX_MCS_INDEX:
-            raise ValueError(f"MCS out of range: {mcs}")
-        if not 0.0 < load <= 1.0:
-            raise ValueError(f"load must be in (0, 1], got {load}")
-        total = self.capacity_total(tech, mcs, n_ccs, direction)
-        return float(max(total * (1.0 - bler) * load, 0.01))
-
-    def capacity_total(
-        self, tech: RadioTechnology, mcs: int, n_ccs: int, direction: str
-    ) -> float:
-        """The capacity formula before BLER and load, in Mbps:
-        peak_eff · (MCS/28)^1.2 · BW · duplex · CA."""
-        peak, channel_mhz, dl_share, ul_ratio, scale = self._factors[tech.rank]
-        eff = peak * _MCS_SHAPE[mcs]
-        if direction == "uplink":
-            per_cc = eff * channel_mhz * ul_ratio
-            ca_factor = 1.0 + _UL_SECONDARY_CC_FACTOR * (n_ccs - 1)
-        else:
-            per_cc = eff * channel_mhz * dl_share
-            ca_factor = aggregate_capacity_factor(n_ccs)
-        # An operator without a scale for ``tech`` (or no operator) scales
-        # by exactly 1.0, which leaves the product unchanged.
-        return per_cc * ca_factor * scale
-
-    #: Effective SINR penalty per mph: Doppler spread and outdated CSI make
-    #: link adaptation conservative at speed (Table 2's weak negative
-    #: speed-throughput correlation).
-    SPEED_SINR_PENALTY_DB_PER_MPH = 0.05
-
-    def report(
-        self,
-        tech: RadioTechnology,
-        channel: ChannelState,
-        n_ccs: int,
-        load: float,
-        speed_mph: float,
-        direction: str,
-    ) -> PhyReport:
-        """Produce the full PHY observation for one 500 ms tick."""
-        effective_sinr = channel.sinr_db - self.SPEED_SINR_PENALTY_DB_PER_MPH * max(
-            speed_mph, 0.0
-        )
-        mcs = self.mcs_from_sinr(effective_sinr)
-        bler = self.bler_from_sinr(channel.sinr_db, speed_mph)
-        capacity = self.capacity_mbps(tech, mcs, bler, n_ccs, load, direction)
-        return PhyReport(mcs=mcs, bler=bler, n_ccs=n_ccs, capacity_mbps=capacity)
+    table = np.zeros((len(Direction.ALL), len(ALL_TECHNOLOGIES), MAX_CCS + 1, MAX_MCS_INDEX + 1))
+    mcs_shape = np.array(_MCS_SHAPE)
+    for tech in ALL_TECHNOLOGIES:
+        eff = _PEAK_EFFICIENCY[tech] * mcs_shape
+        scale = _OPERATOR_BANDWIDTH_SCALE.get((operator, tech), 1.0)
+        for d, direction in enumerate(Direction.ALL):
+            uplink = direction == Direction.UPLINK
+            share = _UL_CAPACITY_RATIO[tech] if uplink else _DL_DUPLEX_SHARE[tech]
+            per_cc = eff * tech.channel_mhz * share
+            for n_ccs in range(1, MAX_CCS + 1):
+                ca_factor = (
+                    1.0 + _UL_SECONDARY_CC_FACTOR * (n_ccs - 1)
+                    if uplink
+                    else aggregate_capacity_factor(n_ccs)
+                )
+                table[d, tech.rank, n_ccs] = per_cc * ca_factor * scale
+    return table

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.campaign.dataset import DriveDataset
 from repro.errors import StoreError
-from repro.store.format import DatasetReader, _is_size, write_dataset
+from repro.store.format import DatasetReader, is_size, write_dataset
 
 __all__ = ["CATALOG_FORMAT_VERSION", "Catalog", "PartitionInfo"]
 
@@ -125,7 +125,7 @@ def _tables_problem(tables) -> str | None:
     if not isinstance(tables, dict):
         return "tables is not an object"
     for name, table in tables.items():
-        if not isinstance(table, dict) or not _is_size(table.get("count")):
+        if not isinstance(table, dict) or not is_size(table.get("count")):
             return f"table {name!r} has no row count"
         columns = table.get("columns")
         if not isinstance(columns, dict):
@@ -134,7 +134,7 @@ def _tables_problem(tables) -> str | None:
             if not (
                 isinstance(entry, dict)
                 and isinstance(entry.get("kind"), str)
-                and _is_size(entry.get("count"))
+                and is_size(entry.get("count"))
                 and isinstance(entry.get("stats", {}), dict)
                 and isinstance(entry.get("values", []), list)
             ):

@@ -67,6 +67,7 @@ __all__ = [
     "CODECS",
     "KINDS",
     "KIND_WIDTHS",
+    "RUN_PREFIX_BYTES",
     "ColumnSpec",
     "ColumnTable",
     "ColumnStats",
@@ -85,7 +86,7 @@ __all__ = [
 ]
 
 #: Width of one run-length prefix (little-endian u4).
-_RUN_PREFIX_BYTES = 4
+RUN_PREFIX_BYTES = 4
 
 _CODE_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4"}
 
@@ -281,7 +282,7 @@ def _rle_encode(
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [n]))
     n_runs = int(starts.size)
-    if n_runs * (_RUN_PREFIX_BYTES + width) >= n * width:
+    if n_runs * (RUN_PREFIX_BYTES + width) >= n * width:
         return None
     pairs = np.empty(n_runs, dtype=[("n", "<u4"), ("v", value_dtype)])
     pairs["n"] = ends - starts
@@ -445,7 +446,7 @@ def encode_column(spec: ColumnSpec, raw_values: list[Any]) -> EncodedColumn:
 def _decode_rle(
     name: str, count: int, payload: bytes | memoryview, width: int
 ) -> np.ndarray:
-    pair_bytes = _RUN_PREFIX_BYTES + width
+    pair_bytes = RUN_PREFIX_BYTES + width
     nbytes = len(payload)
     if nbytes % pair_bytes != 0:
         raise StoreError(

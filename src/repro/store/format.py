@@ -86,12 +86,12 @@ from repro.store.columnar import (
     CODECS,
     KIND_WIDTHS,
     KINDS,
+    RUN_PREFIX_BYTES,
     TABLE_SCHEMAS,
     ColumnStats,
     ColumnTable,
     EncodedColumn,
     TableSchema,
-    _RUN_PREFIX_BYTES,
     decode_payload,
     value_dtype,
 )
@@ -102,6 +102,7 @@ __all__ = [
     "STORE_SUFFIX",
     "DatasetReader",
     "TableReader",
+    "is_size",
     "is_store_file",
     "read_dataset",
     "write_dataset",
@@ -283,7 +284,7 @@ def _operator_counts(obj: Any, path: pathlib.Path) -> dict[Operator, int]:
         raise StoreError(f"bad operator counts in footer of {path}") from exc
 
 
-def _is_size(value: Any) -> bool:
+def is_size(value: Any) -> bool:
     """A non-negative JSON integer (``true``/``false`` are not sizes)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
@@ -313,7 +314,7 @@ def _footer_problem(footer: dict) -> str | None:
     for name, table in tables.items():
         if not isinstance(table, dict):
             return f"table {name!r} is not an object"
-        if not _is_size(table.get("count")):
+        if not is_size(table.get("count")):
             return f"table {name!r} has no row count"
         columns = table.get("columns")
         if not isinstance(columns, list):
@@ -326,10 +327,10 @@ def _footer_problem(footer: dict) -> str | None:
             if get("kind") not in KINDS or get("codec", "plain") not in CODECS:
                 return f"{_where(column, name)} has no known kind or codec"
             for key in _SIZE_KEYS:
-                if not _is_size(get(key)):
+                if not is_size(get(key)):
                     return f"{_where(column, name)} has a bad {key}"
             stats = get("stats", {})
-            if not isinstance(stats, dict) or not _is_size(stats.get("nulls", 0)):
+            if not isinstance(stats, dict) or not is_size(stats.get("nulls", 0)):
                 return f"{_where(column, name)} has bad stats"
             values = get("values", [])
             if not isinstance(values, list) or not all(
@@ -453,7 +454,7 @@ def _directory_problem(
             f"needs {int(count[i]) * int(width[i])} bytes, spans {nbytes[i]} "
             "(truncated file?)", i
         )
-    bad = ~plain & (nbytes % (width + np.uint64(_RUN_PREFIX_BYTES)) != 0)
+    bad = ~plain & (nbytes % (width + np.uint64(RUN_PREFIX_BYTES)) != 0)
     if (i := _first_bad(bad)) is not None:
         return f"has an RLE payload of {nbytes[i]} bytes, not whole runs", i
     return None
@@ -782,7 +783,7 @@ class DatasetReader:
         counts = meta.get("tables") if isinstance(meta, dict) else None
         if not isinstance(counts, list) or not all(
             isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str) and _is_size(pair[1])
+            and isinstance(pair[0], str) and is_size(pair[1])
             for pair in counts
         ):
             raise self._fail("malformed meta (no table list)")

@@ -12,7 +12,6 @@ from repro.xcal.records import XcalKpiRecord, SignalingRecord
 from repro.xcal.drm import DrmFile
 from repro.xcal.applog import AppLogFile
 from repro.xcal.export import export_logs, TRIP_START_UTC
-from repro.xcal.probe import XcalProbe
 from repro.xcal.handover_logger import HandoverLoggerTrace, run_handover_logger
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "AppLogFile",
     "export_logs",
     "TRIP_START_UTC",
-    "XcalProbe",
     "HandoverLoggerTrace",
     "run_handover_logger",
 ]

@@ -12,7 +12,9 @@ of :func:`~repro.campaign.validation.validate_dataset`, which now runs on
 column arrays, is kept the same way, and so is the passive handover-logger's
 zone-by-zone :class:`~repro.policy.selection.TechnologySelector` walk that
 :func:`~repro.xcal.handover_logger.run_handover_logger` replaced with one
-pass over the deployment arrays.  Nothing here runs outside the tests.
+pass over the deployment arrays.  Its tick-major campaign
+(:class:`RowDriveCampaign`) drives the scalar link models of
+``tests/scalar_models.py``.  Nothing here runs outside the tests.
 """
 
 from __future__ import annotations
@@ -50,16 +52,12 @@ from repro.engine import worker
 from repro.geo.regions import RegionType
 from repro.geo.route import Route, RoutePosition, build_cross_country_route
 from repro.geo.speed import SpeedProfile
-from repro.mobility.engine import HandoverEngine
 from repro.mobility.events import HandoverEvent
-from repro.net.latency import RttModel
 from repro.net.servers import Server, ServerRegistry
 from repro.net.tcp import CubicFlow
 from repro.radio.ca import CarrierAggregationModel, Direction
 from repro.radio.cells import Cell
-from repro.radio.channel import ChannelModel
 from repro.radio.deployment import DeploymentZone
-from repro.radio.phy import PhyModel
 from repro.rng import RngFactory, clamp
 from repro.analysis.apps import GamingAppReport, OffloadAppReport, VideoAppReport
 from repro.analysis.cdf import EmpiricalCDF
@@ -112,6 +110,7 @@ from repro.xcal import export
 from repro.xcal.applog import AppLogFile
 from repro.xcal.drm import DrmFile
 from repro.xcal.records import SignalingRecord, XcalKpiRecord
+from tests.scalar_models import ChannelModel, HandoverEngine, PhyModel, RttModel
 
 _THROUGHPUT_TEST_TYPES = {
     "downlink": TestType.DOWNLINK_THROUGHPUT,

@@ -35,11 +35,11 @@ from repro.mobility import engine as handover_engine
 from repro.policy.profiles import DEFAULT_POLICY_PROFILES, PolicyProfile
 from repro.policy.selection import TechnologySelector
 from repro.radio.ca import CarrierAggregationModel
-from repro.radio.channel import ChannelModel
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
 from repro.store.format import write_dataset
 from tests import row_oracle
+from tests.scalar_models import ChannelModel
 
 KERNEL_TABLES = ("tput", "rtt", "test", "ho")
 
@@ -163,7 +163,7 @@ def test_long_run_evicts_every_sticky_cache_and_ping_pongs():
             inserts["shadow"] += 1
         return evolve(self, cell, mark_m, sigma_db)
 
-    with mock.patch.object(handover_engine, "_PINGPONG_RATE_PER_S", 0.4):
+    with mock.patch.object(handover_engine, "PINGPONG_RATE_PER_S", 0.4):
         kernel = DriveCampaign(config, window=window).run()
         with mock.patch.object(TechnologySelector, "_decide", counting_decide), \
                 mock.patch.object(CarrierAggregationModel, "draw_ccs", counting_draw), \

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.geo.coords import LatLon
-from repro.mobility.engine import HandoverEngine
 from repro.mobility.events import HandoverEvent, HandoverType, classify_handover
 from repro.radio.ca import Direction
 from repro.radio.cells import Cell, CellId
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from tests.scalar_models import HandoverEngine
 
 
 def make_cell(seq, tech=RadioTechnology.LTE_A, op=Operator.VERIZON):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.geo.coords import LatLon
-from repro.net.latency import RttModel
 from repro.net.servers import Server, ServerKind
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from tests.scalar_models import RttModel
 
 
 def _one_stream(rng):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.net.latency import RttModel
 from repro.net.servers import Server, ServerKind
 from repro.geo.coords import LatLon
 from repro.net.tcp import CubicFlow
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from tests.scalar_models import RttModel
 
 
 def _one_stream(rng):

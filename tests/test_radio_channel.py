@@ -6,9 +6,9 @@ import pytest
 from repro.geo.coords import LatLon
 from repro.geo.regions import RegionType
 from repro.radio.cells import Cell, CellId
-from repro.radio.channel import ChannelModel
 from repro.radio.operators import Operator
 from repro.radio.technology import RadioTechnology
+from tests.scalar_models import ChannelModel
 
 
 def make_cell(tech=RadioTechnology.LTE, seq=1, mark=500.0, perp=100.0, op=Operator.VERIZON):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.radio.ca import Direction
-from repro.radio.channel import ChannelState
 from repro.radio.operators import Operator
-from repro.radio.phy import MAX_MCS_INDEX, PhyModel
+from repro.radio.phy import MAX_MCS_INDEX
 from repro.radio.technology import RadioTechnology
+from tests.scalar_models import ChannelState, PhyModel
 
 
 @pytest.fixture()

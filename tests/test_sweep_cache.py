@@ -332,11 +332,36 @@ class TestLruBounding:
             ShardCache(tmp_path).write(FP, 42, make_result(index=2))
             cache.record(FP, 42, 2)
         assert cache.stats.stores == 2
-        # The first hit still seeds the clock past the future-dated entry.
+        # A bounded cache's first hit still seeds the clock past the
+        # future-dated entry.
+        bounded = ShardCache(tmp_path, max_bytes=10**9)
         for index in (1, 2):
-            assert cache.load(FP, 42, index) is not None
-            fresh = cache.entry_dir(shard_key(FP, index, 42)) / "meta.json"
+            assert bounded.load(FP, 42, index) is not None
+            fresh = bounded.entry_dir(shard_key(FP, index, 42)) / "meta.json"
             assert fresh.stat().st_mtime_ns > future
+
+    def test_unbounded_hits_do_not_scan_the_directory(self, tmp_path, monkeypatch):
+        """Only a bounded cache evicts, so only a bounded cache seeds its
+        recency clock from the directory: an unbounded cache's batch hits
+        stamp recency, in index order, without a glob or a stat of the
+        other entries."""
+        writer = ShardCache(tmp_path)
+        for index in range(3):
+            writer.store(FP, 42, make_result(index=index))
+
+        def no_scan(self):
+            raise AssertionError("an unbounded hit scanned the cache")
+
+        cache = ShardCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardCache, "_entries", no_scan)
+            assert set(cache.load_many(FP, 42, [2, 0, 1])) == {0, 1, 2}
+        assert cache.stats.hits == 3
+        stamps = [
+            (cache.entry_dir(shard_key(FP, index, 42)) / "meta.json").stat().st_mtime_ns
+            for index in (2, 0, 1)
+        ]
+        assert stamps == sorted(set(stamps))
 
     def test_invalid_bound_rejected(self, tmp_path):
         with pytest.raises(SweepError):

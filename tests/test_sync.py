@@ -1,5 +1,6 @@
 """Log synchronisation: timestamp conversion, matching, consolidation."""
 
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -8,11 +9,22 @@ from repro.campaign.runner import CampaignConfig, DriveCampaign
 from repro.campaign.tests import TestType
 from repro.errors import SyncError
 from repro.geo.timezones import Timezone
+from repro.store.query import select_columns
 from repro.sync.database import ConsolidatedDatabase
 from repro.sync.matcher import match_logs
 from repro.sync.timestamps import edt_to_utc, local_to_utc, utc_offset_for_mark, utc_to_local
-from repro.xcal.export import export_logs
+from repro.xcal.export import TRIP_START_UTC, export_logs
 from tests import row_oracle
+
+EXPORTED = (TestType.DOWNLINK_THROUGHPUT, TestType.UPLINK_THROUGHPUT, TestType.RTT)
+
+
+def exported_tests(ds):
+    """The tests ``export_logs`` renders, in its file order."""
+    return sorted(
+        (t for t in ds.tests if t.test_type in EXPORTED and not t.static),
+        key=lambda t: (t.start_time_s, t.operator.code),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +82,44 @@ class TestExport:
         route, ds, _, _ = log_bundle
         drms, logs = export_logs(ds, route, max_tests=5)
         assert len(drms) == 5 and len(logs) == 5
+
+    def test_drm_filenames_use_local_time(self, log_bundle):
+        """A DRM file's name stamps the test start on the local clock of
+        where the vehicle was, one clock per timezone the trip crossed."""
+        route, ds, drms, _ = log_bundle
+        offsets = set()
+        for test, drm in zip(exported_tests(ds), drms):
+            offset = utc_offset_for_mark(route, test.start_mark_m)
+            local = TRIP_START_UTC + timedelta(seconds=test.start_time_s, hours=offset)
+            assert drm.filename.startswith(local.strftime("%Y%m%d_%H%M%S_")), drm.filename
+            offsets.add(offset)
+        assert offsets == {-7, -6, -5, -4}
+
+    def test_drm_contents_are_edt(self, log_bundle):
+        """Every record inside a DRM file is stamped in EDT, whatever the
+        local clock of its filename."""
+        _, ds, drms, _ = log_bundle
+        for test, drm in zip(exported_tests(ds), drms):
+            lines = drm.serialize().splitlines()[1:]
+            assert lines and all(" EDT|" in line for line in lines)
+            start_utc = TRIP_START_UTC + timedelta(seconds=test.start_time_s)
+            for record in (*drm.kpi_records, *drm.signaling_records):
+                assert timedelta(0) <= edt_to_utc(record.timestamp_edt) - start_utc < timedelta(hours=1)
+
+    def test_one_signalling_pair_per_handover(self, log_bundle):
+        """A DRM file logs each of its test's handovers as one ``HO_START``
+        and one ``HO_END`` between the same two cells."""
+        _, ds, drms, _ = log_bundle
+        (ho_tests,) = select_columns(ds, "ho", ("test_id",))
+        per_test = Counter(ho_tests.tolist())
+        for test, drm in zip(exported_tests(ds), drms):
+            starts, ends = (
+                sorted((r.from_cell, r.to_cell) for r in drm.signaling_records if r.event == event)
+                for event in ("HO_START", "HO_END")
+            )
+            assert starts == ends
+            assert len(starts) == per_test.get(test.test_id, 0)
+        assert sum(len(d.signaling_records) for d in drms) > 0
 
 
 class TestMatcher:
