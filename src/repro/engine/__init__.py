@@ -393,7 +393,10 @@ def run_campaigns(
        (recency, counters, size bound) as the result lands;
     3. ``<phase>.merge`` / ``.validate`` / ``.ingest`` (per config): merge
        the shards, optionally validate, optionally ingest into
-       ``config.store_dir``, and build the config's :class:`EngineReport`.
+       ``config.store_dir`` (sourced by the fingerprint, so a partition an
+       earlier run of the same computation wrote is kept unless its bytes
+       changed; the span's ``written`` says which), and build the config's
+       :class:`EngineReport`.
 
     Execution topology (executor, workers, retry budget) and the trace file
     come from the first config.  Run-level report fields — ``total_wall_s``,
@@ -481,7 +484,7 @@ def run_campaigns(
                             + "; ".join(str(issue) for issue in outcome.issues[:5])
                         )
             if config.store_dir is not None:
-                with tracer.span(f"{phase}.ingest", seed=seed):
+                with tracer.span(f"{phase}.ingest", seed=seed) as ingest_span:
                     catalog = catalogs.get(config.store_dir)
                     if catalog is None:
                         from repro.store.catalog import Catalog
@@ -489,7 +492,9 @@ def run_campaigns(
                         catalog = catalogs[config.store_dir] = Catalog(
                             config.store_dir
                         )
-                    catalog.ingest(run.dataset)
+                    held = catalog.partition(seed)
+                    info = catalog.ingest(run.dataset, source=run.fingerprint)
+                    ingest_span.set(written=info is not held)
 
             run.report = EngineReport(
                 executor=stats.executor,

@@ -23,6 +23,17 @@ Re-ingesting an existing ``(seed, label)`` replaces that partition.  The
 catalog is single-writer (the engine/sweep drivers ingest sequentially);
 readers can open it concurrently at any time.
 
+An ingest may name its ``source``: the computation that produced the
+dataset (the engine passes its config fingerprint).  A sourced ingest
+records ``source`` and the ``sha256`` of the bytes it wrote in the
+partition's manifest entry, and a later ingest of the same ``(seed,
+label)`` with the same ``source`` returns the held partition without
+writing the file or the manifest, once the file's current bytes hash to
+the recorded digest.  That is the shard cache's trust model: the source
+names the computation, the digest proves the bytes.  A missing or altered
+file, another source or an entry without provenance is written as
+before, and a plain ingest records no provenance and hashes nothing.
+
 The manifest is the canonical compact JSON of its content
 (``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, C-encoded).
 Ingest takes the new partition's stats from the column entries the store
@@ -31,11 +42,13 @@ encodes its manifest entry once: a rewrite encodes the partition it
 ingests and joins the encodings it already holds, so a catalog object
 ingesting many partitions pays for one entry per ingest, not for the
 whole manifest.  Manifests written with indentation (before the compact
-form) open the same way and are rewritten compactly on the next ingest.
+form) open the same way and are rewritten compactly by the next ingest
+that writes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -72,6 +85,10 @@ class PartitionInfo:
     #: Per-table pruning stats: ``{table: {"count": n, "columns": {...}}}``.
     #: Never mutated: the entry's manifest encoding is kept.
     tables: dict[str, dict]
+    #: What computed the partition (see :meth:`Catalog.ingest`) and the
+    #: SHA-256 of the bytes written for it; ``None`` without provenance.
+    source: str | None = None
+    sha256: str | None = None
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def table_stats(self, table: str) -> dict | None:
@@ -83,13 +100,16 @@ class PartitionInfo:
         return int(entry["count"]) if entry else 0
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "path": self.path,
             "seed": self.seed,
             "label": self.label,
             "nbytes": self.nbytes,
             "tables": self.tables,
         }
+        if self.source is not None:
+            obj.update(source=self.source, sha256=self.sha256)
+        return obj
 
     def to_json(self) -> str:
         """The entry's canonical compact JSON, encoded on first use only."""
@@ -100,10 +120,14 @@ class PartitionInfo:
     @classmethod
     def from_obj(cls, obj: dict) -> "PartitionInfo":
         """Parse one manifest entry; :class:`ValueError` when its table
-        stats do not have the shape :func:`_lite_tables` writes."""
+        stats do not have the shape :func:`_lite_tables` writes or its
+        provenance keys are not strings."""
         path = str(obj["path"])
         tables = obj.get("tables", {})
         problem = _tables_problem(tables)
+        for key in ("source", "sha256"):
+            if not isinstance(obj.get(key, ""), str):
+                problem = f"{key} is not a string"
         if problem is not None:
             raise ValueError(f"partition {path!r}: {problem}")
         return cls(
@@ -112,6 +136,8 @@ class PartitionInfo:
             label=obj.get("label"),
             nbytes=int(obj.get("nbytes", 0)),
             tables=dict(tables),
+            source=obj.get("source"),
+            sha256=obj.get("sha256"),
         )
 
 
@@ -140,6 +166,14 @@ def _tables_problem(tables) -> str | None:
             ):
                 return f"column {column!r} of table {name!r} is malformed"
     return None
+
+
+def _file_sha256(path: pathlib.Path) -> str | None:
+    """SHA-256 of a file's bytes; ``None`` when it cannot be read."""
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 def _encode(obj) -> str:
@@ -212,6 +246,13 @@ class Catalog:
         """Total rows of one table across every partition (manifest only)."""
         return sum(p.rows(table) for p in self._partitions)
 
+    def partition(self, seed: int, label: str | None = None) -> PartitionInfo | None:
+        """The partition held for ``(seed, label)``; ``None`` when absent."""
+        for p in self._partitions:
+            if (p.seed, p.label) == (seed, label):
+                return p
+        return None
+
     # -- ingest --------------------------------------------------------------
 
     def ingest(
@@ -220,12 +261,16 @@ class Catalog:
         *,
         seed: int | None = None,
         label: str | None = None,
+        source: str | None = None,
     ) -> PartitionInfo:
         """Write a dataset as one partition and register it.
 
         ``seed`` defaults to the dataset's own seed.  Re-ingesting an
         existing ``(seed, label)`` replaces that partition's file and
-        manifest entry.
+        manifest entry.  ``source`` names the computation that produced
+        ``dataset``: when the held partition records the same source and
+        its file still hashes to the recorded SHA-256, that partition is
+        returned as is and nothing is written.
         """
         seed = dataset.seed if seed is None else int(seed)
         if label is not None and not _LABEL_RE.match(label):
@@ -233,11 +278,21 @@ class Catalog:
                 f"invalid partition label {label!r}; use letters, digits, "
                 "'_', '.', '-'"
             )
+        held = self.partition(seed, label)
+        if (
+            source is not None
+            and held is not None
+            and held.source == source
+            and held.sha256 is not None
+            and _file_sha256(self.root / held.path) == held.sha256
+        ):
+            return held
         stem = f"seed-{seed:08d}" + (f"-{label}" if label else "")
         rel = f"{_PARTS_DIR}/{stem}.rcol"
         target = self.root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        footer = write_dataset(dataset, target)
+        hasher = hashlib.sha256() if source is not None else None
+        footer = write_dataset(dataset, target, hasher=hasher)
 
         stale = self._readers.pop(rel, None)
         if stale is not None:
@@ -248,6 +303,8 @@ class Catalog:
             label=label,
             nbytes=target.stat().st_size,
             tables=_lite_tables(footer["tables"]),
+            source=source,
+            sha256=hasher.hexdigest() if hasher is not None else None,
         )
         self._partitions = [
             p for p in self._partitions if (p.seed, p.label) != (seed, label)

@@ -201,13 +201,18 @@ def _pack_strings(strings: list[str]) -> bytes:
     return struct.pack("<I", len(encoded)) + lengths.tobytes() + b"".join(encoded)
 
 
-def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> dict:
+def write_dataset(
+    dataset: DriveDataset, path: str | pathlib.Path, *, hasher=None
+) -> dict:
     """Write a dataset as one columnar store file, atomically.
 
     Returns what the file holds as a footer object — ``format``, the
     dataset ``meta`` and, per table, its row count and column entries (see
     :meth:`TableReader.column_entry`) — so a caller that needs the column
     stats, such as the catalog's ingest, does not have to reopen the file.
+    A ``hasher`` (a :mod:`hashlib` object) is fed every byte written, in
+    file order, so a caller that needs the file's digest does not have to
+    read it back.
     """
     path = pathlib.Path(path)
     tables: dict[str, Any] = {}
@@ -249,11 +254,11 @@ def write_dataset(dataset: DriveDataset, path: str | pathlib.Path) -> dict:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(STORE_MAGIC)
-            for chunk in chunks:
-                fh.write(chunk)
-            for part in (directory, string_bytes, meta_bytes, tail):
+            for part in (STORE_MAGIC, *chunks, directory, string_bytes,
+                         meta_bytes, tail):
                 fh.write(part)
+                if hasher is not None:
+                    hasher.update(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

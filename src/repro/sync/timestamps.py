@@ -13,7 +13,7 @@ Everything is normalised to naive UTC datetimes.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta
+from datetime import datetime
 
 from repro.geo.route import Route
 from repro.geo.timezones import Timezone, XCAL_INTERNAL_TZ
@@ -40,8 +40,3 @@ def utc_offset_for_mark(route: Route, mark_m: float) -> int:
     """UTC offset (hours) of the local timezone at a route position."""
     position = route.position_at(min(max(mark_m, 0.0), route.total_length_m))
     return position.timezone.utc_offset_hours
-
-
-def offset_hours(dt_a: datetime, dt_b: datetime) -> float:
-    """Signed difference a − b in hours (used to test offset hypotheses)."""
-    return (dt_a - dt_b) / timedelta(hours=1)

@@ -17,8 +17,6 @@ METERS_PER_KM = 1000.0
 
 # --- time -------------------------------------------------------------------
 
-MS_PER_S = 1000.0
-S_PER_MIN = 60.0
 S_PER_HOUR = 3600.0
 
 #: XCAL's application-layer throughput logging period (paper §5, Fig. 11c).

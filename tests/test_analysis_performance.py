@@ -1,5 +1,6 @@
 """§5.1-5.4 performance analyses (Figs. 3-6)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import geodiversity, opdiversity, performance
@@ -64,6 +65,24 @@ class TestPerTechnology:
         cdfs = performance.per_technology_rtt(dataset, Operator.TMOBILE)
         if RadioTechnology.NR_MID in cdfs and RadioTechnology.LTE in cdfs:
             assert cdfs[RadioTechnology.NR_MID].median < cdfs[RadioTechnology.LTE].median
+
+    @pytest.mark.parametrize("direction", ["downlink", "uplink"])
+    def test_edge_vs_cloud_throughput_is_per_kind_throughput(
+        self, dataset, direction
+    ):
+        """Fig. 4 (Verizon): each server kind's panel is that kind's
+        per-technology throughput."""
+        by_kind = performance.edge_vs_cloud_throughput(dataset, direction)
+        assert set(by_kind) == set(ServerKind)  # both kinds have samples here
+        for kind in ServerKind:
+            expected = performance.per_technology_throughput(
+                dataset, Operator.VERIZON, direction, server_kind=kind
+            )
+            assert list(by_kind[kind]) == list(expected)
+            for tech, cdf in expected.items():
+                assert np.array_equal(
+                    by_kind[kind][tech].sorted_values, cdf.sorted_values
+                )
 
     def test_edge_vs_cloud_rtt_gap(self, dataset):
         """§5.2: the Wavelength edge brings a significant RTT improvement."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -163,9 +164,16 @@ class TestIngest:
         lambda obj: {**obj, "partitions": [
             {**obj["partitions"][0], "tables": {"tput": {"count": "x", "columns": {}}}}
         ]},
+        lambda obj: {**obj, "partitions": [
+            {**obj["partitions"][0], "source": 7, "sha256": "0" * 64}
+        ]},
+        lambda obj: {**obj, "partitions": [
+            {**obj["partitions"][0], "source": "run", "sha256": ["0" * 64]}
+        ]},
     ], ids=[
         "array", "partition_without_path", "partition_array", "bad_seed",
-        "table_stats_array", "table_count_not_int",
+        "table_stats_array", "table_count_not_int", "source_not_string",
+        "sha256_not_string",
     ])
     def test_malformed_manifest_rejected(self, catalog, edit, capsys):
         manifest = catalog.root / "catalog.json"
@@ -174,6 +182,107 @@ class TestIngest:
             Catalog(catalog.root)
         assert store_main(["inspect", str(catalog.root)]) == 1
         assert "store command failed" in capsys.readouterr().err
+
+
+def _file_state(path) -> tuple[int, int]:
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns
+
+
+class TestSourcedIngest:
+    """An ingest that names its source skips a partition it already holds
+    when the file still hashes to the recorded digest, and writes otherwise."""
+
+    def test_records_source_and_digest_of_written_bytes(
+        self, seeded_datasets, tmp_path
+    ):
+        with Catalog(tmp_path / "store") as cat:
+            info = cat.ingest(seeded_datasets[7], source="run-a")
+        data = (tmp_path / "store" / info.path).read_bytes()
+        assert info.source == "run-a"
+        assert info.sha256 == hashlib.sha256(data).hexdigest()
+        (entry,) = json.loads((tmp_path / "store" / "catalog.json").read_text())[
+            "partitions"
+        ]
+        assert (entry["source"], entry["sha256"]) == ("run-a", info.sha256)
+        with Catalog(tmp_path / "store") as reopened:
+            assert reopened.partitions == (info,)
+
+    def test_same_source_writes_nothing(self, seeded_datasets, tmp_path):
+        root = tmp_path / "store"
+        with Catalog(root) as cat:
+            first = cat.ingest(seeded_datasets[7], source="run-a")
+            before = _file_state(root / first.path), _file_state(root / "catalog.json")
+            manifest = (root / "catalog.json").read_bytes()
+            answers = _every_query_kind(cat)
+            assert cat.ingest(seeded_datasets[7], source="run-a") is first
+        with Catalog(root) as reopened:  # the digest is read back, too
+            again = reopened.ingest(seeded_datasets[7], source="run-a")
+            assert again == first
+            assert (
+                _file_state(root / first.path), _file_state(root / "catalog.json")
+            ) == before
+            assert (root / "catalog.json").read_bytes() == manifest
+            assert _every_query_kind(reopened) == answers
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    def test_damaged_partition_is_rewritten(
+        self, seeded_datasets, tmp_path, damage
+    ):
+        root = tmp_path / "store"
+        with Catalog(root) as cat:
+            info = cat.ingest(seeded_datasets[7], source="run-a")
+        part = root / info.path
+        cold = part.read_bytes()
+        if damage == "flip":
+            data = bytearray(cold)
+            data[len(data) // 2] ^= 0x01
+            part.write_bytes(bytes(data))
+        elif damage == "truncate":
+            part.write_bytes(cold[:-1])
+        else:
+            part.unlink()
+        with Catalog(root) as cat:
+            rewritten = cat.ingest(seeded_datasets[7], source="run-a")
+        assert rewritten == info
+        assert part.read_bytes() == cold
+
+    def test_other_source_or_no_provenance_rewrites(
+        self, seeded_datasets, tmp_path
+    ):
+        root = tmp_path / "store"
+        with Catalog(root) as cat:
+            plain = cat.ingest(seeded_datasets[7])
+            state = _file_state(root / plain.path)
+            sourced = cat.ingest(seeded_datasets[7], source="run-a")
+            assert _file_state(root / plain.path) != state
+            state = _file_state(root / plain.path)
+            other = cat.ingest(seeded_datasets[7], source="run-b")
+            assert _file_state(root / plain.path) != state
+        assert (plain.source, plain.sha256) == (None, None)
+        assert other.source == "run-b" and other.sha256 == sourced.sha256
+
+    def test_plain_ingest_drops_provenance_and_hashes_nothing(
+        self, seeded_datasets, tmp_path, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        from repro.store import catalog as catalog_module
+
+        root = tmp_path / "store"
+        with Catalog(root) as cat:
+            cat.ingest(seeded_datasets[7], source="run-a")
+
+            def no_hashing(*args):
+                raise AssertionError("a plain ingest hashed")
+
+            monkeypatch.setattr(
+                catalog_module, "hashlib", SimpleNamespace(sha256=no_hashing)
+            )
+            plain = cat.ingest(seeded_datasets[7])
+        assert (plain.source, plain.sha256) == (None, None)
+        (entry,) = json.loads((root / "catalog.json").read_text())["partitions"]
+        assert "source" not in entry and "sha256" not in entry
 
 
 def _every_query_kind(catalog) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import EngineConfig, PlannerParams, run_engine
 from repro.errors import SweepError
 from repro.obs.report import load_summary, render_summary
 from repro.obs.trace import reset_tracers
+from repro.store import Catalog, query
 from repro.sweep import SweepConfig, SweepReport, run_sweep
 from repro.sweep.cache import ShardCache
 from repro.sweep.report import SWEEP_SCHEMA_VERSION
@@ -211,6 +213,87 @@ class TestCacheReplay:
         assert report.cache_hits == len(report.shards)
         assert report.cache_misses == 0
         assert report.cache_hit_ratio() == 1.0
+
+
+class TestIdempotentIngest:
+    """A sweep into a store that already holds its partitions writes
+    nothing; a partition whose bytes changed, or another computation of the
+    same seed, is written again."""
+
+    @staticmethod
+    def warm_sweep(swept, store, **overrides):
+        _, _, sweep_tmp = swept
+        return run_sweep(sweep_config(
+            sweep_tmp, cache_dir=str(sweep_tmp / "shard-cache"),
+            store_dir=str(store), **overrides,
+        ))
+
+    @staticmethod
+    def file_states(store):
+        return {
+            path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in [store / "catalog.json", *(store / "parts").iterdir()]
+        }
+
+    @staticmethod
+    def answers(store):
+        with Catalog(store) as cat:
+            return repr((
+                query.count(cat, "tput"),
+                query.percentile(cat, "tput", "tput_mbps", [0.1, 0.5, 0.9]).tolist(),
+                query.mean(cat, "rtt", "rtt_ms"),
+                query.group_total(cat, "passive", "tech", "length_m"),
+            ))
+
+    def test_second_sweep_rewrites_nothing(self, swept, tmp_path):
+        store = tmp_path / "store"
+        self.warm_sweep(swept, store)
+        states = self.file_states(store)
+        manifest = (store / "catalog.json").read_bytes()
+        answers = self.answers(store)
+        self.warm_sweep(swept, store)
+        assert len(states) == 1 + len(SEEDS)
+        assert self.file_states(store) == states
+        assert (store / "catalog.json").read_bytes() == manifest
+        assert self.answers(store) == answers
+
+    @pytest.mark.parametrize("damage", ["flip", "delete"])
+    def test_damaged_partition_is_rewritten_to_cold_bytes(
+        self, swept, tmp_path, damage
+    ):
+        store = tmp_path / "store"
+        self.warm_sweep(swept, store)
+        cold = {p.name: p.read_bytes() for p in (store / "parts").iterdir()}
+        victim, other = sorted(cold)
+        other_state = self.file_states(store)[other]
+        if damage == "flip":  # same size, one bit of one byte
+            data = bytearray(cold[victim])
+            data[len(data) // 2] ^= 0x01
+            (store / "parts" / victim).write_bytes(bytes(data))
+        else:
+            (store / "parts" / victim).unlink()
+        self.warm_sweep(swept, store)
+        assert {p.name: p.read_bytes() for p in (store / "parts").iterdir()} == cold
+        assert self.file_states(store)[other] == other_state
+
+    def test_other_scale_of_a_seed_rewrites_it(self, swept, tmp_path):
+        store = tmp_path / "store"
+        self.warm_sweep(swept, store, seeds=SEEDS[:1])
+        with Catalog(store) as cat:
+            before = cat.partition(SEEDS[0])
+        name = pathlib.Path(before.path).name
+        state = self.file_states(store)[name]
+        run_sweep(sweep_config(
+            tmp_path, seeds=SEEDS[:1], scale=ENGINE_CAMPAIGN.scale / 2,
+            cache_dir=None, store_dir=str(store),
+        ))
+        with Catalog(store) as cat:
+            after = cat.partition(SEEDS[0])
+        assert after.path == before.path
+        assert self.file_states(store)[name] != state
+        assert after.source != before.source
+        assert after.sha256 != before.sha256
+        assert after.rows("tput") < before.rows("tput")
 
 
 class TestBoundedCache:
@@ -413,20 +496,29 @@ class TestWarmPathAttribution:
         from repro.obs.trace import iter_trace
 
         _, _, sweep_tmp = swept
-        trace = tmp_path / "warm.jsonl"
-        try:
-            warm = run_sweep(
-                sweep_config(
-                    sweep_tmp,
-                    cache_dir=str(sweep_tmp / "shard-cache"),
-                    store_dir=str(tmp_path / "store"),
-                    trace_path=str(trace),
+        # The first sweep writes each seed's partition into the new store;
+        # the second finds them all in place.
+        for trace, written in (
+            (tmp_path / "warm.jsonl", True), (tmp_path / "again.jsonl", False)
+        ):
+            try:
+                warm = run_sweep(
+                    sweep_config(
+                        sweep_tmp,
+                        cache_dir=str(sweep_tmp / "shard-cache"),
+                        store_dir=str(tmp_path / "store"),
+                        trace_path=str(trace),
+                    )
                 )
-            )
-        finally:
-            reset_tracers()
-        assert warm.cache.stats.misses == 0
-        names = [r["name"] for r in iter_trace(trace) if r["kind"] == "span"]
-        for phase in ("sweep.plan", "sweep.merge", "sweep.ingest"):
-            assert names.count(phase) == len(SEEDS), phase
-        assert names.count("sweep.stats") == 1
+            finally:
+                reset_tracers()
+            assert warm.cache.stats.misses == 0
+            spans = [r for r in iter_trace(trace) if r["kind"] == "span"]
+            names = [r["name"] for r in spans]
+            for phase in ("sweep.plan", "sweep.merge", "sweep.ingest"):
+                assert names.count(phase) == len(SEEDS), phase
+            assert names.count("sweep.stats") == 1
+            assert sorted(
+                (r["attrs"]["seed"], r["attrs"]["written"])
+                for r in spans if r["name"] == "sweep.ingest"
+            ) == [(seed, written) for seed in SEEDS]
