@@ -37,12 +37,7 @@ from repro.apps.gaming import run_gaming_session
 from repro.apps.offload import AR_CONFIG, CAV_CONFIG, run_offload_app
 from repro.apps.schedule import LinkSchedule
 from repro.apps.video import VideoConfig, run_video_session
-from repro.campaign.dataset import (
-    DriveDataset,
-    GamingRunResult,
-    OffloadRunResult,
-    VideoRunResult,
-)
+from repro.campaign.dataset import DriveDataset
 from repro.campaign.link import (
     LinkBlock,
     LinkColumns,
@@ -413,9 +408,17 @@ class DriveCampaign:
                     test_type, compression, test_ids[op], op, server.kind,
                     block.phone(j), times, static=static,
                 )
-            self._tables.add_test(
-                test_ids[op], test_type, op, start_time, self._time_s,
-                start_mark, end_mark, server.kind, static,
+            self._tables.add_row(
+                "test",
+                test_id=test_ids[op],
+                test_type=_TEST_TYPE_CODE[test_type],
+                operator=_OPERATOR_CODE[op],
+                start_time_s=start_time,
+                end_time_s=self._time_s,
+                start_mark_m=start_mark,
+                end_mark_m=end_mark,
+                server_kind=_SERVER_KIND_CODE[server.kind],
+                static=static,
             )
 
     def _record_app_run(
@@ -445,8 +448,8 @@ class DriveCampaign:
         )
         run = dict(
             test_id=test_id,
-            operator=op,
-            server_kind=server_kind,
+            operator=_OPERATOR_CODE[op],
+            server_kind=_SERVER_KIND_CODE[server_kind],
             ho_count=schedule.handover_count(),
             frac_hs5g=schedule.fraction_on(HIGH_THROUGHPUT_TECHS),
             static=static,
@@ -455,41 +458,38 @@ class DriveCampaign:
             video = run_video_session(
                 schedule, VideoConfig(session_duration_s=self.config.video_duration_s)
             )
-            self._dataset.video_runs.append(
-                VideoRunResult(
-                    qoe=video.qoe,
-                    avg_bitrate_mbps=video.avg_bitrate_mbps,
-                    rebuffer_ratio=video.rebuffer_ratio,
-                    downlink_megabits=video.downlink_megabits,
-                    **run,
-                )
+            self._tables.add_row(
+                "video",
+                qoe=video.qoe,
+                avg_bitrate_mbps=video.avg_bitrate_mbps,
+                rebuffer_ratio=video.rebuffer_ratio,
+                downlink_megabits=video.downlink_megabits,
+                **run,
             )
         elif test_type is TestType.CLOUD_GAMING:
             gaming = run_gaming_session(schedule)
-            self._dataset.gaming_runs.append(
-                GamingRunResult(
-                    avg_bitrate_mbps=gaming.avg_bitrate_mbps,
-                    median_latency_ms=gaming.median_latency_ms,
-                    p95_latency_ms=gaming.p95_latency_ms,
-                    frame_drop_rate=gaming.frame_drop_rate,
-                    downlink_megabits=gaming.downlink_megabits,
-                    **run,
-                )
+            self._tables.add_row(
+                "gaming",
+                avg_bitrate_mbps=gaming.avg_bitrate_mbps,
+                median_latency_ms=gaming.median_latency_ms,
+                p95_latency_ms=gaming.p95_latency_ms,
+                frame_drop_rate=gaming.frame_drop_rate,
+                downlink_megabits=gaming.downlink_megabits,
+                **run,
             )
         else:
             app_config = AR_CONFIG if test_type is TestType.AR else CAV_CONFIG
             offload = run_offload_app(schedule, app_config, compression)
-            self._dataset.offload_runs.append(
-                OffloadRunResult(
-                    app=test_type,
-                    compression=compression,
-                    mean_e2e_ms=offload.mean_e2e_ms,
-                    median_e2e_ms=offload.median_e2e_ms,
-                    offload_fps=offload.offload_fps,
-                    map_score=offload.map_score,
-                    uplink_megabits=offload.uplink_megabits,
-                    **run,
-                )
+            self._tables.add_row(
+                "offload",
+                app=_TEST_TYPE_CODE[test_type],
+                compression=compression,
+                mean_e2e_ms=offload.mean_e2e_ms,
+                median_e2e_ms=offload.median_e2e_ms,
+                offload_fps=offload.offload_fps,
+                map_score=offload.map_score,
+                uplink_megabits=offload.uplink_megabits,
+                **run,
             )
 
     # -- recording helpers ------------------------------------------------------------
@@ -521,9 +521,10 @@ class DriveCampaign:
         self._dataset.set_table(ColumnTable.concat(tables))
 
 
-#: Dictionary values of the enum columns the kernel writes, in code order
+#: Dictionary values of the enum columns the campaign writes, in code order
 #: (an enum column's codes index these; a tech column's codes are ranks).
 _TECH_NAMES = tuple(t.name for t in ALL_TECHNOLOGIES)
+_TEST_TYPE_NAMES = tuple(t.name for t in TestType)
 _ENUM_VALUES = {
     "operator": tuple(op.name for op in Operator),
     "direction": Direction.ALL,
@@ -533,7 +534,8 @@ _ENUM_VALUES = {
     "from_tech": _TECH_NAMES,
     "to_tech": _TECH_NAMES,
     "server_kind": tuple(k.name for k in ServerKind),
-    "test_type": tuple(t.name for t in TestType),
+    "test_type": _TEST_TYPE_NAMES,
+    "app": _TEST_TYPE_NAMES,
 }
 _OPERATOR_CODE = {op: code for code, op in enumerate(Operator)}
 _SERVER_KIND_CODE = {kind: code for code, kind in enumerate(ServerKind)}
@@ -542,8 +544,8 @@ _DTYPES = {"f8": np.float64, "i8": np.int64, "bool": np.bool_, "dict": np.uint32
 
 
 class _CampaignTables:
-    """The campaign's ``tput``, ``rtt``, ``test`` and ``ho`` rows, held as
-    column blocks as the tests write them and handed to the dataset as
+    """Every table of the campaign but ``passive``, held as column blocks
+    as the tests write them and handed to the dataset as
     :class:`~repro.store.columnar.ColumnTable` s.
 
     Enum columns hold codes into :data:`_ENUM_VALUES`; the handover cell
@@ -553,7 +555,7 @@ class _CampaignTables:
 
     def __init__(self) -> None:
         self._blocks: dict[str, dict[str, list]] = {
-            name: {} for name in ("tput", "rtt", "test", "ho")
+            name: {} for name in ("tput", "rtt", "test", "ho", "offload", "video", "gaming")
         }
         self._cells: dict[tuple[Operator, int, int], int] = {}
 
@@ -649,27 +651,16 @@ class _CampaignTables:
             to_tech=to_tech,
         )
 
-    def add_test(
-        self, test_id: int, test_type: TestType, op: Operator, start_time_s: float,
-        end_time_s: float, start_mark_m: float, end_mark_m: float,
-        server_kind: ServerKind, static: bool,
-    ) -> None:
-        """One phone's run of one test."""
-        self._add(
-            "test",
-            test_id=[test_id],
-            test_type=[_TEST_TYPE_CODE[test_type]],
-            operator=[_OPERATOR_CODE[op]],
-            start_time_s=[start_time_s],
-            end_time_s=[end_time_s],
-            start_mark_m=[start_mark_m],
-            end_mark_m=[end_mark_m],
-            server_kind=[_SERVER_KIND_CODE[server_kind]],
-            static=[static],
-        )
+    def add_row(self, table: str, **values) -> None:
+        """One row of ``table`` (``test`` or an app-run table), given as
+        one value per column: each column's values gather in one list."""
+        blocks = self._blocks[table]
+        for name, value in values.items():
+            blocks.setdefault(name, [[]])[0].append(value)
 
     def hand_to(self, dataset: DriveDataset) -> None:
-        """Hold every table in ``dataset`` as columns."""
+        """Hold every table written to in ``dataset`` as columns (the
+        others stay the dataset's shared empty tables)."""
         # Imported here: repro.store pulls in repro.campaign at package level.
         from repro.store.columnar import TABLE_SCHEMAS, ColumnTable, cell_to_str
 
@@ -679,11 +670,14 @@ class _CampaignTables:
         )
         values = dict(_ENUM_VALUES, from_cell=cells, to_cell=cells)
         for name, blocks in self._blocks.items():
-            arrays = {}
-            for spec in TABLE_SCHEMAS[name].stored:
-                dtype = _DTYPES[spec.kind]
-                parts = [np.asarray(block, dtype=dtype) for block in blocks.get(spec.name, ())]
-                arrays[spec.name] = np.concatenate(parts) if parts else np.empty(0, dtype)
+            if not blocks:
+                continue
+            arrays = {
+                spec.name: np.concatenate([
+                    np.asarray(block, dtype=_DTYPES[spec.kind]) for block in blocks[spec.name]
+                ])
+                for spec in TABLE_SCHEMAS[name].stored
+            }
             dataset.set_table(ColumnTable.from_codes(name, arrays, values))
 
 

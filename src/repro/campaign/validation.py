@@ -6,9 +6,7 @@ internally consistent before building analyses on them.  The checks here are
 exactly the invariants the analysis modules rely on.
 
 Every check runs over the column arrays of :meth:`DriveDataset.table`, so
-validating a column-held dataset (read from a store file, replayed from the
-shard cache or merged by the engine) builds no records and keeps its tables
-column-held.
+validating a dataset builds no records.
 """
 
 from __future__ import annotations

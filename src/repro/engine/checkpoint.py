@@ -26,7 +26,7 @@ Entries are columnar because replay is the hot path of a warm sweep:
 (validating every column and dictionary member) and builds no record at
 all — the shard's dataset holds each table as a
 :class:`~repro.store.columnar.ColumnTable`, the merge concatenates those
-columns, and records are only built if someone reads a record list.  The
+columns, and records are only built if someone reads a record attribute.  The
 price is disk: an ``.rcol`` entry takes about twice the bytes of the gzipped
 JSON-lines it replaced (1.15 MB → 2.25 MB for the 22 version-2 shards of
 a 2-seed, scale-0.004 sweep with 600 km windows), so a given

@@ -4,10 +4,10 @@ The merger concatenates every record family in **canonical shard order**
 (windows by ascending index) regardless of the order shards completed in —
 so the merged dataset is a pure function of the shard results.  It works
 on columns: each family's shard tables
-(:class:`~repro.store.columnar.ColumnTable`, replayed from the shard cache
-as columns or shredded from a computed shard's records) are concatenated
-into one column-held table, and records are only built if a caller reads
-a record list of the merged dataset.  Because each window owns a
+(:class:`~repro.store.columnar.ColumnTable`, as the campaign wrote them or
+as the shard cache replayed them) are concatenated into one table, and
+records are only built if a caller reads a record attribute of the merged
+dataset.  Because each window owns a
 disjoint, deterministic test-id namespace (``(index+1) * TEST_ID_STRIDE``),
 no renumbering pass is needed and referential integrity (samples → tests,
 handovers → tests) is preserved by construction.
@@ -60,7 +60,6 @@ def merge_shard_results(
         )
     ordered = [results[w.index].dataset for w in plan.windows]
 
-    # Row-held (freshly computed) shards are shredded once, here.
     tables = {
         family.table: [dataset.table(family.table) for dataset in ordered]
         for family in RECORD_FAMILIES

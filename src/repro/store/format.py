@@ -57,11 +57,10 @@ own).  Every check still runs at read time — the directory's structure,
 column kinds against the schema, RLE expansion, dictionary code ranges,
 and each distinct dictionary value as an enum member or cell id — so a
 corrupt file fails here, never later when rows are built.  Records appear
-only when a caller reads a record list.  That makes it the fast way to
-replay a dataset, which is why the engine's shard cache stores ``.rcol``
-entries.  :func:`write_dataset` encodes each table from
-``dataset.table(name)``: the held columns, or columns shredded from the
-records.
+only when a caller reads a record attribute.  That makes it the fast way
+to replay a dataset, which is why the engine's shard cache stores
+``.rcol`` entries.  :func:`write_dataset` encodes each table from
+``dataset.table(name)``, the columns the dataset holds.
 
 Every structural change bumps :data:`STORE_FORMAT_VERSION`; the version is
 checked on open, the same contract as ``EngineReport``/``SweepReport``.
@@ -79,7 +78,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.campaign.dataset import DriveDataset
+from repro.campaign.dataset import DriveDataset, empty_table
 from repro.errors import StoreError
 from repro.radio.operators import Operator
 from repro.store.columnar import (
@@ -488,18 +487,6 @@ def _check_codes(name: str, codes: np.ndarray, row: tuple) -> None:
 
 
 @functools.cache
-def _empty_table(name: str) -> ColumnTable:
-    """A zero-row table, shared: its arrays are read-only."""
-    schema = TABLE_SCHEMAS[name]
-    dtypes = {"f8": "<f8", "i8": "<i8", "bool": np.bool_, "dict": "<u1"}
-    return ColumnTable(
-        name, 0,
-        {spec.name: np.empty(0, dtypes[spec.kind]) for spec in schema.stored},
-        {spec.name: () for spec in schema.stored if spec.kind == "dict"},
-    )
-
-
-@functools.cache
 def _written_layout(name: str) -> tuple[tuple[str, ...], bytes]:
     """Column names and kind codes the writer writes for a table."""
     columns = TABLE_SCHEMAS[name].columns
@@ -623,7 +610,7 @@ class TableReader:
         empty table.
         """
         if self.count == 0 and self._is_bare():
-            return _empty_table(self.name)
+            return empty_table(self.name)
         arrays: dict[str, np.ndarray] = {}
         values: dict[str, tuple[str, ...]] = {}
         buf = self._reader._buffer()
@@ -881,15 +868,16 @@ class DatasetReader:
 
 
 def read_dataset(path: str | pathlib.Path) -> DriveDataset:
-    """Read a store file into a column-held dataset.
+    """Read a store file into a dataset.
 
     The exact inverse of :func:`write_dataset`: the file is read into one
     buffer and every table is held as a
     :class:`~repro.store.columnar.ColumnTable` (decoded and validated
-    here, see :meth:`TableReader.load`), and its records — built on first
-    access to the record list — compare equal to the ones that were
-    written (floats round-trip bit-for-bit, fields keep their Python
-    types).  The dataset saves to the same bytes in either format.
+    here, see :meth:`TableReader.load`, and held through
+    :meth:`~repro.campaign.dataset.DriveDataset.set_table`), and its
+    records — built on first read of a record attribute — compare equal to
+    the ones that were written (floats round-trip bit-for-bit, fields keep
+    their Python types).  The dataset saves to the same bytes in either format.
     """
     with DatasetReader(path, in_memory=True) as reader:
         dataset = DriveDataset(

@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     if report.skipped_statistics:
         print(f"\nskipped (no finite values): {', '.join(report.skipped_statistics)}")
     if args.store:
-        print(f"\ndatasets ingested into store catalog {args.store}")
+        print(f"\nstore catalog {args.store} holds every seed's partition")
     if args.report:
         print(f"\nreport written to {args.report}")
     if args.trace:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaign.dataset import PassiveCoverageSegment
 from repro.geo.regions import ALL_REGION_TYPES
 from repro.geo.timezones import ALL_TIMEZONES
 from repro.policy.profiles import DEFAULT_POLICY_PROFILES, PolicyProfile
@@ -72,11 +71,6 @@ class HandoverLoggerTrace:
             CellId(self.operator, ALL_TECHNOLOGIES[key & 7], key >> 3)
             for key in self.macro_cell_keys
         )
-
-    @functools.cached_property
-    def segments(self) -> list[PassiveCoverageSegment]:
-        """The table's rows as records, built on first use."""
-        return self.table.rows()
 
     @property
     def total_length_m(self) -> float:

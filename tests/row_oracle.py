@@ -6,8 +6,7 @@ loops over record objects that those kernels replaced — the record filters
 ``DriveDataset`` once had (:func:`tput`, :func:`rtts`, :func:`tests_of`,
 :func:`handovers_of`, :func:`samples_by_test`), left-fold sums, per-test
 joins, the half-second concurrent-sample index — so parity tests can hold
-every source (row-held or column-held datasets, store files, catalogs) to
-them.  The record loop
+every source (datasets, store files, catalogs) to them.  The record loop
 of :func:`~repro.campaign.validation.validate_dataset`, which now runs on
 column arrays, is kept the same way, and so is the passive handover-logger's
 zone-by-zone :class:`~repro.policy.selection.TechnologySelector` walk that
@@ -19,6 +18,7 @@ pass over the deployment arrays.  Its tick-major campaign
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 from dataclasses import dataclass
@@ -379,7 +379,7 @@ def statistics(dataset: DriveDataset) -> dict[str, float]:
 
 def validate(dataset: DriveDataset, max_issues: int = 50) -> ValidationReport:
     """:func:`~repro.campaign.validation.validate_dataset` as a loop over
-    the record lists: the same checks, issues and check count."""
+    the record attributes: the same checks, issues and check count."""
     report = ValidationReport()
     tests_by_id = {t.test_id: t for t in dataset.tests}
 
@@ -1576,6 +1576,9 @@ class RowDriveCampaign:
             scale=self.config.scale,
             route_length_km=self.route.total_length_km,
         )
+        #: The records each test writes, by dataset attribute, assigned to
+        #: the dataset when the run ends.
+        self._records: dict[str, list] = collections.defaultdict(list)
 
     # -- public API --------------------------------------------------------
 
@@ -1600,6 +1603,8 @@ class RowDriveCampaign:
             if self.config.include_static:
                 self._run_static_battery(city_name)
         self._record_passive_coverage()
+        for attr, records in self._records.items():
+            setattr(self._dataset, attr, records)
         return self._dataset
 
     def _city_in_window(self, city_mark_m: float) -> bool:
@@ -1751,7 +1756,7 @@ class RowDriveCampaign:
                         bler=tick.bler,
                         interruption_s=tick.interruption_s,
                     )
-                    self._dataset.throughput_samples.append(
+                    self._records["throughput_samples"].append(
                         ThroughputSample(
                             test_id=test_ids[op],
                             operator=op,
@@ -1773,7 +1778,7 @@ class RowDriveCampaign:
                         )
                     )
                 else:
-                    self._dataset.rtt_samples.append(
+                    self._records["rtt_samples"].append(
                         RttSample(
                             test_id=test_ids[op],
                             operator=op,
@@ -1789,7 +1794,7 @@ class RowDriveCampaign:
                         )
                     )
                 for ev in tick.handovers:
-                    self._dataset.handovers.append(
+                    self._records["handovers"].append(
                         HandoverRecord(test_id=test_ids[op], direction=direction, event=ev)
                     )
 
@@ -1802,7 +1807,7 @@ class RowDriveCampaign:
                     test_type, compression, test_ids[op], op, server.kind,
                     app_ticks[op], static=static,
                 )
-            self._dataset.tests.append(
+            self._records["tests"].append(
                 TestRecord(
                     test_id=test_ids[op],
                     test_type=test_type,
@@ -1851,7 +1856,7 @@ class RowDriveCampaign:
             video = run_video_session(
                 schedule, VideoConfig(session_duration_s=self.config.video_duration_s)
             )
-            self._dataset.video_runs.append(
+            self._records["video_runs"].append(
                 VideoRunResult(
                     qoe=video.qoe,
                     avg_bitrate_mbps=video.avg_bitrate_mbps,
@@ -1862,7 +1867,7 @@ class RowDriveCampaign:
             )
         elif test_type is TestType.CLOUD_GAMING:
             gaming = run_gaming_session(schedule)
-            self._dataset.gaming_runs.append(
+            self._records["gaming_runs"].append(
                 GamingRunResult(
                     avg_bitrate_mbps=gaming.avg_bitrate_mbps,
                     median_latency_ms=gaming.median_latency_ms,
@@ -1875,7 +1880,7 @@ class RowDriveCampaign:
         else:
             app_config = AR_CONFIG if test_type is TestType.AR else CAV_CONFIG
             offload = run_offload_app(schedule, app_config, compression)
-            self._dataset.offload_runs.append(
+            self._records["offload_runs"].append(
                 OffloadRunResult(
                     app=test_type,
                     compression=compression,

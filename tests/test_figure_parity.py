@@ -6,17 +6,14 @@ Its row twin in :mod:`tests.row_oracle` is the loop over record objects it
 replaced.  The two must agree exactly (every float bit for bit, every
 container type and dict order) on
 
-* the session fixture, row-held as a campaign leaves it, and an
-  engine-merged dataset, column-held as the engine merges it, each also
-  through a :class:`~repro.store.format.DatasetReader` of its ``.rcol``
-  file;
+* the session fixture and an engine-merged dataset, each also through a
+  :class:`~repro.store.format.DatasetReader` of its ``.rcol`` file;
 * the randomized datasets of :mod:`tests.test_parity_differential`
-  (NaN/±inf floats, random enums, empty tables), through the same two
-  sources and read back column-held.
+  (NaN/±inf floats, random enums, empty tables), built from records,
+  through the same two sources and read back.
 
 A function that raises must raise the same error on every source.  A last
-test checks that the figure pipeline builds no record rows: an
-engine-merged dataset keeps every table column-held.
+test checks that the figure pipeline builds no record rows.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ import enum
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +52,7 @@ from repro.net.servers import ServerKind
 from repro.policy import inference
 from repro.radio.operators import Operator
 from repro.reporting.figures import figure_series
+from repro.store.columnar import ColumnTable
 from repro.store.format import DatasetReader, read_dataset, write_dataset
 from repro.xcal import export
 from tests import row_oracle
@@ -207,9 +206,8 @@ def outcome(fn, *args):
 
 @pytest.fixture(scope="module")
 def engine_dataset():
-    """An engine-merged, column-held dataset with apps and static tests
-    (600 km windows: every figure has data).  Tests use copies, so reading
-    record lists on one never turns another row-held."""
+    """An engine-merged dataset with apps and static tests (600 km
+    windows: every figure has data).  Tests use shallow copies."""
     ds, _ = run_engine(EngineConfig(
         campaign=CampaignConfig(seed=7, scale=0.004),
         executor="serial",
@@ -224,7 +222,7 @@ def cases(tmp_path_factory, dataset, engine_dataset):
     the library reads, as ``(label, source)``."""
     tmp = tmp_path_factory.mktemp("figure-parity")
     datasets = [
-        ("fixture", dataset, "row-held dataset"),
+        ("fixture", dataset, "campaign dataset"),
         ("engine", copy.copy(engine_dataset), None),
         *(
             (f"random {seed}", _random_dataset(random.Random(seed)), "dataset")
@@ -236,13 +234,13 @@ def cases(tmp_path_factory, dataset, engine_dataset):
         path = tmp / f"case-{i}.rcol"
         write_dataset(ds, path)
         readers.append(DatasetReader(path))
-        if ds_label is None:  # the twins build rows: keep a column-held copy
+        if ds_label is None:  # a copy of its own for the library
             sources = [("engine-merged dataset", copy.copy(engine_dataset))]
         else:
             sources = [(ds_label, ds)]
         sources.append(("reader", readers[-1]))
-        if label.startswith("random"):  # cheap: read back column-held too
-            sources.append(("column-held dataset", read_dataset(path)))
+        if label.startswith("random"):  # cheap: read back too
+            sources.append(("read-back dataset", read_dataset(path)))
         out.append((label, ds, sources))
     yield out
     for reader in readers:
@@ -275,7 +273,7 @@ def test_compare_datasets_matches_row_twin(cases):
 
 def test_table1_matches_row_twin(cases):
     """Table 1 and the byte totals: left folds in row order, also on the
-    column-held read-back."""
+    read-back dataset."""
     for label, ds, sources in cases:
         want = outcome(row_oracle.summary, ds)
         want_volume = outcome(row_oracle.data_volume_bytes, ds)
@@ -289,15 +287,20 @@ def test_table1_matches_row_twin(cases):
 
 
 def test_figure_pipeline_builds_no_records(engine_dataset, route):
-    """Every table of an engine-merged dataset stays column-held through
-    the whole figure and table pipeline."""
+    """The figure and table pipeline reads every table of an
+    engine-merged dataset as the columns it holds, and builds no record."""
     ds = copy.copy(engine_dataset)
     names = [family.table for family in RECORD_FAMILIES]
-    assert all(ds.held_table(name) is not None for name in names)
-    figure_series(ds)
-    correlation.correlation_table(ds)
-    multivariate.multivariate_table(ds)
-    recommendations.quantify_recommendations(ds)
-    export.export_logs(ds, route)
-    ds.summary()
-    assert [n for n in names if ds.held_table(n) is None] == []
+    for name in names:  # tables no record has been built from yet
+        ds.set_table(copy.copy(ds.table(name)))
+    tables = [ds.table(name) for name in names]
+    with mock.patch.object(
+        ColumnTable, "rows", side_effect=AssertionError("records built")
+    ):
+        figure_series(ds)
+        correlation.correlation_table(ds)
+        multivariate.multivariate_table(ds)
+        recommendations.quantify_recommendations(ds)
+        export.export_logs(ds, route)
+        ds.summary()
+    assert [ds.table(name) for name in names] == tables

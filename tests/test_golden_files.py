@@ -24,6 +24,7 @@ import pathlib
 import pytest
 
 from repro.campaign.dataset import (
+    RECORD_FAMILIES,
     DriveDataset,
     GamingRunResult,
     HandoverRecord,
@@ -81,8 +82,9 @@ def golden_dataset() -> DriveDataset:
             Operator.VERIZON: 41, Operator.ATT: 9, Operator.TMOBILE: 28,
         },
     )
+    rows: dict[str, list] = {f.attr: [] for f in RECORD_FAMILIES}
     for i in range(7):
-        ds.throughput_samples.append(ThroughputSample(
+        rows["throughput_samples"].append(ThroughputSample(
             test_id=1001 + i // 3, operator=next(ops),
             direction=("downlink", "uplink")[i % 2], time_s=60.0 + 0.5 * i,
             mark_m=next(floats), speed_mph=65.5, region=next(regions),
@@ -91,14 +93,14 @@ def golden_dataset() -> DriveDataset:
             server_kind=next(kinds), ho_count=i % 3, static=i == 6,
         ))
     for i in range(5):
-        ds.rtt_samples.append(RttSample(
+        rows["rtt_samples"].append(RttSample(
             test_id=2001, operator=next(ops), time_s=90.0 + 0.2 * i,
             mark_m=1000.0 * i, speed_mph=next(floats), region=next(regions),
             timezone=next(zones), tech=next(techs), rtt_ms=next(floats),
             server_kind=next(kinds), static=i % 2 == 0,
         ))
     for i in range(len(TestType)):
-        ds.tests.append(TestRecord(
+        rows["tests"].append(TestRecord(
             test_id=1001 + i, test_type=next(test_types), operator=next(ops),
             start_time_s=30.0 * i, end_time_s=30.0 * i + next(floats),
             start_mark_m=-0.0, end_mark_m=2500.75 * i,
@@ -106,7 +108,7 @@ def golden_dataset() -> DriveDataset:
         ))
     for i in range(6):
         op = next(ops)
-        ds.handovers.append(HandoverRecord(
+        rows["handovers"].append(HandoverRecord(
             test_id=1001 + i, direction=("uplink", "downlink")[i % 2],
             event=HandoverEvent(
                 operator=op, time_s=61.5 + i, mark_m=next(floats),
@@ -117,12 +119,12 @@ def golden_dataset() -> DriveDataset:
             ),
         ))
     for i in range(5):
-        ds.passive_coverage.append(PassiveCoverageSegment(
+        rows["passive_coverage"].append(PassiveCoverageSegment(
             operator=next(ops), start_m=400.0 * i, end_m=400.0 * i + 399.5,
             tech=next(techs), timezone=next(zones), region=next(regions),
         ))
     for i, app in enumerate((TestType.AR, TestType.CAV, TestType.AR)):
-        ds.offload_runs.append(OffloadRunResult(
+        rows["offload_runs"].append(OffloadRunResult(
             app=app, test_id=3001 + i, operator=next(ops),
             server_kind=next(kinds), compression=i != 1,
             mean_e2e_ms=next(floats), median_e2e_ms=88.0, offload_fps=14.5,
@@ -130,19 +132,21 @@ def golden_dataset() -> DriveDataset:
             frac_hs5g=0.25 * i, static=False, uplink_megabits=next(floats),
         ))
     for i in range(2):
-        ds.video_runs.append(VideoRunResult(
+        rows["video_runs"].append(VideoRunResult(
             test_id=4001 + i, operator=next(ops), server_kind=next(kinds),
             qoe=next(floats), avg_bitrate_mbps=42.0, rebuffer_ratio=0.0,
             ho_count=2 * i, frac_hs5g=1.0, static=i == 1,
             downlink_megabits=next(floats),
         ))
     for i in range(2):
-        ds.gaming_runs.append(GamingRunResult(
+        rows["gaming_runs"].append(GamingRunResult(
             test_id=5001 + i, operator=next(ops), server_kind=next(kinds),
             avg_bitrate_mbps=next(floats), median_latency_ms=51.0,
             p95_latency_ms=INF, frame_drop_rate=0.02, ho_count=i,
             frac_hs5g=0.0, static=False, downlink_megabits=next(floats),
         ))
+    for attr, records in rows.items():
+        setattr(ds, attr, records)
     return ds
 
 

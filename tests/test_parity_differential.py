@@ -4,8 +4,8 @@ Each registered statistic is one function over the query kernels, and it
 must give the value the straight loop over record objects gives
 (:mod:`tests.row_oracle`) on every kind of source:
 
-* a row-held :class:`~repro.campaign.dataset.DriveDataset`;
-* a column-held one (read back from a store file);
+* a :class:`~repro.campaign.dataset.DriveDataset` built from records;
+* one read back from a store file;
 * a store file's :class:`~repro.store.format.DatasetReader`;
 * a two-partition :class:`~repro.store.catalog.Catalog`, queried with
   ``seeds=`` one seed at a time.
@@ -73,8 +73,8 @@ def cases(tmp_path_factory):
             catalogs.append(Catalog(tmp / f"catalog-{i // 2}"))
         catalogs[-1].ingest(dataset)
         sources = [
-            ("row-held dataset", dataset, None),
-            ("column-held dataset", read_dataset(path), None),
+            ("dataset", dataset, None),
+            ("read-back dataset", read_dataset(path), None),
             ("reader", readers[-1], None),
             ("catalog", catalogs[-1], (dataset.seed,)),
         ]

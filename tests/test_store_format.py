@@ -416,7 +416,7 @@ class TestDirectory:
     def test_zero_row_tables_are_shared(self, store_file):
         a, b = read_dataset(store_file), read_dataset(store_file)
         assert a.count("offload") == 0
-        assert a.held_table("offload") is b.held_table("offload")
+        assert a.table("offload") is b.table("offload")
 
     def test_zero_row_table_with_a_dictionary_is_still_checked(
         self, bare_dataset, tmp_path

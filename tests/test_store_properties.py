@@ -328,8 +328,9 @@ def _random_dataset(
         passive_handover_counts={op: rng.randint(0, 500) for op in Operator},
         connected_cells={op: rng.randint(0, 900) for op in Operator},
     )
+    rows: dict[str, list] = {attr: [] for attr in TABLE_ATTRS.values()}
     for _ in range(n_rows("tput")):
-        ds.throughput_samples.append(ThroughputSample(
+        rows["throughput_samples"].append(ThroughputSample(
             test_id=rng.randint(0, 500), operator=pick(Operator),
             direction=pick(("uplink", "downlink")), time_s=f(), mark_m=f(),
             speed_mph=f(0, 90), region=pick(RegionType),
@@ -340,7 +341,7 @@ def _random_dataset(
             static=rng.random() < 0.5,
         ))
     for _ in range(n_rows("rtt")):
-        ds.rtt_samples.append(RttSample(
+        rows["rtt_samples"].append(RttSample(
             test_id=rng.randint(0, 500), operator=pick(Operator),
             time_s=f(), mark_m=f(), speed_mph=f(0, 90),
             region=pick(RegionType), timezone=pick(Timezone),
@@ -348,14 +349,14 @@ def _random_dataset(
             server_kind=pick(ServerKind), static=rng.random() < 0.5,
         ))
     for _ in range(n_rows("test")):
-        ds.tests.append(TestRecord(
+        rows["tests"].append(TestRecord(
             test_id=rng.randint(0, 500), test_type=pick(TestType),
             operator=pick(Operator), start_time_s=f(), end_time_s=f(),
             start_mark_m=f(), end_mark_m=f(),
             server_kind=pick(ServerKind), static=rng.random() < 0.5,
         ))
     for _ in range(n_rows("ho")):
-        ds.handovers.append(HandoverRecord(
+        rows["handovers"].append(HandoverRecord(
             test_id=rng.randint(0, 500), direction=pick(("uplink", "downlink")),
             event=HandoverEvent(
                 operator=pick(Operator), time_s=f(), mark_m=f(),
@@ -366,13 +367,13 @@ def _random_dataset(
         ))
     for _ in range(n_rows("passive")):
         start = rng.uniform(0, 1e6)
-        ds.passive_coverage.append(PassiveCoverageSegment(
+        rows["passive_coverage"].append(PassiveCoverageSegment(
             operator=pick(Operator), start_m=start,
             end_m=start + rng.uniform(0, 1e4), tech=pick(RadioTechnology),
             timezone=pick(Timezone), region=pick(RegionType),
         ))
     for _ in range(n_rows("offload")):
-        ds.offload_runs.append(OffloadRunResult(
+        rows["offload_runs"].append(OffloadRunResult(
             app=pick((TestType.AR, TestType.CAV)), test_id=rng.randint(0, 500),
             operator=pick(Operator), server_kind=pick(ServerKind),
             compression=rng.random() < 0.5, mean_e2e_ms=f(1, 500),
@@ -381,7 +382,7 @@ def _random_dataset(
             static=rng.random() < 0.5, uplink_megabits=f(0, 1e4),
         ))
     for _ in range(n_rows("video")):
-        ds.video_runs.append(VideoRunResult(
+        rows["video_runs"].append(VideoRunResult(
             test_id=rng.randint(0, 500), operator=pick(Operator),
             server_kind=pick(ServerKind), qoe=f(0, 5),
             avg_bitrate_mbps=f(0, 200), rebuffer_ratio=f(0, 1),
@@ -389,7 +390,7 @@ def _random_dataset(
             static=rng.random() < 0.5, downlink_megabits=f(0, 1e4),
         ))
     for _ in range(n_rows("gaming")):
-        ds.gaming_runs.append(GamingRunResult(
+        rows["gaming_runs"].append(GamingRunResult(
             test_id=rng.randint(0, 500), operator=pick(Operator),
             server_kind=pick(ServerKind), avg_bitrate_mbps=f(0, 200),
             median_latency_ms=f(1, 500), p95_latency_ms=f(1, 900),
@@ -397,6 +398,8 @@ def _random_dataset(
             frac_hs5g=f(0, 1), static=rng.random() < 0.5,
             downlink_megabits=f(0, 1e4),
         ))
+    for attr, records in rows.items():
+        setattr(ds, attr, records)
     return ds
 
 
@@ -465,7 +468,7 @@ class TestFileRoundTrip:
         rebuilt = read_dataset(path)
         _assert_datasets_match(original, rebuilt)
         for attr in TABLE_ATTRS.values():
-            assert getattr(rebuilt, attr) == []
+            assert getattr(rebuilt, attr) == ()
 
 
 def _reader_stats(reader: DatasetReader) -> dict:

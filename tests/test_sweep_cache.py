@@ -38,22 +38,22 @@ OTHER_FP = "b" * 64
 
 def make_result(index: int = 0, seed: int = 42, n_rtts: int = 1) -> ShardResult:
     ds = DriveDataset(seed=seed, scale=0.01, route_length_km=100.0)
-    for i in range(n_rtts):
-        ds.rtt_samples.append(
-            RttSample(
-                test_id=1000 + i,
-                operator=Operator.VERIZON,
-                time_s=float(i),
-                mark_m=10.0 * i,
-                speed_mph=60.0,
-                region=RegionType.HIGHWAY,
-                timezone=Timezone.PACIFIC,
-                tech=RadioTechnology.LTE,
-                rtt_ms=50.0 + i,
-                server_kind=ServerKind.CLOUD,
-                static=False,
-            )
+    ds.rtt_samples = [
+        RttSample(
+            test_id=1000 + i,
+            operator=Operator.VERIZON,
+            time_s=float(i),
+            mark_m=10.0 * i,
+            speed_mph=60.0,
+            region=RegionType.HIGHWAY,
+            timezone=Timezone.PACIFIC,
+            tech=RadioTechnology.LTE,
+            rtt_ms=50.0 + i,
+            server_kind=ServerKind.CLOUD,
+            static=False,
         )
+        for i in range(n_rtts)
+    ]
     return ShardResult(index=index, dataset=ds, wall_s=1.5)
 
 

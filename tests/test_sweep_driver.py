@@ -21,6 +21,7 @@ from repro.obs.report import load_summary, render_summary
 from repro.obs.trace import reset_tracers
 from repro.store import Catalog, query
 from repro.sweep import SweepConfig, SweepReport, run_sweep
+from repro.sweep.__main__ import main
 from repro.sweep.cache import ShardCache
 from repro.sweep.report import SWEEP_SCHEMA_VERSION
 
@@ -294,6 +295,30 @@ class TestIdempotentIngest:
         assert after.source != before.source
         assert after.sha256 != before.sha256
         assert after.rows("tput") < before.rows("tput")
+
+
+class TestCommandLine:
+    """``python -m repro.sweep --store``: the message after a run is true
+    whether the run wrote its partition or found it held."""
+
+    def test_rerun_into_a_store_claims_no_ingest_and_keeps_the_partition(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        argv = [
+            "--seeds", "41", "--scale", "0.004", "--no-apps", "--no-static",
+            "--executor", "serial", "--window-km", "600", "--store", str(store),
+        ]
+        outputs, mtimes = [], []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            (part,) = (store / "parts").iterdir()
+            mtimes.append(part.stat().st_mtime_ns)
+        for out in outputs:
+            assert "ingest" not in out
+            assert f"store catalog {store} holds every seed's partition" in out
+        assert mtimes[1] == mtimes[0]
 
 
 class TestBoundedCache:

@@ -43,7 +43,7 @@ class TestHandoverLogger:
         # of city mmWave survives (the same idle-mmWave pockets behind
         # Fig. 8's few AT&T mmWave RTT samples).
         trace = traces[Operator.ATT]
-        share_5g = sum(s.length_m for s in trace.segments if s.tech.is_5g)
+        share_5g = sum(s.length_m for s in trace.table.rows() if s.tech.is_5g)
         assert share_5g / trace.total_length_m < 0.01
 
     def test_macro_cells_counted(self, traces):
@@ -58,7 +58,7 @@ class TestHandoverLogger:
         assert volume < 100e6
 
     def test_segments_ordered(self, traces):
-        segs = traces[Operator.TMOBILE].segments
+        segs = traces[Operator.TMOBILE].table.rows()
         starts = [s.start_m for s in segs]
         assert starts == sorted(starts)
 
@@ -84,9 +84,10 @@ class TestWindowClip:
         deployment, trace = walk
         assert deployment.zone_at(self.START_M).start_m < self.START_M
         assert deployment.zone_at(self.END_M).start_m < self.END_M
-        assert trace.segments[0].start_m == self.START_M
-        assert trace.segments[-1].end_m == self.END_M
-        for prev, cur in zip(trace.segments, trace.segments[1:]):
+        segments = trace.table.rows()
+        assert segments[0].start_m == self.START_M
+        assert segments[-1].end_m == self.END_M
+        for prev, cur in zip(segments, segments[1:]):
             assert cur.start_m == prev.end_m
 
     def test_macro_handovers_count_zone_starts_inside_the_window(self, walk):
@@ -156,7 +157,7 @@ class TestRowOracleParity:
             segments, handovers, cells = row_oracle.handover_logger(
                 op, deployment, RngFactory(seed).stream(stream), lo, hi
             )
-            assert _rows(trace.segments) == _rows(segments)
+            assert _rows(trace.table.rows()) == _rows(segments)
             assert trace.macro_handovers == handovers
             assert trace.macro_cell_ids == cells
 
@@ -170,14 +171,14 @@ class TestRowOracleParity:
         segments, _, _ = row_oracle.handover_logger(
             op, deployment, np.random.default_rng(3), 0.0, 900_000.0, profile
         )
-        assert _rows(trace.segments) == _rows(segments)
+        assert _rows(trace.table.rows()) == _rows(segments)
 
     def test_table_dictionaries_in_first_appearance_order(self, route):
         deployment = DeploymentModel.world(Operator.TMOBILE, route, 42)
         trace = run_handover_logger(
             Operator.TMOBILE, deployment, np.random.default_rng(1), 0.0, 900_000.0
         )
-        rebuilt = ColumnTable.from_rows(TABLE_SCHEMAS["passive"], trace.segments)
+        rebuilt = ColumnTable.from_rows(TABLE_SCHEMAS["passive"], trace.table.rows())
         for name, values in rebuilt.values.items():
             assert trace.table.values[name] == values
             assert trace.table.arrays[name].tolist() == rebuilt.arrays[name].tolist()
