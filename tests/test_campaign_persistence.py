@@ -148,6 +148,10 @@ MALFORMED = {
     "non_positive_handover_duration": lambda: _edit_first(
         "ho", lambda o: o.update(dur=0.0)
     ),
+    "infinite_integer_field": lambda: _edit_first("tput", lambda o: o.update(tid=1e999)),
+    "integer_field_out_of_range": lambda: _edit_first(
+        "rtt", lambda o: o.update(tid=10**20)
+    ),
     "header_counts_not_object": lambda: _edit_first(
         "header", lambda o: o.update(connected_cells=[["VERIZON", 1]])
     ),
